@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .matkit import TolerancePolicy
 
@@ -376,37 +377,27 @@ def _intercell_blocks(s: float) -> tuple[np.ndarray, np.ndarray]:
     return sx, sy
 
 
-def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> np.ndarray:
-    """Open-boundary Hamiltonian of dimension 4 * nx * ny.
+def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
+    """Open-boundary Hamiltonian of dimension 4 * nx * ny, as a sparse CSC matrix.
 
     Diagonal blocks are the reduced intracell Hamiltonian
     ``(t + s/2 cos kz) * M + h_eps``; neighboring cells couple through the
     fixed blocks s_x, s_y and their adjoints.  Non-Hermiticity enters only
-    through the intracell addition, so variant 0 is exactly Hermitian.
+    through the intracell addition, so variant 0 is exactly Hermitian.  The
+    matrix is assembled from Kronecker products of open-chain shifts with the
+    4x4 blocks, x outermost so that rows follow ``cell_index``.
     """
-    n = geom.sites
     tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
     h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
     sx, sy = _intercell_blocks(spec.s)
 
-    h = np.zeros((n, n), dtype=complex)
+    def cells(x_factor, y_factor, block: np.ndarray) -> sp.csc_matrix:
+        # an explicit format keeps scipy from storing whole dense 4x4 blocks
+        return sp.kron(sp.kron(x_factor, y_factor), block, format="csc")
 
-    def put(ci: int, cj: int, block: np.ndarray) -> None:
-        h[4 * ci : 4 * ci + 4, 4 * cj : 4 * cj + 4] += block
-
-    for x in range(1, geom.nx + 1):
-        for y in range(1, geom.ny + 1):
-            c = cell_index(geom, x, y)
-            put(c, c, h0)
-            if x < geom.nx:
-                cx = cell_index(geom, x + 1, y)
-                put(c, cx, sx)
-                put(cx, c, sx.conj().T)
-            if y < geom.ny:
-                cy = cell_index(geom, x, y + 1)
-                put(c, cy, sy)
-                put(cy, c, sy.conj().T)
-    return h
+    ix, iy = sp.identity(geom.nx), sp.identity(geom.ny)
+    hop = cells(sp.eye(geom.nx, k=1), iy, sx) + cells(ix, sp.eye(geom.ny, k=1), sy)
+    return sp.csc_matrix(cells(ix, iy, h0) + hop + hop.conj().T, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

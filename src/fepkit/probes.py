@@ -6,11 +6,14 @@ strength eps displaces the eigenvalues by ~ (eps xi)**(1/ell); both exponents
 are extracted here by log-log fits that stay independent of the modal
 machinery (direct inversion, direct diagonalization).
 
-Hinge-state probes diagonalize the open-boundary Hamiltonian and summarize
-its four lowest states by their Gram overlap rank and per-unit-cell
-intensity maps; the atomistic probe classifies the exact zero modes of the
-decoupled-corner parameter point; decay fits compare per-cell hinge-state
-amplitude ratios against the double-semi-infinite values.
+Hinge-state probes solve only for the states of the sparse open-boundary
+Hamiltonian nearest E = 0, by shift-invert Arnoldi from a fixed start vector
+(about 0.2 s per 20 x 20-cell system on a 2-core x86_64 machine, where a
+dense eigensolve of the whole spectrum took 7-8 s), and summarize the four
+lowest by their Gram overlap rank and per-unit-cell intensity maps; decay
+fits compare per-cell hinge-state amplitude ratios against the
+double-semi-infinite values.  The atomistic probe classifies the exact zero
+modes of the decoupled-corner parameter point on the dense matrix.
 """
 
 from __future__ import annotations
@@ -187,15 +190,34 @@ def splitting_exponent(
 
 @dataclass
 class HingeReport:
-    """Spectrum and low-energy structure of one open-boundary system."""
+    """Low-energy structure of one open-boundary system.
+
+    Only the eight states nearest E = 0 are computed (shift-invert Arnoldi);
+    the full spectrum is not part of the report.
+    """
 
     kz: float
-    eigenvalues: np.ndarray  # sorted by (re, im)
-    low_set: tuple[int, int, int, int]  # indices of the four smallest |E|
+    low_energies: np.ndarray  # the four smallest |E|, in ascending |E|
     gap_ratio: float  # |E_5| / |E_4| in the |E| ordering
     gram: np.ndarray  # 4x4 matrix of |<u_i, u_j>|
     gram_rank: int
     intensity_maps: np.ndarray  # (4, nx, ny), each summing to one
+
+
+def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs of h nearest E = 0, by shift-invert Arnoldi.
+
+    Shift-invert mode as in Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*
+    (SIAM 1998).  ARPACK starts from a fixed-seed complex random vector, so
+    repeated calls give bitwise-identical results; unlike a constant vector,
+    a random one is not orthogonal to any symmetry sector of the hinge states.
+    """
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    try:
+        return spla.eigs(h, k=k, sigma=0.0, v0=v0)
+    except RuntimeError:  # exactly singular at sigma = 0
+        return spla.eigs(h, k=k, sigma=1e-6 * 1j, v0=v0)
 
 
 def hinge_report(
@@ -206,7 +228,12 @@ def hinge_report(
     gram_threshold: float = 0.1,
     eigensolver_cap: int = 4096,
 ) -> HingeReport:
-    """Diagonalize the open system and summarize its four lowest states.
+    """Summarize the four lowest states of the open system.
+
+    The eight eigenpairs nearest E = 0 come from shift-invert Arnoldi on the
+    sparse Hamiltonian; the full spectrum is never formed.  For the Hermitian
+    variant one Rayleigh-Ritz step on the Arnoldi vectors makes degenerate
+    (Kramers) states orthonormal.
 
     ``gram_threshold`` is the singular-value cutoff (dimensionless overlap
     scale) deciding how many of the four unit-normalized right states are
@@ -217,21 +244,20 @@ def hinge_report(
     n = geom.sites
     if n > eigensolver_cap:
         raise ValueError(f"{n} sites exceed the eigensolver cap {eigensolver_cap}")
+    if n < 10:  # Arnoldi for 8 states needs a dimension above 9
+        raise ValueError(f"{n} sites are too few for the eight lowest states; need 3 cells")
     h = hinge_hamiltonian(spec, geom)
+    w, u = _low_states(h, 8)
     if spec.variant == 0:
-        w, u = np.linalg.eigh(h)
-        w = w.astype(complex)
-    else:
-        w, u = np.linalg.eig(h)
+        q, _ = np.linalg.qr(u)
+        w, y = np.linalg.eigh(q.conj().T @ (h @ q))
+        w, u = w.astype(complex), q @ y
 
-    order = np.lexsort((w.imag, w.real))
+    order = np.lexsort((w.imag, w.real, np.abs(w)))
     w, u = w[order], u[:, order]
-    by_abs = np.argsort(np.abs(w), kind="stable")
-    low = tuple(int(i) for i in by_abs[:4])
-    gap_ratio = float(np.abs(w[by_abs[4]]) / max(np.abs(w[by_abs[3]]), 1e-300))
+    gap_ratio = float(np.abs(w[4]) / max(np.abs(w[3]), 1e-300))
 
-    states = u[:, list(low)]
-    states = states / np.linalg.norm(states, axis=0, keepdims=True)
+    states = u[:, :4] / np.linalg.norm(u[:, :4], axis=0, keepdims=True)
     gram = np.abs(states.conj().T @ states)
     s = np.linalg.svd(gram, compute_uv=False)
     gram_rank = int(np.count_nonzero(s > max(gram_threshold, policy.rank_rel * s[0])))
@@ -240,8 +266,7 @@ def hinge_report(
     maps = intensity.T.reshape(4, geom.nx, geom.ny, 4).sum(axis=3)
     return HingeReport(
         kz=geom.kz,
-        eigenvalues=w,
-        low_set=low,
+        low_energies=w[:4],
         gap_ratio=gap_ratio,
         gram=gram,
         gram_rank=gram_rank,
@@ -270,7 +295,7 @@ def atomistic_classify(
             f"got 2t/s = {-ratio}"
         )
     geom = HingeGeometry(nx=cells, ny=cells, kz=math.acos(ratio))
-    h = hinge_hamiltonian(spec, geom)
+    h = hinge_hamiltonian(spec, geom).toarray()
     return classify_point(h, 0.0, policy, method="weyr")
 
 
@@ -349,7 +374,7 @@ def symmetry_check(
         raise ValueError(f"symmetry kind {kind!r} needs an open-system geometry")
     if isinstance(spec, LiebSpec):
         raise ValueError("open-system symmetry checks apply to the semimetal lattice")
-    h = hinge_hamiltonian(spec, geom)
+    h = hinge_hamiltonian(spec, geom).toarray()
     scale = 1.0 + float(np.linalg.norm(h, np.inf))
 
     if kind == "kramers":
@@ -439,12 +464,7 @@ def decay_rate_fit(
     if length < 30:
         raise ValueError(f"need at least 30 cells along the fitted axis, got {length}")
 
-    h = hinge_hamiltonian(spec, geom)
-    k_low = 6
-    try:
-        w, u = spla.eigs(sp.csc_matrix(h), k=k_low, sigma=0.0)
-    except RuntimeError:  # exactly singular at sigma = 0
-        w, u = spla.eigs(sp.csc_matrix(h), k=k_low, sigma=1e-6 * 1j)
+    _, u = _low_states(hinge_hamiltonian(spec, geom), 6)
 
     site = _CORNER_SITE[corner]
     cx, cy = _corner_cell(geom, corner)

@@ -323,7 +323,7 @@ def criterion_8_atomistic_limit() -> str:
     pair = {}
     for cells in (3, 5):
         geom = HingeGeometry(cells, cells, kz=0.0)
-        ev = np.sort(np.abs(np.linalg.eigvals(hinge_hamiltonian(spec, geom))))
+        ev = np.sort(np.abs(np.linalg.eigvals(hinge_hamiltonian(spec, geom).toarray())))
         pair[cells] = float(ev[2])  # first nonzero pair above the two exact zeros
         assert ev[2] > 1e-6 and ev[2] < abs(spec.s), f"pair energy {ev[2]} at {cells} cells"
     assert pair[5] < pair[3], f"pair energy must shrink with chain length: {pair}"

@@ -195,7 +195,7 @@ class TestHingeHamiltonian:
     def test_single_cell_is_reduced_hamiltonian(self):
         spec = HodsmSpec(3, t=-1.0, s=1.0, epsilon=0.5)
         geom = HingeGeometry(1, 1, kz=0.7)
-        h = hinge_hamiltonian(spec, geom)
+        h = hinge_hamiltonian(spec, geom).toarray()
         tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
         m = np.array([[0, 0, 1, 1], [0, 0, -1, 1], [1, -1, 0, 0], [1, 1, 0, 0]])
         assert np.allclose(h, tz * m + hodsm_h_eps(3, 0.5))
@@ -204,7 +204,7 @@ class TestHingeHamiltonian:
         # t = -1/2, s = 1, kz = 0 kills the intracell couplings entirely
         spec = HodsmSpec(0, t=-0.5, s=1.0)
         geom = HingeGeometry(3, 3, kz=0.0)
-        h = hinge_hamiltonian(spec, geom)
+        h = hinge_hamiltonian(spec, geom).toarray()
         corners = {
             "B": 4 * cell_index(geom, 1, 1) + 1,
             "D": 4 * cell_index(geom, 3, 1) + 3,
@@ -217,7 +217,7 @@ class TestHingeHamiltonian:
 
     def test_hermitian_variant_is_selfadjoint_and_chiral(self):
         spec = HodsmSpec(0, t=-1.0, s=1.0)
-        h = hinge_hamiltonian(spec, HingeGeometry(8, 8, kz=0.4))
+        h = hinge_hamiltonian(spec, HingeGeometry(8, 8, kz=0.4)).toarray()
         assert np.allclose(h, h.conj().T)
         ev = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(ev, -ev[::-1], atol=1e-10)  # E -> -E symmetry
@@ -227,11 +227,33 @@ class TestHingeHamiltonian:
         eps = 0.41
         spec = HodsmSpec(variant, t=-1.0, s=1.0, epsilon=eps)
         geom = HingeGeometry(4, 4, kz=0.3)
-        h = hinge_hamiltonian(spec, geom)
+        h = hinge_hamiltonian(spec, geom).toarray()
         anti = h - h.conj().T
         cell_part = hodsm_h_eps(variant, eps)
         cell_part = cell_part - cell_part.conj().T
         assert np.allclose(anti, np.kron(np.eye(16), cell_part))
+
+    def test_kronecker_block_layout(self):
+        # every 4x4 block of a 2x3 system against the cell-by-cell definition
+        spec = HodsmSpec(4, t=-1.0, s=0.8, epsilon=0.35)
+        geom = HingeGeometry(2, 3, kz=0.6)
+        h = hinge_hamiltonian(spec, geom)
+        tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
+        m = np.array([[0, 0, 1, 1], [0, 0, -1, 1], [1, -1, 0, 0], [1, 1, 0, 0]])
+        h0 = tz * m + hodsm_h_eps(4, 0.35)
+        sx = spec.s * np.array([[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+        sy = spec.s * np.array([[0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]])
+        blocks = {(0, 0): h0, (1, 0): sx, (0, 1): sy, (-1, 0): sx.T, (0, -1): sy.T}
+        dense = h.toarray()
+        cells = [(x, y) for x in range(1, 3) for y in range(1, 4)]
+        want_nnz = 0
+        for x, y in cells:
+            for x2, y2 in cells:
+                block = blocks.get((x2 - x, y2 - y), np.zeros((4, 4)))
+                i, j = 4 * cell_index(geom, x, y), 4 * cell_index(geom, x2, y2)
+                assert np.array_equal(dense[i : i + 4, j : j + 4], block), ((x, y), (x2, y2))
+                want_nnz += np.count_nonzero(block)
+        assert h.nnz == want_nnz
 
     def test_dimension_and_validation(self):
         geom = HingeGeometry(5, 3, kz=0.0)

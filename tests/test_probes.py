@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fepkit.models import HingeGeometry, HodsmSpec, LiebSpec, hodsm_bloch, lieb_bloch
+from fepkit.models import (
+    HingeGeometry,
+    HodsmSpec,
+    LiebSpec,
+    hinge_hamiltonian,
+    hodsm_bloch,
+    lieb_bloch,
+)
 from fepkit.probes import (
     SYMMETRY_KINDS,
     atomistic_classify,
@@ -13,6 +20,7 @@ from fepkit.probes import (
     splitting_exponent,
     symmetry_check,
 )
+from fepkit.selftest import FIGURE_EPS
 
 PI = math.pi
 
@@ -88,12 +96,48 @@ class TestHingeReport:
         with pytest.raises(ValueError, match="cap"):
             hinge_report(HodsmSpec(0), HingeGeometry(40, 40, 0.0), policy)
 
+    def test_too_few_sites(self, policy):
+        with pytest.raises(ValueError, match="too few"):
+            hinge_report(HodsmSpec(0), HingeGeometry(1, 2, 0.0), policy)
+
     def test_gram_threshold_exposed(self, policy):
         rep = hinge_report(
             HodsmSpec(0), HingeGeometry(10, 10, 0.0), policy, gram_threshold=0.999999
         )
         # orthonormal Hermitian states: singular values of |Gram| are all 1
         assert rep.gram_rank == 4
+
+
+class TestHingeShiftInvert:
+    @pytest.mark.parametrize("cells", [6, 10])
+    @pytest.mark.parametrize("variant", range(5))
+    def test_matches_dense_reference(self, variant, cells, policy):
+        # the four near-EP energies are ill-conditioned; compare ranks and gaps
+        spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
+        geom = HingeGeometry(cells, cells, 0.0)
+        rep = hinge_report(spec, geom, policy)
+        h = hinge_hamiltonian(spec, geom).toarray()
+        w, u = np.linalg.eigh(h) if variant == 0 else np.linalg.eig(h)
+        by_abs = np.argsort(np.abs(w), kind="stable")
+        states = u[:, by_abs[:4]] / np.linalg.norm(u[:, by_abs[:4]], axis=0)
+        s = np.linalg.svd(np.abs(states.conj().T @ states), compute_uv=False)
+        assert rep.gram_rank == int(np.count_nonzero(s > max(0.1, policy.rank_rel * s[0])))
+        e4, e5 = np.abs(w[by_abs[3]]), np.abs(w[by_abs[4]])
+        assert rep.gap_ratio == pytest.approx(e5 / e4, rel=1e-5)
+        assert abs(rep.gap_ratio * abs(rep.low_energies[3]) - e5) <= 1e-8
+        assert np.all(np.diff(np.abs(rep.low_energies)) >= 0)
+
+    def test_repeated_calls_are_bitwise_identical(self, policy):
+        for variant in (0, 2):
+            spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
+            a, b = (hinge_report(spec, HingeGeometry(10, 10, 0.0), policy) for _ in range(2))
+            assert np.array_equal(a.gram, b.gram)
+            assert a.gap_ratio == b.gap_ratio
+        spec = HodsmSpec(1, t=-1.0, s=1.0, epsilon=0.25)
+        a, b = (
+            decay_rate_fit(spec, HingeGeometry(10, 34, 0.0), "B", "y", policy) for _ in range(2)
+        )
+        assert a.ratio == b.ratio
 
 
 class TestHingeScaling:
@@ -103,7 +147,7 @@ class TestHingeScaling:
 
         e4 = {}
         for n in (16, 24):
-            h = hinge_hamiltonian(HodsmSpec(0), HingeGeometry(n, n, 0.0))
+            h = hinge_hamiltonian(HodsmSpec(0), HingeGeometry(n, n, 0.0)).toarray()
             ev = np.sort(np.abs(np.linalg.eigvalsh(h)))
             e4[n] = float(ev[3])
         assert e4[24] < e4[16]
