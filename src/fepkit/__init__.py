@@ -21,7 +21,7 @@ from .classify import (
     partial_multiplicities,
     weyr_oracle,
 )
-from .matkit import EigenDecomposition, TolerancePolicy, eig, numerical_rank, spectral_norm
+from .matkit import TolerancePolicy, numerical_rank, spectral_norm
 from .models import (
     HingeGeometry,
     HodsmSpec,
@@ -47,10 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TolerancePolicy",
-    "EigenDecomposition",
     "numerical_rank",
     "spectral_norm",
-    "eig",
     "ModeSequence",
     "ResponseStrengths",
     "flv_modes",

@@ -175,8 +175,9 @@ def _beta_from_ranks(rank_of, alpha: int, gamma: int | None) -> PartialMultiplic
     """Second difference of a rank profile, with the shared sum-rule checks.
 
     ``rank_of(j)`` must return the rank associated with index j and honor the
-    convention rank = 0 for j < 0.  ``gamma`` is an independently known
-    geometric multiplicity to validate against (None skips that check).
+    convention rank = 0 for j < 0; a profile that breaks it fails the sum
+    rules.  ``gamma`` is an independently known geometric multiplicity to
+    validate against (None skips that check).
     """
     beta: dict[int, int] = {}
     for l in range(1, alpha + 1):
@@ -268,27 +269,14 @@ def weyr_oracle(
             break
     last = ranks[-1]  # once the rank stabilizes the null chain has terminated
     alpha = n - last
-    gamma = n - ranks[1]
 
     def rank_of(j: int) -> int:
-        return ranks[j] if j < len(ranks) else last
+        # mode index j pairs with power alpha - 1 - j; on a consistent profile
+        # the shifted rank is 0 from power alpha on
+        power = alpha - 1 - j
+        return (ranks[power] if power < len(ranks) else last) - last
 
-    beta: dict[int, int] = {}
-    for l in range(1, len(ranks) + 1):
-        b = rank_of(l - 1) - 2 * rank_of(l) + rank_of(l + 1)
-        if b < 0:
-            raise InconsistentRanksError(
-                f"negative beta({l}) = {b}; power-rank profile is not convex"
-            )
-        if b:
-            beta[l] = b
-    pmf = PartialMultiplicityFunction(beta)
-    if pmf.alpha != alpha or pmf.gamma != gamma:
-        raise InconsistentRanksError(
-            f"Weyr sum rules failed: alpha {pmf.alpha} vs {alpha}, "
-            f"gamma {pmf.gamma} vs {gamma}"
-        )
-    return pmf
+    return _beta_from_ranks(rank_of, alpha, n - ranks[1])
 
 
 def classify_point(

@@ -226,7 +226,7 @@ def _cmd_classify(args) -> int:
 def _cmd_band(args) -> int:
     model = _model_from_args(args)
     axis, start, stop, count = args.path
-    dims = 2 if isinstance(model, LiebSpec) else 3
+    dims = model.dims
     names = ("kx", "ky", "kz")[:dims]
     if axis not in names:
         raise ValueError(f"path axis {axis!r} not in {names}")
@@ -250,17 +250,11 @@ def _cmd_band(args) -> int:
 
 def _cmd_contour(args) -> int:
     model = _model_from_args(args)
-    res = args.grid
-    ks = np.linspace(-math.pi, math.pi, res, endpoint=False)
-    rows = []
-    for kx in ks:
-        for ky in ks:
-            k = (float(kx), float(ky)) if isinstance(model, LiebSpec) else (
-                float(kx),
-                float(ky),
-                args.kz or 0.0,
-            )
-            rows.append((float(kx), float(ky), min_abs_energy(model, k)))
+    ks = np.linspace(-math.pi, math.pi, args.grid, endpoint=False)
+    kx, ky = np.meshgrid(ks, ks, indexing="ij")
+    k = (kx, ky) if model.dims == 2 else (kx, ky, np.full_like(kx, args.kz or 0.0))
+    energies = min_abs_energy(model, k)
+    rows = zip(kx.ravel().tolist(), ky.ravel().tolist(), energies.ravel().tolist())
     _emit(_csv(rows, "kx,ky,min_abs_E"), args.out)
     return 0
 
@@ -268,7 +262,7 @@ def _cmd_contour(args) -> int:
 def _cmd_scan(args) -> int:
     policy = _policy_from_args(args)
     model = _model_from_args(args)
-    dims = 2 if isinstance(model, LiebSpec) else 3
+    dims = model.dims
     grid = ScanGrid(dims=dims, resolution=args.grid)
     cands = bz_scan(model, grid, policy, classify=True)
     doc = {

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra with tolerance-aware rank and eigendecomposition.
+"""Dense complex linear algebra: input validation, tolerance-aware rank and norm.
 
 All matrices are plain ``numpy.ndarray`` of dtype complex128.  Energies are
 dimensionless model units (lattice constant and base coupling set to one).
@@ -7,17 +7,15 @@ Every function here is pure; nothing is mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TolerancePolicy",
-    "EigenDecomposition",
     "as_square_matrix",
     "numerical_rank",
     "spectral_norm",
-    "eig",
 ]
 
 
@@ -86,90 +84,3 @@ def spectral_norm(a) -> float:
     m = as_square_matrix(a)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
-
-@dataclass
-class EigenDecomposition:
-    """Sorted eigentriplets of a (generally non-normal) matrix.
-
-    ``right_vectors`` holds unit-norm right eigenvectors as columns, with the
-    largest-magnitude component of each rotated to be real positive.
-    ``left_vectors`` holds the matching left eigenvectors as rows; where the
-    biorthogonal normalization ``v_i . u_i = 1`` is well conditioned it has
-    been applied, so ``left_vectors @ right_vectors`` is close to the
-    identity away from defective points.
-    """
-
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-    residual: float
-    ill_conditioned: bool = False
-    defective_indices: tuple[int, ...] = field(default=())
-
-
-def _sort_key(w: np.ndarray) -> np.ndarray:
-    return np.lexsort((w.imag, w.real))
-
-
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    # per column: largest-|.| component rotated real positive
-    out = u.copy()
-    for j in range(u.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        z = col[i]
-        if abs(z) > 0:
-            col *= abs(z) / z
-    return out
-
-
-def eig(h, policy: TolerancePolicy | None = None) -> EigenDecomposition:
-    """Full right/left eigendecomposition with deterministic gauge.
-
-    Left eigenvectors come from the adjoint problem and are paired to the
-    right set by eigenvalue proximity, never by matrix inversion (which is
-    singular exactly at the degeneracies of interest).  Near a defective
-    point the biorthogonal normalization is skipped for the affected pairs
-    and ``ill_conditioned`` is set instead of failing.
-    """
-    m = as_square_matrix(h)
-    policy = policy or TolerancePolicy()
-    n = m.shape[0]
-
-    w, u = np.linalg.eig(m)
-    order = _sort_key(w)
-    w, u = w[order], u[:, order]
-    u = u / np.linalg.norm(u, axis=0, keepdims=True)
-    u = _fix_phase(u)
-
-    wl, ul = np.linalg.eig(m.conj().T)
-    wl = wl.conj()  # left eigenvalues of m
-    # greedy proximity pairing of adjoint eigenvectors to the sorted right set
-    used = np.zeros(n, dtype=bool)
-    v = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        d = np.abs(wl - w[i])
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        used[j] = True
-        v[i, :] = ul[:, j].conj()
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    # biorthogonal normalization v_i . u_i = 1 where well conditioned
-    overlaps = np.einsum("ij,ji->i", v, u)
-    bad: list[int] = []
-    for i in range(n):
-        if abs(overlaps[i]) > 1e-8:
-            v[i, :] /= overlaps[i]
-        else:
-            bad.append(i)
-
-    residual = float(np.max(np.linalg.norm(m @ u - u * w[None, :], axis=0)))
-    return EigenDecomposition(
-        eigenvalues=w,
-        right_vectors=u,
-        left_vectors=v,
-        residual=residual,
-        ill_conditioned=bool(bad),
-        defective_indices=tuple(bad),
-    )

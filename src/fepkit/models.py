@@ -19,7 +19,12 @@ pi-flux plaquettes): block off-diagonal Bloch matrices
 
 with the 2x2 blocks expanded in Pauli matrices.  Variant 0 is the Hermitian
 parent; variants 1..4 add one fixed non-Hermitian intracell coupling pattern
-of strength epsilon each.
+of strength epsilon each, tabulated once as Pauli increments and shared by
+the Bloch matrix and the open-boundary blocks.
+
+The symbols and Bloch constructors broadcast over momenta: ``k`` is one
+point or an array of shape ``(dims, ...)`` such as a meshgrid, and the
+results carry the trailing shape (Bloch matrices as ``(..., n, n)`` stacks).
 
 The open-boundary (hinge) Hamiltonian keeps x and y finite with kz a good
 momentum; unit cells are indexed row-major in (x, y) with site order
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,7 +68,7 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-LIEB_VARIANTS = ("hermitian", "nh-symmetric", "minimal-fep", "reciprocal", "general")
+LIEB_VARIANTS = ("hermitian", "nh-symmetric", "minimal-fep", "reciprocal")
 
 #: CLI-facing model identifiers (bit-exact strings)
 MODEL_IDS = (
@@ -93,14 +97,12 @@ class LiebSpec:
     nh-symmetric   - chirality- and reciprocity-preserving gain/loss epsilon
     minimal-fep    - reciprocity-breaking epsilon (hosts the minimal FEP)
     reciprocal     - phase-offset couplings with angles phi, psi
-    general        - caller-supplied (P, Q, R, S)(k)
     """
 
     variant: str
     epsilon: float | None = None
     phi: float | None = None
     psi: float | None = None
-    pqrs: Callable[[np.ndarray], tuple[complex, complex, complex, complex]] | None = None
 
     def __post_init__(self):
         if self.variant not in LIEB_VARIANTS:
@@ -110,9 +112,8 @@ class LiebSpec:
             "nh-symmetric": ("epsilon",),
             "minimal-fep": ("epsilon",),
             "reciprocal": ("phi", "psi"),
-            "general": ("pqrs",),
         }[self.variant]
-        for name in ("epsilon", "phi", "psi", "pqrs"):
+        for name in ("epsilon", "phi", "psi"):
             value = getattr(self, name)
             if name in needs and value is None:
                 raise ValueError(f"Lieb variant {self.variant!r} requires {name}")
@@ -124,11 +125,12 @@ class LiebSpec:
         return 2
 
 
-def lieb_pqrs(spec: LiebSpec, k) -> tuple[complex, complex, complex, complex]:
-    """The four off-diagonal symbols (P, Q, R, S) at momentum k = (kx, ky)."""
-    kx, ky = float(k[0]), float(k[1])
-    if spec.variant == "general":
-        return spec.pqrs(np.array([kx, ky]))
+def lieb_pqrs(spec: LiebSpec, k) -> tuple:
+    """The four off-diagonal symbols (P, Q, R, S) at momenta k = (kx, ky).
+
+    Each symbol has the trailing shape of ``k`` (a scalar for one point).
+    """
+    kx, ky = k
     if spec.variant == "reciprocal":
         ephi = np.exp(1j * spec.phi)
         epsi = np.exp(1j * spec.psi)
@@ -155,12 +157,11 @@ def lieb_pqrs(spec: LiebSpec, k) -> tuple[complex, complex, complex, complex]:
 
 
 def lieb_bloch(spec: LiebSpec, k) -> np.ndarray:
-    """3x3 Bloch matrix of the requested variant (zero diagonal, chain pattern)."""
+    """3x3 Bloch matrices of the requested variant (zero diagonal, chain pattern)."""
     p, q, r, s = lieb_pqrs(spec, k)
-    return np.array(
-        [[0, p, 0], [q, 0, r], [0, s, 0]],
-        dtype=complex,
-    )
+    h = np.zeros(np.shape(p) + (3, 3), dtype=complex)
+    h[..., 0, 1], h[..., 1, 0], h[..., 1, 2], h[..., 2, 1] = p, q, r, s
+    return h
 
 
 def lieb_case(
@@ -225,71 +226,59 @@ class HodsmSpec:
         return 3
 
 
-def _parent_coeffs(spec: HodsmSpec, kx: float, ky: float, kz: float) -> np.ndarray:
-    t, s = spec.t, spec.s
-    tz = t + 0.5 * s * math.cos(kz)
-    return np.array(
-        [
-            tz + s * math.cos(kx),
-            1j * s * math.sin(ky),
-            1j * (tz + s * math.cos(ky)),
-            1j * s * math.sin(kx),
-        ],
-        dtype=complex,
-    )
+# per variant: Pauli increments (dq, dr) of the Bloch blocks Q and R per unit epsilon
+_EPS_PAULI = np.array(
+    [
+        [[0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0.5, -0.5j, 0], [0, -0.5, -0.5j, 0]],
+        [[0.5, 0, 0, 0.5], [0, -0.5, -0.5j, 0]],
+        [[0, 0, 0, -1], [0, 0, 0, 0]],
+        [[0.5, -0.5, 0.5j, 0.5], [0, 0, 0, 0]],
+    ],
+    dtype=complex,
+)
 
 
 def hodsm_pauli_coeffs(spec: HodsmSpec, k) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli expansion coefficients (q_0..q_3, r_0..r_3) of the Bloch blocks."""
-    kx, ky, kz = (float(c) for c in k)
-    p = _parent_coeffs(spec, kx, ky, kz)
-    q = p.copy()
-    r = p.conj()
-    eps = spec.epsilon
-    if spec.variant == 1:
-        q[1] += eps / 2
-        q[2] += -1j * eps / 2
-        r[1] += -eps / 2
-        r[2] += -1j * eps / 2
-    elif spec.variant == 2:
-        q[0] += eps / 2
-        q[3] += eps / 2
-        r[1] += -eps / 2
-        r[2] += -1j * eps / 2
-    elif spec.variant == 3:
-        q[3] += -eps
-    elif spec.variant == 4:
-        q[0] += eps / 2
-        q[1] += -eps / 2
-        q[2] += 1j * eps / 2
-        q[3] += eps / 2
+    """Pauli expansion coefficients (q_0..q_3, r_0..r_3) of the Bloch blocks.
+
+    Both arrays have shape ``(4,) + k.shape[1:]`` for momenta k = (kx, ky, kz).
+    """
+    kx, ky, kz = k
+    t, s = spec.t, spec.s
+    tz = t + 0.5 * s * np.cos(kz)
+    # filled row by row and shifted in place: a zone grid holds only q and r
+    q = np.empty((4,) + np.shape(tz), dtype=complex)
+    q[0] = tz + s * np.cos(kx)
+    q[1] = 1j * s * np.sin(ky)
+    q[2] = 1j * (tz + s * np.cos(ky))
+    q[3] = 1j * s * np.sin(kx)
+    dq, dr = _EPS_PAULI[spec.variant].reshape(2, 4, *(1,) * np.ndim(tz))
+    r = q.conj()
+    r += spec.epsilon * dr
+    q += spec.epsilon * dq
     return q, r
 
 
-def hodsm_bloch(spec: HodsmSpec, k) -> np.ndarray:
-    """4x4 Bloch matrix [[0, Q], [R, 0]] in the (A, B, C, D) site basis."""
-    qc, rc = hodsm_pauli_coeffs(spec, k)
-    q = sum(qc[i] * SIGMA[i] for i in range(4))
-    r = sum(rc[i] * SIGMA[i] for i in range(4))
-    h = np.zeros((4, 4), dtype=complex)
-    h[:2, 2:] = q
-    h[2:, :2] = r
+def _chiral_blocks(qc, rc) -> np.ndarray:
+    """[[0, Q], [R, 0]] from the Pauli coefficients of Q and R."""
+    q = sum(qc[i][..., None, None] * SIGMA[i] for i in range(4))
+    r = sum(rc[i][..., None, None] * SIGMA[i] for i in range(4))
+    h = np.zeros(q.shape[:-2] + (4, 4), dtype=complex)
+    h[..., :2, 2:] = q
+    h[..., 2:, :2] = r
     return h
+
+
+def hodsm_bloch(spec: HodsmSpec, k) -> np.ndarray:
+    """4x4 Bloch matrices [[0, Q], [R, 0]] in the (A, B, C, D) site basis."""
+    return _chiral_blocks(*hodsm_pauli_coeffs(spec, k))
 
 
 def hodsm_h_eps(variant: int, epsilon: float) -> np.ndarray:
     """The constant non-Hermitian addition of variant 1..4 (zero for variant 0)."""
-    h = np.zeros((4, 4), dtype=complex)
-    e = epsilon
-    if variant == 1:
-        h[1, 2], h[2, 1] = e, -e
-    elif variant == 2:
-        h[0, 2], h[2, 1] = e, -e
-    elif variant == 3:
-        h[0, 2], h[1, 3] = -e, e
-    elif variant == 4:
-        h[0, 2], h[1, 2] = e, -e
-    return h
+    dq, dr = _EPS_PAULI[variant]
+    return _chiral_blocks(epsilon * dq, epsilon * dr)
 
 
 def hodsm_closed_dispersion(spec: HodsmSpec, kz: float) -> np.ndarray:

@@ -64,10 +64,11 @@ class ExponentFit:
     mean_slope: float | None = None  # mean-over-directions law, reported not asserted
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
+def _log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, log y): slope, intercept and R^2."""
+    ly = np.log(y)
+    slope, intercept = np.polyfit(x, ly, 1)
+    pred = slope * x + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
@@ -117,7 +118,7 @@ def lineshape_exponent(
             for r in radii
         ]
     )
-    slope, intercept, r2 = _loglog_fit(radii, p_vals)
+    slope, intercept, r2 = _log_fit(np.log(radii), p_vals)
     return ExponentFit(slope=slope, intercept=intercept, r_squared=r2, window=window)
 
 
@@ -173,8 +174,9 @@ def splitting_exponent(
                 f"ladder strength {strength:.2e} reaches the eigenvalue-collision scale"
             )
 
-    slope, intercept, r2 = _loglog_fit(ladder, disp_max)
-    mean_slope, _, _ = _loglog_fit(ladder, disp_mean)
+    log_ladder = np.log(ladder)
+    slope, intercept, r2 = _log_fit(log_ladder, disp_max)
+    mean_slope, _, _ = _log_fit(log_ladder, disp_mean)
     return ExponentFit(
         slope=slope,
         intercept=intercept,
@@ -344,7 +346,7 @@ def symmetry_check(
     rng = rng or np.random.default_rng(11)
 
     if kind == "chiral":
-        dims = 2 if isinstance(spec, LiebSpec) else 3
+        dims = spec.dims
         x = symmetry_operator("chiral-lieb" if dims == 2 else "chiral-dsm").matrix
         worst, at, scale = 0.0, "", 1.0
         for _ in range(100):
@@ -380,9 +382,15 @@ def symmetry_check(
     if kind == "kramers":
         w = np.linalg.eigvalsh(h).astype(complex) if spec.variant == 0 else np.linalg.eigvals(h)
         radius = policy.cluster_radius(scale - 1.0)
+        # scipy.spatial adds about 7 MB and 0.1 s to an import; only this check uses it
+        from scipy.spatial import cKDTree
+
         # single-linkage clusters of the spectrum at the cluster radius
-        adjacency = np.abs(w[:, None] - w[None, :]) <= radius
-        n_comp, labels = sparse_connected_components(adjacency)
+        pairs = cKDTree(np.c_[w.real, w.imag]).query_pairs(radius, output_type="ndarray")
+        links = sp.coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(w.size, w.size)
+        )
+        n_comp, labels = sparse_connected_components(links, directed=False)
         sizes = np.bincount(labels, minlength=n_comp)
         odd = [int(s) for s in sizes if s % 2]
         return SymmetryCheckResult(
@@ -493,12 +501,7 @@ def decay_rate_fit(
     window = profile[start:stop]
     if np.any(window <= 0):
         raise ValueError("amplitude profile vanished inside the fit window")
-    d = np.arange(start, stop, dtype=float)
-    ly = np.log(window)
-    slope, intercept = np.polyfit(d, ly, 1)
-    pred = slope * d + intercept
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - float(np.sum((ly - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = _log_fit(np.arange(start, stop, dtype=float), window)
     return DecayFit(
         ratio=float(np.exp(slope)),
         r_squared=r2,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import DegeneracyReport, classify_point, degeneracy_label
-from .matkit import TolerancePolicy, spectral_norm
+from .matkit import TolerancePolicy
 from .models import (
     HodsmSpec,
     LiebSpec,
@@ -123,27 +123,24 @@ def _structural_zeros(model) -> int:
 
 def _model_scale(model) -> float:
     pts = np.linspace(-math.pi, math.pi, 7, endpoint=False)
-    worst = 0.0
-    if isinstance(model, LiebSpec):
-        for kx in pts:
-            for ky in pts:
-                worst = max(worst, spectral_norm(bloch_matrix(model, (kx, ky))))
-    else:
-        for kx in pts:
-            for ky in pts:
-                for kz in pts:
-                    worst = max(worst, spectral_norm(bloch_matrix(model, (kx, ky, kz))))
-    return 1.0 + worst
+    h = bloch_matrix(model, np.meshgrid(*(pts,) * model.dims, indexing="ij"))
+    norms = np.linalg.svd(h.reshape(-1, *h.shape[-2:]), compute_uv=False)[:, 0]
+    return 1.0 + float(norms.max())
 
 
-def _detector_complex(model, k) -> complex:
+def _detector_complex(model, k):
+    """The complex detector at momenta k = (kx, ky[, kz], ...), broadcast like the symbols."""
     if isinstance(model, LiebSpec):
         p, q, r, s = lieb_pqrs(model, k)
         return p * q + r * s
     qc, rc = hodsm_pauli_coeffs(model, k)
     det_q = qc[0] ** 2 - qc[1] ** 2 - qc[2] ** 2 - qc[3] ** 2
     det_r = rc[0] ** 2 - rc[1] ** 2 - rc[2] ** 2 - rc[3] ** 2
-    return complex(det_q * det_r)
+    det = det_q * det_r
+    # one point stays a Python complex: refine_degeneracy divides it exactly per
+    # component (numpy scales by a rounded reciprocal), and refined momenta
+    # depend on that in the last bits
+    return complex(det) if det.ndim == 0 else det
 
 
 def _detector_degree(model) -> int:
@@ -156,69 +153,14 @@ def detector(model, k, scale: float | None = None) -> float:
     return abs(_detector_complex(model, k)) / scale ** _detector_degree(model)
 
 
-def _detector_grid(model, axes: list[np.ndarray]) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    if isinstance(model, LiebSpec):
-        kx, ky = mesh
-        if model.variant == "general":
-            vals = np.empty(kx.shape, dtype=complex)
-            for idx in np.ndindex(kx.shape):
-                vals[idx] = _detector_complex(model, (kx[idx], ky[idx]))
-            return np.abs(vals)
-        if model.variant == "reciprocal":
-            p = np.exp(1j * ky) - np.exp(1j * model.phi)
-            q = np.exp(-1j * ky) - np.exp(1j * model.phi)
-            r = np.exp(-1j * kx) - np.exp(1j * model.psi)
-            s = np.exp(1j * kx) - np.exp(1j * model.psi)
-        else:
-            eps = model.epsilon or 0.0
-            pp = qq = rr = ss = 1.0 + 0j
-            if model.variant == "nh-symmetric":
-                pp = qq = 1 + 1j * eps
-                rr = ss = 1 - 1j * eps
-            elif model.variant == "minimal-fep":
-                pp = 1 + 1j * eps
-                ss = 1 - 1j * eps
-            p = pp + np.exp(1j * ky)
-            q = qq + np.exp(-1j * ky)
-            r = rr + np.exp(-1j * kx)
-            s = ss + np.exp(1j * kx)
-        return np.abs(p * q + r * s)
-    kx, ky, kz = mesh
-    tz = model.t + 0.5 * model.s * np.cos(kz)
-    p0 = tz + model.s * np.cos(kx)
-    p1 = 1j * model.s * np.sin(ky)
-    p2 = 1j * (tz + model.s * np.cos(ky))
-    p3 = 1j * model.s * np.sin(kx)
-    q0, q1, q2, q3 = p0.copy(), p1.copy(), p2.copy(), p3.copy()
-    r0, r1, r2, r3 = p0.conj(), p1.conj(), p2.conj(), p3.conj()
-    eps = model.epsilon
-    if model.variant == 1:
-        q1 = q1 + eps / 2
-        q2 = q2 - 1j * eps / 2
-        r1 = r1 - eps / 2
-        r2 = r2 - 1j * eps / 2
-    elif model.variant == 2:
-        q0 = q0 + eps / 2
-        q3 = q3 + eps / 2
-        r1 = r1 - eps / 2
-        r2 = r2 - 1j * eps / 2
-    elif model.variant == 3:
-        q3 = q3 - eps
-    elif model.variant == 4:
-        q0 = q0 + eps / 2
-        q1 = q1 - eps / 2
-        q2 = q2 + 1j * eps / 2
-        q3 = q3 + eps / 2
-    det_q = q0**2 - q1**2 - q2**2 - q3**2
-    det_r = r0**2 - r1**2 - r2**2 - r3**2
-    return np.abs(det_q * det_r)
+def min_abs_energy(model, k):
+    """Smallest |E| over the dispersive bands (flat-band zeros excluded).
 
-
-def min_abs_energy(model, k) -> float:
-    """Smallest |E| over the dispersive bands (flat-band zeros excluded)."""
-    ev = np.sort(np.abs(np.linalg.eigvals(bloch_matrix(model, k))))
-    return float(ev[_structural_zeros(model)])
+    A float for one momentum, an array of the trailing shape for stacked momenta.
+    """
+    ev = np.sort(np.abs(np.linalg.eigvals(bloch_matrix(model, k))), axis=-1)
+    smallest = ev[..., _structural_zeros(model)]
+    return float(smallest) if smallest.ndim == 0 else smallest
 
 
 def refine_degeneracy(
@@ -295,14 +237,14 @@ def bz_scan(
     (periodic metric).  The result is sorted lexicographically by k.
     """
     policy = policy or TolerancePolicy()
-    dims = 2 if isinstance(model, LiebSpec) else 3
+    dims = model.dims
     grid = grid or ScanGrid(dims=dims)
     if grid.dims != dims:
         raise ValueError(f"grid dims {grid.dims} do not match the model ({dims})")
     scale = _model_scale(model)
 
     axes = grid.axes()
-    vals = _detector_grid(model, axes)
+    vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij")))
     is_min = np.ones(vals.shape, dtype=bool)
     for axis in range(dims):
         for shift in (1, -1):
@@ -376,25 +318,23 @@ def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
                 _expected_from_case(model, (math.pi, math.pi)),
                 _expected_from_case(model, (kappa, -kappa)),
             ]
-        if model.variant == "reciprocal":
-            phi, psi = model.phi, model.psi
-            if math.isclose(math.sin(phi), 0.0, abs_tol=1e-12) or math.isclose(
-                math.sin(psi), 0.0, abs_tol=1e-12
-            ):
-                raise ValueError("reciprocal catalog needs phi, psi != 0 (mod pi)")
-            if math.isclose(
-                math.cos(phi - psi), 1.0, abs_tol=1e-12
-            ):  # phi == psi (mod 2 pi): ring or lines, isolated FEPs only
-                return [
-                    _expected_from_case(model, (phi, phi)),
-                    _expected_from_case(model, (-phi, -phi)),
-                ]
+        phi, psi = model.phi, model.psi  # the reciprocal variant
+        if math.isclose(math.sin(phi), 0.0, abs_tol=1e-12) or math.isclose(
+            math.sin(psi), 0.0, abs_tol=1e-12
+        ):
+            raise ValueError("reciprocal catalog needs phi, psi != 0 (mod pi)")
+        if math.isclose(
+            math.cos(phi - psi), 1.0, abs_tol=1e-12
+        ):  # phi == psi (mod 2 pi): ring or lines, isolated FEPs only
             return [
-                _expected_from_case(model, (sx * psi, sy * phi))
-                for sx in (1, -1)
-                for sy in (1, -1)
+                _expected_from_case(model, (phi, phi)),
+                _expected_from_case(model, (-phi, -phi)),
             ]
-        raise ValueError("no analytic catalog for lieb:general")
+        return [
+            _expected_from_case(model, (sx * psi, sy * phi))
+            for sx in (1, -1)
+            for sy in (1, -1)
+        ]
 
     spec: HodsmSpec = model
     eps = spec.epsilon

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from fepkit.matkit import TolerancePolicy, eig, numerical_rank, spectral_norm
-from fepkit.models import LiebSpec, lieb_bloch
+from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
 
 
 def random_unitary(rng, n):
@@ -74,73 +71,6 @@ class TestSpectralNorm:
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             na, nad = spectral_norm(a), spectral_norm(a.conj().T)
             assert abs(na - nad) <= 1e-12 * na
-
-
-class TestEig:
-    def test_diagonal(self, policy):
-        dec = eig(np.diag([3.0, 1.0, 2.0]), policy)
-        assert np.allclose(dec.eigenvalues, [1, 2, 3])
-
-    def test_hermitian_lieb_gamma_point(self, policy):
-        h = lieb_bloch(LiebSpec("hermitian"), (0.0, 0.0))
-        dec = eig(h, policy)
-        want = [-2 * math.sqrt(2), 0.0, 2 * math.sqrt(2)]
-        assert np.allclose(dec.eigenvalues, want, atol=1e-12)
-
-    def test_pauli_x(self, policy):
-        dec = eig(np.array([[0.0, 1.0], [1.0, 0.0]]), policy)
-        assert np.allclose(dec.eigenvalues, [-1, 1])
-
-    def test_sorted_by_re_then_im(self, policy, rng):
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        w = eig(a, policy).eigenvalues
-        assert all(
-            (w[i].real, w[i].imag) <= (w[i + 1].real, w[i + 1].imag)
-            for i in range(len(w) - 1)
-        )
-
-    def test_phase_gauge(self, policy, rng):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        u = eig(a, policy).right_vectors
-        for j in range(5):
-            peak = u[np.argmax(np.abs(u[:, j])), j]
-            assert peak.real > 0 and abs(peak.imag) <= 1e-12 * abs(peak)
-            assert np.linalg.norm(u[:, j]) == pytest.approx(1.0)
-
-    def test_residual_small(self, policy, rng):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        dec = eig(a, policy)
-        assert dec.residual <= 1e-8 * (1 + spectral_norm(a))
-
-    def test_biorthogonality_when_separated(self, policy, rng):
-        d = np.diag(np.arange(1.0, 7.0) + 1j * np.arange(6.0))
-        t = np.eye(6) + 0.3 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        h = t @ d @ np.linalg.inv(t)
-        dec = eig(h, policy)
-        assert not dec.ill_conditioned
-        assert np.linalg.norm(dec.left_vectors @ dec.right_vectors - np.eye(6)) <= 1e-6
-
-    def test_reconstruction_planted(self, policy, rng):
-        # U diag(E) V recovers H for well-separated diagonalizable input
-        done = 0
-        while done < 100:
-            n = int(rng.integers(2, 8))
-            evals = rng.permutation(np.arange(n) * 0.5 + 0.3) + 1j * rng.normal(size=n) * 0.1
-            gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(n)
-            if gaps.min() <= 10 * policy.cluster_tol * (1 + np.abs(evals).max()):
-                continue
-            t = np.eye(n) + 0.2 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            h = t @ np.diag(evals) @ np.linalg.inv(t)
-            dec = eig(h, policy)
-            assert not dec.ill_conditioned
-            rebuilt = dec.right_vectors @ np.diag(dec.eigenvalues) @ dec.left_vectors
-            assert np.linalg.norm(rebuilt - h) <= 1e-8 * spectral_norm(h)
-            done += 1
-
-    def test_defective_point_flagged_not_failed(self, policy):
-        dec = eig(np.array([[0.0, 1.0], [0.0, 0.0]]), policy)
-        assert dec.ill_conditioned
-        assert dec.defective_indices
 
 
 class TestTolerancePolicy:

@@ -7,6 +7,7 @@ from fepkit.models import (
     HingeGeometry,
     HodsmSpec,
     LiebSpec,
+    bloch_matrix,
     cell_index,
     hinge_hamiltonian,
     hodsm_bloch,
@@ -39,6 +40,11 @@ class TestLiebBloch:
         h = lieb_bloch(LiebSpec("hermitian"), (PI, PI))
         assert np.max(np.abs(h)) <= 1e-15
 
+    def test_hermitian_lieb_gamma_point(self):
+        h = lieb_bloch(LiebSpec("hermitian"), (0.0, 0.0))
+        want = [-2 * math.sqrt(2), 0.0, 2 * math.sqrt(2)]
+        assert np.allclose(np.linalg.eigvalsh(h), want, atol=1e-12)
+
     def test_minimal_fep_gamma_point_entries(self):
         h = lieb_bloch(LiebSpec("minimal-fep", epsilon=1.0), (0.0, 0.0))
         assert h[0, 1] == pytest.approx(2 + 1j)
@@ -63,11 +69,6 @@ class TestLiebBloch:
         with pytest.raises(ValueError):
             LiebSpec("nope")
 
-    def test_general_variant_callable(self):
-        spec = LiebSpec("general", pqrs=lambda k: (1.0, 2.0, 3.0, -2.0 / 3.0))
-        h = lieb_bloch(spec, (0.3, 0.4))
-        assert h[0, 1] == 1.0 and h[2, 1] == pytest.approx(-2.0 / 3.0)
-
     def test_flat_band_everywhere(self, rng):
         for variant, kw in [
             ("hermitian", {}),
@@ -80,6 +81,16 @@ class TestLiebBloch:
                 k = rng.uniform(-PI, PI, 2)
                 ev = np.linalg.eigvals(lieb_bloch(spec, k))
                 assert np.min(np.abs(ev)) <= 1e-12
+
+
+def test_bloch_stack_equals_pointwise_builds(catalog_model, rng):
+    k = rng.uniform(-PI, PI, size=(catalog_model.dims, 4, 3))
+    stack = bloch_matrix(catalog_model, k)
+    n = 3 if isinstance(catalog_model, LiebSpec) else 4
+    assert stack.shape == (4, 3, n, n)
+    for idx in np.ndindex(4, 3):
+        point = bloch_matrix(catalog_model, tuple(float(c) for c in k[(slice(None), *idx)]))
+        assert stack[idx].tobytes() == point.tobytes()
 
 
 class TestLiebCase:
@@ -151,9 +162,9 @@ class TestHodsmBloch:
 
     @pytest.mark.parametrize("variant", [1, 2, 3, 4])
     def test_reduces_to_constant_addition_at_dirac_point(self, variant):
-        eps = 0.37
-        h = hodsm_bloch(HodsmSpec(variant, epsilon=eps), (0.0, 0.0, PI / 2))
-        assert np.allclose(h, hodsm_h_eps(variant, eps), atol=1e-15)
+        for eps in (0.0, 0.37, -0.8, 1.5):
+            h = hodsm_bloch(HodsmSpec(variant, epsilon=eps), (0.0, 0.0, PI / 2))
+            assert np.allclose(h, hodsm_h_eps(variant, eps), atol=1e-15)
 
     def test_block_structure(self, rng):
         h = hodsm_bloch(HodsmSpec(2, epsilon=0.5), rng.uniform(-PI, PI, 3))

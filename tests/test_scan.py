@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fepkit.models import HodsmSpec, LiebSpec, arccot
+from fepkit.matkit import spectral_norm
+from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
 from fepkit.scan import (
     ManifoldSample,
     ScanGrid,
@@ -14,6 +16,9 @@ from fepkit.scan import (
     min_abs_energy,
     refine_degeneracy,
     trace_ring,
+    _detector_complex,
+    _detector_degree,
+    _model_scale,
 )
 
 PI = math.pi
@@ -23,6 +28,36 @@ def k_distance(a, b):
     return max(
         PI - abs(abs(x - y) % (2 * PI) - PI) for x, y in zip(a, b)
     )
+
+
+class TestBroadcast:
+    def test_detector_on_meshgrid_equals_pointwise(self, catalog_model):
+        # the same formula either way, but numpy's vectorised complex multiply
+        # may round differently from the scalar one (fused multiply-add on
+        # AVX-512 builds), so allow a few units in the last place of the terms
+        scale = _model_scale(catalog_model)
+        tol = 16 * np.finfo(float).eps * scale ** _detector_degree(catalog_model)
+        axes = ScanGrid(dims=catalog_model.dims, resolution=8).axes()
+        grid = _detector_complex(catalog_model, np.meshgrid(*axes, indexing="ij"))
+        assert grid.shape == (8,) * catalog_model.dims
+        for idx in np.ndindex(grid.shape):
+            k = tuple(float(axis[i]) for axis, i in zip(axes, idx))
+            assert abs(grid[idx] - _detector_complex(catalog_model, k)) <= tol
+
+    def test_model_scale_is_largest_spectral_norm(self, catalog_model):
+        pts = np.linspace(-PI, PI, 7, endpoint=False)
+        norms = [
+            spectral_norm(bloch_matrix(catalog_model, k))
+            for k in itertools.product(pts, repeat=catalog_model.dims)
+        ]
+        assert _model_scale(catalog_model) == 1.0 + max(norms)
+
+    def test_min_abs_energy_stack_equals_pointwise(self, catalog_model, rng):
+        k = rng.uniform(-PI, PI, size=(catalog_model.dims, 5))
+        stack = min_abs_energy(catalog_model, k)
+        assert stack.shape == (5,)
+        for i in range(5):
+            assert stack[i] == min_abs_energy(catalog_model, tuple(k[:, i]))
 
 
 class TestScanGrid:
@@ -179,11 +214,6 @@ class TestAnalyticCatalog:
         assert kz_fep == [round(-PI / 2, 9), round(PI / 2, 9)]
         kz_ep2 = sorted(round(abs(e.k[2]), 6) for e in ep2s)
         assert kz_ep2 == [round(PI / 4, 6)] * 2 + [round(3 * PI / 4, 6)] * 2
-
-    def test_general_variant_unsupported(self):
-        spec = LiebSpec("general", pqrs=lambda k: (1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            analytic_degeneracies(spec)
 
 
 class TestTraceRing:
