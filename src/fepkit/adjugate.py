@@ -12,6 +12,7 @@ degenerate eigenvalue carry its complete multiplicity structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,10 @@ class ModeSequence:
     # of A badly overestimates that magnitude for non-normal input (||A^m||
     # can grow far slower than ||A||^m), so the scale is calibrated from the
     # computed sequence itself and floored at one (O(1) model-energy units).
+    # The sequence is immutable, so each scale is computed once, on first
+    # use, and every later vanishing test reads the stored value.
 
-    @property
+    @cached_property
     def mode_scale(self) -> float:
         """Per-degree magnitude scale of the mode sequence."""
         s = 1.0
@@ -79,7 +82,7 @@ class ModeSequence:
                 s = max(s, top ** (1.0 / (self.n - 1 - j)))
         return s
 
-    @property
+    @cached_property
     def coeff_scale(self) -> float:
         """Per-degree magnitude scale of the characteristic coefficients."""
         s = 1.0
@@ -119,7 +122,8 @@ def flv_modes(h, shift: complex = 0.0, *, force: bool = False) -> ModeSequence:
             f"dimension {n} exceeds the FLV stability guard ({FLV_DIMENSION_GUARD}); "
             "pass force=True or classify via the rank-of-powers oracle"
         )
-    a = m - complex(shift) * np.eye(n)
+    eye = np.eye(n)
+    a = m - complex(shift) * eye
 
     modes: list[np.ndarray] = [np.zeros((0, 0))] * n
     coeffs = np.zeros(n + 1, dtype=complex)
@@ -131,7 +135,7 @@ def flv_modes(h, shift: complex = 0.0, *, force: bool = False) -> ModeSequence:
         c = -np.trace(ab) / (n - k)
         coeffs[k] = c
         if k > 0:
-            b = ab + c * np.eye(n)
+            b = ab + c * eye
             modes[k - 1] = b
 
     return ModeSequence(

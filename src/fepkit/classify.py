@@ -250,9 +250,8 @@ def weyr_oracle(
     m = as_square_matrix(a)
     policy = policy or TolerancePolicy()
     n = m.shape[0]
-    norm = spectral_norm(m)
     if scale is None:
-        scale = max(1.0, norm)
+        scale = max(1.0, spectral_norm(m))
     if scale <= 0:
         raise ValueError("scale must be positive")
     m = m / scale

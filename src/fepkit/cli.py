@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .classify import DegeneracyReport, classify_point
+from .classify import DegeneracyReport, OracleDisagreementError, classify_point
 from .matkit import TolerancePolicy
 from .models import (
     MODEL_IDS,
@@ -524,7 +524,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    # a route disagreement is a diagnosed refusal to classify, not a crash
+    except (ValueError, OSError, OracleDisagreementError) as exc:
         print(f"fepkit: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

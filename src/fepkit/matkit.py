@@ -26,7 +26,7 @@ def as_square_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValueError("empty matrix")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 

@@ -14,7 +14,9 @@ from fepkit.adjugate import (
 )
 from fepkit.classify import classify_point
 from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
-from fepkit.models import HodsmSpec, LiebSpec, hodsm_bloch, lieb_bloch
+from fepkit.models import HodsmSpec, LiebSpec, bloch_matrix, hodsm_bloch, lieb_bloch
+from fepkit.scan import analytic_degeneracies
+from fepkit.selftest import planted_jordan, random_partition
 
 PI = math.pi
 
@@ -228,3 +230,44 @@ class TestResponseStrengths:
             hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4)), 0.0, policy
         )
         assert abs(r.eta - r.xi) <= 1e-10 * r.eta
+
+
+def loop_mode_scale(seq):
+    s = 1.0
+    for j in range(seq.n - 1):
+        top = float(np.max(np.abs(seq.modes[j])))
+        if top > 0.0:
+            s = max(s, top ** (1.0 / (seq.n - 1 - j)))
+    return s
+
+
+def loop_coeff_scale(seq):
+    s = 1.0
+    for k in range(seq.n):
+        c = abs(seq.coeffs[k])
+        if c > 0.0:
+            s = max(s, c ** (1.0 / (seq.n - k)))
+    return s
+
+
+class TestCachedScales:
+    """The per-sequence scales are computed once and equal the per-degree loop."""
+
+    @staticmethod
+    def check(seq):
+        for _ in range(2):  # the second read comes from the cache
+            assert seq.mode_scale == loop_mode_scale(seq)
+            assert seq.coeff_scale == loop_coeff_scale(seq)
+        assert {"mode_scale", "coeff_scale"} <= vars(seq).keys()
+
+    def test_catalog_points(self, catalog_model):
+        for entry in analytic_degeneracies(catalog_model):
+            self.check(flv_modes(bloch_matrix(catalog_model, entry.k), 0.0))
+
+    def test_planted_forms(self):
+        rng = np.random.default_rng(77)
+        for n in (2, 5, 8, 12, 16):
+            for cond in (1.0, 1e1, 1e3):
+                sizes = random_partition(rng, int(rng.integers(1, n + 1)))
+                self.check(flv_modes(planted_jordan(rng, n, sizes, cond), 0.0))
+

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fepkit.classify
 from fepkit.adjugate import flv_modes
 from fepkit.classify import (
     InconsistentRanksError,
@@ -198,6 +199,84 @@ class TestClassifyPoint:
         h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
         r = classify_point(h, 0.0, policy, method="weyr")
         assert r.eta == pytest.approx(0.5 * math.sqrt(2), abs=1e-9)
+
+
+class TestWeyrScale:
+    def test_given_scale_takes_no_norm(self, policy, monkeypatch):
+        def refuse(_):
+            raise AssertionError("spectral_norm called although a scale was given")
+
+        monkeypatch.setattr(fepkit.classify, "spectral_norm", refuse)
+        assert weyr_oracle(jordan_blocks([3, 1]), policy, scale=2.0).beta == {3: 1, 1: 1}
+        with pytest.raises(AssertionError):
+            weyr_oracle(jordan_blocks([3, 1]), policy)
+
+
+# Outcomes of classify_point on planted Jordan forms, pinned bit for bit so
+# that a speedup cannot move a fingerprint, eta or xi, or an error message
+# unnoticed.  Each plant is drawn like the benchmark's pool plants, from
+# default_rng([GOLDEN_SEED, n, log10(cond), plant]); the comment gives the
+# planted block sizes.  A successful call records (partials, eta.hex(),
+# xi.hex()), a refusal (exception type, message).  Recorded with numpy's
+# bundled OpenBLAS on x86_64; another BLAS may round differently.
+GOLDEN_SEED = 2611
+GOLDEN = {
+    (8, 1e1, 0, 'auto'): ((2, 1), '0x1.4d8f1ac93a1a8p+1', '0x1.4d8f1ac93a1a8p+1'),  # planted (2, 1)
+    (8, 1e1, 0, 'weyr'): ((2, 1), '0x1.4d8f1ac93a1a8p+1', '0x1.4d8f1ac93a1a8p+1'),  # planted (2, 1)
+    (8, 1e1, 1, 'auto'): ((4, 2), '0x1.128148923b8d1p+1', '0x1.128148923b8d2p+1'),  # planted (4, 2)
+    (8, 1e1, 1, 'weyr'): ((4, 2), '0x1.128148923b8d1p+1', '0x1.128148923b8d2p+1'),  # planted (4, 2)
+    (8, 1e3, 0, 'auto'): ((2, 1, 1), '0x1.339094cce18c2p+7', '0x1.339094cce18c2p+7'),  # planted (2, 1, 1)
+    (8, 1e3, 0, 'weyr'): ((2, 1, 1), '0x1.339094cce18c2p+7', '0x1.339094cce18c2p+7'),  # planted (2, 1, 1)
+    (8, 1e3, 1, 'auto'): ('InconsistentRanksError', 'sum rule sum(l * beta(l)) = 0 != alpha = 2'),  # planted (1, 1)
+    (8, 1e3, 1, 'weyr'): ((1, 1), 'nan', 'nan'),  # planted (1, 1)
+    (12, 1e1, 0, 'auto'): ((2, 1, 1), '0x1.693b63783267ep+1', '0x1.693b63783267ep+1'),  # planted (2, 1, 1)
+    (12, 1e1, 0, 'weyr'): ((2, 1, 1), '0x1.693b63783267ep+1', '0x1.693b63783267ep+1'),  # planted (2, 1, 1)
+    (12, 1e1, 1, 'auto'): ((6, 3), '0x1.e268630e549cbp+0', '0x1.e268630e549cbp+0'),  # planted (6, 3)
+    (12, 1e1, 1, 'weyr'): ((6, 3), '0x1.e268630e549cbp+0', '0x1.e268630e549cbp+0'),  # planted (6, 3)
+    (12, 1e3, 0, 'auto'): ('InconsistentRanksError', 'sum rule sum(l * beta(l)) = 0 != alpha = 1'),  # planted (1,)
+    (12, 1e3, 0, 'weyr'): ((1,), 'nan', 'nan'),  # planted (1,)
+    (12, 1e3, 1, 'auto'): ('OracleDisagreementError', 'mode-rank fingerprint {1: 2, 5: 2} disagrees with Weyr oracle {1: 2, 4: 1, 6: 1}'),  # planted (6, 4, 1, 1)
+    (12, 1e3, 1, 'weyr'): ((6, 4, 1, 1), 'nan', 'nan'),  # planted (6, 4, 1, 1)
+    (16, 1e1, 0, 'auto'): ((9, 2, 1, 1), '0x1.ef033047b4702p+0', '0x1.ef033047b46fep+0'),  # planted (9, 2, 1, 1)
+    (16, 1e1, 0, 'weyr'): ((9, 2, 1, 1), '0x1.ef033047b4702p+0', '0x1.ef033047b46fep+0'),  # planted (9, 2, 1, 1)
+    (16, 1e1, 1, 'auto'): ((8, 3, 3, 1), '0x1.d0d97c1a0094cp+0', '0x1.d0d97c1a0094cp+0'),  # planted (8, 3, 3, 1)
+    (16, 1e1, 1, 'weyr'): ((8, 3, 3, 1), '0x1.d0d97c1a0094cp+0', '0x1.d0d97c1a0094cp+0'),  # planted (8, 3, 3, 1)
+    (16, 1e3, 0, 'auto'): ('InconsistentRanksError', 'sum rule sum(l * beta(l)) = 0 != alpha = 9'),  # planted (4, 2, 2, 1)
+    (16, 1e3, 0, 'weyr'): ('InconsistentRanksError', 'negative beta(4) = -2; rank profile is not a Weyr-consistent sequence'),  # planted (4, 2, 2, 1)
+    (16, 1e3, 1, 'auto'): ('InconsistentRanksError', 'sum rule sum(beta(l)) = 10 != gamma = 1'),  # planted (10,)
+    (16, 1e3, 1, 'weyr'): ('InconsistentRanksError', 'negative beta(4) = -4; rank profile is not a Weyr-consistent sequence'),  # planted (10,)
+    (24, 1e1, 0, 'auto'): ('InconsistentRanksError', 'negative beta(14) = -3; rank profile is not a Weyr-consistent sequence'),  # planted (21, 1)
+    (24, 1e1, 0, 'weyr'): ('InconsistentRanksError', 'negative beta(14) = -3; rank profile is not a Weyr-consistent sequence'),  # planted (21, 1)
+    (24, 1e1, 1, 'auto'): ((7, 5), 'nan', 'nan'),  # planted (7, 5)
+    (24, 1e1, 1, 'weyr'): ((7, 5), 'nan', 'nan'),  # planted (7, 5)
+    (24, 1e3, 0, 'auto'): ('InconsistentRanksError', 'negative beta(4) = -6; rank profile is not a Weyr-consistent sequence'),  # planted (9, 5, 1)
+    (24, 1e3, 0, 'weyr'): ('InconsistentRanksError', 'negative beta(4) = -6; rank profile is not a Weyr-consistent sequence'),  # planted (9, 5, 1)
+    (24, 1e3, 1, 'auto'): ('InconsistentRanksError', 'negative beta(4) = -3; rank profile is not a Weyr-consistent sequence'),  # planted (7, 5, 2, 1, 1)
+    (24, 1e3, 1, 'weyr'): ('InconsistentRanksError', 'negative beta(4) = -3; rank profile is not a Weyr-consistent sequence'),  # planted (7, 5, 2, 1, 1)
+    (36, 1e1, 0, 'auto'): ((2,), 'nan', 'nan'),  # planted (2,)
+    (36, 1e1, 0, 'weyr'): ((2,), 'nan', 'nan'),  # planted (2,)
+    (36, 1e1, 1, 'auto'): ('InconsistentRanksError', 'negative beta(11) = -1; rank profile is not a Weyr-consistent sequence'),  # planted (13, 6, 6, 3, 2, 1)
+    (36, 1e1, 1, 'weyr'): ('InconsistentRanksError', 'negative beta(11) = -1; rank profile is not a Weyr-consistent sequence'),  # planted (13, 6, 6, 3, 2, 1)
+    (36, 1e3, 0, 'auto'): ((2, 1, 1, 1), 'nan', 'nan'),  # planted (2, 1, 1, 1)
+    (36, 1e3, 0, 'weyr'): ((2, 1, 1, 1), 'nan', 'nan'),  # planted (2, 1, 1, 1)
+    (36, 1e3, 1, 'auto'): ('InconsistentRanksError', 'negative beta(4) = -7; rank profile is not a Weyr-consistent sequence'),  # planted (17, 9, 4, 2, 1)
+    (36, 1e3, 1, 'weyr'): ('InconsistentRanksError', 'negative beta(4) = -7; rank profile is not a Weyr-consistent sequence'),  # planted (17, 9, 4, 2, 1)
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda key: "n=%d cond=%g plant=%d %s" % key)
+def test_golden_fingerprint(key):
+    n, cond, plant, method = key
+    rng = np.random.default_rng([GOLDEN_SEED, n, int(np.log10(cond)), plant])
+    sizes = random_partition(rng, int(rng.integers(1, n + 1)))
+    a = planted_jordan(rng, n, sizes, cond)
+    try:
+        r = classify_point(a, 0.0, method=method)
+    except (ValueError, RuntimeError) as exc:
+        got = (type(exc).__name__, str(exc))
+    else:
+        got = (r.partials, r.eta.hex(), r.xi.hex())
+    assert got == GOLDEN[key]
 
 
 class TestLabels:

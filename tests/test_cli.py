@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import fepkit.cli
+from fepkit.classify import OracleDisagreementError, PartialMultiplicityFunction
 from fepkit.cli import dumps_canonical, main, parse_angle, parse_k
 
 PI = math.pi
@@ -111,6 +113,19 @@ class TestClassifyVerb:
             "--out", "/nonexistent-dir/x.json",
         )
         assert code == 2
+
+    def test_oracle_disagreement_exits_2(self, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise OracleDisagreementError(
+                PartialMultiplicityFunction({3: 1}), PartialMultiplicityFunction({2: 1})
+            )
+
+        monkeypatch.setattr(fepkit.cli, "classify_point", disagree)
+        code, out, err = run(capsys, "classify", "--model", "lieb:hermitian", "--k", "pi,pi")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "fepkit: mode-rank fingerprint {3: 1} disagrees with Weyr oracle {2: 1}"
+        ]
 
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FEPKIT_CLUSTER_TOL", "0.5")

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
+from fepkit.matkit import TolerancePolicy, as_square_matrix, numerical_rank, spectral_norm
 
 
 def random_unitary(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q
+
+
+class TestAsSquareMatrix:
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0), complex(np.inf, 0), complex(0, np.nan), complex(1, -np.inf)]
+    )
+    def test_rejects_non_finite_real_or_imaginary_part(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError) as err:
+            as_square_matrix(m)
+        assert str(err.value) == "matrix contains NaN or Inf entries"
 
 
 class TestNumericalRank:
