@@ -6,8 +6,8 @@ points to fragmented exceptional points where the eigenvectors only
 partially coalesce.  The workhorse is the Faddeev-LeVerrier expansion of the
 adjugate matrix: its mode ranks resolve the full partial-multiplicity
 structure of a degeneracy, cross-checked against an independent
-rank-of-powers oracle, and the same modes give the physical and spectral
-response strengths.  A catalog of Lieb-lattice and higher-order
+nested-null-space (staircase) oracle, and the same modes give the physical
+and spectral response strengths.  A catalog of Lieb-lattice and higher-order
 Dirac-semimetal models (bulk and open-boundary) exercises every degeneracy
 type, with zone scanning, manifold tracing, response-exponent probes, and
 hinge-state reports on top.

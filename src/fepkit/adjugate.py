@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 # The recursion accumulates error like ||A||**N; beyond this dimension it is
-# refused unless forced, and classification falls back to the rank-of-powers
-# oracle instead.
+# refused, and classification relies on the staircase Weyr oracle alone.
 FLV_DIMENSION_GUARD = 64
 
 
@@ -38,9 +37,12 @@ class ResonanceError(ValueError):
     """Raised when the modal resolvent is evaluated at (numerically) an eigenvalue."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSequence:
-    """Modes ``B_0 .. B_{N-1}`` and coefficients ``c_0 .. c_N`` at one shift."""
+    """Modes ``B_0 .. B_{N-1}`` and coefficients ``c_0 .. c_N`` at one shift.
+
+    Sequences compare by identity: array fields have no single truth value.
+    """
 
     shift: complex
     modes: tuple[np.ndarray, ...]
@@ -107,20 +109,19 @@ class ModeSequence:
         return abs(self.coeffs[k]) <= bound
 
 
-def flv_modes(h, shift: complex = 0.0, *, force: bool = False) -> ModeSequence:
+def flv_modes(h, shift: complex = 0.0) -> ModeSequence:
     """Run the division-free recursion for all modes and coefficients.
 
     Modes are always computed for the full index range: the recursion costs
-    O(N^4) total, and only small model matrices ever take this path (for
-    dimensions above FLV_DIMENSION_GUARD pass ``force=True``, or use the
-    rank-of-powers oracle which is what classification does).
+    O(N^4) total, and only small model matrices ever take this path.
+    Dimensions above FLV_DIMENSION_GUARD are refused; classify those with
+    the staircase Weyr oracle (``classify_point(..., method="weyr")``).
     """
     m = as_square_matrix(h)
     n = m.shape[0]
-    if n > FLV_DIMENSION_GUARD and not force:
+    if n > FLV_DIMENSION_GUARD:
         raise ValueError(
-            f"dimension {n} exceeds the FLV stability guard ({FLV_DIMENSION_GUARD}); "
-            "pass force=True or classify via the rank-of-powers oracle"
+            f"dimension {n} exceeds the FLV stability guard ({FLV_DIMENSION_GUARD})"
         )
     eye = np.eye(n)
     a = m - complex(shift) * eye

@@ -7,8 +7,8 @@ Two independent routes produce the partial multiplicity function beta(l)
   ``C_k = tr(A B_k)`` (which fixes the algebraic multiplicity alpha) with the
   second difference of mode ranks
   ``beta(l) = rnk B_{alpha-l-2} - 2 rnk B_{alpha-l-1} + rnk B_{alpha-l}``;
-* the Weyr route, using ranks of matrix powers
-  ``beta(l) = rnk A**(l-1) - 2 rnk A**l + rnk A**(l+1)``.
+* the Weyr route, a nested-null-space staircase whose level widths
+  ``w_l = dim ker A**l - dim ker A**(l-1)`` give ``beta(l) = w_l - w_{l+1}``.
 
 ``classify_point`` runs both on small matrices and refuses to emit a report
 when they disagree.
@@ -171,35 +171,6 @@ def algebraic_multiplicity(modes: ModeSequence, policy: TolerancePolicy | None =
     return modes.n
 
 
-def _beta_from_ranks(rank_of, alpha: int, gamma: int | None) -> PartialMultiplicityFunction:
-    """Second difference of a rank profile, with the shared sum-rule checks.
-
-    ``rank_of(j)`` must return the rank associated with index j and honor the
-    convention rank = 0 for j < 0; a profile that breaks it fails the sum
-    rules.  ``gamma`` is an independently known geometric multiplicity to
-    validate against (None skips that check).
-    """
-    beta: dict[int, int] = {}
-    for l in range(1, alpha + 1):
-        b = rank_of(alpha - l - 2) - 2 * rank_of(alpha - l - 1) + rank_of(alpha - l)
-        if b < 0:
-            raise InconsistentRanksError(
-                f"negative beta({l}) = {b}; rank profile is not a Weyr-consistent sequence"
-            )
-        if b:
-            beta[l] = b
-    pmf = PartialMultiplicityFunction(beta)
-    if pmf.alpha != alpha:
-        raise InconsistentRanksError(
-            f"sum rule sum(l * beta(l)) = {pmf.alpha} != alpha = {alpha}"
-        )
-    if gamma is not None and pmf.gamma != gamma:
-        raise InconsistentRanksError(
-            f"sum rule sum(beta(l)) = {pmf.gamma} != gamma = {gamma}"
-        )
-    return pmf
-
-
 def partial_multiplicities(
     modes: ModeSequence,
     alpha: int,
@@ -225,12 +196,26 @@ def partial_multiplicities(
     floor_policy = replace(policy, rank_abs=max(policy.rank_abs or 0.0, 1e-12 * scale))
     gamma = n - numerical_rank(modes.source(), floor_policy)
 
-    def rank_of(j: int) -> int:
-        if j < 0:
-            return 0
-        return ranks[j]
-
-    return _beta_from_ranks(rank_of, alpha, gamma)
+    beta: dict[int, int] = {}
+    for l in range(1, alpha + 1):
+        j = alpha - l
+        b = ranks.get(j - 2, 0) - 2 * ranks.get(j - 1, 0) + ranks[j]
+        if b < 0:
+            raise InconsistentRanksError(
+                f"negative beta({l}) = {b}; rank profile is not a Weyr-consistent sequence"
+            )
+        if b:
+            beta[l] = b
+    pmf = PartialMultiplicityFunction(beta)
+    if pmf.alpha != alpha:
+        raise InconsistentRanksError(
+            f"sum rule sum(l * beta(l)) = {pmf.alpha} != alpha = {alpha}"
+        )
+    if pmf.gamma != gamma:
+        raise InconsistentRanksError(
+            f"sum rule sum(beta(l)) = {pmf.gamma} != gamma = {gamma}"
+        )
+    return pmf
 
 
 def weyr_oracle(
@@ -238,44 +223,50 @@ def weyr_oracle(
     policy: TolerancePolicy | None = None,
     scale: float | None = None,
 ) -> PartialMultiplicityFunction:
-    """Partial multiplicities of eigenvalue 0 from ranks of matrix powers.
+    """Partial multiplicities of eigenvalue 0 from a nested-null-space staircase.
 
-    Independent of the modal route: with ``r_k = rank(A**k)`` and ``r_0 = n``,
-    ``beta(l) = r_{l-1} - 2 r_l + r_{l+1}``.  The matrix is normalized by
-    ``scale`` before taking powers, so powers cannot overflow and an input
-    that vanishes at the problem scale is treated as the zero matrix rather
-    than as its own noise.  ``scale`` defaults to ``max(1, ||A||_2)``,
-    appropriate for matrices in O(1) model-energy units.
+    Independent of the modal route, and takes no matrix powers (Kublanovskaya's
+    algorithm as refined by Kagstrom & Ruhe, ACM TOMS 6 (1980) 398-419).  At
+    each level the SVD ``B = U S V^H`` of the current block gives the Weyr
+    width ``w_l``, the number of singular values at or below the cutoff; the
+    next block is ``(V_1^H U_1) S_1``, B compressed onto the span of its r
+    leading right singular vectors.  The staircase stops at a zero width, and
+    ``beta(l) = w_l - w_{l+1}``.
+
+    The matrix is normalized by ``scale``, so an input that vanishes at the
+    problem scale is treated as the zero matrix rather than as its own noise;
+    ``scale`` defaults to ``max(1, ||A||_2)``, appropriate for matrices in
+    O(1) model-energy units.  One cutoff, ``max(rank_rel * s_1, rank_abs,
+    1e-12)`` from the first level, serves every level.  With it the widths
+    cannot increase: ``V_1^H U_1`` preserves norms on a subspace of
+    codimension at most ``w_l``, so a wider next level would need a unit x
+    with ``||S_1 x|| <= cutoff < s_r``.  And each level drops only singular
+    values at or below the cutoff.  A negative count would still raise
+    InconsistentRanksError.
     """
     m = as_square_matrix(a)
     policy = policy or TolerancePolicy()
-    n = m.shape[0]
     if scale is None:
         scale = max(1.0, spectral_norm(m))
     if scale <= 0:
         raise ValueError("scale must be positive")
-    m = m / scale
-    # normalized units: absolute floor 1e-12 means 1e-12 of the problem scale
-    rank_policy = replace(policy, rank_abs=max(policy.rank_abs or 0.0, 1e-12))
-
-    ranks = [n]
-    p = np.eye(n, dtype=complex)
-    while len(ranks) <= n:
-        p = p @ m
-        r = numerical_rank(p, rank_policy)
-        ranks.append(r)
-        if r == ranks[-2]:
+    b = m / scale
+    cutoff = None
+    widths = []
+    while b.size:
+        u, s, vh = np.linalg.svd(b)
+        if cutoff is None:
+            # normalized units: the floor 1e-12 means 1e-12 of the problem scale
+            cutoff = max(policy.rank_rel * s[0], policy.rank_abs or 0.0, 1e-12)
+        r = int(np.count_nonzero(s > cutoff))
+        if r == s.size:
             break
-    last = ranks[-1]  # once the rank stabilizes the null chain has terminated
-    alpha = n - last
-
-    def rank_of(j: int) -> int:
-        # mode index j pairs with power alpha - 1 - j; on a consistent profile
-        # the shifted rank is 0 from power alpha on
-        power = alpha - 1 - j
-        return (ranks[power] if power < len(ranks) else last) - last
-
-    return _beta_from_ranks(rank_of, alpha, n - ranks[1])
+        widths.append(s.size - r)
+        b = (vh[:r] @ u[:, :r]) * s[:r]
+    widths.append(0)
+    return PartialMultiplicityFunction(
+        {l: widths[l - 1] - widths[l] for l in range(1, len(widths))}
+    )
 
 
 def classify_point(
@@ -289,26 +280,23 @@ def classify_point(
     """Full degeneracy report for one eigenvalue of one matrix.
 
     ``method``:
-      * ``"modes"`` - modal route, cross-checked against the Weyr oracle for
-        n <= 64 (disagreement is an error, not a warning);
-      * ``"weyr"``  - rank-of-powers oracle only (response strengths are NaN
+      * ``"modes"`` - modal route (n <= 64), cross-checked against the
+        staircase Weyr oracle (disagreement is an error, not a warning);
+      * ``"weyr"``  - staircase oracle only (response strengths are NaN
         unless the modal route also runs); the route for hinge-scale input;
       * ``"auto"``  - modal route up to n = 16, Weyr beyond.  The C_k chain
         compares traces against scale-power thresholds, which loses meaning
         once N is large enough that characteristic coefficients of
         nondegenerate spectra become numerically tiny themselves.
+
+    NotAnEigenvalueError means the staircase found A = H - E full rank (Weyr
+    route) or c_0 does not vanish (modal route); no eigenvalues are computed.
     """
     m = as_square_matrix(h)
     policy = policy or TolerancePolicy()
     n = m.shape[0]
     norm = spectral_norm(m)
     energy = complex(energy)
-
-    eigenvalues = np.linalg.eigvals(m)
-    if np.min(np.abs(eigenvalues - energy)) > policy.cluster_radius(norm):
-        raise NotAnEigenvalueError(
-            f"E = {energy} is farther than the cluster radius from every eigenvalue"
-        )
 
     if method == "auto":
         method = "modes" if n <= 16 else "weyr"
@@ -327,10 +315,10 @@ def classify_point(
                 f"c_0 = {modes.coeffs[0]:.3e} does not vanish at E = {energy}"
             )
         pmf = partial_multiplicities(modes, alpha, policy)
-        if n <= FLV_DIMENSION_GUARD:
-            oracle = weyr_oracle(a, policy, scale=problem_scale)
-            if oracle != pmf:
-                raise OracleDisagreementError(pmf, oracle)
+        # flv_modes has already refused n > FLV_DIMENSION_GUARD
+        oracle = weyr_oracle(a, policy, scale=problem_scale)
+        if oracle != pmf:
+            raise OracleDisagreementError(pmf, oracle)
         strengths = response_strengths(modes, alpha, pmf.ell, policy)
         eta, xi = strengths.eta, strengths.xi
     else:

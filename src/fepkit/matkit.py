@@ -42,10 +42,14 @@ class TolerancePolicy:
         default ``1e-12 * ||A||_F``.
     ck_rel
         Relative threshold for trace/coefficient and mode vanishing tests;
-        scaled by ``(1 + ||A||_2) ** degree`` since the tested quantities
-        are polynomials of known degree in the matrix entries.
+        scaled by ``ModeSequence.mode_scale`` / ``coeff_scale`` to the
+        tested degree, since the tested quantities are polynomials of known
+        degree in the matrix entries (both scales are calibrated from the
+        computed sequence and floored at one).
     cluster_tol
-        Eigenvalue clustering radius in units of ``1 + ||H||_2``.
+        Eigenvalue clustering radius in units of ``1 + ||H||_2``.  It sets
+        the scan's energy cut, the degenerate cluster of the exponent probes
+        and the Kramers check's pairs; ``classify_point`` does not use it.
     """
 
     rank_rel: float = 1e-8

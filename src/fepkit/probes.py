@@ -287,7 +287,7 @@ def atomistic_classify(
     Requires ``s cos kz = -2 t`` so the reduced intracell Hamiltonian loses
     its Hermitian part; the momentum is chosen as kz = arccos(-2t/s).  The
     open system spans ``cells x cells`` unit cells and is classified at E = 0
-    through the rank-of-powers oracle (integer-exact partial multiplicities).
+    through the staircase Weyr oracle (integer-exact partial multiplicities).
     """
     policy = policy or TolerancePolicy()
     ratio = -2.0 * spec.t / spec.s

@@ -85,7 +85,11 @@ class TestFlvModes:
         big = np.zeros((FLV_DIMENSION_GUARD + 1,) * 2)
         with pytest.raises(ValueError, match="guard"):
             flv_modes(big, 0.0)
-        flv_modes(big, 0.0, force=True)  # forced route stays available
+
+    def test_sequences_compare_by_identity(self):
+        a = flv_modes(np.diag([1.0, 2.0]), 1.0)
+        assert (a == flv_modes(np.diag([1.0, 2.0]), 1.0)) is False
+        assert a == a
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrices())

@@ -4,7 +4,11 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fepkit
+import fepkit.classify
+from fepkit.selftest import planted_jordan
 
 
 def test_every_export_resolves():
@@ -34,3 +38,27 @@ def test_traced_names_resolve(monkeypatch):
         assert not missing, f"fepkit.{layer} lacks traced functions {missing}"
     classify = importlib.import_module("fepkit.classify")
     assert {"flv_modes", "weyr_oracle"} <= set(classify.classify_point.__code__.co_names)
+
+
+def test_route_order(monkeypatch):
+    """The route ``classify_point`` enters first is the one it picked.
+
+    The benchmark's ``classify.weyr_route_frac`` counts calls whose first
+    routed function is ``weyr_oracle``, so the modal route must enter
+    ``flv_modes`` before its Weyr cross-check.
+    """
+    calls = []
+    for name in ("flv_modes", "weyr_oracle"):
+        fn = getattr(fepkit.classify, name)
+
+        def recorded(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fepkit.classify, name, recorded)
+    rng = np.random.default_rng(0)
+    fepkit.classify.classify_point(planted_jordan(rng, 4, [2, 1]), 0.0)
+    assert calls[0] == "flv_modes"
+    calls.clear()
+    fepkit.classify.classify_point(planted_jordan(rng, 24, [2, 1]), 0.0)
+    assert calls[0] == "weyr_oracle"

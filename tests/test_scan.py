@@ -128,6 +128,17 @@ class TestBzScan:
         labels = {tuple(round(x, 4) for x in c.k): c.report.label for c in cands}
         assert sorted(labels.values()) == ["EP3", "FEP"]
 
+    def test_equal_angle_ring_classifies(self, policy):
+        # every refined point of the exceptional ring is an EP3 or the FEP;
+        # none is refused by the classifier
+        phi = PI / 6
+        spec = LiebSpec("reciprocal", phi=phi, psi=phi)
+        cands = bz_scan(spec, ScanGrid(2, 64), policy, classify=True)
+        assert cands
+        for c in cands:
+            assert abs(math.cos(c.k[0]) + math.cos(c.k[1]) - 2 * math.cos(phi)) <= 1e-8
+            assert c.report.label in ("EP3", "FEP")
+
     def test_grid_model_dims_must_match(self, policy):
         with pytest.raises(ValueError):
             bz_scan(LiebSpec("hermitian"), ScanGrid(dims=3, resolution=16), policy)
