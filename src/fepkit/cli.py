@@ -68,9 +68,7 @@ def parse_k(text: str) -> tuple[float, ...]:
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else "null"
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -192,7 +190,7 @@ def _model_from_args(args):
 
 def _csv(rows, header: str) -> str:
     lines = [header]
-    lines += [",".join(_fmt_float(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    lines += [",".join([_fmt_float(x) if isinstance(x, float) else str(x) for x in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -233,17 +231,16 @@ def _cmd_band(args) -> int:
     fixed = list(parse_k(args.k)) if args.k else [0.0] * dims
     if len(fixed) != dims:
         raise ValueError(f"--k must give {dims} components")
-    rows = []
-    for value in np.linspace(start, stop, count):
-        k = list(fixed)
-        k[names.index(axis)] = float(value)
-        ev = np.linalg.eigvals(bloch_matrix(model, k))
-        ev = ev[np.lexsort((ev.imag, ev.real))]
-        k3 = (k + [0.0])[:3]
-        for idx, e in enumerate(ev):
-            rows.append(
-                (k3[0], k3[1], k3[2], idx, float(e.real), float(e.imag))
-            )
+    k = np.zeros((3, count))
+    k[:dims] = np.asarray(fixed, dtype=float)[:, None]
+    k[names.index(axis)] = np.linspace(start, stop, count)
+    ev = np.linalg.eigvals(bloch_matrix(model, k[:dims]))
+    ev = np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
+    rows = [
+        (kx, ky, kz, idx, e.real, e.imag)
+        for (kx, ky, kz), bands in zip(k.T.tolist(), ev.tolist())
+        for idx, e in enumerate(bands)
+    ]
     _emit(_csv(rows, "kx,ky,kz,band_index,re_E,im_E"), args.out)
     return 0
 

@@ -10,6 +10,10 @@ coefficient that is not structurally zero:
 
 Both are smooth functions of k whose zero set is exactly the set of
 E = 0 degeneracies of raised multiplicity, and both are cheap closed forms.
+
+The smallest dispersive |E| is read from the same symbols, without an
+eigensolve: E**2 = PQ + RS on the Lieb chain, and E**2 = eig(QR), a 2x2
+problem in Pauli form, on the semimetal.
 """
 
 from __future__ import annotations
@@ -116,11 +120,6 @@ def canonical_k(k) -> tuple[float, ...]:
     return tuple(math.pi - ((math.pi - float(c)) % (2 * math.pi)) for c in k)
 
 
-def _structural_zeros(model) -> int:
-    # chiral odd dimension forces one eigenvalue pinned at zero (the flat band)
-    return 1 if isinstance(model, LiebSpec) else 0
-
-
 def _model_scale(model) -> float:
     pts = np.linspace(-math.pi, math.pi, 7, endpoint=False)
     h = bloch_matrix(model, np.meshgrid(*(pts,) * model.dims, indexing="ij"))
@@ -128,15 +127,19 @@ def _model_scale(model) -> float:
     return 1.0 + float(norms.max())
 
 
+def _pauli_det(qc, rc):
+    """det Q * det R from the Pauli coefficients of the two blocks."""
+    det_q = qc[0] ** 2 - qc[1] ** 2 - qc[2] ** 2 - qc[3] ** 2
+    det_r = rc[0] ** 2 - rc[1] ** 2 - rc[2] ** 2 - rc[3] ** 2
+    return det_q * det_r
+
+
 def _detector_complex(model, k):
     """The complex detector at momenta k = (kx, ky[, kz], ...), broadcast like the symbols."""
     if isinstance(model, LiebSpec):
         p, q, r, s = lieb_pqrs(model, k)
         return p * q + r * s
-    qc, rc = hodsm_pauli_coeffs(model, k)
-    det_q = qc[0] ** 2 - qc[1] ** 2 - qc[2] ** 2 - qc[3] ** 2
-    det_r = rc[0] ** 2 - rc[1] ** 2 - rc[2] ** 2 - rc[3] ** 2
-    det = det_q * det_r
+    det = _pauli_det(*hodsm_pauli_coeffs(model, k))
     # one point stays a Python complex: refine_degeneracy divides it exactly per
     # component (numpy scales by a rounded reciprocal), and refined momenta
     # depend on that in the last bits
@@ -156,11 +159,34 @@ def detector(model, k, scale: float | None = None) -> float:
 def min_abs_energy(model, k):
     """Smallest |E| over the dispersive bands (flat-band zeros excluded).
 
+    Closed form from the model symbols.  Lieb: sqrt|PQ + RS|.  Semimetal:
+    E**2 runs over the eigenvalues a +- sqrt(b.b) of QR = a + b.sigma, and
+    the smaller one is det(QR) / lambda_big with lambda_big the larger.  b.b
+    is summed from b itself: as a**2 - det(QR) it would cancel wherever the
+    two values of E**2 nearly coincide.
+
     A float for one momentum, an array of the trailing shape for stacked momenta.
     """
-    ev = np.sort(np.abs(np.linalg.eigvals(bloch_matrix(model, k))), axis=-1)
-    smallest = ev[..., _structural_zeros(model)]
-    return float(smallest) if smallest.ndim == 0 else smallest
+    k = np.asarray(k, dtype=float)
+    one = k.ndim == 1
+    if one:
+        # one point runs as a one-element stack: scalar and array arithmetic
+        # may round differently, and the two must agree bit for bit
+        k = k[:, None]
+    if isinstance(model, LiebSpec):
+        e = np.sqrt(np.abs(_detector_complex(model, k)))
+    else:
+        q, r = hodsm_pauli_coeffs(model, k)
+        a = q[0] * r[0] + q[1] * r[1] + q[2] * r[2] + q[3] * r[3]
+        b1 = q[0] * r[1] + r[0] * q[1] + 1j * (q[2] * r[3] - q[3] * r[2])
+        b2 = q[0] * r[2] + r[0] * q[2] + 1j * (q[3] * r[1] - q[1] * r[3])
+        b3 = q[0] * r[3] + r[0] * q[3] + 1j * (q[1] * r[2] - q[2] * r[1])
+        root = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+        big = np.maximum(np.abs(a + root), np.abs(a - root))
+        small = np.zeros_like(big)
+        np.divide(np.abs(_pauli_det(q, r)), big, out=small, where=big > 0)
+        e = np.sqrt(small)
+    return float(e[0]) if one else e
 
 
 def refine_degeneracy(

@@ -8,6 +8,7 @@ import pytest
 import fepkit.cli
 from fepkit.classify import OracleDisagreementError, PartialMultiplicityFunction
 from fepkit.cli import dumps_canonical, main, parse_angle, parse_k
+from fepkit.models import bloch_matrix, model_from_id
 
 PI = math.pi
 
@@ -53,6 +54,19 @@ class TestCanonicalJson:
 
     def test_key_order_is_insertion_order(self):
         assert '"b"' in dumps_canonical({"b": 1, "a": 2}).splitlines()[1]
+
+    def test_csv_bytes(self):
+        rows = [
+            (float("nan"), float("inf"), float("-inf")),
+            (-0.0, 3, 0.1),
+            (1 / 3, -2.5e-300, 12345678901234567.0),
+        ]
+        assert fepkit.cli._csv(rows, "a,b,c") == (
+            "a,b,c\n"
+            "null,null,null\n"
+            "-0,3,0.10000000000000001\n"
+            "0.33333333333333331,-2.5e-300,12345678901234568\n"
+        )
 
 
 class TestClassifyVerb:
@@ -167,6 +181,34 @@ class TestBandVerb:
             by_k.setdefault(kx, []).append((float(re_e), float(im_e)))
         for vals in by_k.values():
             assert vals == sorted(vals)
+
+    @pytest.mark.parametrize(
+        "model_id,params,axis,count,fixed",
+        [
+            ("hodsm:nh3", {"eps": 0.5}, 1, 57, [0.1, 0.0, PI / 4]),
+            ("lieb:minimal-fep", {"eps": 1.0}, 0, 201, [0.3, PI / 3]),
+        ],
+    )
+    def test_bytes_equal_per_k_solves(self, capsys, model_id, params, axis, count, fixed):
+        # reference: one eigensolve and one sort per momentum
+        flags = [x for name, v in params.items() for x in (f"--{name}", repr(v))]
+        k_flag = ",".join(map(repr, fixed))
+        path = f"k{'xyz'[axis]}=-pi:pi:{count}"
+        code, out, err = run(
+            capsys, "band", "--model", model_id, *flags, "--k", k_flag, "--path", path
+        )
+        assert code == 0, err
+        model = model_from_id(model_id, **params)
+        want = ["kx,ky,kz,band_index,re_E,im_E"]
+        for value in np.linspace(-PI, PI, count):
+            k = list(fixed)
+            k[axis] = float(value)
+            ev = np.linalg.eigvals(bloch_matrix(model, k))
+            ev = ev[np.lexsort((ev.imag, ev.real))]
+            cells = [format(x, ".17g") for x in (k + [0.0])[:3]]
+            for idx, e in enumerate(ev):
+                want.append(",".join(cells + [str(idx), format(e.real, ".17g"), format(e.imag, ".17g")]))
+        assert out == "\n".join(want) + "\n"
 
 
 class TestContourVerb:

@@ -281,6 +281,40 @@ class TestTraceRing:
             assert k_distance(got, want) <= 1e-8
 
 
+class TestClosedFormEnergy:
+    @staticmethod
+    def check_against_dense(model, rng):
+        k = rng.uniform(-PI, PI, size=(model.dims, 4000))
+        closed = min_abs_energy(model, k)
+        # reference: the eigensolve the closed form replaced; odd chiral
+        # dimension adds one flat band
+        h = bloch_matrix(model, k)
+        w, x = np.linalg.eig(h)
+        dense = np.sort(np.abs(w), axis=-1)[:, w.shape[-1] % 2]
+        # near an exceptional point away from E = 0 (nh2's exceptional
+        # surfaces) min |E| is ill-conditioned: a dense eigenvalue is only
+        # good to eps * cond * ||H||, cond from the right and left eigenvectors
+        cond = np.linalg.norm(x, axis=-2) * np.linalg.norm(np.linalg.inv(x), axis=-1)
+        bound = np.finfo(float).eps * cond.max(axis=-1) * np.linalg.norm(h, axis=(-2, -1))
+        gapped = dense > 1e-3
+        assert gapped.sum() >= 3000
+        err = np.abs(closed - dense)[gapped]
+        assert np.all(err <= np.maximum(1e-12 * dense[gapped], bound[gapped]))
+
+    def test_catalog_models_match_dense(self, catalog_model, rng):
+        self.check_against_dense(catalog_model, rng)
+
+    def test_semimetal_off_normalization_matches_dense(self, rng):
+        self.check_against_dense(HodsmSpec(4, t=-0.7, s=1.3, epsilon=0.4), rng)
+
+    def test_vanishes_at_catalog_points(self, catalog_model):
+        for entry in analytic_degeneracies(catalog_model):
+            # rounding k perturbs H by about 1e-16, and a Jordan block of size
+            # four (the EP4) splits by its fourth root, about 1e-4
+            bound = 1e-6 if max(entry.partials) < 4 else 1e-3
+            assert min_abs_energy(catalog_model, entry.k) <= bound, entry
+
+
 class TestHelpers:
     def test_canonical_range(self):
         assert canonical_k((-PI,))[0] == pytest.approx(PI)
