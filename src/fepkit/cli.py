@@ -13,6 +13,7 @@ numerically.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -250,9 +251,10 @@ def _cmd_contour(args) -> int:
     ks = np.linspace(-math.pi, math.pi, args.grid, endpoint=False)
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     k = (kx, ky) if model.dims == 2 else (kx, ky, np.full_like(kx, args.kz or 0.0))
-    energies = min_abs_energy(model, k)
-    rows = zip(kx.ravel().tolist(), ky.ravel().tolist(), energies.ravel().tolist())
-    _emit(_csv(rows, "kx,ky,min_abs_E"), args.out)
+    energies = [_fmt_float(e) for e in min_abs_energy(model, k).ravel().tolist()]
+    axis = [_fmt_float(x) for x in ks.tolist()]  # kx and ky take only these values
+    rows = [f"{x},{y},{e}" for (x, y), e in zip(itertools.product(axis, axis), energies)]
+    _emit("\n".join(["kx,ky,min_abs_E", *rows]) + "\n", args.out)
     return 0
 
 

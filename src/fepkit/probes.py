@@ -7,13 +7,14 @@ are extracted here by log-log fits that stay independent of the modal
 machinery (direct inversion, direct diagonalization).
 
 Hinge-state probes solve only for the states of the sparse open-boundary
-Hamiltonian nearest E = 0, by shift-invert Arnoldi from a fixed start vector
-(about 0.2 s per 20 x 20-cell system on a 2-core x86_64 machine, where a
-dense eigensolve of the whole spectrum took 7-8 s), and summarize the four
-lowest by their Gram overlap rank and per-unit-cell intensity maps; decay
-fits compare per-cell hinge-state amplitude ratios against the
-double-semi-infinite values.  The atomistic probe classifies the exact zero
-modes of the decoupled-corner parameter point on the dense matrix.
+Hamiltonian nearest E = 0, by shift-invert Arnoldi from a fixed start vector:
+the hinge report takes eight (it needs |E_5| for the gap ratio) and
+summarizes the four lowest by their Gram overlap rank and per-unit-cell
+intensity maps; a decay fit takes only the four hinge states and compares
+per-cell amplitude ratios against the double-semi-infinite values.  The
+Kramers check pairs the full dense spectrum, in real arithmetic when the
+matrix is real.  The atomistic probe classifies the exact zero modes of the
+decoupled-corner parameter point on the dense matrix.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def splitting_exponent(
 # ---------------------------------------------------------------------------
 # Hinge-state reports
 
+# the hinge quadruplet: one state per corner of the open cross-section
+HINGE_STATES = 4
+
 
 @dataclass
 class HingeReport:
@@ -255,20 +259,21 @@ def hinge_report(
         w, y = np.linalg.eigh(q.conj().T @ (h @ q))
         w, u = w.astype(complex), q @ y
 
+    nq = HINGE_STATES
     order = np.lexsort((w.imag, w.real, np.abs(w)))
     w, u = w[order], u[:, order]
-    gap_ratio = float(np.abs(w[4]) / max(np.abs(w[3]), 1e-300))
+    gap_ratio = float(np.abs(w[nq]) / max(np.abs(w[nq - 1]), 1e-300))
 
-    states = u[:, :4] / np.linalg.norm(u[:, :4], axis=0, keepdims=True)
+    states = u[:, :nq] / np.linalg.norm(u[:, :nq], axis=0, keepdims=True)
     gram = np.abs(states.conj().T @ states)
     s = np.linalg.svd(gram, compute_uv=False)
     gram_rank = int(np.count_nonzero(s > max(gram_threshold, policy.rank_rel * s[0])))
 
     intensity = np.abs(states) ** 2  # (n, 4)
-    maps = intensity.T.reshape(4, geom.nx, geom.ny, 4).sum(axis=3)
+    maps = intensity.T.reshape(nq, geom.nx, geom.ny, 4).sum(axis=3)
     return HingeReport(
         kz=geom.kz,
-        low_energies=w[:4],
+        low_energies=w[:nq],
         gap_ratio=gap_ratio,
         gram=gram,
         gram_rank=gram_rank,
@@ -327,6 +332,11 @@ def _sublattice_block(h: np.ndarray, row_site: int, col_site: int) -> np.ndarray
     return h[row_site::4, col_site::4]
 
 
+def _hermitian_eigvals(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, in real arithmetic when it is real."""
+    return np.linalg.eigvalsh(h if h.imag.any() else h.real)
+
+
 def symmetry_check(
     spec,
     kind: str,
@@ -380,7 +390,7 @@ def symmetry_check(
     scale = 1.0 + float(np.linalg.norm(h, np.inf))
 
     if kind == "kramers":
-        w = np.linalg.eigvalsh(h).astype(complex) if spec.variant == 0 else np.linalg.eigvals(h)
+        w = _hermitian_eigvals(h).astype(complex) if spec.variant == 0 else np.linalg.eigvals(h)
         radius = policy.cluster_radius(scale - 1.0)
         # scipy.spatial adds about 7 MB and 0.1 s to an import; only this check uses it
         from scipy.spatial import cKDTree
@@ -458,10 +468,10 @@ def decay_rate_fit(
 ) -> DecayFit:
     """Fit the per-cell amplitude ratio of the hinge state at one corner.
 
-    The state is the near-zero right eigenstate with the largest weight on
-    the requested corner site (shift-invert Arnoldi around E = 0); its
-    amplitude on the corner's own sublattice is fitted exponentially along
-    the requested axis, walking inward from the corner.
+    The state is the one of the four hinge states nearest E = 0 (shift-invert
+    Arnoldi) with the largest right-eigenvector weight on the requested
+    corner site; its amplitude on the corner's own sublattice is fitted
+    exponentially along the requested axis, walking inward from the corner.
     """
     policy = policy or TolerancePolicy()
     if corner not in _CORNER_SITE:
@@ -472,7 +482,7 @@ def decay_rate_fit(
     if length < 30:
         raise ValueError(f"need at least 30 cells along the fitted axis, got {length}")
 
-    _, u = _low_states(hinge_hamiltonian(spec, geom), 6)
+    _, u = _low_states(hinge_hamiltonian(spec, geom), HINGE_STATES)
 
     site = _CORNER_SITE[corner]
     cx, cy = _corner_cell(geom, corner)

@@ -9,6 +9,7 @@ import fepkit.cli
 from fepkit.classify import OracleDisagreementError, PartialMultiplicityFunction
 from fepkit.cli import dumps_canonical, main, parse_angle, parse_k
 from fepkit.models import bloch_matrix, model_from_id
+from fepkit.scan import min_abs_energy
 
 PI = math.pi
 
@@ -224,6 +225,24 @@ class TestContourVerb:
         assert len(lines) == 1 + 16 * 16
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(values) > 1.0  # dispersive bands, not the flat band
+
+    @pytest.mark.parametrize(
+        "model", [["lieb:reciprocal", "--phi", "pi/4", "--psi", "pi/3"], ["hodsm:nh1", "--kz", "0.4"]]
+    )
+    def test_bytes_match_row_by_row_formatting(self, model, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "contour", "--model", *model, "--grid", "12", "--out", str(out))
+        assert code == 0
+        args = fepkit.cli.build_parser().parse_args(["contour", "--model", *model])
+        spec = fepkit.cli._model_from_args(args)
+        ks = np.linspace(-PI, PI, 12, endpoint=False)
+        kx, ky = np.meshgrid(ks, ks, indexing="ij")
+        k = (kx, ky) if spec.dims == 2 else (kx, ky, np.full_like(kx, 0.4))
+        energies = min_abs_energy(spec, k).ravel().tolist()
+        want = ["kx,ky,min_abs_E"]
+        for x, y, e in zip(kx.ravel().tolist(), ky.ravel().tolist(), energies):
+            want.append(",".join(fepkit.cli._fmt_float(v) for v in (x, y, e)))
+        assert out.read_text() == "\n".join(want) + "\n"
 
 
 class TestScanRingVerbs:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fepkit import probes
 from fepkit.models import (
     HingeGeometry,
     HodsmSpec,
     LiebSpec,
+    cell_index,
     hinge_hamiltonian,
     hodsm_bloch,
     lieb_bloch,
@@ -214,6 +216,31 @@ class TestSymmetryTable:
         res = symmetry_check(HodsmSpec(0), "kramers", HingeGeometry(10, 10, 0.0), policy)
         assert res.passed
 
+    @pytest.mark.parametrize("kz", [0.0, 0.9])
+    @pytest.mark.parametrize("cells", [10, 12])
+    def test_kramers_real_path_matches_complex(self, cells, kz, policy, monkeypatch):
+        geom = HingeGeometry(cells, cells, kz)
+        h = hinge_hamiltonian(HodsmSpec(0), geom).toarray()
+        assert np.iscomplexobj(h) and not h.imag.any()
+        eigvalsh, solved = np.linalg.eigvalsh, []
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.dtype) or eigvalsh(a))
+            w = probes._hermitian_eigvals(h)
+        assert solved == [np.float64]  # the real path is taken
+        ref = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(h, 2)
+        res = symmetry_check(HodsmSpec(0), "kramers", geom, policy)
+        monkeypatch.setattr(probes, "_hermitian_eigvals", np.linalg.eigvalsh)
+        assert symmetry_check(HodsmSpec(0), "kramers", geom, policy) == res
+        assert res.passed
+
+    def test_hermitian_eigvals_keeps_complex_path(self, rng):
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = g + g.conj().T
+        assert np.array_equal(probes._hermitian_eigvals(h), np.linalg.eigvalsh(h))
+        # dropping the imaginary part would give another spectrum
+        assert np.max(np.abs(np.linalg.eigvalsh(h.real) - np.linalg.eigvalsh(h))) > 1e-3
+
     def test_unknown_kind(self, policy):
         with pytest.raises(ValueError):
             symmetry_check(HodsmSpec(0), "mirror", HingeGeometry(4, 4), policy)
@@ -270,6 +297,52 @@ class TestDecayFits:
             decay_rate_fit(HodsmSpec(0), HingeGeometry(10, 32, 0.0), "E", "y", policy)
         with pytest.raises(ValueError):
             decay_rate_fit(HodsmSpec(0), HingeGeometry(10, 32, 0.0), "B", "z", policy)
+
+
+class TestDecayFourStates:
+    """Criterion-10 cases: a fit from the four hinge states equals one from six."""
+
+    SPECS = {"v0": HodsmSpec(0, t=-1.0, s=1.0), "v1": HodsmSpec(1, t=-1.0, s=1.0, epsilon=0.25)}
+    GEOMS = {"y": HingeGeometry(10, 34, 0.0), "x": HingeGeometry(34, 10, 0.0)}
+    # right states of variant 1 pile up at corners B and D
+    NO_STATE = {("v1", "A", "y"), ("v1", "C", "y"), ("v1", "C", "x")}
+
+    @pytest.mark.parametrize("axis", ["y", "x"])
+    @pytest.mark.parametrize("corner", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("name", ["v0", "v1"])
+    def test_matches_six_state_fit(self, name, corner, axis, policy, monkeypatch):
+        spec, geom = self.SPECS[name], self.GEOMS[axis]
+        low_states = probes._low_states
+        solved = []
+
+        def recording(h, k):
+            solved.append(low_states(h, k))
+            return solved[-1]
+
+        monkeypatch.setattr(probes, "_low_states", recording)
+
+        def fit_with(states: int):
+            monkeypatch.setattr(probes, "HINGE_STATES", states)
+            return decay_rate_fit(spec, geom, corner, axis, policy)
+
+        if (name, corner, axis) in self.NO_STATE:
+            for states in (4, 6):
+                with pytest.raises(ValueError, match="no hinge state"):
+                    fit_with(states)
+            return
+        fit, ref = fit_with(4), fit_with(6)
+        assert fit.ratio == pytest.approx(ref.ratio, rel=1e-8, abs=0)
+        assert fit.r_squared == pytest.approx(ref.r_squared, rel=1e-8, abs=0)
+
+        # the chosen state belongs to the quadruplet below the bulk gap
+        w, u = solved[0]
+        assert w.size == 4
+        cx, cy = probes._corner_cell(geom, corner)
+        corner_index = 4 * cell_index(geom, cx, cy) + probes._CORNER_SITE[corner]
+        chosen = int(np.argmax(np.abs(u[corner_index]) / np.linalg.norm(u, axis=0)))
+        low8 = np.sort(np.abs(low_states(hinge_hamiltonian(spec, geom), 8)[0]))
+        assert low8[4] > 100 * low8[3]
+        assert abs(w[chosen]) <= low8[3] * (1 + 1e-9)
 
 
 def test_symmetry_kinds_exported():
