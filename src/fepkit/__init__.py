@@ -41,7 +41,7 @@ from .probes import (
     splitting_exponent,
     symmetry_check,
 )
-from .scan import ScanGrid, analytic_degeneracies, bz_scan, refine_degeneracy, trace_ring
+from .scan import analytic_degeneracies, bz_scan, refine_degeneracy, trace_ring
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "hodsm_bloch",
     "hinge_hamiltonian",
     "model_from_id",
-    "ScanGrid",
     "bz_scan",
     "refine_degeneracy",
     "analytic_degeneracies",

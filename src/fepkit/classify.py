@@ -132,28 +132,39 @@ def degeneracy_label(alpha: int, gamma: int) -> str:
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """Complete fingerprint of one (matrix, energy) degeneracy."""
+    """Complete fingerprint of one (matrix, energy) degeneracy.
+
+    The multiplicities, block sizes and label all follow from ``beta``, so
+    they are derived from it rather than stored next to it.
+    """
 
     energy: complex
-    alpha: int
-    gamma: int
-    ell: int
     beta: PartialMultiplicityFunction
-    partials: tuple[int, ...]
-    label: str
     eta: float
     xi: float
     policy: TolerancePolicy
     k_point: tuple[float, ...] | None = None
     method: str = "modes"
 
-    def __post_init__(self):
-        if self.partials != self.beta.partials:
-            raise InconsistentRanksError("partials do not expand beta")
-        if self.label != degeneracy_label(self.alpha, self.gamma):
-            raise InconsistentRanksError(
-                f"label {self.label!r} inconsistent with alpha={self.alpha} gamma={self.gamma}"
-            )
+    @property
+    def alpha(self) -> int:
+        return self.beta.alpha
+
+    @property
+    def gamma(self) -> int:
+        return self.beta.gamma
+
+    @property
+    def ell(self) -> int:
+        return self.beta.ell
+
+    @property
+    def partials(self) -> tuple[int, ...]:
+        return self.beta.partials
+
+    @property
+    def label(self) -> str:
+        return degeneracy_label(self.alpha, self.gamma)
 
 
 def algebraic_multiplicity(modes: ModeSequence, policy: TolerancePolicy | None = None) -> int:
@@ -338,12 +349,7 @@ def classify_point(
 
     return DegeneracyReport(
         energy=energy,
-        alpha=alpha,
-        gamma=pmf.gamma,
-        ell=pmf.ell,
         beta=pmf,
-        partials=pmf.partials,
-        label=degeneracy_label(alpha, pmf.gamma),
         eta=eta,
         xi=xi,
         policy=policy,

@@ -43,7 +43,7 @@ from .probes import (
     splitting_exponent,
     symmetry_check,
 )
-from .scan import ScanGrid, bz_scan, min_abs_energy, trace_ring
+from .scan import bz_scan, min_abs_energy, trace_ring
 
 __all__ = ["main", "parse_angle", "dumps_canonical"]
 
@@ -262,11 +262,10 @@ def _cmd_scan(args) -> int:
     policy = _policy_from_args(args)
     model = _model_from_args(args)
     dims = model.dims
-    grid = ScanGrid(dims=dims, resolution=args.grid)
-    cands = bz_scan(model, grid, policy, classify=True)
+    cands = bz_scan(model, args.grid, policy, classify=True)
     doc = {
         "model": _model_json(args.model, _model_params(args)),
-        "grid": {"dims": dims, "resolution": list(grid.resolution)},
+        "grid": {"dims": dims, "resolution": [args.grid] * dims},
         "candidates": [
             {
                 "k": list(c.k),
@@ -358,8 +357,12 @@ def _cmd_probe(args) -> int:
         "kind": kind,
         "model": _model_json(args.model, _model_params(args)),
     }
+    if kind in ("decay", "atomistic") and not isinstance(model, HodsmSpec):
+        raise ValueError(f"the {kind} probe needs a hodsm model")
     if kind in ("lineshape", "splitting"):
         if isinstance(model, LiebSpec):
+            if not args.k:
+                raise ValueError("lieb models need --k kx,ky")
             k = parse_k(args.k)
         else:
             k = parse_k(args.k) if args.k else (0.0, 0.0, args.kz or 0.0)
@@ -367,10 +370,10 @@ def _cmd_probe(args) -> int:
         energy = complex(args.energy or 0.0)
         report = classify_point(h, energy, policy, k_point=k)
         if kind == "lineshape":
-            fit = lineshape_exponent(h, energy, report.ell, policy=policy)
+            fit = lineshape_exponent(h, energy, policy)
             expected = -2.0 * report.ell
         else:
-            fit = splitting_exponent(h, energy, report.ell, policy=policy)
+            fit = splitting_exponent(h, energy, policy)
             expected = 1.0 / report.ell
         doc.update(
             {
@@ -386,8 +389,10 @@ def _cmd_probe(args) -> int:
         if fit.mean_slope is not None:
             doc["mean_slope"] = fit.mean_slope
     elif kind == "decay":
+        if args.nx is None or args.ny is None:
+            raise ValueError("the decay probe needs --nx and --ny")
         geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
-        fit = decay_rate_fit(model, geom, args.corner, args.axis, policy)
+        fit = decay_rate_fit(model, geom, args.corner, args.axis)
         doc.update(
             {
                 "corner": fit.corner,

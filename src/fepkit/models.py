@@ -45,7 +45,6 @@ __all__ = [
     "LiebSpec",
     "HodsmSpec",
     "HingeGeometry",
-    "SymmetryOp",
     "MODEL_IDS",
     "model_from_id",
     "lieb_pqrs",
@@ -164,29 +163,28 @@ def lieb_bloch(spec: LiebSpec, k) -> np.ndarray:
     return h
 
 
-def lieb_case(
-    p: complex,
-    q: complex,
-    r: complex,
-    s: complex,
-    policy: TolerancePolicy | None = None,
-) -> tuple[str, bool]:
+# relative vanishing threshold of the case decision: the default coefficient
+# threshold of the classifier, whose catalog entries the cases predict
+LIEB_CASE_REL = TolerancePolicy().ck_rel
+
+
+def lieb_case(p: complex, q: complex, r: complex, s: complex) -> tuple[str, bool]:
     """Case label of the symbol pattern plus the E = 0 degeneracy flag.
 
     CASE1: neither (P, S) nor (Q, R) vanish simultaneously.
     CASE2: one of those pairs vanishes but not all four symbols.
     CASE3: all four symbols vanish (the Hermitian-style triple point).
     The degeneracy flag marks PQ + RS = 0, i.e. algebraic multiplicity 3 of
-    the zero eigenvalue; in CASE2/CASE3 it holds automatically.
+    the zero eigenvalue; in CASE2/CASE3 it holds automatically.  Vanishing is
+    decided at ``LIEB_CASE_REL`` of the symbol scale (its square for PQ + RS).
     """
-    policy = policy or TolerancePolicy()
     scale = 1.0 + max(abs(p), abs(q), abs(r), abs(s))
-    tol = policy.ck_rel * scale
+    tol = LIEB_CASE_REL * scale
 
     def zero(z: complex) -> bool:
         return abs(z) <= tol
 
-    degenerate = abs(p * q + r * s) <= policy.ck_rel * scale**2
+    degenerate = abs(p * q + r * s) <= LIEB_CASE_REL * scale**2
     ps_gone = zero(p) and zero(s)
     qr_gone = zero(q) and zero(r)
     if not ps_gone and not qr_gone:
@@ -393,14 +391,6 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
 # Symmetry operators
 
 
-@dataclass(frozen=True)
-class SymmetryOp:
-    """A named symmetry representation matrix (Bloch cell or full open system)."""
-
-    kind: str
-    matrix: np.ndarray
-
-
 def _corner_permutation(geom: HingeGeometry) -> np.ndarray:
     """Antidiagonal lattice reflection combined with the A <-> B site swap."""
     if geom.nx != geom.ny:
@@ -417,36 +407,31 @@ def _corner_permutation(geom: HingeGeometry) -> np.ndarray:
     return perm
 
 
-def _c_sublattice_gauge(geom: HingeGeometry) -> np.ndarray:
-    diag = np.ones(geom.sites)
-    diag[2::4] = -1.0
-    return np.diag(diag).astype(complex)
-
-
-def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> SymmetryOp:
-    """Construct a catalog symmetry operator.
+def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> np.ndarray:
+    """The representation matrix of a catalog symmetry.
 
     ``chiral-lieb`` and ``chiral-dsm`` are the Bloch-cell involutions that
     anticommute with the respective Bloch matrices; ``rotation-c4`` is the
     fourfold rotation of the quadrupole cell (squaring to -1 on the pi-flux
-    lattice); ``generalized-reflection`` and ``sublattice-gauge`` act on the
-    full open system and need a geometry.
+    lattice); ``generalized-reflection`` is the antidiagonal reflection
+    combined with a sign flip on the C sublattice, acts on the full open
+    system and needs a geometry.
     """
     if kind == "chiral-lieb":
-        return SymmetryOp(kind, np.diag([1.0, -1.0, 1.0]).astype(complex))
+        return np.diag([1.0, -1.0, 1.0]).astype(complex)
     if kind == "chiral-dsm":
-        return SymmetryOp(kind, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
+        return np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     if kind == "rotation-c4":
         c4 = np.zeros((4, 4), dtype=complex)
         c4[:2, 2:] = np.eye(2)
         c4[2:, :2] = -1j * SIGMA[2]
-        return SymmetryOp(kind, c4)
+        return c4
     if geom is None:
         raise ValueError(f"symmetry kind {kind!r} needs an open-system geometry")
-    if kind == "sublattice-gauge":
-        return SymmetryOp(kind, _c_sublattice_gauge(geom))
     if kind == "generalized-reflection":
-        return SymmetryOp(kind, _c_sublattice_gauge(geom) @ _corner_permutation(geom))
+        gauge = np.ones(geom.sites)
+        gauge[2::4] = -1.0  # the C sublattice
+        return np.diag(gauge).astype(complex) @ _corner_permutation(geom)
     raise ValueError(f"unknown symmetry kind {kind!r}")
 
 

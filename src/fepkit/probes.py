@@ -76,42 +76,43 @@ def _log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+# the log-log fit window in |E - E_i|, and its number of sample radii
+LINESHAPE_WINDOW = (1e-3, 1e-2)
+LINESHAPE_POINTS = 20
+
+
 def lineshape_exponent(
     h,
     energy: complex,
-    ell: int,
-    window: tuple[float, float] = (1e-3, 1e-2),
-    points: int = 20,
     policy: TolerancePolicy | None = None,
 ) -> ExponentFit:
     """Fit log tr(G^dag G) against log |E - E_i| on a ray near the degeneracy.
 
     The ray leaves the degeneracy at 45 degrees to the direction of the
-    nearest other eigenvalue, avoiding accidental pole alignment; the window
-    must stay an order of magnitude inside the distance to that pole.  The
-    expected slope is -2 ell.
+    nearest other eigenvalue, avoiding accidental pole alignment; the fit
+    window ``LINESHAPE_WINDOW`` must stay an order of magnitude inside the
+    distance to that pole.  The expected slope is -2 ell.
     """
     policy = policy or TolerancePolicy()
     m = np.asarray(h, dtype=complex)
     energy = complex(energy)
-    if window[0] >= window[1] or window[0] <= 0:
-        raise ValueError("window must satisfy 0 < min < max")
+    lo, hi = LINESHAPE_WINDOW
 
     w = np.linalg.eigvals(m)
     radius = policy.cluster_radius(float(np.linalg.norm(m, 2)))
     others = w[np.abs(w - energy) > radius]
     if others.size:
         nearest = others[np.argmin(np.abs(others - energy))]
-        if abs(nearest - energy) < 10 * window[1]:
+        if abs(nearest - energy) < 10 * hi:
             raise ValueError(
-                f"window max {window[1]} collides with eigenvalue at distance "
+                f"window max {hi} collides with eigenvalue at distance "
                 f"{abs(nearest - energy):.3e}"
             )
         direction = (nearest - energy) / abs(nearest - energy) * np.exp(1j * math.pi / 4)
     else:
         direction = np.exp(1j * math.pi / 4)
 
-    radii = np.geomspace(window[0], window[1], points)
+    radii = np.geomspace(lo, hi, LINESHAPE_POINTS)
     eye = np.eye(m.shape[0])
     p_vals = np.array(
         [
@@ -120,30 +121,36 @@ def lineshape_exponent(
         ]
     )
     slope, intercept, r2 = _log_fit(np.log(radii), p_vals)
-    return ExponentFit(slope=slope, intercept=intercept, r_squared=r2, window=window)
+    return ExponentFit(
+        slope=slope, intercept=intercept, r_squared=r2, window=LINESHAPE_WINDOW
+    )
+
+
+# random perturbation directions per strength, the strength ladder, and the
+# seed of the directions (fixed, so a fit repeats bitwise)
+SPLITTING_DIRECTIONS = 16
+SPLITTING_LADDER = np.geomspace(1e-8, 1e-4, 9)
+SPLITTING_SEED = 7
 
 
 def splitting_exponent(
     h,
     energy: complex,
-    ell: int,
-    directions: int = 16,
-    ladder: np.ndarray | None = None,
     policy: TolerancePolicy | None = None,
-    rng: np.random.Generator | None = None,
 ) -> ExponentFit:
     """Fit the maximal eigenvalue displacement against perturbation strength.
 
-    For each strength the degenerate multiplet of the perturbed matrix is the
-    set of eigenvalues closest to the degeneracy, and the displacement is
-    maximized over random unit-Frobenius perturbation directions with
-    independent complex-normal entries.  The expected slope is 1 / ell.
+    For each strength of ``SPLITTING_LADDER`` the degenerate multiplet of the
+    perturbed matrix is the set of eigenvalues closest to the degeneracy, and
+    the displacement is maximized over ``SPLITTING_DIRECTIONS`` random
+    unit-Frobenius perturbation directions with independent complex-normal
+    entries.  The expected slope is 1 / ell.
     """
     policy = policy or TolerancePolicy()
     m = np.asarray(h, dtype=complex)
     energy = complex(energy)
-    ladder = np.geomspace(1e-8, 1e-4, 9) if ladder is None else np.asarray(ladder, float)
-    rng = rng or np.random.default_rng(7)
+    ladder = SPLITTING_LADDER
+    rng = np.random.default_rng(SPLITTING_SEED)
 
     w = np.linalg.eigvals(m)
     radius = policy.cluster_radius(float(np.linalg.norm(m, 2)))
@@ -156,7 +163,7 @@ def splitting_exponent(
 
     n = m.shape[0]
     perturbations = []
-    for _ in range(directions):
+    for _ in range(SPLITTING_DIRECTIONS):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         perturbations.append(g / np.linalg.norm(g, "fro"))
 
@@ -226,30 +233,32 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         return spla.eigs(h, k=k, sigma=1e-6 * 1j, v0=v0)
 
 
+# singular-value cutoff (dimensionless overlap scale) deciding how many of the
+# four unit-normalized right states are effectively independent; 0.1 separates
+# near-parallel from near-orthogonal pairs by an order of magnitude at the
+# sizes used here
+GRAM_THRESHOLD = 0.1
+# largest open system (sites) the hinge report accepts
+EIGENSOLVER_CAP = 4096
+
+
 def hinge_report(
     spec: HodsmSpec,
     geom: HingeGeometry,
     policy: TolerancePolicy | None = None,
-    *,
-    gram_threshold: float = 0.1,
-    eigensolver_cap: int = 4096,
 ) -> HingeReport:
     """Summarize the four lowest states of the open system.
 
     The eight eigenpairs nearest E = 0 come from shift-invert Arnoldi on the
     sparse Hamiltonian; the full spectrum is never formed.  For the Hermitian
     variant one Rayleigh-Ritz step on the Arnoldi vectors makes degenerate
-    (Kramers) states orthonormal.
-
-    ``gram_threshold`` is the singular-value cutoff (dimensionless overlap
-    scale) deciding how many of the four unit-normalized right states are
-    effectively independent; 0.1 separates near-parallel from near-orthogonal
-    pairs by an order of magnitude at the sizes used here.
+    (Kramers) states orthonormal.  The Gram rank counts singular values of
+    the overlap matrix above ``GRAM_THRESHOLD``.
     """
     policy = policy or TolerancePolicy()
     n = geom.sites
-    if n > eigensolver_cap:
-        raise ValueError(f"{n} sites exceed the eigensolver cap {eigensolver_cap}")
+    if n > EIGENSOLVER_CAP:
+        raise ValueError(f"{n} sites exceed the eigensolver cap {EIGENSOLVER_CAP}")
     if n < 10:  # Arnoldi for 8 states needs a dimension above 9
         raise ValueError(f"{n} sites are too few for the eight lowest states; need 3 cells")
     h = hinge_hamiltonian(spec, geom)
@@ -267,7 +276,7 @@ def hinge_report(
     states = u[:, :nq] / np.linalg.norm(u[:, :nq], axis=0, keepdims=True)
     gram = np.abs(states.conj().T @ states)
     s = np.linalg.svd(gram, compute_uv=False)
-    gram_rank = int(np.count_nonzero(s > max(gram_threshold, policy.rank_rel * s[0])))
+    gram_rank = int(np.count_nonzero(s > max(GRAM_THRESHOLD, policy.rank_rel * s[0])))
 
     intensity = np.abs(states) ** 2  # (n, 4)
     maps = intensity.T.reshape(nq, geom.nx, geom.ny, 4).sum(axis=3)
@@ -281,18 +290,21 @@ def hinge_report(
     )
 
 
+# unit cells per side of the open system the atomistic probe classifies
+ATOMISTIC_CELLS = 3
+
+
 def atomistic_classify(
     spec: HodsmSpec,
     policy: TolerancePolicy | None = None,
-    *,
-    cells: int = 3,
 ) -> DegeneracyReport:
     """Classify the exact zero modes of the decoupled-corner parameter point.
 
     Requires ``s cos kz = -2 t`` so the reduced intracell Hamiltonian loses
     its Hermitian part; the momentum is chosen as kz = arccos(-2t/s).  The
-    open system spans ``cells x cells`` unit cells and is classified at E = 0
-    through the staircase Weyr oracle (integer-exact partial multiplicities).
+    open system spans ``ATOMISTIC_CELLS`` unit cells per side and is
+    classified at E = 0 through the staircase Weyr oracle (integer-exact
+    partial multiplicities).
     """
     policy = policy or TolerancePolicy()
     ratio = -2.0 * spec.t / spec.s
@@ -301,7 +313,7 @@ def atomistic_classify(
             f"atomistic limit needs |2t/s| <= 1 so that s cos kz = -2t is solvable; "
             f"got 2t/s = {-ratio}"
         )
-    geom = HingeGeometry(nx=cells, ny=cells, kz=math.acos(ratio))
+    geom = HingeGeometry(ATOMISTIC_CELLS, ATOMISTIC_CELLS, kz=math.acos(ratio))
     h = hinge_hamiltonian(spec, geom).toarray()
     return classify_point(h, 0.0, policy, method="weyr")
 
@@ -318,6 +330,10 @@ SYMMETRY_KINDS = (
     "reflection",
     "transposition",
 )
+
+
+# seed of the sampled momenta of the Bloch-level kinds (fixed, so a check repeats)
+SYMMETRY_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -342,22 +358,22 @@ def symmetry_check(
     kind: str,
     geom: HingeGeometry | None = None,
     policy: TolerancePolicy | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SymmetryCheckResult:
     """Test one defining symmetry identity and report the worst violation.
 
-    Bloch-level kinds (``chiral``, ``rotation-c4``) sample random momenta;
+    Bloch-level kinds (``chiral``, ``rotation-c4``) sample 100 random momenta
+    from a fixed seed;
     the open-system kinds need a geometry.  ``kramers`` is a spectral check:
     every eigenvalue of the open system must appear with even multiplicity
     within the cluster radius.  Identities pass at ``1e-10`` of the natural
     scale of the compared quantity.
     """
     policy = policy or TolerancePolicy()
-    rng = rng or np.random.default_rng(11)
+    rng = np.random.default_rng(SYMMETRY_SEED)
 
     if kind == "chiral":
         dims = spec.dims
-        x = symmetry_operator("chiral-lieb" if dims == 2 else "chiral-dsm").matrix
+        x = symmetry_operator("chiral-lieb" if dims == 2 else "chiral-dsm")
         worst, at, scale = 0.0, "", 1.0
         for _ in range(100):
             k = rng.uniform(-math.pi, math.pi, size=dims)
@@ -371,7 +387,7 @@ def symmetry_check(
     if kind == "rotation-c4":
         if isinstance(spec, LiebSpec):
             raise ValueError("rotation-c4 applies to the semimetal lattice")
-        c4 = symmetry_operator("rotation-c4").matrix
+        c4 = symmetry_operator("rotation-c4")
         worst, at = 0.0, ""
         for _ in range(100):
             kx, ky, kz = rng.uniform(-math.pi, math.pi, size=3)
@@ -420,7 +436,7 @@ def symmetry_check(
             kind, worst <= 1e-10 * scale**2, worst, f"(H^2) block entry {idx}"
         )
 
-    r_op = symmetry_operator("generalized-reflection", geom).matrix
+    r_op = symmetry_operator("generalized-reflection", geom)
     if kind == "reflection":
         delta = r_op @ h @ r_op.T - h
     elif kind == "transposition":
@@ -464,7 +480,6 @@ def decay_rate_fit(
     geom: HingeGeometry,
     corner: str,
     axis: str,
-    policy: TolerancePolicy | None = None,
 ) -> DecayFit:
     """Fit the per-cell amplitude ratio of the hinge state at one corner.
 
@@ -472,8 +487,9 @@ def decay_rate_fit(
     Arnoldi) with the largest right-eigenvector weight on the requested
     corner site; its amplitude on the corner's own sublattice is fitted
     exponentially along the requested axis, walking inward from the corner.
+    A fitted per-cell ratio of one or more means the amplitude does not decay
+    away from the corner, and is refused rather than reported.
     """
-    policy = policy or TolerancePolicy()
     if corner not in _CORNER_SITE:
         raise ValueError("corner must be one of A, B, C, D")
     if axis not in ("x", "y"):
@@ -512,8 +528,14 @@ def decay_rate_fit(
     if np.any(window <= 0):
         raise ValueError("amplitude profile vanished inside the fit window")
     slope, _, r2 = _log_fit(np.arange(start, stop, dtype=float), window)
+    ratio = float(np.exp(slope))
+    if ratio >= 1.0:
+        raise ValueError(
+            f"amplitude does not decay away from corner {corner} along {axis}: "
+            f"per-cell ratio {ratio:.4g}"
+        )
     return DecayFit(
-        ratio=float(np.exp(slope)),
+        ratio=ratio,
         r_squared=r2,
         corner=corner,
         axis=axis,

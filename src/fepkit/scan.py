@@ -36,7 +36,6 @@ from .models import (
 )
 
 __all__ = [
-    "ScanGrid",
     "DegeneracyCandidate",
     "ExpectedDegeneracy",
     "ManifoldSample",
@@ -44,47 +43,12 @@ __all__ = [
     "refine_degeneracy",
     "analytic_degeneracies",
     "trace_ring",
-    "detector",
     "min_abs_energy",
     "canonical_k",
 ]
 
 REFINE_TOL = 1e-12  # on the normalized detector
 REFINE_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class ScanGrid:
-    """Uniform sampling of the zone, half-open per axis to avoid wrap duplicates."""
-
-    dims: int
-    resolution: int | tuple[int, ...] = 128
-    ranges: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self):
-        if self.dims not in (2, 3):
-            raise ValueError("dims must be 2 or 3")
-        res = self.resolution
-        if isinstance(res, int):
-            res = (res,) * self.dims
-        if len(res) != self.dims or any(r < 8 for r in res):
-            raise ValueError("need a resolution of at least 8 per axis")
-        object.__setattr__(self, "resolution", tuple(res))
-        ranges = self.ranges or ((-math.pi, math.pi),) * self.dims
-        if len(ranges) != self.dims:
-            raise ValueError("one range per axis required")
-        object.__setattr__(self, "ranges", tuple((float(a), float(b)) for a, b in ranges))
-
-    def axes(self) -> list[np.ndarray]:
-        return [
-            np.linspace(a, b, r, endpoint=False)
-            for (a, b), r in zip(self.ranges, self.resolution)
-        ]
-
-    def cell_diagonal(self) -> float:
-        return math.sqrt(
-            sum(((b - a) / r) ** 2 for (a, b), r in zip(self.ranges, self.resolution))
-        )
 
 
 @dataclass
@@ -100,9 +64,15 @@ class ExpectedDegeneracy:
     """Closed-form degeneracy location with the expected fingerprint attached."""
 
     k: tuple[float, ...]
-    alpha: int
-    gamma: int
     partials: tuple[int, ...]
+
+    @property
+    def alpha(self) -> int:
+        return sum(self.partials)
+
+    @property
+    def gamma(self) -> int:
+        return len(self.partials)
 
     @property
     def label(self) -> str:
@@ -150,12 +120,6 @@ def _detector_degree(model) -> int:
     return 2 if isinstance(model, LiebSpec) else 4
 
 
-def detector(model, k, scale: float | None = None) -> float:
-    """Normalized degeneracy detector; vanishes exactly on the E = 0 manifold."""
-    scale = scale or _model_scale(model)
-    return abs(_detector_complex(model, k)) / scale ** _detector_degree(model)
-
-
 def min_abs_energy(model, k):
     """Smallest |E| over the dispersive bands (flat-band zeros excluded).
 
@@ -189,21 +153,16 @@ def min_abs_energy(model, k):
     return float(e[0]) if one else e
 
 
-def refine_degeneracy(
-    model,
-    k0,
-    policy: TolerancePolicy | None = None,
-    scale: float | None = None,
-) -> DegeneracyCandidate:
+def refine_degeneracy(model, k0, scale: float | None = None) -> DegeneracyCandidate:
     """Damped Gauss-Newton descent of the detector from the starting momentum.
 
     The complex detector gives two real residuals; in three dimensions the
     system is underdetermined and the minimum-norm step is taken, which
     converges to the nearest point of the degeneracy manifold.  Convergence
     means the normalized detector falls below 1e-12; otherwise the candidate
-    is returned with ``refined=False`` after 100 iterations.
+    is returned with ``refined=False`` after 100 iterations.  ``scale``
+    defaults to the model scale; ``bz_scan`` computes it once and passes it.
     """
-    policy = policy or TolerancePolicy()
     scale = scale or _model_scale(model)
     norm_pow = scale ** _detector_degree(model)
     k = np.asarray([float(c) for c in k0], dtype=float)
@@ -251,25 +210,26 @@ def _periodic_distance(a, b) -> float:
 
 def bz_scan(
     model,
-    grid: ScanGrid | None = None,
+    resolution: int = 128,
     policy: TolerancePolicy | None = None,
     *,
     classify: bool = False,
 ) -> list[DegeneracyCandidate]:
     """Grid-scan the zone for E = 0 degeneracies and refine every local minimum.
 
-    Kept candidates are refined, have their smallest dispersive |E| below
-    ten cluster radii, and are deduplicated within one grid-cell diagonal
+    The grid has ``resolution`` points per axis of the model's zone, half-open
+    on [-pi, pi) so that no point is sampled twice across the wrap.  Kept
+    candidates are refined, have their smallest dispersive |E| below ten
+    cluster radii, and are deduplicated within one grid-cell diagonal
     (periodic metric).  The result is sorted lexicographically by k.
     """
     policy = policy or TolerancePolicy()
+    if resolution < 8:
+        raise ValueError("need a resolution of at least 8 per axis")
     dims = model.dims
-    grid = grid or ScanGrid(dims=dims)
-    if grid.dims != dims:
-        raise ValueError(f"grid dims {grid.dims} do not match the model ({dims})")
     scale = _model_scale(model)
 
-    axes = grid.axes()
+    axes = [np.linspace(-math.pi, math.pi, resolution, endpoint=False)] * dims
     vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij")))
     is_min = np.ones(vals.shape, dtype=bool)
     for axis in range(dims):
@@ -282,10 +242,10 @@ def bz_scan(
 
     kept: list[DegeneracyCandidate] = []
     energy_cut = 10 * policy.cluster_radius(scale - 1.0)
-    radius = grid.cell_diagonal()
+    radius = math.sqrt(dims * (2 * math.pi / resolution) ** 2)
     for idx in seeds:
         k0 = tuple(axes[d][idx[d]] for d in range(dims))
-        cand = refine_degeneracy(model, k0, policy, scale=scale)
+        cand = refine_degeneracy(model, k0, scale=scale)
         if not cand.refined or cand.min_abs_energy > energy_cut:
             continue
         if any(_periodic_distance(cand.k, other.k) < radius for other in kept):
@@ -306,9 +266,7 @@ def _expected_from_case(model: LiebSpec, k) -> ExpectedDegeneracy:
     if not degen:
         raise ValueError(f"momentum {k} is not on the degeneracy set")
     partials = {"CASE1": (3,), "CASE2": (2, 1), "CASE3": (1, 1, 1)}[case]
-    return ExpectedDegeneracy(
-        k=canonical_k(k), alpha=3, gamma=len(partials), partials=partials
-    )
+    return ExpectedDegeneracy(k=canonical_k(k), partials=partials)
 
 
 def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
@@ -320,11 +278,7 @@ def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
     """
     if isinstance(model, LiebSpec):
         if model.variant == "hermitian":
-            return [
-                ExpectedDegeneracy(
-                    k=(math.pi, math.pi), alpha=3, gamma=3, partials=(1, 1, 1)
-                )
-            ]
+            return [ExpectedDegeneracy(k=(math.pi, math.pi), partials=(1, 1, 1))]
         if model.variant == "nh-symmetric":
             eps = model.epsilon
             if not 0 < abs(eps) < 2:
@@ -366,10 +320,8 @@ def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
     eps = spec.epsilon
     out: list[ExpectedDegeneracy] = []
 
-    def on_axis(kz: float, alpha: int, gamma: int, partials) -> ExpectedDegeneracy:
-        return ExpectedDegeneracy(
-            k=canonical_k((0.0, 0.0, kz)), alpha=alpha, gamma=gamma, partials=tuple(partials)
-        )
+    def on_axis(kz: float, partials) -> ExpectedDegeneracy:
+        return ExpectedDegeneracy(k=canonical_k((0.0, 0.0, kz)), partials=partials)
 
     if spec.variant == 0:
         for base, shift in ((-2 - 2 * spec.t / spec.s, 0.0), (2 - 2 * spec.t / spec.s, math.pi)):
@@ -378,10 +330,7 @@ def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
                 for sgn in (1, -1):
                     out.append(
                         ExpectedDegeneracy(
-                            k=canonical_k((shift, shift, sgn * kz)),
-                            alpha=4,
-                            gamma=4,
-                            partials=(1, 1, 1, 1),
+                            k=canonical_k((shift, shift, sgn * kz)), partials=(1, 1, 1, 1)
                         )
                     )
         return out
@@ -392,27 +341,27 @@ def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
         raise ValueError("non-Hermitian catalog needs eps != 0")
 
     if spec.variant == 1:
-        out += [on_axis(sgn * math.pi / 2, 2, 2, (1, 1)) for sgn in (1, -1)]
+        out += [on_axis(sgn * math.pi / 2, (1, 1)) for sgn in (1, -1)]
         if abs(eps) < 1:
             for c in (abs(eps), -abs(eps)):
                 kz = math.acos(c)
-                out += [on_axis(sgn * kz, 4, 1, (4,)) for sgn in (1, -1)]
+                out += [on_axis(sgn * kz, (4,)) for sgn in (1, -1)]
     elif spec.variant == 2:
-        out += [on_axis(sgn * math.pi / 2, 4, 2, (3, 1)) for sgn in (1, -1)]
+        out += [on_axis(sgn * math.pi / 2, (3, 1)) for sgn in (1, -1)]
         if abs(eps) < 1:
             kz = math.acos(-eps)
-            out += [on_axis(sgn * kz, 4, 2, (3, 1)) for sgn in (1, -1)]
+            out += [on_axis(sgn * kz, (3, 1)) for sgn in (1, -1)]
     elif spec.variant == 3:
-        out += [on_axis(sgn * math.pi / 2, 4, 2, (2, 2)) for sgn in (1, -1)]
+        out += [on_axis(sgn * math.pi / 2, (2, 2)) for sgn in (1, -1)]
         if abs(eps) * math.sqrt(2) < 1:
             for c in (math.sqrt(2) * eps, -math.sqrt(2) * eps):
                 kz = math.acos(c)
-                out += [on_axis(sgn * kz, 2, 1, (2,)) for sgn in (1, -1)]
+                out += [on_axis(sgn * kz, (2,)) for sgn in (1, -1)]
     else:
-        out += [on_axis(sgn * math.pi / 2, 4, 3, (2, 1, 1)) for sgn in (1, -1)]
+        out += [on_axis(sgn * math.pi / 2, (2, 1, 1)) for sgn in (1, -1)]
         if abs(2 * eps) < 1:
             kz = math.acos(-2 * eps)
-            out += [on_axis(sgn * kz, 2, 1, (2,)) for sgn in (1, -1)]
+            out += [on_axis(sgn * kz, (2,)) for sgn in (1, -1)]
 
     dedup: list[ExpectedDegeneracy] = []
     for e in out:

@@ -42,7 +42,7 @@ from .probes import (
     splitting_exponent,
     symmetry_check,
 )
-from .scan import ScanGrid, analytic_degeneracies, bz_scan, trace_ring
+from .scan import analytic_degeneracies, bz_scan, trace_ring
 
 PI = math.pi
 POLICY = TolerancePolicy()
@@ -155,7 +155,7 @@ def criterion_2_reciprocal_manifolds() -> str:
         )
         r = classify_point(lieb_bloch(spec, entry.k), 0.0, POLICY)
         assert r.label == expected[match]
-    cands = bz_scan(spec, ScanGrid(dims=2, resolution=128), POLICY)
+    cands = bz_scan(spec, 128, POLICY)
     assert len(cands) == 4, f"scan found {len(cands)} candidates, want 4"
     for c in cands:
         err = min(
@@ -286,7 +286,7 @@ def criterion_7_exponent_laws() -> str:
     ]
     details = []
     for h, energy, ell in lineshape_cases:
-        fit = lineshape_exponent(h, energy, ell, policy=POLICY)
+        fit = lineshape_exponent(h, energy, POLICY)
         want = -2.0 * ell
         assert abs(fit.slope - want) <= 0.02 * abs(want), (
             f"lineshape ell={ell}: slope {fit.slope:.4f}, want {want}"
@@ -300,7 +300,7 @@ def criterion_7_exponent_laws() -> str:
         (hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 2)), 0.0, 1),
     ]
     for h, energy, ell in splitting_cases:
-        fit = splitting_exponent(h, energy, ell, policy=POLICY)
+        fit = splitting_exponent(h, energy, POLICY)
         want = 1.0 / ell
         assert abs(fit.slope - want) <= 0.05 * want, (
             f"splitting ell={ell}: slope {fit.slope:.4f}, want {want}"
@@ -358,17 +358,17 @@ def criterion_10_decay_rates() -> str:
     details = []
     for corner in ("A", "B"):
         for geom, axis in ((tall, "y"), (wide, "x")):
-            fit = decay_rate_fit(v0, geom, corner, axis, POLICY)
+            fit = decay_rate_fit(v0, geom, corner, axis)
             assert abs(fit.ratio - 0.5) <= 0.05, (
                 f"variant 0 corner {corner} axis {axis}: ratio {fit.ratio:.4f}"
             )
     details.append("v0: 0.5 at A/B corners, both axes")
 
     v1 = HodsmSpec(1, t=-1.0, s=1.0, epsilon=0.25)
-    fit = decay_rate_fit(v1, tall, "B", "y", POLICY)
+    fit = decay_rate_fit(v1, tall, "B", "y")
     assert abs(fit.ratio - 0.25) <= 0.025, f"variant 1 B/y ratio {fit.ratio:.4f}"
     details.append(f"v1 B/y: {fit.ratio:.4f}")
-    fit = decay_rate_fit(v1, wide, "B", "x", POLICY)
+    fit = decay_rate_fit(v1, wide, "B", "x")
     assert abs(fit.ratio - 0.5) <= 0.05, f"variant 1 B/x ratio {fit.ratio:.4f}"
     details.append(f"v1 B/x: {fit.ratio:.4f}")
     return "; ".join(details)

@@ -320,6 +320,25 @@ class TestProbeVerb:
         assert code == 0
         assert json.loads(out)["report"]["partials"] == [3, 1]
 
+    @pytest.mark.parametrize(
+        "argv,needs",
+        [
+            (("--model", "hodsm:h", "--kind", "decay"), "--nx and --ny"),
+            (("--model", "lieb:hermitian", "--kind", "lineshape"), "--k"),
+            (("--model", "lieb:hermitian", "--kind", "atomistic"), "hodsm model"),
+            (
+                ("--model", "lieb:hermitian", "--kind", "decay", "--nx", "10", "--ny", "34"),
+                "hodsm model",
+            ),
+        ],
+        ids=["decay-without-geometry", "lieb-lineshape-without-k", "lieb-atomistic", "lieb-decay"],
+    )
+    def test_input_errors_exit_2(self, capsys, argv, needs):
+        code, out, err = run(capsys, "probe", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and needs in err
+        assert "internal error" not in err
+
 
 def test_selftest_fast_runs(capsys):
     code, out, _ = run(capsys, "selftest", "--fast")

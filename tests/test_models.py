@@ -94,21 +94,21 @@ def test_bloch_stack_equals_pointwise_builds(catalog_model, rng):
 
 
 class TestLiebCase:
-    def test_all_zero_is_case3(self, policy):
-        case, degenerate = lieb_case(0, 0, 0, 0, policy)
+    def test_all_zero_is_case3(self):
+        case, degenerate = lieb_case(0, 0, 0, 0)
         assert case == "CASE3" and degenerate
 
-    def test_minimal_fep_corner_is_case2(self, policy):
+    def test_minimal_fep_corner_is_case2(self):
         p, q, r, s = lieb_pqrs(LiebSpec("minimal-fep", epsilon=1.0), (PI, PI))
-        case, degenerate = lieb_case(p, q, r, s, policy)
+        case, degenerate = lieb_case(p, q, r, s)
         assert case == "CASE2" and degenerate
 
-    def test_generic_ep3_symbols_are_case1(self, policy):
-        case, degenerate = lieb_case(1.0, 2.0, 3.0, -2.0 / 3.0, policy)
+    def test_generic_ep3_symbols_are_case1(self):
+        case, degenerate = lieb_case(1.0, 2.0, 3.0, -2.0 / 3.0)
         assert case == "CASE1" and degenerate
 
-    def test_nondegenerate_case1(self, policy):
-        case, degenerate = lieb_case(1.0, 1.0, 1.0, 1.0, policy)
+    def test_nondegenerate_case1(self):
+        case, degenerate = lieb_case(1.0, 1.0, 1.0, 1.0)
         assert case == "CASE1" and not degenerate
 
 
@@ -124,14 +124,14 @@ class TestChiralAndReciprocity:
         ids=["hermitian", "nh-symmetric", "minimal-fep", "reciprocal"],
     )
     def test_lieb_chiral_anticommutation(self, spec, rng):
-        x = symmetry_operator("chiral-lieb").matrix
+        x = symmetry_operator("chiral-lieb")
         for _ in range(100):
             h = lieb_bloch(spec, rng.uniform(-PI, PI, 2))
             assert np.max(np.abs(x @ h @ x + h)) <= 1e-12
 
     @pytest.mark.parametrize("variant,eps", [(0, 0.0), (1, 0.7), (2, 0.7), (3, 0.5), (4, 0.35)])
     def test_hodsm_chiral_anticommutation(self, variant, eps, rng):
-        x = symmetry_operator("chiral-dsm").matrix
+        x = symmetry_operator("chiral-dsm")
         spec = HodsmSpec(variant, epsilon=eps)
         for _ in range(100):
             h = hodsm_bloch(spec, rng.uniform(-PI, PI, 3))
@@ -277,16 +277,16 @@ class TestHingeHamiltonian:
 class TestSymmetryOperators:
     def test_chiral_involutions(self):
         for kind in ("chiral-lieb", "chiral-dsm"):
-            x = symmetry_operator(kind).matrix
+            x = symmetry_operator(kind)
             assert np.allclose(x @ x, np.eye(x.shape[0]))
 
     def test_c4_fourth_power_is_minus_one(self):
-        c4 = symmetry_operator("rotation-c4").matrix
+        c4 = symmetry_operator("rotation-c4")
         assert np.allclose(np.linalg.matrix_power(c4, 4), -np.eye(4))
 
     def test_reflection_is_unitary_involution(self):
         geom = HingeGeometry(4, 4, kz=0.0)
-        r = symmetry_operator("generalized-reflection", geom).matrix
+        r = symmetry_operator("generalized-reflection", geom)
         assert np.allclose(r @ r.conj().T, np.eye(64))
         assert np.allclose(r @ r, np.eye(64))
 

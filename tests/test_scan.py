@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from fepkit.matkit import spectral_norm
+from fepkit import scan
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
 from fepkit.scan import (
     ManifoldSample,
-    ScanGrid,
     analytic_degeneracies,
     bz_scan,
     canonical_k,
-    detector,
     min_abs_energy,
     refine_degeneracy,
     trace_ring,
@@ -37,7 +36,7 @@ class TestBroadcast:
         # AVX-512 builds), so allow a few units in the last place of the terms
         scale = _model_scale(catalog_model)
         tol = 16 * np.finfo(float).eps * scale ** _detector_degree(catalog_model)
-        axes = ScanGrid(dims=catalog_model.dims, resolution=8).axes()
+        axes = [np.linspace(-PI, PI, 8, endpoint=False)] * catalog_model.dims
         grid = _detector_complex(catalog_model, np.meshgrid(*axes, indexing="ij"))
         assert grid.shape == (8,) * catalog_model.dims
         for idx in np.ndindex(grid.shape):
@@ -63,27 +62,34 @@ class TestBroadcast:
 class TestScanGrid:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            ScanGrid(dims=2, resolution=4)
+            bz_scan(LiebSpec("hermitian"), 4)
 
-    def test_axes_are_half_open(self):
-        axes = ScanGrid(dims=2, resolution=8).axes()
-        assert axes[0][0] == -PI and axes[0][-1] < PI
+    def test_axes_are_half_open(self, monkeypatch):
+        # the detector's one zero is the zone corner: a half-open axis samples
+        # it once, at -pi, where a closed one would seed it at both ends
+        starts = []
+        refine = scan.refine_degeneracy
 
-    def test_dims_validation(self):
-        with pytest.raises(ValueError):
-            ScanGrid(dims=4)
+        def recording(model, k0, scale=None):
+            starts.append(k0)
+            return refine(model, k0, scale)
+
+        monkeypatch.setattr(scan, "refine_degeneracy", recording)
+        cands = bz_scan(LiebSpec("hermitian"), 8)
+        assert starts == [(-PI, -PI)]
+        assert len(cands) == 1 and k_distance(cands[0].k, (PI, PI)) <= 1e-12
 
 
 class TestBzScan:
     def test_hermitian_single_candidate(self, policy):
-        cands = bz_scan(LiebSpec("hermitian"), ScanGrid(dims=2, resolution=128), policy)
+        cands = bz_scan(LiebSpec("hermitian"), 128, policy)
         assert len(cands) == 1
         assert k_distance(cands[0].k, (PI, PI)) <= 1e-8
         assert cands[0].refined
 
     def test_minimal_fep_two_candidates(self, policy):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        cands = bz_scan(spec, ScanGrid(dims=2, resolution=128), policy)
+        cands = bz_scan(spec, 128, policy)
         assert len(cands) == 2
         kappa = 2 * arccot(0.5)
         wants = [(kappa, -kappa), (PI, PI)]
@@ -92,7 +98,7 @@ class TestBzScan:
 
     def test_nh_symmetric_four_candidates(self, policy):
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
-        cands = bz_scan(spec, ScanGrid(dims=2, resolution=128), policy)
+        cands = bz_scan(spec, 128, policy)
         assert len(cands) == 4
         k0 = 2 * PI / 3
         wants = {(mu * k0, nu * k0) for mu in (1, -1) for nu in (1, -1)}
@@ -107,7 +113,7 @@ class TestBzScan:
             LiebSpec("reciprocal", phi=PI / 2, psi=3 * PI / 4),
         ]:
             catalog = analytic_degeneracies(spec)
-            cands = bz_scan(spec, ScanGrid(dims=2, resolution=128), policy)
+            cands = bz_scan(spec, 128, policy)
             assert len(cands) == len(catalog)
             for entry in catalog:
                 assert min(k_distance(entry.k, c.k) for c in cands) <= 1e-8
@@ -116,7 +122,7 @@ class TestBzScan:
 
     def test_candidates_sorted_and_below_energy_cut(self, policy):
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
-        cands = bz_scan(spec, ScanGrid(dims=2, resolution=96), policy)
+        cands = bz_scan(spec, 96, policy)
         ks = [c.k for c in cands]
         assert ks == sorted(ks)
         for c in cands:
@@ -124,7 +130,7 @@ class TestBzScan:
 
     def test_classification_attached_on_request(self, policy):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        cands = bz_scan(spec, ScanGrid(dims=2, resolution=96), policy, classify=True)
+        cands = bz_scan(spec, 96, policy, classify=True)
         labels = {tuple(round(x, 4) for x in c.k): c.report.label for c in cands}
         assert sorted(labels.values()) == ["EP3", "FEP"]
 
@@ -133,70 +139,65 @@ class TestBzScan:
         # none is refused by the classifier
         phi = PI / 6
         spec = LiebSpec("reciprocal", phi=phi, psi=phi)
-        cands = bz_scan(spec, ScanGrid(2, 64), policy, classify=True)
+        cands = bz_scan(spec, 64, policy, classify=True)
         assert cands
         for c in cands:
             assert abs(math.cos(c.k[0]) + math.cos(c.k[1]) - 2 * math.cos(phi)) <= 1e-8
             assert c.report.label in ("EP3", "FEP")
-
-    def test_grid_model_dims_must_match(self, policy):
-        with pytest.raises(ValueError):
-            bz_scan(LiebSpec("hermitian"), ScanGrid(dims=3, resolution=16), policy)
 
     def test_hodsm_line_degeneracies_found_in_3d(self, policy):
         # full-zone scan at modest resolution; every on-axis analytic point
         # must have a candidate nearby (finds outside the printed set are
         # allowed: the zero set of det H contains curves, flagged not asserted)
         spec = HodsmSpec(3, epsilon=0.5)
-        grid = ScanGrid(dims=3, resolution=24)
-        cands = bz_scan(spec, grid, policy)
+        cands = bz_scan(spec, 24, policy)
         assert cands, "scan found nothing"
         for c in cands:
             assert c.min_abs_energy <= 0.05
         for entry in analytic_degeneracies(spec):
             near = min(k_distance(entry.k, c.k) for c in cands)
-            assert near <= 2 * grid.cell_diagonal(), f"missed {entry.k}"
+            assert near <= 2 * math.sqrt(3) * 2 * PI / 24, f"missed {entry.k}"
 
 
 class TestRefine:
-    def test_converges_to_corner_point(self, policy):
+    def test_converges_to_corner_point(self):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        cand = refine_degeneracy(spec, (PI + 0.05, PI - 0.05), policy)
+        cand = refine_degeneracy(spec, (PI + 0.05, PI - 0.05))
         assert cand.refined
         assert k_distance(cand.k, (PI, PI)) <= 1e-8
 
-    def test_hodsm_ep4_from_off_point(self, policy):
+    def test_hodsm_ep4_from_off_point(self):
         spec = HodsmSpec(1, epsilon=2**-0.5)
-        cand = refine_degeneracy(spec, (0.0, 0.0, 0.8), policy)
+        cand = refine_degeneracy(spec, (0.0, 0.0, 0.8))
         assert cand.refined
         assert k_distance(cand.k, (0.0, 0.0, PI / 4)) <= 1e-6
 
-    def test_exact_start_returns_immediately(self, policy):
+    def test_exact_start_returns_immediately(self):
         spec = LiebSpec("hermitian")
-        cand = refine_degeneracy(spec, (PI, PI), policy)
+        cand = refine_degeneracy(spec, (PI, PI))
         assert cand.refined
         assert k_distance(cand.k, (PI, PI)) <= 1e-10
 
-    def test_two_starts_converge_together(self, policy):
+    def test_two_starts_converge_together(self):
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
         cell = 2 * PI / 128
         k0 = (2 * PI / 3, 2 * PI / 3)
-        a = refine_degeneracy(spec, (k0[0] + 0.4 * cell, k0[1] - 0.3 * cell), policy)
-        b = refine_degeneracy(spec, (k0[0] - 0.5 * cell, k0[1] + 0.2 * cell), policy)
+        a = refine_degeneracy(spec, (k0[0] + 0.4 * cell, k0[1] - 0.3 * cell))
+        b = refine_degeneracy(spec, (k0[0] - 0.5 * cell, k0[1] + 0.2 * cell))
         assert a.refined and b.refined
         assert k_distance(a.k, b.k) <= 1e-6
 
-    def test_nonconvergence_reported_not_raised(self, policy):
+    def test_nonconvergence_reported_not_raised(self):
         # outside -3/2 < t/s < -1/2 the parent semimetal is gapped: there is
         # no zero of the detector anywhere, so refinement must report failure
         spec = HodsmSpec(0, t=-2.0, s=1.0)
-        cand = refine_degeneracy(spec, (0.3, -0.2, 1.1), policy)
+        cand = refine_degeneracy(spec, (0.3, -0.2, 1.1))
         assert not cand.refined
         assert cand.min_abs_energy > 0.05
 
     def test_gapped_model_scan_is_empty(self, policy):
         spec = HodsmSpec(0, t=-2.0, s=1.0)
-        assert bz_scan(spec, ScanGrid(dims=3, resolution=12), policy) == []
+        assert bz_scan(spec, 12, policy) == []
 
 
 class TestAnalyticCatalog:
@@ -250,7 +251,7 @@ class TestTraceRing:
         checked = 0
         while checked < 10:
             k = tuple(rng.uniform(-PI, PI, 2))
-            if detector(spec, k) < 1e-2:
+            if abs(_detector_complex(spec, k)) / _model_scale(spec) ** 2 < 1e-2:
                 continue  # too close to the ring
             r = classify_point(lieb_bloch(spec, k), 0.0, policy)
             assert r.alpha == 1 and r.label == "nondegenerate"
