@@ -21,12 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjugate import (
-    FLV_DIMENSION_GUARD,
-    ModeSequence,
-    flv_modes,
-    response_strengths,
-)
+from .adjugate import ModeSequence, flv_modes, response_strengths
 from .matkit import TolerancePolicy, as_square_matrix, numerical_rank, spectral_norm
 
 __all__ = [
@@ -135,7 +130,10 @@ class DegeneracyReport:
     """Complete fingerprint of one (matrix, energy) degeneracy.
 
     The multiplicities, block sizes and label all follow from ``beta``, so
-    they are derived from it rather than stored next to it.
+    they are derived from it rather than stored next to it.  ``method`` is
+    the route that ran; the response strengths ``eta`` and ``xi`` come from
+    the adjugate modes of the modal route, so they are NaN exactly when
+    ``method == "weyr"``.
     """
 
     energy: complex
@@ -293,8 +291,9 @@ def classify_point(
     ``method``:
       * ``"modes"`` - modal route (n <= 64), cross-checked against the
         staircase Weyr oracle (disagreement is an error, not a warning);
-      * ``"weyr"``  - staircase oracle only (response strengths are NaN
-        unless the modal route also runs); the route for hinge-scale input;
+      * ``"weyr"``  - staircase oracle only; the route for hinge-scale input.
+        The strengths come from the adjugate modes, which this route never
+        forms, so eta and xi are NaN exactly when ``report.method == "weyr"``;
       * ``"auto"``  - modal route up to n = 16, Weyr beyond.  The C_k chain
         compares traces against scale-power thresholds, which loses meaning
         once N is large enough that characteristic coefficients of
@@ -326,7 +325,6 @@ def classify_point(
                 f"c_0 = {modes.coeffs[0]:.3e} does not vanish at E = {energy}"
             )
         pmf = partial_multiplicities(modes, alpha, policy)
-        # flv_modes has already refused n > FLV_DIMENSION_GUARD
         oracle = weyr_oracle(a, policy, scale=problem_scale)
         if oracle != pmf:
             raise OracleDisagreementError(pmf, oracle)
@@ -334,18 +332,8 @@ def classify_point(
         eta, xi = strengths.eta, strengths.xi
     else:
         pmf = weyr_oracle(a, policy, scale=problem_scale)
-        alpha = pmf.alpha
-        if alpha == 0:
+        if pmf.alpha == 0:
             raise NotAnEigenvalueError(f"rank(A) is full at E = {energy}")
-        if n <= FLV_DIMENSION_GUARD:
-            # best effort: at this scale the coefficient thresholds of the
-            # modal route are loose, so failures fall back to NaN strengths
-            try:
-                modes = flv_modes(m, energy)
-                strengths = response_strengths(modes, alpha, pmf.ell, policy)
-                eta, xi = strengths.eta, strengths.xi
-            except ValueError:
-                pass
 
     return DegeneracyReport(
         energy=energy,

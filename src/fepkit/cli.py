@@ -31,7 +31,6 @@ from .models import (
     HodsmSpec,
     LiebSpec,
     bloch_matrix,
-    hinge_hamiltonian,
     model_from_id,
 )
 from .probes import (
@@ -189,6 +188,21 @@ def _model_from_args(args):
     return model_from_id(args.model, **params)
 
 
+def _model_k(args, model) -> tuple[float, ...] | None:
+    """``--k`` checked against the model's dimension; None for a hodsm model without it."""
+    if isinstance(model, LiebSpec):
+        k = parse_k(args.k) if args.k else None
+        if k is None or len(k) != 2:
+            raise ValueError("lieb models need --k kx,ky")
+        return k
+    if not args.k:
+        return None
+    k = parse_k(args.k)
+    if len(k) != 3:
+        raise ValueError("hodsm models need --k kx,ky,kz (or just --kz)")
+    return k
+
+
 def _csv(rows, header: str) -> str:
     lines = [header]
     lines += [",".join([_fmt_float(x) if isinstance(x, float) else str(x) for x in row]) for row in rows]
@@ -202,19 +216,11 @@ def _csv(rows, header: str) -> str:
 def _cmd_classify(args) -> int:
     policy = _policy_from_args(args)
     model = _model_from_args(args)
-    if isinstance(model, LiebSpec):
-        k = parse_k(args.k) if args.k else None
-        if k is None or len(k) != 2:
-            raise ValueError("lieb models need --k kx,ky")
-    else:
-        if args.k:
-            k = parse_k(args.k)
-            if len(k) != 3:
-                raise ValueError("hodsm models need --k kx,ky,kz (or just --kz)")
-        elif args.kz is not None:
-            k = (0.0, 0.0, args.kz)
-        else:
+    k = _model_k(args, model)
+    if k is None:
+        if args.kz is None:
             raise ValueError("hodsm models need --k or --kz")
+        k = (0.0, 0.0, args.kz)
     energy = complex(args.energy) if args.energy is not None else 0j
     report = classify_point(bloch_matrix(model, k), energy, policy, k_point=k)
     doc = report_json(report, _model_json(args.model, _model_params(args)), k)
@@ -316,36 +322,27 @@ def _cmd_hinge(args) -> int:
         raise ValueError("hinge systems exist for hodsm models only")
     geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
     rep = hinge_report(model, geom, policy)
-    # the full spectrum is this document's alone; the report holds only low states
-    h = hinge_hamiltonian(model, geom).toarray()
-    w = np.linalg.eigvalsh(h).astype(complex) if model.variant == 0 else np.linalg.eigvals(h)
-    w = w[np.lexsort((w.imag, w.real))]
-    low_set = [int(i) for i in np.argsort(np.abs(w), kind="stable")[:4]]
     doc = {
         "model": _model_json(args.model, _model_params(args)),
         "nx": geom.nx,
         "ny": geom.ny,
         "kz": geom.kz,
-        "low_set": low_set,
-        "low_energies": [_complex_json(w[i]) for i in low_set],
+        "low_energies": [_complex_json(z) for z in rep.low_energies],
         "gap_ratio": rep.gap_ratio,
         "gram": [[float(x) for x in row] for row in rep.gram],
         "gram_rank": rep.gram_rank,
-        "eigenvalues": [_complex_json(z) for z in w],
         "timestamp": _timestamp(),
     }
+    _emit(dumps_canonical(doc) + "\n", args.out)
     if args.out:
-        _write_atomic(args.out, dumps_canonical(doc) + "\n")
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
-        for i in range(4):
+        for i, intensity in enumerate(rep.intensity_maps):
             rows = [
-                (x + 1, y + 1, float(rep.intensity_maps[i, x, y]))
+                (x + 1, y + 1, float(intensity[x, y]))
                 for x in range(geom.nx)
                 for y in range(geom.ny)
             ]
             _write_atomic(f"{stem}_state{i}.csv", _csv(rows, "x,y,intensity"))
-    else:
-        sys.stdout.write(dumps_canonical(doc) + "\n")
     return 0
 
 
@@ -360,12 +357,7 @@ def _cmd_probe(args) -> int:
     if kind in ("decay", "atomistic") and not isinstance(model, HodsmSpec):
         raise ValueError(f"the {kind} probe needs a hodsm model")
     if kind in ("lineshape", "splitting"):
-        if isinstance(model, LiebSpec):
-            if not args.k:
-                raise ValueError("lieb models need --k kx,ky")
-            k = parse_k(args.k)
-        else:
-            k = parse_k(args.k) if args.k else (0.0, 0.0, args.kz or 0.0)
+        k = _model_k(args, model) or (0.0, 0.0, args.kz or 0.0)
         h = bloch_matrix(model, k)
         energy = complex(args.energy or 0.0)
         report = classify_point(h, energy, policy, k_point=k)

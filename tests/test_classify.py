@@ -249,10 +249,18 @@ class TestClassifyPoint:
             b = classify_point(h, 0.0, policy, method="weyr")
             assert (a.alpha, a.gamma, a.partials) == (b.alpha, b.gamma, b.partials)
 
-    def test_eta_xi_populated_on_weyr_route_for_small_n(self, policy):
+    def test_eta_xi_only_on_modes_route(self, policy, monkeypatch):
         h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
+        assert classify_point(h, 0.0, policy, method="modes").eta == pytest.approx(
+            0.5 * math.sqrt(2), abs=1e-9
+        )
+
+        def refuse(*_):
+            raise AssertionError("the weyr route formed adjugate modes")
+
+        monkeypatch.setattr(fepkit.classify, "flv_modes", refuse)
         r = classify_point(h, 0.0, policy, method="weyr")
-        assert r.eta == pytest.approx(0.5 * math.sqrt(2), abs=1e-9)
+        assert math.isnan(r.eta) and math.isnan(r.xi)
 
 
 class TestWeyrScale:
@@ -276,25 +284,25 @@ class TestWeyrScale:
 GOLDEN_SEED = 2611
 GOLDEN = {
     (8, 1e1, 0, 'auto'): ((2, 1), '0x1.4d8f1ac93a1a8p+1', '0x1.4d8f1ac93a1a8p+1'),  # planted (2, 1)
-    (8, 1e1, 0, 'weyr'): ((2, 1), '0x1.4d8f1ac93a1a8p+1', '0x1.4d8f1ac93a1a8p+1'),  # planted (2, 1)
+    (8, 1e1, 0, 'weyr'): ((2, 1), 'nan', 'nan'),  # planted (2, 1)
     (8, 1e1, 1, 'auto'): ((4, 2), '0x1.128148923b8d1p+1', '0x1.128148923b8d2p+1'),  # planted (4, 2)
-    (8, 1e1, 1, 'weyr'): ((4, 2), '0x1.128148923b8d1p+1', '0x1.128148923b8d2p+1'),  # planted (4, 2)
+    (8, 1e1, 1, 'weyr'): ((4, 2), 'nan', 'nan'),  # planted (4, 2)
     (8, 1e3, 0, 'auto'): ((2, 1, 1), '0x1.339094cce18c2p+7', '0x1.339094cce18c2p+7'),  # planted (2, 1, 1)
-    (8, 1e3, 0, 'weyr'): ((2, 1, 1), '0x1.339094cce18c2p+7', '0x1.339094cce18c2p+7'),  # planted (2, 1, 1)
+    (8, 1e3, 0, 'weyr'): ((2, 1, 1), 'nan', 'nan'),  # planted (2, 1, 1)
     (8, 1e3, 1, 'auto'): ('InconsistentRanksError', 'sum rule sum(l * beta(l)) = 0 != alpha = 2'),  # planted (1, 1)
     (8, 1e3, 1, 'weyr'): ((1, 1), 'nan', 'nan'),  # planted (1, 1)
     (12, 1e1, 0, 'auto'): ((2, 1, 1), '0x1.693b63783267ep+1', '0x1.693b63783267ep+1'),  # planted (2, 1, 1)
-    (12, 1e1, 0, 'weyr'): ((2, 1, 1), '0x1.693b63783267ep+1', '0x1.693b63783267ep+1'),  # planted (2, 1, 1)
+    (12, 1e1, 0, 'weyr'): ((2, 1, 1), 'nan', 'nan'),  # planted (2, 1, 1)
     (12, 1e1, 1, 'auto'): ((6, 3), '0x1.e268630e549cbp+0', '0x1.e268630e549cbp+0'),  # planted (6, 3)
-    (12, 1e1, 1, 'weyr'): ((6, 3), '0x1.e268630e549cbp+0', '0x1.e268630e549cbp+0'),  # planted (6, 3)
+    (12, 1e1, 1, 'weyr'): ((6, 3), 'nan', 'nan'),  # planted (6, 3)
     (12, 1e3, 0, 'auto'): ('InconsistentRanksError', 'sum rule sum(l * beta(l)) = 0 != alpha = 1'),  # planted (1,)
     (12, 1e3, 0, 'weyr'): ((1,), 'nan', 'nan'),  # planted (1,)
     (12, 1e3, 1, 'auto'): ('OracleDisagreementError', 'mode-rank fingerprint {1: 2, 5: 2} disagrees with Weyr oracle {1: 2, 4: 1, 6: 1}'),  # planted (6, 4, 1, 1)
     (12, 1e3, 1, 'weyr'): ((6, 4, 1, 1), 'nan', 'nan'),  # planted (6, 4, 1, 1)
     (16, 1e1, 0, 'auto'): ((9, 2, 1, 1), '0x1.ef033047b4702p+0', '0x1.ef033047b46fep+0'),  # planted (9, 2, 1, 1)
-    (16, 1e1, 0, 'weyr'): ((9, 2, 1, 1), '0x1.ef033047b4702p+0', '0x1.ef033047b46fep+0'),  # planted (9, 2, 1, 1)
+    (16, 1e1, 0, 'weyr'): ((9, 2, 1, 1), 'nan', 'nan'),  # planted (9, 2, 1, 1)
     (16, 1e1, 1, 'auto'): ((8, 3, 3, 1), '0x1.d0d97c1a0094cp+0', '0x1.d0d97c1a0094cp+0'),  # planted (8, 3, 3, 1)
-    (16, 1e1, 1, 'weyr'): ((8, 3, 3, 1), '0x1.d0d97c1a0094cp+0', '0x1.d0d97c1a0094cp+0'),  # planted (8, 3, 3, 1)
+    (16, 1e1, 1, 'weyr'): ((8, 3, 3, 1), 'nan', 'nan'),  # planted (8, 3, 3, 1)
     (16, 1e3, 0, 'auto'): ('InconsistentRanksError', 'sum rule sum(l * beta(l)) = 0 != alpha = 9'),  # planted (4, 2, 2, 1)
     (16, 1e3, 0, 'weyr'): ((4, 2, 2, 1), 'nan', 'nan'),  # planted (4, 2, 2, 1)
     (16, 1e3, 1, 'auto'): ('InconsistentRanksError', 'sum rule sum(beta(l)) = 10 != gamma = 1'),  # planted (10,)
@@ -309,8 +317,8 @@ GOLDEN = {
     (24, 1e3, 1, 'weyr'): ((7, 5, 2, 1, 1), 'nan', 'nan'),  # planted (7, 5, 2, 1, 1)
     (36, 1e1, 0, 'auto'): ((2,), 'nan', 'nan'),  # planted (2,)
     (36, 1e1, 0, 'weyr'): ((2,), 'nan', 'nan'),  # planted (2,)
-    (36, 1e1, 1, 'auto'): ((13, 6, 6, 3, 2, 1), '0x1.4c010eb42b745p+1', '0x1.4c010eb42b748p+1'),  # planted (13, 6, 6, 3, 2, 1)
-    (36, 1e1, 1, 'weyr'): ((13, 6, 6, 3, 2, 1), '0x1.4c010eb42b745p+1', '0x1.4c010eb42b748p+1'),  # planted (13, 6, 6, 3, 2, 1)
+    (36, 1e1, 1, 'auto'): ((13, 6, 6, 3, 2, 1), 'nan', 'nan'),  # planted (13, 6, 6, 3, 2, 1)
+    (36, 1e1, 1, 'weyr'): ((13, 6, 6, 3, 2, 1), 'nan', 'nan'),  # planted (13, 6, 6, 3, 2, 1)
     (36, 1e3, 0, 'auto'): ((2, 1, 1, 1), 'nan', 'nan'),  # planted (2, 1, 1, 1)
     (36, 1e3, 0, 'weyr'): ((2, 1, 1, 1), 'nan', 'nan'),  # planted (2, 1, 1, 1)
     (36, 1e3, 1, 'auto'): ((17, 9, 4, 2, 1), 'nan', 'nan'),  # planted (17, 9, 4, 2, 1)
@@ -330,6 +338,7 @@ def test_golden_fingerprint(key):
         got = (type(exc).__name__, str(exc))
     else:
         got = (r.partials, r.eta.hex(), r.xi.hex())
+        assert math.isnan(r.eta) == (r.method == "weyr")
     assert got == GOLDEN[key]
 
 

@@ -8,7 +8,8 @@ import pytest
 import fepkit.cli
 from fepkit.classify import OracleDisagreementError, PartialMultiplicityFunction
 from fepkit.cli import dumps_canonical, main, parse_angle, parse_k
-from fepkit.models import bloch_matrix, model_from_id
+from fepkit.models import HingeGeometry, bloch_matrix, model_from_id
+from fepkit.probes import hinge_report
 from fepkit.scan import min_abs_energy
 
 PI = math.pi
@@ -282,8 +283,10 @@ class TestHingeVerb:
         # the physical rank-2 claim is a 20x20 statement (acceptance gate);
         # at this size only schema consistency is asserted
         assert doc["gram_rank"] in (1, 2, 3, 4)
-        assert len(doc["low_set"]) == 4
-        assert len(doc["eigenvalues"]) == 256
+        assert "low_set" not in doc and "eigenvalues" not in doc
+        rep = hinge_report(model_from_id("hodsm:nh3", eps=0.5), HingeGeometry(8, 8, kz=0.0))
+        got = [complex(e["re"], e["im"]) for e in doc["low_energies"]]
+        assert np.array_equal(got, rep.low_energies)
         for i in range(4):
             csv_path = tmp_path / f"hinge_state{i}.csv"
             lines = csv_path.read_text().splitlines()
@@ -330,8 +333,20 @@ class TestProbeVerb:
                 ("--model", "lieb:hermitian", "--kind", "decay", "--nx", "10", "--ny", "34"),
                 "hodsm model",
             ),
+            (
+                ("--model", "hodsm:nh3", "--eps", "0.5", "--kind", "lineshape", "--k", "0,0"),
+                "hodsm models need --k kx,ky,kz",
+            ),
+            (("--model", "lieb:hermitian", "--kind", "splitting", "--k", "pi"), "lieb models need --k kx,ky"),
         ],
-        ids=["decay-without-geometry", "lieb-lineshape-without-k", "lieb-atomistic", "lieb-decay"],
+        ids=[
+            "decay-without-geometry",
+            "lieb-lineshape-without-k",
+            "lieb-atomistic",
+            "lieb-decay",
+            "hodsm-lineshape-short-k",
+            "lieb-splitting-short-k",
+        ],
     )
     def test_input_errors_exit_2(self, capsys, argv, needs):
         code, out, err = run(capsys, "probe", *argv)
