@@ -402,7 +402,9 @@ def _cmd_probe(args) -> int:
         doc["report"].pop("timestamp")
     elif kind in SYMMETRY_KINDS:
         geom = None
-        if args.nx and args.ny:
+        if (args.nx is None) != (args.ny is None):
+            raise ValueError(f"the {kind} probe needs both --nx and --ny, or neither")
+        if args.nx is not None:
             geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
         res = symmetry_check(model, kind, geom, policy)
         doc.update(

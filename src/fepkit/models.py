@@ -333,12 +333,20 @@ class HingeGeometry:
     kz: float = 0.0
 
     def __post_init__(self):
+        for name, size in (("nx", self.nx), ("ny", self.ny)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be at least 1")
 
     @property
     def sites(self) -> int:
         return 4 * self.nx * self.ny
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Cell indices as an nx x ny grid: ``cells[x - 1, y - 1] == cell_index(self, x, y)``."""
+        return np.arange(self.nx * self.ny).reshape(self.nx, self.ny)
 
 
 def cell_index(geom: HingeGeometry, x: int, y: int) -> int:
@@ -371,20 +379,29 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
     ``(t + s/2 cos kz) * M + h_eps``; neighboring cells couple through the
     fixed blocks s_x, s_y and their adjoints.  Non-Hermiticity enters only
     through the intracell addition, so variant 0 is exactly Hermitian.  The
-    matrix is assembled from Kronecker products of open-chain shifts with the
-    4x4 blocks, x outermost so that rows follow ``cell_index``.
+    nonzero entries of each 4x4 block are placed at the cell pairs it couples
+    on the ``geom.cells`` grid, so rows follow ``cell_index``.
     """
     tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
     h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
     sx, sy = _intercell_blocks(spec.s)
-
-    def cells(x_factor, y_factor, block: np.ndarray) -> sp.csc_matrix:
-        # an explicit format keeps scipy from storing whole dense 4x4 blocks
-        return sp.kron(sp.kron(x_factor, y_factor), block, format="csc")
-
-    ix, iy = sp.identity(geom.nx), sp.identity(geom.ny)
-    hop = cells(sp.eye(geom.nx, k=1), iy, sx) + cells(ix, sp.eye(geom.ny, k=1), sy)
-    return sp.csc_matrix(cells(ix, iy, h0) + hop + hop.conj().T, dtype=complex)
+    cell = 4 * geom.cells
+    rows, cols, data = [], [], []
+    for row_cells, col_cells, block in (
+        (cell, cell, h0),
+        (cell[:-1], cell[1:], sx),
+        (cell[:, :-1], cell[:, 1:], sy),
+        (cell[1:], cell[:-1], sx.conj().T),
+        (cell[:, 1:], cell[:, :-1], sy.conj().T),
+    ):
+        i, j = np.nonzero(block)
+        rows.append((row_cells.reshape(-1, 1) + i).ravel())
+        cols.append((col_cells.reshape(-1, 1) + j).ravel())
+        data.append(np.tile(block[i, j], row_cells.size))
+    # adding zero stores each signed zero part as +0.0, as sparse sums do
+    data = np.concatenate(data) + 0.0
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    return sp.csc_matrix((data, ij), shape=(geom.sites, geom.sites), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +414,10 @@ def _corner_permutation(geom: HingeGeometry) -> np.ndarray:
         raise ValueError("antidiagonal reflection needs nx == ny")
     n = geom.sites
     perm = np.zeros((n, n), dtype=complex)
-    site_map = {0: 1, 1: 0, 2: 2, 3: 3}  # A <-> B, C and D fixed
-    for x in range(1, geom.nx + 1):
-        for y in range(1, geom.ny + 1):
-            c = cell_index(geom, x, y)
-            c2 = cell_index(geom, geom.nx + 1 - y, geom.ny + 1 - x)
-            for site, site2 in site_map.items():
-                perm[4 * c2 + site2, 4 * c + site] = 1.0
+    cell = geom.cells
+    partner = cell[::-1, ::-1].T  # cell (x, y) goes to (nx + 1 - y, ny + 1 - x)
+    site, site2 = np.arange(4), np.array([1, 0, 2, 3])  # A <-> B, C and D fixed
+    perm[4 * partner.reshape(-1, 1) + site2, 4 * cell.reshape(-1, 1) + site] = 1.0
     return perm
 
 

@@ -34,7 +34,6 @@ from .models import (
     HodsmSpec,
     LiebSpec,
     bloch_matrix,
-    cell_index,
     hinge_hamiltonian,
     symmetry_operator,
 )
@@ -502,25 +501,21 @@ def decay_rate_fit(
 
     site = _CORNER_SITE[corner]
     cx, cy = _corner_cell(geom, corner)
-    corner_index = 4 * cell_index(geom, cx, cy) + site
+    # the cells along the axis, walking inward from the corner
+    line = geom.cells[:, cy - 1] if axis == "x" else geom.cells[cx - 1, :]
+    if (cx if axis == "x" else cy) != 1:
+        line = line[::-1]
     u = u / np.linalg.norm(u, axis=0, keepdims=True)
-    weights = np.abs(u[corner_index, :])
+    weights = np.abs(u[4 * line[0] + site, :])
     best = int(np.argmax(weights))
     state = u[:, best]
     if weights[best] ** 2 < 1e-3:
         raise ValueError(f"no hinge state localized at corner {corner}")
 
-    # amplitude on the corner's sublattice, walking inward from the corner
-    steps = range(length)
-    profile = np.empty(length)
-    for d in steps:
-        if axis == "x":
-            x = cx + d if cx == 1 else cx - d
-            y = cy
-        else:
-            x = cx
-            y = cy + d if cy == 1 else cy - d
-        profile[d] = abs(state[4 * cell_index(geom, x, y) + site])
+    # amplitude on the corner's sublattice
+    amplitude = state[4 * line + site]
+    # hypot rounds as the scalar abs does; numpy's vectorized complex abs does not
+    profile = np.hypot(amplitude.real, amplitude.imag)
 
     # avoid the corner cell itself and the far half where other corners leak in
     start, stop = 2, max(6, length // 2 - 2)

@@ -355,6 +355,33 @@ class TestProbeVerb:
         assert "internal error" not in err
 
 
+class TestSymmetryProbeGeometry:
+    """Symmetry kinds build a geometry exactly when both --nx and --ny are given."""
+
+    @pytest.mark.parametrize(
+        "argv,needs",
+        [
+            (("--kind", "kramers", "--nx", "0", "--ny", "4"), "nx and ny must be at least 1"),
+            (("--kind", "kramers", "--nx", "4", "--ny", "0"), "nx and ny must be at least 1"),
+            (("--kind", "chiral", "--nx", "5"), "needs both --nx and --ny"),
+            (("--kind", "sum-rule-ba", "--ny", "5"), "needs both --nx and --ny"),
+            (("--kind", "kramers"), "needs an open-system geometry"),
+        ],
+        ids=["zero-nx", "zero-ny", "chiral-nx-only", "sum-rule-ny-only", "kramers-no-geometry"],
+    )
+    def test_input_errors_exit_2(self, capsys, argv, needs):
+        code, out, err = run(capsys, "probe", "--model", "hodsm:nh2", "--eps", "0.5", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and needs in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("extra", [(), ("--nx", "3", "--ny", "3")])
+    def test_bloch_kind_runs_with_or_without_geometry(self, capsys, extra):
+        code, out, err = run(capsys, "probe", "--kind", "chiral", "--model", "hodsm:nh2", "--eps", "0.5", *extra)
+        assert code == 0, err
+        assert json.loads(out)["passed"] is True
+
+
 def test_selftest_fast_runs(capsys):
     code, out, _ = run(capsys, "selftest", "--fast")
     assert code == 0

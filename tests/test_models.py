@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fepkit import models
 from fepkit.models import (
     HingeGeometry,
     HodsmSpec,
@@ -19,6 +23,7 @@ from fepkit.models import (
     model_from_id,
     symmetry_operator,
 )
+from fepkit.selftest import FIGURE_EPS
 
 PI = math.pi
 
@@ -272,6 +277,111 @@ class TestHingeHamiltonian:
         assert h.shape == (60, 60)
         with pytest.raises(ValueError):
             HingeGeometry(0, 3)
+
+
+def kron_reference(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
+    """The open-boundary Hamiltonian as sums of Kronecker products of open-chain shifts."""
+    tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
+    h0 = tz * models._INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
+    sx, sy = models._intercell_blocks(spec.s)
+
+    def cells(x_factor, y_factor, block):
+        return sp.kron(sp.kron(x_factor, y_factor), block, format="csc")
+
+    ix, iy = sp.identity(geom.nx), sp.identity(geom.ny)
+    hop = cells(sp.eye(geom.nx, k=1), iy, sx) + cells(ix, sp.eye(geom.ny, k=1), sy)
+    return sp.csc_matrix(cells(ix, iy, h0) + hop + hop.conj().T, dtype=complex)
+
+
+def assert_same_csc(got, want):
+    """Same type, format and arrays, signed zeros included."""
+    assert type(got) is type(want) and got.format == want.format == "csc"
+    assert got.shape == want.shape
+    assert got.has_canonical_format and want.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestGridAssembly:
+    """The index-grid assembly stores exactly what the Kronecker sums store."""
+
+    GEOMS = [(1, 1), (1, 4), (4, 1), (2, 3), (10, 34), (34, 10)]
+
+    @pytest.mark.parametrize("nx,ny", GEOMS)
+    @pytest.mark.parametrize("variant", range(5))
+    def test_matches_kronecker_sums(self, variant, nx, ny):
+        for kz, t, s, eps in ((0.6, -1.0, 0.8, 0.35), (2.0, 0.3, -1.2, -0.5)):
+            spec = HodsmSpec(variant, t=t, s=s, epsilon=eps)
+            geom = HingeGeometry(nx, ny, kz=kz)
+            assert_same_csc(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
+
+    @pytest.mark.parametrize("nx,ny", GEOMS)
+    @pytest.mark.parametrize("variant", range(5))
+    def test_matches_at_atomistic_point(self, variant, nx, ny):
+        # t = -s/2 at kz = 0 zeroes every intracell coupling but h_eps
+        spec = HodsmSpec(variant, t=-0.5, s=1.0, epsilon=FIGURE_EPS[variant])
+        geom = HingeGeometry(nx, ny, kz=0.0)
+        h = hinge_hamiltonian(spec, geom)
+        assert_same_csc(h, kron_reference(spec, geom))
+        assert np.all(h.data != 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.floats(-math.pi, math.pi),
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0).filter(lambda s: s != 0),
+        st.floats(-1.0, 1.0),
+    )
+    def test_matches_kronecker_sums_property(self, variant, nx, ny, kz, t, s, eps):
+        spec = HodsmSpec(variant, t=t, s=s, epsilon=eps)
+        geom = HingeGeometry(nx, ny, kz=kz)
+        assert_same_csc(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
+
+    def test_cells_grid_follows_cell_index(self):
+        geom = HingeGeometry(3, 5)
+        want = [[cell_index(geom, x, y) for y in range(1, 6)] for x in range(1, 4)]
+        assert np.array_equal(geom.cells, want)
+
+    @pytest.mark.parametrize(
+        "nx,ny",
+        [(2.5, 3), (3, 2.0), (True, 3), (3, np.bool_(True)), ("3", 3), (None, 3)],
+        ids=["float-nx", "float-ny", "bool-nx", "numpy-bool-ny", "str-nx", "none-nx"],
+    )
+    def test_rejects_non_integer_sizes(self, nx, ny):
+        with pytest.raises(ValueError, match="must be an integer") as info:
+            HingeGeometry(nx, ny)
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_accepts_numpy_integers(self):
+        geom = HingeGeometry(np.int64(2), np.int32(3))
+        assert hinge_hamiltonian(HodsmSpec(0), geom).shape == (24, 24)
+
+
+def loop_corner_permutation(geom: HingeGeometry) -> np.ndarray:
+    """The reflection permutation filled site by site through ``cell_index``."""
+    n = geom.sites
+    perm = np.zeros((n, n), dtype=complex)
+    site_map = {0: 1, 1: 0, 2: 2, 3: 3}
+    for x in range(1, geom.nx + 1):
+        for y in range(1, geom.ny + 1):
+            c = cell_index(geom, x, y)
+            c2 = cell_index(geom, geom.nx + 1 - y, geom.ny + 1 - x)
+            for site, site2 in site_map.items():
+                perm[4 * c2 + site2, 4 * c + site] = 1.0
+    return perm
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+def test_corner_permutation_matches_loop_form(size):
+    geom = HingeGeometry(size, size, kz=0.3)
+    got = models._corner_permutation(geom)
+    want = loop_corner_permutation(geom)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestSymmetryOperators:

@@ -339,6 +339,46 @@ class TestDecayFourStates:
         assert abs(w[chosen]) <= low8[3] * (1 + 1e-9)
 
 
+def loop_form_fit(spec, geom, corner, axis, u) -> probes.DecayFit:
+    """``decay_rate_fit`` on given states, walking the profile one ``cell_index`` at a time."""
+    site = probes._CORNER_SITE[corner]
+    cx, cy = probes._corner_cell(geom, corner)
+    u = u / np.linalg.norm(u, axis=0, keepdims=True)
+    state = u[:, int(np.argmax(np.abs(u[4 * cell_index(geom, cx, cy) + site, :])))]
+    length = geom.nx if axis == "x" else geom.ny
+    profile = np.empty(length)
+    for d in range(length):
+        if axis == "x":
+            x, y = (cx + d if cx == 1 else cx - d), cy
+        else:
+            x, y = cx, (cy + d if cy == 1 else cy - d)
+        profile[d] = abs(state[4 * cell_index(geom, x, y) + site])
+    start, stop = 2, max(6, length // 2 - 2)
+    slope, _, r2 = probes._log_fit(np.arange(start, stop, dtype=float), profile[start:stop])
+    return probes.DecayFit(
+        ratio=float(np.exp(slope)), r_squared=r2, corner=corner, axis=axis, cells=(start, stop)
+    )
+
+
+@pytest.mark.parametrize(
+    "name,corner,axis",
+    [("v0", "A", "y"), ("v0", "A", "x"), ("v0", "B", "y"), ("v0", "B", "x"), ("v1", "B", "y"), ("v1", "B", "x")],
+)
+def test_decay_fit_matches_loop_form(name, corner, axis, monkeypatch):
+    """The criterion-10 fits equal, bit for bit, the profile walked cell by cell."""
+    spec, geom = TestDecayFourStates.SPECS[name], TestDecayFourStates.GEOMS[axis]
+    low_states = probes._low_states
+    solved = []
+
+    def recording(h, k):
+        solved.append(low_states(h, k))
+        return solved[-1]
+
+    monkeypatch.setattr(probes, "_low_states", recording)
+    fit = decay_rate_fit(spec, geom, corner, axis)
+    assert fit == loop_form_fit(spec, geom, corner, axis, solved[0][1])
+
+
 def test_symmetry_kinds_exported():
     assert set(SYMMETRY_KINDS) >= {
         "chiral",
