@@ -408,28 +408,29 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
 # Symmetry operators
 
 
-def _corner_permutation(geom: HingeGeometry) -> np.ndarray:
+def _corner_permutation(geom: HingeGeometry) -> sp.csr_matrix:
     """Antidiagonal lattice reflection combined with the A <-> B site swap."""
     if geom.nx != geom.ny:
         raise ValueError("antidiagonal reflection needs nx == ny")
-    n = geom.sites
-    perm = np.zeros((n, n), dtype=complex)
     cell = geom.cells
     partner = cell[::-1, ::-1].T  # cell (x, y) goes to (nx + 1 - y, ny + 1 - x)
     site, site2 = np.arange(4), np.array([1, 0, 2, 3])  # A <-> B, C and D fixed
-    perm[4 * partner.reshape(-1, 1) + site2, 4 * cell.reshape(-1, 1) + site] = 1.0
-    return perm
+    rows = (4 * partner.reshape(-1, 1) + site2).ravel()
+    cols = (4 * cell.reshape(-1, 1) + site).ravel()
+    ones = np.ones(geom.sites, dtype=complex)
+    return sp.csr_matrix((ones, (rows, cols)), shape=(geom.sites, geom.sites))
 
 
-def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> np.ndarray:
+def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> np.ndarray | sp.csr_matrix:
     """The representation matrix of a catalog symmetry.
 
     ``chiral-lieb`` and ``chiral-dsm`` are the Bloch-cell involutions that
     anticommute with the respective Bloch matrices; ``rotation-c4`` is the
     fourfold rotation of the quadrupole cell (squaring to -1 on the pi-flux
-    lattice); ``generalized-reflection`` is the antidiagonal reflection
-    combined with a sign flip on the C sublattice, acts on the full open
-    system and needs a geometry.
+    lattice).  These three are dense complex arrays.
+    ``generalized-reflection`` is the antidiagonal reflection combined with a
+    sign flip on the C sublattice; it acts on the full open system, needs a
+    geometry and is returned as a sparse complex CSR signed permutation.
     """
     if kind == "chiral-lieb":
         return np.diag([1.0, -1.0, 1.0]).astype(complex)
@@ -443,9 +444,9 @@ def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> np.ndarra
     if geom is None:
         raise ValueError(f"symmetry kind {kind!r} needs an open-system geometry")
     if kind == "generalized-reflection":
-        gauge = np.ones(geom.sites)
-        gauge[2::4] = -1.0  # the C sublattice
-        return np.diag(gauge).astype(complex) @ _corner_permutation(geom)
+        r_op = _corner_permutation(geom)
+        r_op.data[r_op.indices % 4 == 2] = -1.0  # the C sublattice, which maps to itself
+        return r_op
     raise ValueError(f"unknown symmetry kind {kind!r}")
 
 

@@ -315,6 +315,25 @@ class TestProbeVerb:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize(
+        "kind,witness",
+        [
+            ("transposition", "entry (0, 2)"),
+            ("sum-rule-ba", "(H^2) block entry (4, 0)"),
+            ("reflection", ""),
+            ("sum-rule-cd", ""),
+        ],
+    )
+    def test_symmetry_witness_prints_plain_numbers(self, capsys, kind, witness):
+        code, out, err = run(
+            capsys, "probe", "--kind", kind, "--model", "hodsm:nh4",
+            "--eps", "0.35", "--nx", "4", "--ny", "4",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["witness"] == witness
+        assert (doc["max_violation"] == 0) == (witness == "")
+
     def test_atomistic_probe(self, capsys):
         code, out, _ = run(
             capsys, "probe", "--kind", "atomistic", "--model", "hodsm:nh2",

@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fepkit import probes
 from fepkit.models import (
     HingeGeometry,
     HodsmSpec,
     LiebSpec,
+    bloch_matrix,
     cell_index,
     hinge_hamiltonian,
     hodsm_bloch,
     lieb_bloch,
+    symmetry_operator,
 )
 from fepkit.probes import (
     SYMMETRY_KINDS,
+    SymmetryCheckResult,
     atomistic_classify,
     decay_rate_fit,
     hinge_report,
@@ -23,6 +27,7 @@ from fepkit.probes import (
     symmetry_check,
 )
 from fepkit.selftest import FIGURE_EPS
+from test_models import loop_corner_permutation
 
 PI = math.pi
 
@@ -230,12 +235,121 @@ class TestSymmetryTable:
         assert np.max(np.abs(np.linalg.eigvalsh(h.real) - np.linalg.eigvalsh(h))) > 1e-3
 
     def test_unknown_kind(self, policy):
-        with pytest.raises(ValueError):
-            symmetry_check(HodsmSpec(0), "mirror", HingeGeometry(4, 4), policy)
+        # the kind is checked before the geometry and the lattice family
+        for spec, geom in [
+            (HodsmSpec(0), HingeGeometry(4, 4)),
+            (HodsmSpec(0), None),
+            (HodsmSpec(0), HingeGeometry(3, 4)),
+            (LiebSpec("hermitian"), HingeGeometry(4, 4)),
+        ]:
+            with pytest.raises(ValueError, match="unknown symmetry kind"):
+                symmetry_check(spec, "mirror", geom, policy)
 
     def test_open_kind_requires_geometry(self, policy):
         with pytest.raises(ValueError):
             symmetry_check(HodsmSpec(0), "reflection", None, policy)
+
+
+def dense_open_check(spec, kind, geom):
+    """An open-system identity on the dense matrix: dense reflection operator, dense H @ H.
+
+    Returns (passed, max_violation, position of the first largest entry, scale).
+    """
+    h = hinge_hamiltonian(spec, geom).toarray()
+    scale = 1.0 + float(np.linalg.norm(h, np.inf))
+    if kind in ("sum-rule-ba", "sum-rule-cd"):
+        row, col = (1, 0) if kind == "sum-rule-ba" else (2, 3)
+        delta, bound = (h @ h)[row::4, col::4], 1e-10 * scale**2
+    else:
+        gauge = np.ones(geom.sites)
+        gauge[2::4] = -1.0  # the C sublattice
+        r_op = np.diag(gauge).astype(complex) @ loop_corner_permutation(geom)
+        moved = h if kind == "reflection" else h.T
+        delta, bound = r_op @ moved @ r_op.T - h, 1e-10 * scale
+    size = np.abs(delta)
+    at = np.unravel_index(np.argmax(size), size.shape)
+    worst = float(size[at])
+    return worst <= bound, worst, tuple(int(i) for i in at), scale
+
+
+def loop_bloch_check(spec, kind):
+    """A Bloch-level identity one sampled momentum at a time."""
+    rng = np.random.default_rng(probes.SYMMETRY_SEED)
+    worst, at, scale = 0.0, "", 1.0
+    if kind == "chiral":
+        x = symmetry_operator("chiral-lieb" if spec.dims == 2 else "chiral-dsm")
+        for _ in range(100):
+            k = rng.uniform(-PI, PI, size=spec.dims)
+            h = bloch_matrix(spec, k)
+            scale = max(scale, 1.0 + float(np.max(np.abs(h))))
+            v = float(np.max(np.abs(x @ h @ x + h)))
+            if v > worst:
+                worst, at = v, f"k = ({', '.join(f'{c:.4f}' for c in k)})"
+        return SymmetryCheckResult(kind, worst <= 1e-10 * scale, worst, at)
+    c4 = symmetry_operator("rotation-c4")
+    for _ in range(100):
+        kx, ky, kz = rng.uniform(-PI, PI, size=3)
+        lhs = c4 @ bloch_matrix(spec, (kx, ky, kz)) @ np.linalg.inv(c4)
+        v = float(np.max(np.abs(lhs - bloch_matrix(spec, (ky, -kx, kz)))))
+        if v > worst:
+            worst, at = v, f"k = ({kx:.4f}, {ky:.4f}, {kz:.4f})"
+    return SymmetryCheckResult(kind, worst <= 1e-10 * 10.0, worst, at)
+
+
+# the figure parameters of TestSymmetryTable and one off-default point per variant
+REFERENCE_SPECS = [HodsmSpec(v, epsilon=TestSymmetryTable.EPS[v]) for v in range(5)] + [
+    HodsmSpec(v, t=-0.5, s=1.3, epsilon=0.37) for v in range(5)
+]
+
+
+class TestSymmetryReference:
+    """The sparse and stacked checks against dense operators and per-momentum loops."""
+
+    @pytest.mark.parametrize("kind", ["reflection", "transposition", "sum-rule-ba", "sum-rule-cd"])
+    def test_open_kinds_match_dense_reference(self, kind, policy):
+        for cells in (1, 2, 5, 6):
+            for kz in (0.0, 0.3):
+                geom = HingeGeometry(cells, cells, kz)
+                for spec in REFERENCE_SPECS:
+                    res = symmetry_check(spec, kind, geom, policy)
+                    passed, worst, at, scale = dense_open_check(spec, kind, geom)
+                    case = f"{kind} {spec} {geom}: {res} vs {worst!r} at {at}"
+                    assert res.passed == passed, case
+                    if kind.startswith("sum-rule"):
+                        # sparse and dense products sum in different orders
+                        assert abs(res.max_violation - worst) <= 1e-15 * scale**2, case
+                    else:
+                        assert res.max_violation == worst, case
+                        assert res.witness == (f"entry {at}" if worst else ""), case
+
+    @pytest.mark.parametrize("kind", ["chiral", "rotation-c4"])
+    def test_bloch_kinds_match_loop_reference(self, kind, policy):
+        specs = REFERENCE_SPECS
+        if kind == "chiral":
+            specs = specs + [
+                LiebSpec("hermitian"),
+                LiebSpec("nh-symmetric", epsilon=0.6),
+                LiebSpec("minimal-fep", epsilon=1.1),
+                LiebSpec("reciprocal", phi=0.4, psi=1.9),
+            ]
+        for spec in specs:
+            assert symmetry_check(spec, kind, None, policy) == loop_bloch_check(spec, kind)
+
+    def test_open_identities_never_densify(self, monkeypatch, policy):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("sparse matrix made dense")
+
+        for fmt in ("csr", "csc", "coo", "bsr", "dia", "dok", "lil"):
+            for container in ("matrix", "array"):
+                cls = getattr(sp, f"{fmt}_{container}")
+                monkeypatch.setattr(cls, "toarray", refuse)
+                monkeypatch.setattr(cls, "todense", refuse)
+        spec = HodsmSpec(4, epsilon=TestSymmetryTable.EPS[4])
+        with pytest.raises(AssertionError, match="made dense"):  # the guard bites
+            symmetry_check(spec, "kramers", HingeGeometry(2, 2), policy)
+        geom = HingeGeometry(30, 30, 0.3)
+        for kind in ("reflection", "transposition", "sum-rule-ba", "sum-rule-cd"):
+            symmetry_check(spec, kind, geom, policy)
 
 
 class TestDecayFits:
