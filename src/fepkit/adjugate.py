@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matkit import TolerancePolicy, as_square_matrix, spectral_norm
+from .matkit import CK_REL, as_square_matrix, spectral_norm
 
 __all__ = [
     "ModeSequence",
@@ -101,18 +101,18 @@ class ModeSequence:
                 s = max(s, c ** (1.0 / (self.n - k)))
         return s
 
-    def mode_vanishes(self, k: int, ck_rel: float = 1e-9) -> bool:
+    def mode_vanishes(self, k: int) -> bool:
         """Scale-aware zero test for the mode B_k."""
         if k < 0:
             return True
-        bound = ck_rel * self.mode_scale ** (self.n - 1 - k)
+        bound = CK_REL * self.mode_scale ** (self.n - 1 - k)
         return self._mode_max[k] <= bound
 
-    def coeff_vanishes(self, k: int, ck_rel: float = 1e-9) -> bool:
+    def coeff_vanishes(self, k: int) -> bool:
         """Scale-aware zero test for the coefficient c_k (equivalently C_k)."""
         if k < 0 or k >= self.n:
             return False
-        bound = ck_rel * self.coeff_scale ** (self.n - k)
+        bound = CK_REL * self.coeff_scale ** (self.n - k)
         return abs(self.coeffs[k]) <= bound
 
 
@@ -189,35 +189,29 @@ class ResponseStrengths:
     ell: int
 
 
-def response_strengths(
-    modes: ModeSequence,
-    alpha: int,
-    ell: int,
-    policy: TolerancePolicy | None = None,
-) -> ResponseStrengths:
+def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStrengths:
     """Response strengths of a degeneracy with multiplicities (alpha, ell).
 
     The modes must have been computed with the shift at the degenerate
     eigenvalue; the vanishing pattern ``B_k = 0`` for ``k < alpha - ell`` is
     checked and inconsistent (alpha, ell) pairs are rejected.
     """
-    policy = policy or TolerancePolicy()
     n = modes.n
     if not (1 <= ell <= alpha <= n):
         raise ValueError(f"need 1 <= ell <= alpha <= {n}, got ell={ell} alpha={alpha}")
     c_alpha = modes.coeffs[alpha]
-    if alpha < n and modes.coeff_vanishes(alpha, policy.ck_rel):
+    if alpha < n and modes.coeff_vanishes(alpha):
         raise ValueError(
             f"|c_alpha| = {abs(c_alpha):.3e} is below threshold; "
             "alpha does not match the vanishing pattern of the coefficients"
         )
     for k in range(alpha - ell):
-        if not modes.mode_vanishes(k, policy.ck_rel):
+        if not modes.mode_vanishes(k):
             raise ValueError(
                 f"mode B_{k} does not vanish although k < alpha - ell = {alpha - ell}; "
                 "inconsistent (alpha, ell)"
             )
-    if modes.mode_vanishes(alpha - ell, policy.ck_rel):
+    if modes.mode_vanishes(alpha - ell):
         raise ValueError(
             f"leading mode B_{alpha - ell} vanishes; ell = {ell} overstates the "
             "maximal partial multiplicity"

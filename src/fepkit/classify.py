@@ -17,7 +17,7 @@ when they disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class DegeneracyReport:
         return degeneracy_label(self.alpha, self.gamma)
 
 
-def algebraic_multiplicity(modes: ModeSequence, policy: TolerancePolicy | None = None) -> int:
+def algebraic_multiplicity(modes: ModeSequence) -> int:
     """Largest alpha with C_k = tr(A B_k) vanishing for all k < alpha.
 
     Returns 0 when even c_0 is far from zero, i.e. the shift used for the
@@ -173,9 +173,8 @@ def algebraic_multiplicity(modes: ModeSequence, policy: TolerancePolicy | None =
     in A, so the vanishing test carries that power of the per-degree
     coefficient scale of the sequence.
     """
-    policy = policy or TolerancePolicy()
     for k in range(modes.n):
-        if not modes.coeff_vanishes(k, policy.ck_rel):
+        if not modes.coeff_vanishes(k):
             return k
     return modes.n
 
@@ -198,12 +197,11 @@ def partial_multiplicities(
     # A structurally-zero mode still carries noise with generic relative rank
     # structure, so the scale-aware vanishing test must run before the SVD.
     ranks = {
-        j: 0 if modes.mode_vanishes(j, policy.ck_rel) else numerical_rank(modes.mode(j), policy)
+        j: 0 if modes.mode_vanishes(j) else numerical_rank(modes.mode(j), policy)
         for j in range(alpha)
     }
     scale = 1.0 + modes.source_norm + abs(modes.shift)
-    floor_policy = replace(policy, rank_abs=max(policy.rank_abs or 0.0, 1e-12 * scale))
-    gamma = n - numerical_rank(modes.source(), floor_policy)
+    gamma = n - numerical_rank(modes.source(), policy, scale)
 
     beta: dict[int, int] = {}
     for l in range(1, alpha + 1):
@@ -245,8 +243,9 @@ def weyr_oracle(
     The matrix is normalized by ``scale``, so an input that vanishes at the
     problem scale is treated as the zero matrix rather than as its own noise;
     ``scale`` defaults to ``max(1, ||A||_2)``, appropriate for matrices in
-    O(1) model-energy units.  One cutoff, ``max(rank_rel * s_1, rank_abs,
-    1e-12)`` from the first level, serves every level.  With it the widths
+    O(1) model-energy units.  One cutoff, ``policy.rank_cutoff(s_1, 1)`` from
+    the first level, serves every level: in units of ``scale`` it is the
+    cutoff that ``numerical_rank(a, policy, scale)`` applies.  With it the widths
     cannot increase: ``V_1^H U_1`` preserves norms on a subspace of
     codimension at most ``w_l``, so a wider next level would need a unit x
     with ``||S_1 x|| <= cutoff < s_r``.  And each level drops only singular
@@ -265,8 +264,8 @@ def weyr_oracle(
     while b.size:
         u, s, vh = np.linalg.svd(b)
         if cutoff is None:
-            # normalized units: the floor 1e-12 means 1e-12 of the problem scale
-            cutoff = max(policy.rank_rel * s[0], policy.rank_abs or 0.0, 1e-12)
+            # normalized units: the problem scale is 1
+            cutoff = policy.rank_cutoff(s[0], 1.0)
         r = int(np.count_nonzero(s > cutoff))
         if r == s.size:
             break
@@ -319,7 +318,7 @@ def classify_point(
 
     if method == "modes":
         modes = flv_modes(m, energy)
-        alpha = algebraic_multiplicity(modes, policy)
+        alpha = algebraic_multiplicity(modes)
         if alpha == 0:
             raise NotAnEigenvalueError(
                 f"c_0 = {modes.coeffs[0]:.3e} does not vanish at E = {energy}"
@@ -328,7 +327,7 @@ def classify_point(
         oracle = weyr_oracle(a, policy, scale=problem_scale)
         if oracle != pmf:
             raise OracleDisagreementError(pmf, oracle)
-        strengths = response_strengths(modes, alpha, pmf.ell, policy)
+        strengths = response_strengths(modes, alpha, pmf.ell)
         eta, xi = strengths.eta, strengths.xi
     else:
         pmf = weyr_oracle(a, policy, scale=problem_scale)

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .classify import DegeneracyReport, OracleDisagreementError, classify_point
-from .matkit import TolerancePolicy
+from .matkit import CK_REL, TolerancePolicy
 from .models import (
     MODEL_IDS,
     HingeGeometry,
@@ -131,8 +131,7 @@ def _complex_json(z: complex) -> dict:
 def _policy_json(policy: TolerancePolicy) -> dict:
     return {
         "rank_rel": policy.rank_rel,
-        "rank_abs": policy.rank_abs,
-        "ck_rel": policy.ck_rel,
+        "ck_rel": CK_REL,
         "cluster_tol": policy.cluster_tol,
     }
 
@@ -164,12 +163,14 @@ def report_json(
 
 
 def _policy_from_args(args) -> TolerancePolicy:
+    """The tolerance flags a verb takes, else their environment variables, else the defaults."""
+    default = TolerancePolicy()
     rank_rel = args.rank_tol
     if rank_rel is None:
-        rank_rel = float(os.environ.get("FEPKIT_RANK_TOL", 1e-8))
-    cluster = args.cluster_tol
+        rank_rel = float(os.environ.get("FEPKIT_RANK_TOL", default.rank_rel))
+    cluster = getattr(args, "cluster_tol", default.cluster_tol)  # hinge takes no --cluster-tol
     if cluster is None:
-        cluster = float(os.environ.get("FEPKIT_CLUSTER_TOL", 1e-3))
+        cluster = float(os.environ.get("FEPKIT_CLUSTER_TOL", default.cluster_tol))
     return TolerancePolicy(rank_rel=rank_rel, cluster_tol=cluster)
 
 
@@ -185,7 +186,10 @@ def _model_params(args) -> dict:
 
 def _model_from_args(args):
     params = {k: v for k, v in _model_params(args).items() if v is not None}
-    return model_from_id(args.model, **params)
+    model = model_from_id(args.model, **params)
+    if isinstance(model, LiebSpec) and getattr(args, "kz", None) is not None:
+        raise ValueError("lieb models are two-dimensional and take no --kz")
+    return model
 
 
 def _model_k(args, model) -> tuple[float, ...] | None:
@@ -197,6 +201,8 @@ def _model_k(args, model) -> tuple[float, ...] | None:
         return k
     if not args.k:
         return None
+    if args.kz is not None:
+        raise ValueError("give --k kx,ky,kz or --kz, not both")
     k = parse_k(args.k)
     if len(k) != 3:
         raise ValueError("hodsm models need --k kx,ky,kz (or just --kz)")
@@ -424,7 +430,7 @@ def _cmd_probe(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
-    return selftest.run(fast=args.fast, stream=sys.stdout)
+    return selftest.run(stream=sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,26 +440,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, model_required=True):
-        p.add_argument("--model", required=model_required, choices=MODEL_IDS)
+    # flags that only some verbs read; each verb names the ones it takes
+    optional = {
+        "--k": dict(type=str, help="comma-separated momenta (pi fractions ok)"),
+        "--kz": dict(type=parse_angle),
+        "--rank-tol": dict(type=float),
+        "--cluster-tol": dict(type=float),
+    }
+
+    def verb(name, summary, *flags):
+        # no prefix matching: --k given to a verb without it must not become --kz
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--model", required=True, choices=MODEL_IDS)
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--t", type=float, default=None)
         p.add_argument("--s", type=float, default=None)
         p.add_argument("--phi", type=parse_angle, default=None)
         p.add_argument("--psi", type=parse_angle, default=None)
-        p.add_argument("--k", type=str, default=None, help="comma-separated momenta (pi fractions ok)")
-        p.add_argument("--kz", type=parse_angle, default=None)
-        p.add_argument("--rank-tol", type=float, default=None)
-        p.add_argument("--cluster-tol", type=float, default=None)
+        for flag in flags:
+            p.add_argument(flag, default=None, **optional[flag])
         p.add_argument("--out", type=str, default=None)
+        return p
 
-    p = sub.add_parser("classify", help="degeneracy report at one momentum")
-    common(p)
+    p = verb("classify", "degeneracy report at one momentum", *optional)
     p.add_argument("--energy", type=float, default=None)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("band", help="complex bands along a momentum path (CSV)")
-    common(p)
+    p = verb("band", "complex bands along a momentum path (CSV)", "--k")
     p.add_argument(
         "--path",
         required=True,
@@ -462,29 +475,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_band)
 
-    p = sub.add_parser("contour", help="min dispersive |E| on a 2D grid (CSV)")
-    common(p)
+    p = verb("contour", "min dispersive |E| on a 2D grid (CSV)", "--kz")
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(func=_cmd_contour)
 
-    p = sub.add_parser("scan", help="find and classify zone degeneracies (JSON)")
-    common(p)
+    p = verb("scan", "find and classify zone degeneracies (JSON)", "--rank-tol", "--cluster-tol")
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("ring", help="classify exceptional-ring samples (JSON)")
-    common(p)
+    p = verb("ring", "classify exceptional-ring samples (JSON)", "--rank-tol", "--cluster-tol")
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=_cmd_ring)
 
-    p = sub.add_parser("hinge", help="open-boundary hinge report (JSON + CSVs)")
-    common(p)
+    p = verb("hinge", "open-boundary hinge report (JSON + CSVs)", "--kz", "--rank-tol")
     p.add_argument("--nx", type=int, default=20)
     p.add_argument("--ny", type=int, default=20)
     p.set_defaults(func=_cmd_hinge)
 
-    p = sub.add_parser("probe", help="response/decay/symmetry probes (JSON)")
-    common(p)
+    p = verb("probe", "response/decay/symmetry probes (JSON)", *optional)
     p.add_argument(
         "--kind",
         required=True,
@@ -498,9 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument(
-        "--fast", action="store_true", help="skip the hinge and decay checks (criteria 9, 10)"
-    )
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CK_REL",
     "TolerancePolicy",
     "as_square_matrix",
     "numerical_rank",
@@ -31,56 +32,56 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
+# relative threshold of the trace/coefficient and mode vanishing tests; it is
+# scaled by ``ModeSequence.mode_scale`` / ``coeff_scale`` to the tested degree
+CK_REL = 1e-9
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Floating-point realization of conditions that are exact in theory.
 
     rank_rel
-        Relative singular-value cutoff for rank decisions.
-    rank_abs
-        Absolute singular-value floor.  ``None`` means the per-matrix
-        default ``1e-12 * ||A||_F``.
-    ck_rel
-        Relative threshold for trace/coefficient and mode vanishing tests;
-        scaled by ``ModeSequence.mode_scale`` / ``coeff_scale`` to the
-        tested degree, since the tested quantities are polynomials of known
-        degree in the matrix entries (both scales are calibrated from the
-        computed sequence and floored at one).
+        Relative singular-value cutoff for rank decisions.  Every rank
+        decision, on both classification routes, counts the singular values
+        above ``rank_cutoff``.
     cluster_tol
         Eigenvalue clustering radius in units of ``1 + ||H||_2``.  It sets
         the scan's energy cut, the degenerate cluster of the exponent probes
         and the Kramers check's pairs; ``classify_point`` does not use it.
+
+    The vanishing tests use the fixed threshold ``CK_REL``.
     """
 
     rank_rel: float = 1e-8
-    rank_abs: float | None = None
-    ck_rel: float = 1e-9
     cluster_tol: float = 1e-3
 
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError("rank_rel must lie in (0, 1)")
-        if self.rank_abs is not None and self.rank_abs <= 0.0:
-            raise ValueError("rank_abs must be positive when set")
-        if self.ck_rel <= 0.0 or self.cluster_tol <= 0.0:
-            raise ValueError("ck_rel and cluster_tol must be positive")
+        if self.cluster_tol <= 0.0:
+            raise ValueError("cluster_tol must be positive")
 
-    def rank_floor(self, a: np.ndarray) -> float:
-        if self.rank_abs is not None:
-            return self.rank_abs
-        return 1e-12 * float(np.linalg.norm(a, "fro"))
+    def rank_cutoff(self, s_max: float, scale: float) -> float:
+        """Singular values at or below ``max(rank_rel * s_max, 1e-12 * scale)`` are zero."""
+        return max(self.rank_rel * s_max, 1e-12 * scale)
 
     def cluster_radius(self, norm: float) -> float:
         return self.cluster_tol * (1.0 + norm)
 
 
-def numerical_rank(a, policy: TolerancePolicy | None = None) -> int:
-    """Number of singular values above ``max(rank_rel * s_max, rank_abs)``."""
+def numerical_rank(a, policy: TolerancePolicy | None = None, scale: float | None = None) -> int:
+    """Number of singular values above ``policy.rank_cutoff(s_max, scale)``.
+
+    ``scale`` is the problem scale of the absolute floor; it defaults to
+    ``||A||_F``.
+    """
     m = as_square_matrix(a)
     policy = policy or TolerancePolicy()
     s = np.linalg.svd(m, compute_uv=False)
-    cutoff = max(policy.rank_rel * (s[0] if s.size else 0.0), policy.rank_floor(m))
-    return int(np.count_nonzero(s > cutoff))
+    if scale is None:
+        scale = float(np.linalg.norm(m, "fro"))
+    return int(np.count_nonzero(s > policy.rank_cutoff(s[0], scale)))
 
 
 def spectral_norm(a) -> float:

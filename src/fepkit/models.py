@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .matkit import TolerancePolicy
+from .matkit import CK_REL
 
 __all__ = [
     "LiebSpec",
@@ -163,11 +163,6 @@ def lieb_bloch(spec: LiebSpec, k) -> np.ndarray:
     return h
 
 
-# relative vanishing threshold of the case decision: the default coefficient
-# threshold of the classifier, whose catalog entries the cases predict
-LIEB_CASE_REL = TolerancePolicy().ck_rel
-
-
 def lieb_case(p: complex, q: complex, r: complex, s: complex) -> tuple[str, bool]:
     """Case label of the symbol pattern plus the E = 0 degeneracy flag.
 
@@ -176,15 +171,16 @@ def lieb_case(p: complex, q: complex, r: complex, s: complex) -> tuple[str, bool
     CASE3: all four symbols vanish (the Hermitian-style triple point).
     The degeneracy flag marks PQ + RS = 0, i.e. algebraic multiplicity 3 of
     the zero eigenvalue; in CASE2/CASE3 it holds automatically.  Vanishing is
-    decided at ``LIEB_CASE_REL`` of the symbol scale (its square for PQ + RS).
+    decided at ``CK_REL`` of the symbol scale (its square for PQ + RS): the
+    classifier's vanishing threshold, whose catalog entries the cases predict.
     """
     scale = 1.0 + max(abs(p), abs(q), abs(r), abs(s))
-    tol = LIEB_CASE_REL * scale
+    tol = CK_REL * scale
 
     def zero(z: complex) -> bool:
         return abs(z) <= tol
 
-    degenerate = abs(p * q + r * s) <= LIEB_CASE_REL * scale**2
+    degenerate = abs(p * q + r * s) <= CK_REL * scale**2
     ps_gone = zero(p) and zero(s)
     qr_gone = zero(q) and zero(r)
     if not ps_gone and not qr_gone:

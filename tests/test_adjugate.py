@@ -163,40 +163,40 @@ def catalog_degeneracies():
 
 class TestModeStructure:
     @pytest.mark.parametrize("h,alpha,ell", catalog_degeneracies())
-    def test_mode_vanishing_pattern(self, h, alpha, ell, policy):
+    def test_mode_vanishing_pattern(self, h, alpha, ell):
         seq = flv_modes(h, 0.0)
         for k in range(alpha - ell):
-            assert seq.mode_vanishes(k, policy.ck_rel), f"B_{k} should vanish"
-        assert not seq.mode_vanishes(alpha - ell, policy.ck_rel)
+            assert seq.mode_vanishes(k), f"B_{k} should vanish"
+        assert not seq.mode_vanishes(alpha - ell)
 
     @pytest.mark.parametrize("h,alpha,ell", catalog_degeneracies())
     def test_rank_monotonicity(self, h, alpha, ell, policy):
         seq = flv_modes(h, 0.0)
         ranks = [
-            0 if seq.mode_vanishes(k, policy.ck_rel) else numerical_rank(seq.modes[k], policy)
+            0 if seq.mode_vanishes(k) else numerical_rank(seq.modes[k], policy)
             for k in range(alpha)
         ]
         assert all(ranks[k] <= ranks[k + 1] for k in range(alpha - 1))
 
 
 class TestResponseStrengths:
-    def test_canonical_jordan_block(self, policy):
+    def test_canonical_jordan_block(self):
         seq = flv_modes(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
-        rs = response_strengths(seq, alpha=2, ell=2, policy=policy)
+        rs = response_strengths(seq, alpha=2, ell=2)
         assert rs.eta == pytest.approx(1.0)
         assert rs.xi == pytest.approx(1.0)
 
-    def test_two_entry_nilpotent_fep(self, policy):
+    def test_two_entry_nilpotent_fep(self):
         eps = 0.5
         seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=eps), (0, 0, PI / 2)), 0.0)
-        rs = response_strengths(seq, alpha=4, ell=2, policy=policy)
+        rs = response_strengths(seq, alpha=4, ell=2)
         assert rs.eta == pytest.approx(eps * math.sqrt(2), abs=1e-12)
         assert rs.xi == pytest.approx(eps, abs=1e-12)
 
-    def test_scaling_covariance(self, policy):
+    def test_scaling_covariance(self):
         h = np.array([[0.0, 0.7], [0.0, 0.0]], dtype=complex)
-        a = response_strengths(flv_modes(h, 0.0), 2, 2, policy)
-        b = response_strengths(flv_modes(2 * h, 0.0), 2, 2, policy)
+        a = response_strengths(flv_modes(h, 0.0), 2, 2)
+        b = response_strengths(flv_modes(2 * h, 0.0), 2, 2)
         # eta, xi ~ ||B_0|| / |c_2| rescale together under H -> 2H
         assert b.eta / a.eta == pytest.approx(2.0, rel=1e-12)
         assert b.xi / a.xi == pytest.approx(2.0, rel=1e-12)
@@ -205,29 +205,29 @@ class TestResponseStrengths:
     def test_norm_inequalities(self, policy):
         for h, alpha, ell in catalog_degeneracies():
             seq = flv_modes(h, 0.0)
-            rs = response_strengths(seq, alpha, ell, policy)
+            rs = response_strengths(seq, alpha, ell)
             lead = seq.mode(alpha - ell)
             r = numerical_rank(lead, policy)
             assert rs.xi <= rs.eta * (1 + 1e-12)
             assert rs.eta <= math.sqrt(r) * rs.xi * (1 + 1e-12)
 
-    def test_rejects_inconsistent_ell(self, policy):
+    def test_rejects_inconsistent_ell(self):
         # (2,2) FEP of the third variant: alpha = 4, ell = 2, B_1 = B_0 = 0
         seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2)), 0.0)
         with pytest.raises(ValueError, match="c_alpha"):
-            response_strengths(seq, alpha=2, ell=2, policy=policy)  # c_2 vanishes
+            response_strengths(seq, alpha=2, ell=2)  # c_2 vanishes
         with pytest.raises(ValueError, match="overstates"):
-            response_strengths(seq, alpha=4, ell=4, policy=policy)  # B_0 vanishes
+            response_strengths(seq, alpha=4, ell=4)  # B_0 vanishes
         # claiming ell = 1 requires B_2 = 0, but B_2 is the leading mode
         with pytest.raises(ValueError, match="does not vanish"):
-            response_strengths(seq, alpha=4, ell=1, policy=policy)
+            response_strengths(seq, alpha=4, ell=1)
 
-    def test_rejects_out_of_range(self, policy):
+    def test_rejects_out_of_range(self):
         seq = flv_modes(np.diag([1.0, 2.0]), 1.0)
         with pytest.raises(ValueError):
-            response_strengths(seq, alpha=0, ell=1, policy=policy)
+            response_strengths(seq, alpha=0, ell=1)
         with pytest.raises(ValueError):
-            response_strengths(seq, alpha=1, ell=2, policy=policy)
+            response_strengths(seq, alpha=1, ell=2)
 
     def test_eta_equals_xi_for_rank_one_via_classify(self, policy):
         r = classify_point(

@@ -18,6 +18,7 @@ from fepkit.classify import (
     partial_multiplicities,
     weyr_oracle,
 )
+from fepkit.matkit import TolerancePolicy, numerical_rank
 from fepkit.models import HodsmSpec, LiebSpec, arccot, hodsm_bloch, lieb_bloch
 from fepkit.selftest import jordan_blocks, planted_jordan, random_partition
 
@@ -25,21 +26,21 @@ PI = math.pi
 
 
 class TestAlgebraicMultiplicity:
-    def test_simple_eigenvalue(self, policy):
+    def test_simple_eigenvalue(self):
         seq = flv_modes(np.diag([1.0, 2.0, 3.0]), 1.0)
-        assert algebraic_multiplicity(seq, policy) == 1
+        assert algebraic_multiplicity(seq) == 1
 
-    def test_minimal_fep_point(self, policy):
+    def test_minimal_fep_point(self):
         h = lieb_bloch(LiebSpec("minimal-fep", epsilon=0.8), (PI, PI))
-        assert algebraic_multiplicity(flv_modes(h, 0.0), policy) == 3
+        assert algebraic_multiplicity(flv_modes(h, 0.0)) == 3
 
-    def test_dp_of_first_variant(self, policy):
+    def test_dp_of_first_variant(self):
         h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 2))
-        assert algebraic_multiplicity(flv_modes(h, 0.0), policy) == 2
+        assert algebraic_multiplicity(flv_modes(h, 0.0)) == 2
 
-    def test_zero_when_not_an_eigenvalue(self, policy):
+    def test_zero_when_not_an_eigenvalue(self):
         seq = flv_modes(np.diag([1.0, 2.0]), 0.5)
-        assert algebraic_multiplicity(seq, policy) == 0
+        assert algebraic_multiplicity(seq) == 0
 
 
 class TestPartialMultiplicities:
@@ -136,15 +137,13 @@ class TestOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(partitions(), st.integers(0, 2**31 - 1))
     def test_unitary_plants(self, part, seed):
-        from fepkit.matkit import TolerancePolicy
-
         policy = TolerancePolicy()
         n, sizes = part
         rng = np.random.default_rng(seed)
         want = PartialMultiplicityFunction.from_partials(sizes)
         a = planted_jordan(rng, n, sizes)
         modes = flv_modes(a, 0.0)
-        alpha = algebraic_multiplicity(modes, policy)
+        alpha = algebraic_multiplicity(modes)
         assert alpha == want.alpha
         assert partial_multiplicities(modes, alpha, policy) == want
         assert weyr_oracle(a, policy) == want
@@ -158,7 +157,7 @@ class TestOracleEquivalence:
             cond = float(np.exp(rng.uniform(0.0, math.log(100.0))))
             a = planted_jordan(rng, n, sizes, cond=cond)
             modes = flv_modes(a, 0.0)
-            alpha = algebraic_multiplicity(modes, policy)
+            alpha = algebraic_multiplicity(modes)
             assert alpha == want.alpha, f"sizes {sizes} cond {cond:.1f}"
             assert partial_multiplicities(modes, alpha, policy) == want
             assert weyr_oracle(a, policy) == want
@@ -272,6 +271,19 @@ class TestWeyrScale:
         assert weyr_oracle(jordan_blocks([3, 1]), policy, scale=2.0).beta == {3: 1, 1: 1}
         with pytest.raises(AssertionError):
             weyr_oracle(jordan_blocks([3, 1]), policy)
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("rank_rel", [1e-8, 1e-4])
+    @pytest.mark.parametrize("s_max", [1.0, 1e-6])
+    def test_one_cutoff_serves_both_routes(self, sigma, rank_rel, s_max):
+        # singular values a relative 1e-6 either side of the one cutoff; at
+        # s_max = 1e-6 and rank_rel = 1e-8 the floor 1e-12 * sigma decides it
+        policy = TolerancePolicy(rank_rel=rank_rel)
+        c = policy.rank_cutoff(s_max, sigma)
+        a = np.diag([s_max, c * (1 + 1e-6), c * (1 - 1e-6), c * (1 + 1e-6), c * (1 - 1e-6), 0.0])
+        gamma = 6 - numerical_rank(a, policy, sigma)
+        assert gamma == 3
+        assert weyr_oracle(a, policy, sigma).gamma == gamma
 
 
 # Outcomes of classify_point on planted Jordan forms, pinned bit for bit so

@@ -401,8 +401,63 @@ class TestSymmetryProbeGeometry:
         assert json.loads(out)["passed"] is True
 
 
-def test_selftest_fast_runs(capsys):
-    code, out, _ = run(capsys, "selftest", "--fast")
+def test_selftest_runs_every_criterion(capsys):
+    code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert out.count("PASS") == 8
-    assert out.count("SKIP") == 2
+    lines = out.splitlines()
+    assert len(lines) == 10 and all(line.startswith("PASS criterion") for line in lines)
+
+
+class TestUnreadFlags:
+    """Each verb accepts only the flags it reads."""
+
+    BASE = {
+        "band": ("--model", "hodsm:nh2", "--eps", "0.7", "--path", "kx=-pi:pi:2"),
+        "contour": ("--model", "lieb:reciprocal", "--grid", "4"),
+        "scan": ("--model", "lieb:hermitian", "--grid", "4"),
+        "ring": ("--model", "lieb:reciprocal"),
+        "hinge": ("--model", "hodsm:h", "--nx", "3", "--ny", "3"),
+    }
+    VALUE = {"--k": "0,0", "--kz": "0.5", "--rank-tol": "1e-6", "--cluster-tol": "1e-2"}
+
+    @pytest.mark.parametrize(
+        "verb,flag",
+        [
+            ("band", "--kz"),
+            ("band", "--rank-tol"),
+            ("band", "--cluster-tol"),
+            ("contour", "--k"),
+            ("contour", "--rank-tol"),
+            ("contour", "--cluster-tol"),
+            ("scan", "--k"),
+            ("scan", "--kz"),
+            ("ring", "--k"),
+            ("ring", "--kz"),
+            ("hinge", "--k"),
+            ("hinge", "--cluster-tol"),
+        ],
+    )
+    def test_unread_flag_exits_2(self, capsys, verb, flag):
+        code, out, err = run(capsys, verb, *self.BASE[verb], flag, self.VALUE[flag])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err and flag in err
+
+    @pytest.mark.parametrize(
+        "argv,needs",
+        [
+            (("classify", "--model", "lieb:hermitian", "--k", "pi,pi", "--kz", "0.3"), "no --kz"),
+            (
+                ("probe", "--kind", "lineshape", "--model", "lieb:minimal-fep", "--eps", "1",
+                 "--k", "pi,pi", "--kz", "0.3"),
+                "no --kz",
+            ),
+            (("classify", "--model", "hodsm:h", "--k", "0,0,pi/2", "--kz", "0.3"), "not both"),
+            (("contour", "--model", "lieb:reciprocal", "--grid", "4", "--kz", "0.3"), "no --kz"),
+        ],
+        ids=["classify-lieb", "probe-lieb", "classify-k-and-kz", "contour-lieb"],
+    )
+    def test_unused_kz_exits_2(self, capsys, argv, needs):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and needs in err
+        assert "internal error" not in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,9 +58,19 @@ class TestNumericalRank:
             got = numerical_rank(a, policy)
             assert got == r
             s = np.linalg.svd(a, compute_uv=False)
-            cutoff = max(policy.rank_rel * s[0], policy.rank_floor(a))
+            cutoff = policy.rank_cutoff(s[0], np.linalg.norm(a, "fro"))
             null_dim = int(np.count_nonzero(s <= cutoff))
             assert got + null_dim == n
+
+    def test_default_floor_tracks_frobenius(self):
+        # the floor 1e-12 * ||A||_F wins over rank_rel * s_max here
+        policy = TolerancePolicy(rank_rel=1e-14)
+        assert policy.rank_cutoff(3.0, 6.0) == pytest.approx(1e-12 * 6.0)
+        floor = 1e-12 * np.sqrt(27.0)  # ||diag(3, 3, 3, x)||_F for tiny x
+        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 0.98 * floor]), policy) == 3
+        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 1.02 * floor]), policy) == 4
+        # an explicit problem scale replaces ||A||_F
+        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 0.98 * floor]), policy, scale=1.0) == 4
 
 
 class TestSpectralNorm:
@@ -95,8 +107,8 @@ class TestTolerancePolicy:
         [
             {"rank_rel": 0.0},
             {"rank_rel": 1.5},
-            {"rank_abs": -1.0},
-            {"ck_rel": 0.0},
+            {"rank_rel": 1.0},
+            {"cluster_tol": 0.0},
             {"cluster_tol": -0.1},
         ],
     )
@@ -104,7 +116,7 @@ class TestTolerancePolicy:
         with pytest.raises(ValueError):
             TolerancePolicy(**kwargs)
 
-    def test_rank_floor_default_tracks_frobenius(self):
-        a = 3.0 * np.eye(4)
-        assert TolerancePolicy().rank_floor(a) == pytest.approx(1e-12 * 6.0)
-        assert TolerancePolicy(rank_abs=1e-5).rank_floor(a) == 1e-5
+    def test_only_rank_rel_and_cluster_tol_are_settable(self):
+        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["rank_rel", "cluster_tol"]
+        with pytest.raises(TypeError):
+            TolerancePolicy(rank_abs=1e-6)
