@@ -183,9 +183,13 @@ def partial_multiplicities(
     modes: ModeSequence,
     alpha: int,
     policy: TolerancePolicy | None = None,
+    scale: float | None = None,
 ) -> PartialMultiplicityFunction:
     """Resolve beta(l) from the ranks of the modes B_{alpha-l-2 .. alpha-l}.
 
+    ``scale`` is the problem scale of the rank floor on A = H - E;
+    ``classify_point`` passes the one its Weyr oracle divides by,
+    ``1 + ||H||_2 + |E|``, and it defaults to ``1 + ||A||_2 + |E|``.
     The sum rules sum(beta) = gamma (with gamma = N - rank(A)) and
     sum(l beta) = alpha must come out exactly; a violation raises
     InconsistentRanksError rather than being silently repaired.
@@ -200,7 +204,8 @@ def partial_multiplicities(
         j: 0 if modes.mode_vanishes(j) else numerical_rank(modes.mode(j), policy)
         for j in range(alpha)
     }
-    scale = 1.0 + modes.source_norm + abs(modes.shift)
+    if scale is None:
+        scale = 1.0 + modes.source_norm + abs(modes.shift)
     gamma = n - numerical_rank(modes.source(), policy, scale)
 
     beta: dict[int, int] = {}
@@ -323,7 +328,7 @@ def classify_point(
             raise NotAnEigenvalueError(
                 f"c_0 = {modes.coeffs[0]:.3e} does not vanish at E = {energy}"
             )
-        pmf = partial_multiplicities(modes, alpha, policy)
+        pmf = partial_multiplicities(modes, alpha, policy, scale=problem_scale)
         oracle = weyr_oracle(a, policy, scale=problem_scale)
         if oracle != pmf:
             raise OracleDisagreementError(pmf, oracle)

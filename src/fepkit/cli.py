@@ -168,7 +168,8 @@ def _policy_from_args(args) -> TolerancePolicy:
     rank_rel = args.rank_tol
     if rank_rel is None:
         rank_rel = float(os.environ.get("FEPKIT_RANK_TOL", default.rank_rel))
-    cluster = getattr(args, "cluster_tol", default.cluster_tol)  # hinge takes no --cluster-tol
+    # ring and hinge read only rank_rel, so they take no --cluster-tol
+    cluster = getattr(args, "cluster_tol", default.cluster_tol)
     if cluster is None:
         cluster = float(os.environ.get("FEPKIT_CLUSTER_TOL", default.cluster_tol))
     return TolerancePolicy(rank_rel=rank_rel, cluster_tol=cluster)
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(func=_cmd_scan)
 
-    p = verb("ring", "classify exceptional-ring samples (JSON)", "--rank-tol", "--cluster-tol")
+    p = verb("ring", "classify exceptional-ring samples (JSON)", "--rank-tol")
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=_cmd_ring)
 

@@ -285,6 +285,16 @@ class TestWeyrScale:
         assert gamma == 3
         assert weyr_oracle(a, policy, sigma).gamma == gamma
 
+    @pytest.mark.parametrize("energy", [10.0, -10.0, 100.0])
+    def test_classify_point_gives_both_routes_one_scale(self, energy):
+        # A = J_2(1e-3) + x: x sits above the floor at 1 + ||A||_2 + |E| and
+        # below it at 1 + ||H||_2 + |E|, the scale the Weyr route divides by
+        x = 1.5e-12 * (1 + abs(energy))
+        a = np.array([[0, 1e-3, 0], [0, 0, 0], [0, 0, x]])
+        h = energy * np.eye(3) + a
+        for method in ("modes", "weyr"):
+            assert classify_point(h, energy, method=method).partials == (2, 1)
+
 
 # Outcomes of classify_point on planted Jordan forms, pinned bit for bit so
 # that a speedup cannot move a fingerprint, eta or xi, or an error message

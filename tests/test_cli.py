@@ -433,6 +433,7 @@ class TestUnreadFlags:
             ("scan", "--kz"),
             ("ring", "--k"),
             ("ring", "--kz"),
+            ("ring", "--cluster-tol"),
             ("hinge", "--k"),
             ("hinge", "--cluster-tol"),
         ],
