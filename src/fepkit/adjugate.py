@@ -11,12 +11,12 @@ degenerate eigenvalue carry its complete multiplicity structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .matkit import CK_REL, as_square_matrix, spectral_norm
+from .matkit import CK_REL, as_square_matrix, singular_values, spectral_norm
 
 __all__ = [
     "ModeSequence",
@@ -41,13 +41,16 @@ class ResonanceError(ValueError):
 class ModeSequence:
     """Modes ``B_0 .. B_{N-1}`` and coefficients ``c_0 .. c_N`` at one shift.
 
+    ``shifted`` is ``A = H - shift * I`` as the recursion received it.
     Sequences compare by identity: array fields have no single truth value.
     """
 
     shift: complex
     modes: tuple[np.ndarray, ...]
     coeffs: np.ndarray
-    source_norm: float
+    shifted: np.ndarray
+    # singular values of the modes (key None: of the source) computed so far
+    _sigma: dict[int | None, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -60,7 +63,11 @@ class ModeSequence:
         return self.modes[k]
 
     def source(self) -> np.ndarray:
-        """Reconstruct ``A = H - shift * I`` from the stored modes."""
+        """Reconstruct ``A = H - shift * I`` from the stored modes.
+
+        The rank of A is read from this reconstruction, which may differ from
+        ``shifted`` in the last bits.
+        """
         if self.n == 1:
             # B_0 = I and A = -c_0 * I for a 1x1 system
             return -self.coeffs[0] * self.modes[0]
@@ -71,8 +78,25 @@ class ModeSequence:
     # of A badly overestimates that magnitude for non-normal input (||A^m||
     # can grow far slower than ||A||^m), so the scale is calibrated from the
     # computed sequence itself and floored at one (O(1) model-energy units).
-    # The sequence is immutable, so each scale and each mode's largest entry
-    # is computed once, on first use, and every later test reads the stored value.
+    # The sequence is immutable, so each scale, each mode's largest entry and
+    # singular values, and ||A||_2 are computed once, on first use, and every
+    # later test reads the stored value.
+
+    @cached_property
+    def source_norm(self) -> float:
+        """``||A||_2`` of the shifted matrix."""
+        return spectral_norm(self.shifted)
+
+    def singular_values(self, ks) -> list[np.ndarray]:
+        """Singular values of ``B_k`` for each k in ``ks``; ``None`` stands for ``source()``.
+
+        The ones not known yet come from one stacked values-only SVD and are kept.
+        """
+        new = [k for k in ks if k not in self._sigma]
+        if new:
+            mats = [self.source() if k is None else self.modes[k] for k in new]
+            self._sigma.update(zip(new, singular_values(mats)))
+        return [self._sigma[k] for k in ks]
 
     @cached_property
     def _mode_max(self) -> list[float]:
@@ -150,7 +174,7 @@ def flv_modes(h, shift: complex = 0.0) -> ModeSequence:
         shift=complex(shift),
         modes=tuple(modes),
         coeffs=coeffs,
-        source_norm=spectral_norm(a),
+        shifted=a,
     )
 
 
@@ -218,5 +242,5 @@ def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStr
         )
     lead = modes.mode(alpha - ell)
     eta = float(np.linalg.norm(lead, "fro")) / abs(c_alpha)
-    xi = spectral_norm(lead) / abs(c_alpha)
+    xi = float(modes.singular_values([alpha - ell])[0][0]) / abs(c_alpha)
     return ResponseStrengths(eta=eta, xi=xi, ell=ell)

@@ -13,6 +13,7 @@ numerically.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -353,10 +354,38 @@ def _cmd_hinge(args) -> int:
     return 0
 
 
+# the optional flags each probe kind reads; any other one exits 2.  Every
+# symmetry kind checks a geometry it is given, but only the open-system kinds
+# build their Hamiltonian on it and so read --kz.
+_GEOMETRY = ("--nx", "--ny")
+_OPEN = _GEOMETRY + ("--kz",)
+_FIT = ("--k", "--kz", "--energy", "--rank-tol", "--cluster-tol")
+PROBE_FLAGS = {
+    "lineshape": _FIT,
+    "splitting": _FIT,
+    "decay": _OPEN + ("--corner", "--axis"),
+    "atomistic": ("--rank-tol",),
+    "chiral": _GEOMETRY,
+    "rotation-c4": _GEOMETRY,
+    "kramers": _OPEN + ("--cluster-tol",),
+    "sum-rule-ba": _OPEN,
+    "sum-rule-cd": _OPEN,
+    "reflection": _OPEN,
+    "transposition": _OPEN,
+}
+
+
 def _cmd_probe(args) -> int:
+    kind = args.kind
+    unread = [
+        flag
+        for flag in dict.fromkeys(itertools.chain(*PROBE_FLAGS.values()))
+        if flag not in PROBE_FLAGS[kind] and getattr(args, flag[2:].replace("-", "_")) is not None
+    ]
+    if unread:
+        raise ValueError(f"the {kind} probe does not read {', '.join(unread)}")
     policy = _policy_from_args(args)
     model = _model_from_args(args)
-    kind = args.kind
     doc: dict = {
         "kind": kind,
         "model": _model_json(args.model, _model_params(args)),
@@ -391,7 +420,7 @@ def _cmd_probe(args) -> int:
         if args.nx is None or args.ny is None:
             raise ValueError("the decay probe needs --nx and --ny")
         geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
-        fit = decay_rate_fit(model, geom, args.corner, args.axis)
+        fit = decay_rate_fit(model, geom, args.corner or "B", args.axis or "y")
         doc.update(
             {
                 "corner": fit.corner,
@@ -434,7 +463,9 @@ def _cmd_selftest(args) -> int:
     return selftest.run(stream=sys.stdout)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fepkit",
         description="classify non-Hermitian degeneracies of lattice models",
@@ -463,9 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         return p
 
-    p = verb("classify", "degeneracy report at one momentum", *optional)
+    p = verb("classify", "degeneracy report at one momentum", "--k", "--kz", "--rank-tol")
     p.add_argument("--energy", type=float, default=None)
-    p.set_defaults(func=_cmd_classify)
+    # no --cluster-tol, which classify_point does not read; the report's policy
+    # block still echoes FEPKIT_CLUSTER_TOL
+    p.set_defaults(func=_cmd_classify, cluster_tol=None)
 
     p = verb("band", "complex bands along a momentum path (CSV)", "--k")
     p.add_argument(
@@ -493,15 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=20)
     p.set_defaults(func=_cmd_hinge)
 
+    # one parser for every kind; _cmd_probe refuses the flags a kind does not read
     p = verb("probe", "response/decay/symmetry probes (JSON)", *optional)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("lineshape", "splitting", "decay", "atomistic") + SYMMETRY_KINDS,
-    )
+    p.add_argument("--kind", required=True, choices=tuple(PROBE_FLAGS))
     p.add_argument("--energy", type=float, default=None)
-    p.add_argument("--corner", choices=("A", "B", "C", "D"), default="B")
-    p.add_argument("--axis", choices=("x", "y"), default="y")
+    p.add_argument("--corner", choices=("A", "B", "C", "D"), default=None)
+    p.add_argument("--axis", choices=("x", "y"), default=None)
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.set_defaults(func=_cmd_probe)

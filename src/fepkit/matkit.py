@@ -16,6 +16,7 @@ __all__ = [
     "TolerancePolicy",
     "as_square_matrix",
     "numerical_rank",
+    "singular_values",
     "spectral_norm",
 ]
 
@@ -66,8 +67,22 @@ class TolerancePolicy:
         """Singular values at or below ``max(rank_rel * s_max, 1e-12 * scale)`` are zero."""
         return max(self.rank_rel * s_max, 1e-12 * scale)
 
+    def rank(self, s: np.ndarray, scale: float) -> int:
+        """Number of the singular values ``s`` (descending) above ``rank_cutoff(s[0], scale)``."""
+        return int(np.count_nonzero(s > self.rank_cutoff(s[0], scale)))
+
     def cluster_radius(self, norm: float) -> float:
         return self.cluster_tol * (1.0 + norm)
+
+
+def singular_values(mats) -> np.ndarray:
+    """Singular values of equally sized square matrices, one descending row each.
+
+    One values-only SVD of the stack: NumPy runs the same LAPACK call on each
+    matrix, so a row is bitwise what an SVD of its matrix alone gives, and
+    the stack pays the per-call overhead once.
+    """
+    return np.linalg.svd(np.stack(mats), compute_uv=False)
 
 
 def numerical_rank(a, policy: TolerancePolicy | None = None, scale: float | None = None) -> int:
@@ -78,14 +93,12 @@ def numerical_rank(a, policy: TolerancePolicy | None = None, scale: float | None
     """
     m = as_square_matrix(a)
     policy = policy or TolerancePolicy()
-    s = np.linalg.svd(m, compute_uv=False)
     if scale is None:
         scale = float(np.linalg.norm(m, "fro"))
-    return int(np.count_nonzero(s > policy.rank_cutoff(s[0], scale)))
+    return policy.rank(singular_values([m])[0], scale)
 
 
 def spectral_norm(a) -> float:
     """Largest singular value; zero iff the matrix is zero."""
     m = as_square_matrix(a)
     return float(np.linalg.svd(m, compute_uv=False)[0])
-

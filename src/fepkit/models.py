@@ -23,8 +23,10 @@ of strength epsilon each, tabulated once as Pauli increments and shared by
 the Bloch matrix and the open-boundary blocks.
 
 The symbols and Bloch constructors broadcast over momenta: ``k`` is one
-point or an array of shape ``(dims, ...)`` such as a meshgrid, and the
-results carry the trailing shape (Bloch matrices as ``(..., n, n)`` stacks).
+point, an array of shape ``(dims, ...)`` such as a meshgrid, or one array per
+axis that broadcast together such as a sparse meshgrid.  The Bloch matrices
+carry the broadcast shape as ``(..., n, n)`` stacks; each symbol keeps the
+shape of the momenta it reads.
 
 The open-boundary (hinge) Hamiltonian keeps x and y finite with kz a good
 momentum; unit cells are indexed row-major in (x, y) with site order
@@ -158,7 +160,7 @@ def lieb_pqrs(spec: LiebSpec, k) -> tuple:
 def lieb_bloch(spec: LiebSpec, k) -> np.ndarray:
     """3x3 Bloch matrices of the requested variant (zero diagonal, chain pattern)."""
     p, q, r, s = lieb_pqrs(spec, k)
-    h = np.zeros(np.shape(p) + (3, 3), dtype=complex)
+    h = np.zeros(np.broadcast_shapes(*map(np.shape, (p, q, r, s))) + (3, 3), dtype=complex)
     h[..., 0, 1], h[..., 1, 0], h[..., 1, 2], h[..., 2, 1] = p, q, r, s
     return h
 
@@ -233,24 +235,29 @@ _EPS_PAULI = np.array(
 )
 
 
-def hodsm_pauli_coeffs(spec: HodsmSpec, k) -> tuple[np.ndarray, np.ndarray]:
+def hodsm_pauli_coeffs(spec: HodsmSpec, k) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Pauli expansion coefficients (q_0..q_3, r_0..r_3) of the Bloch blocks.
 
-    Both arrays have shape ``(4,) + k.shape[1:]`` for momenta k = (kx, ky, kz).
+    Returns two 4-tuples.  For momenta k = (kx, ky, kz) each coefficient has
+    the broadcast shape of the momenta it reads: q_0 and r_0 of (kx, kz), q_1
+    and r_1 of ky, q_2 and r_2 of (ky, kz), q_3 and r_3 of kx.  So a dense
+    stack gives its trailing shape, a sparse meshgrid gives no coefficient
+    the full grid (their products broadcast to it), and one point gives NumPy
+    scalars: scalar arithmetic rounds differently from arrays', and the
+    refined momenta depend on the scalar detector in the last bits.
     """
     kx, ky, kz = k
     t, s = spec.t, spec.s
     tz = t + 0.5 * s * np.cos(kz)
-    # filled row by row and shifted in place: a zone grid holds only q and r
-    q = np.empty((4,) + np.shape(tz), dtype=complex)
-    q[0] = tz + s * np.cos(kx)
-    q[1] = 1j * s * np.sin(ky)
-    q[2] = 1j * (tz + s * np.cos(ky))
-    q[3] = 1j * s * np.sin(kx)
-    dq, dr = _EPS_PAULI[spec.variant].reshape(2, 4, *(1,) * np.ndim(tz))
-    r = q.conj()
-    r += spec.epsilon * dr
-    q += spec.epsilon * dq
+    base = (
+        tz + s * np.cos(kx),
+        1j * s * np.sin(ky),
+        1j * (tz + s * np.cos(ky)),
+        1j * s * np.sin(kx),
+    )
+    dq, dr = spec.epsilon * _EPS_PAULI[spec.variant]
+    q = tuple(b + d for b, d in zip(base, dq))
+    r = tuple(np.conj(b) + d for b, d in zip(base, dr))
     return q, r
 
 

@@ -92,7 +92,7 @@ def canonical_k(k) -> tuple[float, ...]:
 
 def _model_scale(model) -> float:
     pts = np.linspace(-math.pi, math.pi, 7, endpoint=False)
-    h = bloch_matrix(model, np.meshgrid(*(pts,) * model.dims, indexing="ij"))
+    h = bloch_matrix(model, np.meshgrid(*(pts,) * model.dims, indexing="ij", sparse=True))
     norms = np.linalg.svd(h.reshape(-1, *h.shape[-2:]), compute_uv=False)[:, 0]
     return 1.0 + float(norms.max())
 
@@ -230,7 +230,8 @@ def bz_scan(
     scale = _model_scale(model)
 
     axes = [np.linspace(-math.pi, math.pi, resolution, endpoint=False)] * dims
-    vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij")))
+    # each symbol is evaluated on the axes it reads; the detector spans the grid
+    vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij", sparse=True)))
     is_min = np.ones(vals.shape, dtype=bool)
     for axis in range(dims):
         for shift in (1, -1):

@@ -211,6 +211,19 @@ class TestResponseStrengths:
             assert rs.xi <= rs.eta * (1 + 1e-12)
             assert rs.eta <= math.sqrt(r) * rs.xi * (1 + 1e-12)
 
+    def test_xi_is_bitwise_the_lead_spectral_norm(self, rng):
+        # xi is read from the stacked singular-value pass, standalone and
+        # after classify_point's rank pass alike
+        cases = catalog_degeneracies()
+        for sizes in ([3, 1], [2, 2, 1], [4], [2, 1, 1, 1]):
+            h = planted_jordan(rng, sum(sizes) + 2, sizes, 10.0)
+            cases.append((h, sum(sizes), max(sizes)))
+        for h, alpha, ell in cases:
+            seq = flv_modes(h, 0.0)
+            want = spectral_norm(seq.mode(alpha - ell)) / abs(seq.coeffs[alpha])
+            assert response_strengths(seq, alpha, ell).xi == want
+            assert classify_point(h, 0.0).xi == want
+
     def test_rejects_inconsistent_ell(self):
         # (2,2) FEP of the third variant: alpha = 4, ell = 2, B_1 = B_0 = 0
         seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2)), 0.0)

@@ -18,7 +18,7 @@ from fepkit.classify import (
     partial_multiplicities,
     weyr_oracle,
 )
-from fepkit.matkit import TolerancePolicy, numerical_rank
+from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
 from fepkit.models import HodsmSpec, LiebSpec, arccot, hodsm_bloch, lieb_bloch
 from fepkit.selftest import jordan_blocks, planted_jordan, random_partition
 
@@ -294,6 +294,33 @@ class TestWeyrScale:
         h = energy * np.eye(3) + a
         for method in ("modes", "weyr"):
             assert classify_point(h, energy, method=method).partials == (2, 1)
+
+
+class TestSingularValuePasses:
+    def test_modal_route_takes_one_stacked_pass(self, policy, monkeypatch, rng):
+        """||H||_2, one stacked pass for the mode ranks, gamma and xi, and the Weyr levels."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cases = [(lieb_bloch(LiebSpec("minimal-fep", epsilon=1.0), (PI, PI)), 0.0)]
+        cases.append((hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2)), 0.0))
+        for sizes in ([1], [2, 1], [3, 1, 1], [2, 2, 2]):
+            n = sum(sizes) + 1
+            cases.append((planted_jordan(rng, n, sizes, 10.0) + 0.5 * np.eye(n), 0.5))
+        for h, energy in cases:
+            scale = 1.0 + spectral_norm(h) + abs(energy)
+            calls.clear()
+            weyr_oracle(h - energy * np.eye(len(h)), policy, scale)
+            levels = len(calls)
+            calls.clear()
+            classify_point(h, energy, policy, method="modes")
+            assert len(calls) == 2 + levels
+            assert calls.count(3) == 1  # the one stacked call
 
 
 # Outcomes of classify_point on planted Jordan forms, pinned bit for bit so

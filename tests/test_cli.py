@@ -1,15 +1,19 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fepkit.cli
 from fepkit.classify import OracleDisagreementError, PartialMultiplicityFunction
-from fepkit.cli import dumps_canonical, main, parse_angle, parse_k
+from fepkit.cli import PROBE_FLAGS, dumps_canonical, main, parse_angle, parse_k
 from fepkit.models import HingeGeometry, bloch_matrix, model_from_id
-from fepkit.probes import hinge_report
+from fepkit.probes import SYMMETRY_KINDS, hinge_report
 from fepkit.scan import min_abs_energy
 
 PI = math.pi
@@ -412,6 +416,7 @@ class TestUnreadFlags:
     """Each verb accepts only the flags it reads."""
 
     BASE = {
+        "classify": ("--model", "lieb:hermitian", "--k", "pi,pi"),
         "band": ("--model", "hodsm:nh2", "--eps", "0.7", "--path", "kx=-pi:pi:2"),
         "contour": ("--model", "lieb:reciprocal", "--grid", "4"),
         "scan": ("--model", "lieb:hermitian", "--grid", "4"),
@@ -423,6 +428,7 @@ class TestUnreadFlags:
     @pytest.mark.parametrize(
         "verb,flag",
         [
+            ("classify", "--cluster-tol"),
             ("band", "--kz"),
             ("band", "--rank-tol"),
             ("band", "--cluster-tol"),
@@ -462,3 +468,66 @@ class TestUnreadFlags:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and needs in err
         assert "internal error" not in err
+
+
+PROBE_VALUE = {
+    "--k": "0,0,0", "--kz": "0.5", "--energy": "0", "--rank-tol": "1e-6",
+    "--cluster-tol": "1e-2", "--nx": "3", "--ny": "3", "--corner": "A", "--axis": "x",
+}
+
+
+def untimed(text: str) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', "", text)
+
+
+class TestProbeFlags:
+    """Each probe kind accepts only the flags in its row of ``PROBE_FLAGS``."""
+
+    def test_table_covers_every_kind_and_flag(self):
+        assert tuple(PROBE_FLAGS) == ("lineshape", "splitting", "decay", "atomistic") + SYMMETRY_KINDS
+        assert {f for flags in PROBE_FLAGS.values() for f in flags} == set(PROBE_VALUE)
+
+    @pytest.mark.parametrize(
+        "kind,flag",
+        [(kind, flag) for kind, reads in PROBE_FLAGS.items() for flag in PROBE_VALUE if flag not in reads],
+    )
+    def test_unread_flag_exits_2(self, capsys, kind, flag):
+        code, out, err = run(
+            capsys, "probe", "--kind", kind, "--model", "hodsm:nh2", "--eps", "0.5",
+            flag, PROBE_VALUE[flag],
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"fepkit: the {kind} probe does not read {flag}"]
+
+    def test_every_unread_flag_is_named(self, capsys):
+        code, out, err = run(
+            capsys, "probe", "--kind", "chiral", "--model", "hodsm:nh2", "--eps", "0.5",
+            "--k", "1,2,3", "--energy", "5", "--corner", "A",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["fepkit: the chiral probe does not read --k, --energy, --corner"]
+
+    def test_decay_defaults_to_corner_b_along_y(self, capsys):
+        argv = ("probe", "--kind", "decay", "--model", "hodsm:nh1", "--eps", "0.25",
+                "--nx", "10", "--ny", "34")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        code, explicit, _ = run(capsys, *argv, "--corner", "B", "--axis", "y")
+        assert code == 0
+        assert untimed(out) == untimed(explicit)
+        assert json.loads(out)["corner"] == "B" and json.loads(out)["axis"] == "y"
+
+
+def test_cached_parser_gives_fresh_process_bytes(capsys):
+    """The parser is built once per process; a usage error leaves it as built."""
+    argv = ["classify", "--model", "hodsm:nh2", "--eps", "0.5", "--kz", "pi/2"]
+    src = str(Path(fepkit.cli.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "fepkit.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert run(capsys, "classify", "--model", "hodsm:nh2", "--bogus", "1")[0] == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert fepkit.cli.build_parser() is fepkit.cli.build_parser()
+    assert untimed(out) == untimed(fresh.stdout)

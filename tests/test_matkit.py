@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fepkit.matkit import TolerancePolicy, as_square_matrix, numerical_rank, spectral_norm
+from fepkit.matkit import (
+    TolerancePolicy,
+    as_square_matrix,
+    numerical_rank,
+    singular_values,
+    spectral_norm,
+)
 
 
 def random_unitary(rng, n):
@@ -71,6 +77,15 @@ class TestNumericalRank:
         assert numerical_rank(np.diag([3.0, 3.0, 3.0, 1.02 * floor]), policy) == 4
         # an explicit problem scale replaces ||A||_F
         assert numerical_rank(np.diag([3.0, 3.0, 3.0, 0.98 * floor]), policy, scale=1.0) == 4
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 16])
+def test_stacked_singular_values_repeat_separate_svds(n):
+    rng = np.random.default_rng(n)
+    mats = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)]
+    mats.append(np.zeros((n, n), dtype=complex))
+    for m, row in zip(mats, singular_values(mats)):
+        assert row.tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
 
 
 class TestSpectralNorm:

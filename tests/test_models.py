@@ -17,6 +17,7 @@ from fepkit.models import (
     hodsm_bloch,
     hodsm_closed_dispersion,
     hodsm_h_eps,
+    hodsm_pauli_coeffs,
     lieb_bloch,
     lieb_case,
     lieb_pqrs,
@@ -158,6 +159,27 @@ class TestChiralAndReciprocity:
         spec = LiebSpec("minimal-fep", epsilon=1.0)
         k = (0.9, -0.3)
         assert not np.allclose(lieb_bloch(spec, k), lieb_bloch(spec, (-k[0], -k[1])).T)
+
+
+def test_bloch_on_sparse_grid_is_bitwise_dense(catalog_model):
+    axes = [np.linspace(-PI, PI, 7, endpoint=False)] * catalog_model.dims
+    dense = bloch_matrix(catalog_model, np.meshgrid(*axes, indexing="ij"))
+    sparse = bloch_matrix(catalog_model, np.meshgrid(*axes, indexing="ij", sparse=True))
+    assert sparse.shape == dense.shape and sparse.tobytes() == dense.tobytes()
+
+
+def test_pauli_coeffs_keep_the_shape_of_the_momenta_they_read():
+    k = np.meshgrid(np.arange(2.0), np.arange(3.0), np.arange(4.0), indexing="ij", sparse=True)
+    q, r = hodsm_pauli_coeffs(HodsmSpec(4, epsilon=0.3), k)
+    # q_0, r_0 of (kx, kz); q_1, r_1 of ky; q_2, r_2 of (ky, kz); q_3, r_3 of kx
+    want = [(2, 1, 4), (1, 3, 1), (1, 3, 4), (2, 1, 1)]
+    assert [c.shape for c in q] == want and [c.shape for c in r] == want
+
+
+def test_python_float_momenta_build_like_an_array_point():
+    spec = HodsmSpec(2, epsilon=0.5)
+    point = (0.3, -1.1, PI / 2)
+    assert hodsm_bloch(spec, point).tobytes() == hodsm_bloch(spec, np.array(point)).tobytes()
 
 
 class TestHodsmBloch:

@@ -43,6 +43,16 @@ class TestBroadcast:
             k = tuple(float(axis[i]) for axis, i in zip(axes, idx))
             assert abs(grid[idx] - _detector_complex(catalog_model, k)) <= tol
 
+    @pytest.mark.parametrize("resolution", [8, 48])
+    def test_detector_on_sparse_grid_is_bitwise_dense(self, catalog_model, resolution):
+        # bz_scan evaluates each symbol on the axes it reads; every detector
+        # value must be the one the dense meshgrid gives
+        axes = [np.linspace(-PI, PI, resolution, endpoint=False)] * catalog_model.dims
+        dense = _detector_complex(catalog_model, np.meshgrid(*axes, indexing="ij"))
+        sparse = _detector_complex(catalog_model, np.meshgrid(*axes, indexing="ij", sparse=True))
+        assert sparse.shape == dense.shape == (resolution,) * catalog_model.dims
+        assert np.array_equal(sparse, dense)
+
     def test_model_scale_is_largest_spectral_norm(self, catalog_model):
         pts = np.linspace(-PI, PI, 7, endpoint=False)
         norms = [
