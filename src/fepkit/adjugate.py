@@ -49,7 +49,7 @@ class ModeSequence:
     modes: tuple[np.ndarray, ...]
     coeffs: np.ndarray
     shifted: np.ndarray
-    # singular values of the modes (key None: of the source) computed so far
+    # singular values of the modes (key None: of A) computed so far
     _sigma: dict[int | None, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -61,17 +61,6 @@ class ModeSequence:
         if k < 0:
             return np.zeros_like(self.modes[0])
         return self.modes[k]
-
-    def source(self) -> np.ndarray:
-        """Reconstruct ``A = H - shift * I`` from the stored modes.
-
-        The rank of A is read from this reconstruction, which may differ from
-        ``shifted`` in the last bits.
-        """
-        if self.n == 1:
-            # B_0 = I and A = -c_0 * I for a 1x1 system
-            return -self.coeffs[0] * self.modes[0]
-        return self.modes[self.n - 2] - self.coeffs[self.n - 1] * np.eye(self.n)
 
     # B_k and c_k are polynomials of degree N-1-k and N-k in A, so vanishing
     # thresholds must carry that power of a per-degree magnitude.  The norm
@@ -88,13 +77,13 @@ class ModeSequence:
         return spectral_norm(self.shifted)
 
     def singular_values(self, ks) -> list[np.ndarray]:
-        """Singular values of ``B_k`` for each k in ``ks``; ``None`` stands for ``source()``.
+        """Singular values of ``B_k`` for each k in ``ks``; ``None`` stands for ``shifted``.
 
         The ones not known yet come from one stacked values-only SVD and are kept.
         """
         new = [k for k in ks if k not in self._sigma]
         if new:
-            mats = [self.source() if k is None else self.modes[k] for k in new]
+            mats = [self.shifted if k is None else self.modes[k] for k in new]
             self._sigma.update(zip(new, singular_values(mats)))
         return [self._sigma[k] for k in ks]
 
@@ -145,7 +134,8 @@ def flv_modes(h, shift: complex = 0.0) -> ModeSequence:
 
     Modes are always computed for the full index range: the recursion costs
     O(N^4) total, and only small model matrices ever take this path.
-    Dimensions above FLV_DIMENSION_GUARD are refused; classify those with
+    Dimensions above FLV_DIMENSION_GUARD, and input whose coefficients
+    overflow (c_k grows like ||A||**(N-k)), are refused; classify those with
     the staircase Weyr oracle (``classify_point(..., method="weyr")``).
     """
     m = as_square_matrix(h)
@@ -162,13 +152,20 @@ def flv_modes(h, shift: complex = 0.0) -> ModeSequence:
     coeffs[n] = 1.0
     b = np.eye(n, dtype=complex)
     modes[n - 1] = b
-    for k in range(n - 1, -1, -1):
-        ab = a @ b
-        c = -np.trace(ab) / (n - k)
-        coeffs[k] = c
-        if k > 0:
-            b = ab + c * eye
-            modes[k - 1] = b
+    # an overflow is diagnosed below, once, rather than warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1, -1, -1):
+            ab = a @ b
+            c = -np.trace(ab) / (n - k)
+            coeffs[k] = c
+            if k > 0:
+                b = ab + c * eye
+                modes[k - 1] = b
+    if not np.isfinite(coeffs).all():
+        raise ValueError(
+            "the Faddeev-LeVerrier coefficients overflowed; "
+            'classify with method="weyr"'
+        )
 
     return ModeSequence(
         shift=complex(shift),

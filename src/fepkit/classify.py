@@ -200,16 +200,16 @@ def partial_multiplicities(
         raise ValueError(f"alpha must lie in 1..{n}, got {alpha}")
     # A structurally-zero mode still carries noise with generic relative rank
     # structure, so the scale-aware vanishing test must run before the SVD.
-    # The live modes and the source share one stacked SVD; a mode's floor is
+    # The live modes and A share one stacked SVD; a mode's floor is
     # numerical_rank's default, its Frobenius norm.
     live = [j for j in range(alpha) if not modes.mode_vanishes(j)]
-    *mode_sv, source_sv = modes.singular_values([*live, None])
+    *mode_sv, a_sv = modes.singular_values([*live, None])
     ranks = dict.fromkeys(range(alpha), 0)
     for j, s in zip(live, mode_sv):
         ranks[j] = policy.rank(s, float(np.linalg.norm(modes.mode(j), "fro")))
     if scale is None:
         scale = 1.0 + modes.source_norm + abs(modes.shift)
-    gamma = n - policy.rank(source_sv, scale)
+    gamma = n - policy.rank(a_sv, scale)
 
     beta: dict[int, int] = {}
     for l in range(1, alpha + 1):

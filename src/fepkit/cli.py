@@ -35,7 +35,6 @@ from .models import (
     model_from_id,
 )
 from .probes import (
-    SYMMETRY_KINDS,
     atomistic_classify,
     decay_rate_fit,
     hinge_report,
@@ -130,17 +129,8 @@ def _complex_json(z: complex) -> dict:
 
 
 def _policy_json(policy: TolerancePolicy) -> dict:
-    return {
-        "rank_rel": policy.rank_rel,
-        "ck_rel": CK_REL,
-        "cluster_tol": policy.cluster_tol,
-    }
-
-
-def _model_json(model_id: str, params: dict) -> dict:
-    out: dict = {"id": model_id}
-    out.update({k: v for k, v in params.items() if v is not None})
-    return out
+    # the two thresholds a classification reads
+    return {"rank_rel": policy.rank_rel, "ck_rel": CK_REL}
 
 
 def report_json(
@@ -159,7 +149,6 @@ def report_json(
         "xi": report.xi,
         "policy": _policy_json(report.policy),
         "model": model,
-        "timestamp": _timestamp(),
     }
 
 
@@ -169,29 +158,24 @@ def _policy_from_args(args) -> TolerancePolicy:
     rank_rel = args.rank_tol
     if rank_rel is None:
         rank_rel = float(os.environ.get("FEPKIT_RANK_TOL", default.rank_rel))
-    # ring and hinge read only rank_rel, so they take no --cluster-tol
+    # only scan and probe read the clustering radius, so only they take --cluster-tol
     cluster = getattr(args, "cluster_tol", default.cluster_tol)
     if cluster is None:
         cluster = float(os.environ.get("FEPKIT_CLUSTER_TOL", default.cluster_tol))
     return TolerancePolicy(rank_rel=rank_rel, cluster_tol=cluster)
 
 
-def _model_params(args) -> dict:
-    return {
-        "eps": args.eps,
-        "t": args.t,
-        "s": args.s,
-        "phi": args.phi,
-        "psi": args.psi,
-    }
+# the model parameter flags every model verb takes, with their types
+_PARAMS = {"eps": float, "t": float, "s": float, "phi": parse_angle, "psi": parse_angle}
 
 
-def _model_from_args(args):
-    params = {k: v for k, v in _model_params(args).items() if v is not None}
+def _model(args) -> tuple[LiebSpec | HodsmSpec, dict]:
+    """The model the flags name, and its echo: the id and the parameters given."""
+    params = {k: getattr(args, k) for k in _PARAMS if getattr(args, k) is not None}
     model = model_from_id(args.model, **params)
     if isinstance(model, LiebSpec) and getattr(args, "kz", None) is not None:
         raise ValueError("lieb models are two-dimensional and take no --kz")
-    return model
+    return model, {"id": args.model, **params}
 
 
 def _model_k(args, model) -> tuple[float, ...] | None:
@@ -211,6 +195,10 @@ def _model_k(args, model) -> tuple[float, ...] | None:
     return k
 
 
+def _geometry(args) -> HingeGeometry:
+    return HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
+
+
 def _csv(rows, header: str) -> str:
     lines = [header]
     lines += [",".join([_fmt_float(x) if isinstance(x, float) else str(x) for x in row]) for row in rows]
@@ -218,12 +206,12 @@ def _csv(rows, header: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each maps the parsed flags, the model and its echo to one document,
+# CSV text or a JSON dict, which ``main`` writes
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, model, echo) -> dict:
     policy = _policy_from_args(args)
-    model = _model_from_args(args)
     k = _model_k(args, model)
     if k is None:
         if args.kz is None:
@@ -231,13 +219,10 @@ def _cmd_classify(args) -> int:
         k = (0.0, 0.0, args.kz)
     energy = complex(args.energy) if args.energy is not None else 0j
     report = classify_point(bloch_matrix(model, k), energy, policy, k_point=k)
-    doc = report_json(report, _model_json(args.model, _model_params(args)), k)
-    _emit(dumps_canonical(doc) + "\n", args.out)
-    return 0
+    return report_json(report, echo, k)
 
 
-def _cmd_band(args) -> int:
-    model = _model_from_args(args)
+def _cmd_band(args, model, echo) -> str:
     axis, start, stop, count = args.path
     dims = model.dims
     names = ("kx", "ky", "kz")[:dims]
@@ -256,57 +241,43 @@ def _cmd_band(args) -> int:
         for (kx, ky, kz), bands in zip(k.T.tolist(), ev.tolist())
         for idx, e in enumerate(bands)
     ]
-    _emit(_csv(rows, "kx,ky,kz,band_index,re_E,im_E"), args.out)
-    return 0
+    return _csv(rows, "kx,ky,kz,band_index,re_E,im_E")
 
 
-def _cmd_contour(args) -> int:
-    model = _model_from_args(args)
+def _cmd_contour(args, model, echo) -> str:
     ks = np.linspace(-math.pi, math.pi, args.grid, endpoint=False)
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     k = (kx, ky) if model.dims == 2 else (kx, ky, np.full_like(kx, args.kz or 0.0))
     energies = [_fmt_float(e) for e in min_abs_energy(model, k).ravel().tolist()]
     axis = [_fmt_float(x) for x in ks.tolist()]  # kx and ky take only these values
     rows = [f"{x},{y},{e}" for (x, y), e in zip(itertools.product(axis, axis), energies)]
-    _emit("\n".join(["kx,ky,min_abs_E", *rows]) + "\n", args.out)
-    return 0
+    return "\n".join(["kx,ky,min_abs_E", *rows]) + "\n"
 
 
-def _cmd_scan(args) -> int:
-    policy = _policy_from_args(args)
-    model = _model_from_args(args)
-    dims = model.dims
-    cands = bz_scan(model, args.grid, policy, classify=True)
-    doc = {
-        "model": _model_json(args.model, _model_params(args)),
-        "grid": {"dims": dims, "resolution": [args.grid] * dims},
+def _cmd_scan(args, model, echo) -> dict:
+    cands = bz_scan(model, args.grid, _policy_from_args(args), classify=True)
+    return {
+        "model": echo,
+        "grid": {"dims": model.dims, "resolution": [args.grid] * model.dims},
         "candidates": [
             {
                 "k": list(c.k),
                 "min_abs_energy": c.min_abs_energy,
                 "refined": c.refined,
-                "report": report_json(
-                    c.report, _model_json(args.model, _model_params(args)), c.k
-                )
-                if c.report
-                else None,
+                "report": report_json(c.report, echo, c.k) if c.report else None,
             }
             for c in cands
         ],
-        "timestamp": _timestamp(),
     }
-    _emit(dumps_canonical(doc) + "\n", args.out)
-    return 0
 
 
-def _cmd_ring(args) -> int:
+def _cmd_ring(args, model, echo) -> dict:
     policy = _policy_from_args(args)
-    model = _model_from_args(args)
     if not isinstance(model, LiebSpec) or model.variant != "reciprocal":
         raise ValueError("ring tracing needs --model lieb:reciprocal")
     samples = trace_ring(model, args.samples, policy)
-    doc = {
-        "model": _model_json(args.model, _model_params(args)),
+    return {
+        "model": echo,
         "samples": [
             {
                 "k": list(s.k),
@@ -317,31 +288,15 @@ def _cmd_ring(args) -> int:
             }
             for s in samples
         ],
-        "timestamp": _timestamp(),
     }
-    _emit(dumps_canonical(doc) + "\n", args.out)
-    return 0
 
 
-def _cmd_hinge(args) -> int:
+def _cmd_hinge(args, model, echo) -> dict:
     policy = _policy_from_args(args)
-    model = _model_from_args(args)
     if not isinstance(model, HodsmSpec):
         raise ValueError("hinge systems exist for hodsm models only")
-    geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
+    geom = _geometry(args)
     rep = hinge_report(model, geom, policy)
-    doc = {
-        "model": _model_json(args.model, _model_params(args)),
-        "nx": geom.nx,
-        "ny": geom.ny,
-        "kz": geom.kz,
-        "low_energies": [_complex_json(z) for z in rep.low_energies],
-        "gap_ratio": rep.gap_ratio,
-        "gram": [[float(x) for x in row] for row in rep.gram],
-        "gram_rank": rep.gram_rank,
-        "timestamp": _timestamp(),
-    }
-    _emit(dumps_canonical(doc) + "\n", args.out)
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         for i, intensity in enumerate(rep.intensity_maps):
@@ -351,22 +306,29 @@ def _cmd_hinge(args) -> int:
                 for y in range(geom.ny)
             ]
             _write_atomic(f"{stem}_state{i}.csv", _csv(rows, "x,y,intensity"))
-    return 0
+    return {
+        "model": echo,
+        "nx": geom.nx,
+        "ny": geom.ny,
+        "kz": geom.kz,
+        "low_energies": [_complex_json(z) for z in rep.low_energies],
+        "gap_ratio": rep.gap_ratio,
+        "gram": [[float(x) for x in row] for row in rep.gram],
+        "gram_rank": rep.gram_rank,
+    }
 
 
-# the optional flags each probe kind reads; any other one exits 2.  Every
-# symmetry kind checks a geometry it is given, but only the open-system kinds
-# build their Hamiltonian on it and so read --kz.
-_GEOMETRY = ("--nx", "--ny")
-_OPEN = _GEOMETRY + ("--kz",)
+# the optional flags each probe kind reads; any other one exits 2.  The
+# Bloch-level symmetry kinds sample momenta and read none of them.
+_OPEN = ("--nx", "--ny", "--kz")
 _FIT = ("--k", "--kz", "--energy", "--rank-tol", "--cluster-tol")
 PROBE_FLAGS = {
     "lineshape": _FIT,
     "splitting": _FIT,
     "decay": _OPEN + ("--corner", "--axis"),
     "atomistic": ("--rank-tol",),
-    "chiral": _GEOMETRY,
-    "rotation-c4": _GEOMETRY,
+    "chiral": (),
+    "rotation-c4": (),
     "kramers": _OPEN + ("--cluster-tol",),
     "sum-rule-ba": _OPEN,
     "sum-rule-cd": _OPEN,
@@ -375,7 +337,7 @@ PROBE_FLAGS = {
 }
 
 
-def _cmd_probe(args) -> int:
+def _refuse_unread_probe_flags(args) -> None:
     kind = args.kind
     unread = [
         flag
@@ -384,12 +346,12 @@ def _cmd_probe(args) -> int:
     ]
     if unread:
         raise ValueError(f"the {kind} probe does not read {', '.join(unread)}")
+
+
+def _cmd_probe(args, model, echo) -> dict:
+    kind = args.kind
     policy = _policy_from_args(args)
-    model = _model_from_args(args)
-    doc: dict = {
-        "kind": kind,
-        "model": _model_json(args.model, _model_params(args)),
-    }
+    doc: dict = {"kind": kind, "model": echo}
     if kind in ("decay", "atomistic") and not isinstance(model, HodsmSpec):
         raise ValueError(f"the {kind} probe needs a hodsm model")
     if kind in ("lineshape", "splitting"):
@@ -419,8 +381,7 @@ def _cmd_probe(args) -> int:
     elif kind == "decay":
         if args.nx is None or args.ny is None:
             raise ValueError("the decay probe needs --nx and --ny")
-        geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
-        fit = decay_rate_fit(model, geom, args.corner or "B", args.axis or "y")
+        fit = decay_rate_fit(model, _geometry(args), args.corner or "B", args.axis or "y")
         doc.update(
             {
                 "corner": fit.corner,
@@ -431,17 +392,11 @@ def _cmd_probe(args) -> int:
             }
         )
     elif kind == "atomistic":
-        report = atomistic_classify(model, policy)
-        doc["report"] = report_json(
-            report, _model_json(args.model, _model_params(args)), None
-        )
-        doc["report"].pop("timestamp")
-    elif kind in SYMMETRY_KINDS:
-        geom = None
+        doc["report"] = report_json(atomistic_classify(model, policy), echo, None)
+    else:  # a symmetry kind
         if (args.nx is None) != (args.ny is None):
             raise ValueError(f"the {kind} probe needs both --nx and --ny, or neither")
-        if args.nx is not None:
-            geom = HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
+        geom = None if args.nx is None else _geometry(args)
         res = symmetry_check(model, kind, geom, policy)
         doc.update(
             {
@@ -450,17 +405,7 @@ def _cmd_probe(args) -> int:
                 "witness": res.witness,
             }
         )
-    else:
-        raise ValueError(f"unknown probe kind {kind!r}")
-    doc["timestamp"] = _timestamp()
-    _emit(dumps_canonical(doc) + "\n", args.out)
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    from . import selftest
-
-    return selftest.run(stream=sys.stdout)
+    return doc
 
 
 @functools.cache
@@ -484,11 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: --k given to a verb without it must not become --kz
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--model", required=True, choices=MODEL_IDS)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--phi", type=parse_angle, default=None)
-        p.add_argument("--psi", type=parse_angle, default=None)
+        for param, kind in _PARAMS.items():
+            p.add_argument(f"--{param}", type=kind, default=None)
         for flag in flags:
             p.add_argument(flag, default=None, **optional[flag])
         p.add_argument("--out", type=str, default=None)
@@ -496,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("classify", "degeneracy report at one momentum", "--k", "--kz", "--rank-tol")
     p.add_argument("--energy", type=float, default=None)
-    # no --cluster-tol, which classify_point does not read; the report's policy
-    # block still echoes FEPKIT_CLUSTER_TOL
-    p.set_defaults(func=_cmd_classify, cluster_tol=None)
+    p.set_defaults(func=_cmd_classify)
 
     p = verb("band", "complex bands along a momentum path (CSV)", "--k")
     p.add_argument(
@@ -526,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=20)
     p.set_defaults(func=_cmd_hinge)
 
-    # one parser for every kind; _cmd_probe refuses the flags a kind does not read
+    # one parser for every kind; main refuses the flags a kind does not read
     p = verb("probe", "response/decay/symmetry probes (JSON)", *optional)
     p.add_argument("--kind", required=True, choices=tuple(PROBE_FLAGS))
     p.add_argument("--energy", type=float, default=None)
@@ -536,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=None)
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.set_defaults(func=_cmd_selftest)
+    sub.add_parser("selftest", help="run the acceptance checks")
 
     return parser
 
@@ -557,7 +496,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses exit(2) for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.verb == "selftest":
+            from . import selftest
+
+            return selftest.run(stream=sys.stdout)
+        if args.verb == "probe":  # a flag the kind does not read is refused first
+            _refuse_unread_probe_flags(args)
+        model, echo = _model(args)
+        doc = args.func(args, model, echo)
+        if isinstance(doc, dict):
+            doc = dumps_canonical({**doc, "timestamp": _timestamp()}) + "\n"
+        _emit(doc, args.out)
+        return 0
     # a route disagreement is a diagnosed refusal to classify, not a crash
     except (ValueError, OSError, OracleDisagreementError) as exc:
         print(f"fepkit: {exc}", file=sys.stderr)

@@ -71,19 +71,6 @@ SIGMA = (
 
 LIEB_VARIANTS = ("hermitian", "nh-symmetric", "minimal-fep", "reciprocal")
 
-#: CLI-facing model identifiers (bit-exact strings)
-MODEL_IDS = (
-    "lieb:hermitian",
-    "lieb:nh-symmetric",
-    "lieb:minimal-fep",
-    "lieb:reciprocal",
-    "hodsm:h",
-    "hodsm:nh1",
-    "hodsm:nh2",
-    "hodsm:nh3",
-    "hodsm:nh4",
-)
-
 
 def arccot(x: float) -> float:
     """Principal-branch arccotangent with range (0, pi)."""
@@ -457,49 +444,40 @@ def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> np.ndarra
 # Model registry
 
 
+_HODSM = {"eps": 0.0, "t": -1.0, "s": 1.0}
+
+#: CLI identifier -> (spec class, variant, the parameters it takes with their defaults)
+_MODELS = {
+    "lieb:hermitian": (LiebSpec, "hermitian", {}),
+    "lieb:nh-symmetric": (LiebSpec, "nh-symmetric", {"eps": 1.0}),
+    "lieb:minimal-fep": (LiebSpec, "minimal-fep", {"eps": 1.0}),
+    "lieb:reciprocal": (LiebSpec, "reciprocal", {"phi": math.pi / 2, "psi": math.pi / 2}),
+    "hodsm:h": (HodsmSpec, 0, {"t": -1.0, "s": 1.0}),
+    "hodsm:nh1": (HodsmSpec, 1, _HODSM),
+    "hodsm:nh2": (HodsmSpec, 2, _HODSM),
+    "hodsm:nh3": (HodsmSpec, 3, _HODSM),
+    "hodsm:nh4": (HodsmSpec, 4, _HODSM),
+}
+
+#: CLI-facing model identifiers (bit-exact strings)
+MODEL_IDS = tuple(_MODELS)
+
+
 def model_from_id(model_id: str, **params) -> LiebSpec | HodsmSpec:
     """Build a catalog model from its CLI identifier.
 
-    Recognized parameters: ``eps`` (non-Hermitian strength), ``t``, ``s``
-    (couplings), ``phi``, ``psi`` (reciprocal-variant angles).  Unused
-    parameters for the given identifier are rejected.
+    Parameters: ``eps`` (non-Hermitian strength), ``t``, ``s`` (couplings),
+    ``phi``, ``psi`` (reciprocal-variant angles); each identifier takes only
+    those in its ``_MODELS`` row, and the others are rejected.
     """
-    if model_id not in MODEL_IDS:
+    if model_id not in _MODELS:
         raise ValueError(f"unknown model id {model_id!r}")
-    family, _, tag = model_id.partition(":")
-    allowed = {
-        "lieb:hermitian": set(),
-        "lieb:nh-symmetric": {"eps"},
-        "lieb:minimal-fep": {"eps"},
-        "lieb:reciprocal": {"phi", "psi"},
-    }
-    if family == "lieb":
-        extra = set(params) - allowed[model_id]
-        if extra:
-            raise ValueError(f"model {model_id!r} does not take {sorted(extra)}")
-        if tag == "hermitian":
-            return LiebSpec("hermitian")
-        if tag == "nh-symmetric":
-            return LiebSpec("nh-symmetric", epsilon=params.get("eps", 1.0))
-        if tag == "minimal-fep":
-            return LiebSpec("minimal-fep", epsilon=params.get("eps", 1.0))
-        return LiebSpec(
-            "reciprocal",
-            phi=params.get("phi", math.pi / 2),
-            psi=params.get("psi", math.pi / 2),
-        )
-    extra = set(params) - {"eps", "t", "s"}
+    spec, variant, defaults = _MODELS[model_id]
+    extra = set(params) - set(defaults)
     if extra:
         raise ValueError(f"model {model_id!r} does not take {sorted(extra)}")
-    variant = 0 if tag == "h" else int(tag[2:])
-    if variant == 0 and "eps" in params:
-        raise ValueError("hodsm:h is Hermitian and does not take eps")
-    return HodsmSpec(
-        variant,
-        t=params.get("t", -1.0),
-        s=params.get("s", 1.0),
-        epsilon=params.get("eps", 0.0),
-    )
+    values = {**defaults, **params}
+    return spec(variant, **{("epsilon" if k == "eps" else k): v for k, v in values.items()})
 
 
 def bloch_matrix(spec: LiebSpec | HodsmSpec, k) -> np.ndarray:

@@ -192,6 +192,17 @@ class TestClassifyPoint:
         with pytest.raises(NotAnEigenvalueError, match="full"):
             classify_point(a, 0.3, policy)
 
+    def test_overflowing_modes_name_the_weyr_route(self, policy):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        h = 1e100 * q @ np.diag(np.ones(3), 1) @ q.T
+        with pytest.raises(ValueError) as info:
+            classify_point(h, 0.0, policy)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            'the Faddeev-LeVerrier coefficients overflowed; classify with method="weyr"'
+        )
+        assert classify_point(h, 0.0, policy, method="weyr").partials == (4,)
+
     def test_no_eigenvalue_solve(self, rng, policy, monkeypatch):
         def refuse(*_):
             raise AssertionError("classify_point called np.linalg.eigvals")

@@ -148,12 +148,26 @@ class TestClassifyVerb:
         ]
 
     def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("FEPKIT_CLUSTER_TOL", "0.5")
-        code, out, _ = run(
-            capsys, "classify", "--model", "lieb:hermitian", "--k", "pi,pi"
-        )
-        assert code == 0
-        assert json.loads(out)["policy"]["cluster_tol"] == 0.5
+        """Nothing on these paths reads the clustering radius; the rank cutoff is echoed."""
+        for argv in (
+            ("classify", "--model", "lieb:hermitian", "--k", "pi,pi"),
+            ("probe", "--kind", "atomistic", "--model", "hodsm:nh3", "--eps", "0.5",
+             "--t", "-0.5", "--s", "1"),
+        ):
+            monkeypatch.delenv("FEPKIT_CLUSTER_TOL", raising=False)
+            monkeypatch.delenv("FEPKIT_RANK_TOL", raising=False)
+            code, plain, _ = run(capsys, *argv)
+            assert code == 0
+            monkeypatch.setenv("FEPKIT_CLUSTER_TOL", "0.5")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert untimed(out) == untimed(plain)
+            monkeypatch.setenv("FEPKIT_RANK_TOL", "1e-7")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            doc = json.loads(out)
+            report = doc if argv[0] == "classify" else doc["report"]
+            assert report["policy"] == {"rank_rel": 1e-7, "ck_rel": 1e-9}
 
 
 class TestBandVerb:
@@ -239,7 +253,7 @@ class TestContourVerb:
         code, _, _ = run(capsys, "contour", "--model", *model, "--grid", "12", "--out", str(out))
         assert code == 0
         args = fepkit.cli.build_parser().parse_args(["contour", "--model", *model])
-        spec = fepkit.cli._model_from_args(args)
+        spec, _ = fepkit.cli._model(args)
         ks = np.linspace(-PI, PI, 12, endpoint=False)
         kx, ky = np.meshgrid(ks, ks, indexing="ij")
         k = (kx, ky) if spec.dims == 2 else (kx, ky, np.full_like(kx, 0.4))
@@ -386,7 +400,7 @@ class TestSymmetryProbeGeometry:
         [
             (("--kind", "kramers", "--nx", "0", "--ny", "4"), "nx and ny must be at least 1"),
             (("--kind", "kramers", "--nx", "4", "--ny", "0"), "nx and ny must be at least 1"),
-            (("--kind", "chiral", "--nx", "5"), "needs both --nx and --ny"),
+            (("--kind", "chiral", "--nx", "5"), "the chiral probe does not read --nx"),
             (("--kind", "sum-rule-ba", "--ny", "5"), "needs both --nx and --ny"),
             (("--kind", "kramers"), "needs an open-system geometry"),
         ],
@@ -398,11 +412,15 @@ class TestSymmetryProbeGeometry:
         assert len(err.splitlines()) == 1 and needs in err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("extra", [(), ("--nx", "3", "--ny", "3")])
-    def test_bloch_kind_runs_with_or_without_geometry(self, capsys, extra):
-        code, out, err = run(capsys, "probe", "--kind", "chiral", "--model", "hodsm:nh2", "--eps", "0.5", *extra)
+    @pytest.mark.parametrize("kind", ["chiral", "rotation-c4"])
+    def test_bloch_kind_takes_no_geometry(self, capsys, kind):
+        argv = ("probe", "--kind", kind, "--model", "hodsm:h")
+        code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["passed"] is True
+        code, out, err = run(capsys, *argv, "--nx", "3", "--ny", "3")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"fepkit: the {kind} probe does not read --nx, --ny"]
 
 
 def test_selftest_runs_every_criterion(capsys):
@@ -516,6 +534,50 @@ class TestProbeFlags:
         assert code == 0
         assert untimed(out) == untimed(explicit)
         assert json.loads(out)["corner"] == "B" and json.loads(out)["axis"] == "y"
+
+
+# one small run of every verb and every probe kind
+EMITTING = {
+    "classify": ("classify", "--model", "hodsm:nh3", "--eps", "0.5", "--kz", "pi/2"),
+    "band": ("band", "--model", "lieb:minimal-fep", "--eps", "1", "--path", "kx=-pi:pi:3"),
+    "contour": ("contour", "--model", "hodsm:nh2", "--eps", "0.5", "--grid", "4", "--kz", "0.3"),
+    "scan": ("scan", "--model", "lieb:minimal-fep", "--eps", "1", "--grid", "32"),
+    "ring": ("ring", "--model", "lieb:reciprocal", "--samples", "8"),
+    "hinge": ("hinge", "--model", "hodsm:nh3", "--eps", "0.5", "--nx", "3", "--ny", "3"),
+    "lineshape": ("probe", "--kind", "lineshape", "--model", "hodsm:nh3", "--eps", "0.5", "--kz", "pi/2"),
+    "splitting": ("probe", "--kind", "splitting", "--model", "hodsm:nh3", "--eps", "0.5", "--kz", "pi/2"),
+    "decay": ("probe", "--kind", "decay", "--model", "hodsm:nh1", "--eps", "0.25", "--nx", "6", "--ny", "30"),
+    "atomistic": ("probe", "--kind", "atomistic", "--model", "hodsm:nh3", "--eps", "0.5", "--t", "-0.5"),
+    **{
+        kind: ("probe", "--kind", kind, "--model", "hodsm:nh4", "--eps", "0.35")
+        + (("--nx", "3", "--ny", "3") if PROBE_FLAGS[kind] else ())
+        for kind in SYMMETRY_KINDS
+    },
+}
+
+
+@pytest.mark.parametrize("argv", EMITTING.values(), ids=EMITTING.keys())
+def test_out_file_holds_the_stdout_document(capsys, tmp_path, argv):
+    """--out gets stdout's bytes; a JSON document has one timestamp, its last key."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "", err
+    path = tmp_path / ("doc.csv" if argv[0] in ("band", "contour") else "doc.json")
+    code, nothing, err = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and nothing == "" and err == "", err
+    assert untimed(path.read_text()) == untimed(out)
+    if path.suffix == ".json":
+        assert out.count('"timestamp"') == 1
+        assert list(json.loads(out))[-1] == "timestamp"
+    else:
+        assert "timestamp" not in out
+
+
+def test_overflowing_classification_exits_2(capsys):
+    code, out, err = run(capsys, "classify", "--model", "hodsm:h", "--t", "1e100", "--kz", "pi/2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        'fepkit: the Faddeev-LeVerrier coefficients overflowed; classify with method="weyr"'
+    ]
 
 
 def test_cached_parser_gives_fresh_process_bytes(capsys):

@@ -428,6 +428,26 @@ class TestSymmetryOperators:
 
 
 class TestModelRegistry:
+    def test_every_id_builds_with_its_defaults(self):
+        assert models.MODEL_IDS == (
+            "lieb:hermitian", "lieb:nh-symmetric", "lieb:minimal-fep", "lieb:reciprocal",
+            "hodsm:h", "hodsm:nh1", "hodsm:nh2", "hodsm:nh3", "hodsm:nh4",
+        )
+        assert [model_from_id(m) for m in models.MODEL_IDS] == [
+            LiebSpec("hermitian"),
+            LiebSpec("nh-symmetric", epsilon=1.0),
+            LiebSpec("minimal-fep", epsilon=1.0),
+            LiebSpec("reciprocal", phi=PI / 2, psi=PI / 2),
+            HodsmSpec(0),
+            HodsmSpec(1),
+            HodsmSpec(2),
+            HodsmSpec(3),
+            HodsmSpec(4),
+        ]
+        assert model_from_id("lieb:reciprocal", psi=0.3) == LiebSpec("reciprocal", phi=PI / 2, psi=0.3)
+        assert model_from_id("hodsm:h", t=-0.5, s=2.0) == HodsmSpec(0, t=-0.5, s=2.0)
+        assert model_from_id("hodsm:nh4", eps=0.35) == HodsmSpec(4, epsilon=0.35)
+
     def test_roundtrip_ids(self):
         spec = model_from_id("hodsm:nh3", eps=0.5)
         assert isinstance(spec, HodsmSpec) and spec.variant == 3
@@ -439,7 +459,7 @@ class TestModelRegistry:
     def test_rejects_stray_parameters(self):
         with pytest.raises(ValueError):
             model_from_id("lieb:hermitian", eps=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^model 'hodsm:h' does not take \['eps'\]$"):
             model_from_id("hodsm:h", eps=0.5)
         with pytest.raises(ValueError):
             model_from_id("hodsm:nh1", phi=0.5)
