@@ -412,15 +412,17 @@ class TestSymmetryProbeGeometry:
         assert len(err.splitlines()) == 1 and needs in err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("kind", ["chiral", "rotation-c4"])
-    def test_bloch_kind_takes_no_geometry(self, capsys, kind):
-        argv = ("probe", "--kind", kind, "--model", "hodsm:h")
-        code, out, err = run(capsys, *argv)
-        assert code == 0, err
-        assert json.loads(out)["passed"] is True
-        code, out, err = run(capsys, *argv, "--nx", "3", "--ny", "3")
-        assert code == 2 and out == ""
-        assert err.splitlines() == [f"fepkit: the {kind} probe does not read --nx, --ny"]
+    @pytest.mark.parametrize("extra", [(), ("--nx", "3", "--ny", "3")])
+    def test_bloch_kind_runs_with_or_without_geometry(self, capsys, extra):
+        """Without --nx/--ny a Bloch kind runs and passes; with them it exits 2, as it never reads them."""
+        for kind, model in (("chiral", ("hodsm:nh2", "--eps", "0.5")), ("rotation-c4", ("hodsm:h",))):
+            code, out, err = run(capsys, "probe", "--kind", kind, "--model", *model, *extra)
+            if extra:
+                assert code == 2 and out == ""
+                assert err.splitlines() == [f"fepkit: the {kind} probe does not read --nx, --ny"]
+            else:
+                assert code == 0, err
+                assert json.loads(out)["passed"] is True
 
 
 def test_selftest_runs_every_criterion(capsys):
