@@ -153,16 +153,19 @@ def report_json(
 
 
 def _policy_from_args(args) -> TolerancePolicy:
-    """The tolerance flags a verb takes, else their environment variables, else the defaults."""
+    """The tolerance flags a verb or probe kind takes, else their variables, else the defaults."""
     default = TolerancePolicy()
-    rank_rel = args.rank_tol
-    if rank_rel is None:
-        rank_rel = float(os.environ.get("FEPKIT_RANK_TOL", default.rank_rel))
-    # only scan and probe read the clustering radius, so only they take --cluster-tol
-    cluster = getattr(args, "cluster_tol", default.cluster_tol)
-    if cluster is None:
-        cluster = float(os.environ.get("FEPKIT_CLUSTER_TOL", default.cluster_tol))
-    return TolerancePolicy(rank_rel=rank_rel, cluster_tol=cluster)
+
+    def setting(flag: str, env: str, fallback: float) -> float:
+        dest = flag[2:].replace("-", "_")
+        taken = flag in PROBE_FLAGS[args.kind] if args.verb == "probe" else hasattr(args, dest)
+        value = getattr(args, dest) if taken else fallback
+        return float(os.environ.get(env, fallback)) if value is None else value
+
+    return TolerancePolicy(
+        rank_rel=setting("--rank-tol", "FEPKIT_RANK_TOL", default.rank_rel),
+        cluster_tol=setting("--cluster-tol", "FEPKIT_CLUSTER_TOL", default.cluster_tol),
+    )
 
 
 # the model parameter flags every model verb takes, with their types

@@ -230,8 +230,7 @@ def hodsm_pauli_coeffs(spec: HodsmSpec, k) -> tuple[tuple[np.ndarray, ...], tupl
     and r_1 of ky, q_2 and r_2 of (ky, kz), q_3 and r_3 of kx.  So a dense
     stack gives its trailing shape, a sparse meshgrid gives no coefficient
     the full grid (their products broadcast to it), and one point gives NumPy
-    scalars: scalar arithmetic rounds differently from arrays', and the
-    refined momenta depend on the scalar detector in the last bits.
+    scalars.
     """
     kx, ky, kz = k
     t, s = spec.t, spec.s

@@ -109,11 +109,7 @@ def _detector_complex(model, k):
     if isinstance(model, LiebSpec):
         p, q, r, s = lieb_pqrs(model, k)
         return p * q + r * s
-    det = _pauli_det(*hodsm_pauli_coeffs(model, k))
-    # one point stays a Python complex: refine_degeneracy divides it exactly per
-    # component (numpy scales by a rounded reciprocal), and refined momenta
-    # depend on that in the last bits
-    return complex(det) if det.ndim == 0 else det
+    return _pauli_det(*hodsm_pauli_coeffs(model, k))
 
 
 def _detector_degree(model) -> int:
@@ -166,28 +162,27 @@ def refine_degeneracy(model, k0, scale: float | None = None) -> DegeneracyCandid
     scale = scale or _model_scale(model)
     norm_pow = scale ** _detector_degree(model)
     k = np.asarray([float(c) for c in k0], dtype=float)
+    dims = k.size
 
     def residual(kk) -> np.ndarray:
-        g = _detector_complex(model, kk) / norm_pow
-        return np.array([g.real, g.imag])
+        g = _detector_complex(model, kk)
+        return np.array([g.real, g.imag]) / norm_pow
 
-    r = residual(k)
+    r = residual(k[:, None])[:, 0]
     step_h = 1e-6
+    stencil = step_h * np.hstack([np.eye(dims), -np.eye(dims)])
     for _ in range(REFINE_MAX_ITER):
         if np.linalg.norm(r) <= REFINE_TOL:
             break
-        jac = np.empty((2, k.size))
-        for j in range(k.size):
-            dk = np.zeros_like(k)
-            dk[j] = step_h
-            jac[:, j] = (residual(k + dk) - residual(k - dk)) / (2 * step_h)
+        g = residual(k[:, None] + stencil)
+        jac = (g[:, :dims] - g[:, dims:]) / (2 * step_h)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             break
         damp = 1.0
         for _ in range(30):
             k_new = k + damp * step
-            r_new = residual(k_new)
+            r_new = residual(k_new[:, None])[:, 0]
             if np.linalg.norm(r_new) < np.linalg.norm(r):
                 k, r = k_new, r_new
                 break
@@ -195,7 +190,7 @@ def refine_degeneracy(model, k0, scale: float | None = None) -> DegeneracyCandid
         else:
             break
 
-    refined = bool(np.linalg.norm(residual(k)) <= REFINE_TOL)
+    refined = bool(np.linalg.norm(r) <= REFINE_TOL)
     kc = canonical_k(k)
     return DegeneracyCandidate(
         k=kc, min_abs_energy=min_abs_energy(model, kc), refined=refined

@@ -574,6 +574,26 @@ def test_out_file_holds_the_stdout_document(capsys, tmp_path, argv):
         assert "timestamp" not in out
 
 
+@pytest.mark.parametrize(
+    "env,flag", [("FEPKIT_RANK_TOL", "--rank-tol"), ("FEPKIT_CLUSTER_TOL", "--cluster-tol")]
+)
+@pytest.mark.parametrize("kind", PROBE_FLAGS)
+def test_probe_reads_a_tolerance_variable_only_with_its_flag(capsys, monkeypatch, kind, env, flag):
+    """A bad value exits 2 exactly where the kind takes the flag; elsewhere it changes nothing."""
+    monkeypatch.delenv("FEPKIT_RANK_TOL", raising=False)
+    monkeypatch.delenv("FEPKIT_CLUSTER_TOL", raising=False)
+    code, plain, err = run(capsys, *EMITTING[kind])
+    assert code == 0, err
+    monkeypatch.setenv(env, "abc")
+    code, out, err = run(capsys, *EMITTING[kind])
+    if flag in PROBE_FLAGS[kind]:
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["fepkit: could not convert string to float: 'abc'"]
+    else:
+        assert code == 0 and err == ""
+        assert untimed(out) == untimed(plain)
+
+
 def test_overflowing_classification_exits_2(capsys):
     code, out, err = run(capsys, "classify", "--model", "hodsm:h", "--t", "1e100", "--kz", "pi/2")
     assert code == 2 and out == ""

@@ -218,6 +218,28 @@ class TestHodsmBloch:
             want = hodsm_closed_dispersion(spec, kz)
             assert multiset_distance(ev, want) <= tol
 
+    def test_pauli_form_is_the_fourier_sum_of_the_open_boundary_blocks(self, rng):
+        """The Pauli form equals h0(kz) + sx e^{ikx} + sy e^{iky} + h.c. of the hinge blocks.
+
+        The opposite sign in the exponents misses by far more than rounding, so
+        the Fourier convention is pinned too.
+        """
+        for variant in range(5):
+            for _ in range(80):
+                t, eps = rng.uniform(-2, 2, 2)
+                s = rng.choice((-1, 1)) * rng.uniform(0.5, 2)
+                k = rng.uniform(-PI, PI, 3)
+                h0 = (t + 0.5 * s * math.cos(k[2])) * models._INTRACELL + hodsm_h_eps(variant, eps)
+                sx, sy = models._intercell_blocks(s)
+
+                def fourier(sign):
+                    hops = sum(b * np.exp(sign * 1j * kj) for b, kj in ((sx, k[0]), (sy, k[1])))
+                    return h0 + hops + hops.conj().T
+
+                h = hodsm_bloch(HodsmSpec(variant, t=t, s=s, epsilon=eps), k)
+                assert np.max(np.abs(h - fourier(1))) <= 1e-13
+                assert np.max(np.abs(h - fourier(-1))) >= 0.15
+
     def test_closed_dispersion_rejects_other_normalization(self):
         with pytest.raises(ValueError):
             hodsm_closed_dispersion(HodsmSpec(0, t=-0.5, s=1.0), 0.3)

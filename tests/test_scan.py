@@ -197,6 +197,36 @@ class TestRefine:
         assert a.refined and b.refined
         assert k_distance(a.k, b.k) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "spec,k0",
+        [
+            (LiebSpec("minimal-fep", epsilon=1.0), (PI + 0.05, PI - 0.05)),
+            (HodsmSpec(1, epsilon=2**-0.5), (0.0, 0.0, 0.8)),
+        ],
+        ids=["lieb", "hodsm"],
+    )
+    def test_detector_sees_only_momentum_stacks(self, monkeypatch, spec, k0):
+        """One-point stacks for the start and each trial, one 2*dims stencil per iteration."""
+        seen = []
+        detector = scan._detector_complex
+
+        def recording(model, k):
+            seen.append(k)
+            return detector(model, k)
+
+        monkeypatch.setattr(scan, "_detector_complex", recording)
+        assert refine_degeneracy(spec, k0).refined
+        dims = spec.dims
+        assert all(isinstance(k, np.ndarray) and k.ndim == 2 and k.shape[0] == dims for k in seen)
+        widths = [k.shape[1] for k in seen]
+        stencils = [i for i, m in enumerate(widths) if m == 2 * dims]
+        assert set(widths) == {1, 2 * dims} and widths[0] == 1 and stencils
+        offsets = 1e-6 * np.hstack([np.eye(dims), -np.eye(dims)])
+        for i in stencils:
+            # the stencil is centred on the last accepted point, and a line search follows it
+            assert widths[i + 1] == 1
+            assert np.allclose(seen[i] - seen[i - 1], offsets, rtol=0, atol=1e-15)
+
     def test_nonconvergence_reported_not_raised(self):
         # outside -3/2 < t/s < -1/2 the parent semimetal is gapped: there is
         # no zero of the detector anywhere, so refinement must report failure
