@@ -14,13 +14,7 @@ hinge-state reports on top.
 """
 
 from .adjugate import ModeSequence, ResponseStrengths, flv_modes, greens_modal, response_strengths
-from .classify import (
-    DegeneracyReport,
-    PartialMultiplicityFunction,
-    classify_point,
-    partial_multiplicities,
-    weyr_oracle,
-)
+from .classify import DegeneracyReport, PartialMultiplicityFunction, classify_point
 from .matkit import TolerancePolicy, numerical_rank, spectral_norm
 from .models import (
     HingeGeometry,
@@ -57,8 +51,6 @@ __all__ = [
     "PartialMultiplicityFunction",
     "DegeneracyReport",
     "classify_point",
-    "partial_multiplicities",
-    "weyr_oracle",
     "LiebSpec",
     "HodsmSpec",
     "HingeGeometry",

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matkit import CK_REL, as_square_matrix, singular_values, spectral_norm
+from .matkit import CK_REL, as_square_matrix, singular_values
 
 __all__ = [
     "ModeSequence",
@@ -67,14 +67,9 @@ class ModeSequence:
     # of A badly overestimates that magnitude for non-normal input (||A^m||
     # can grow far slower than ||A||^m), so the scale is calibrated from the
     # computed sequence itself and floored at one (O(1) model-energy units).
-    # The sequence is immutable, so each scale, each mode's largest entry and
-    # singular values, and ||A||_2 are computed once, on first use, and every
-    # later test reads the stored value.
-
-    @cached_property
-    def source_norm(self) -> float:
-        """``||A||_2`` of the shifted matrix."""
-        return spectral_norm(self.shifted)
+    # The sequence is immutable, so each scale and each mode's largest entry
+    # and singular values are computed once, on first use, and every later
+    # test reads the stored value.
 
     def singular_values(self, ks) -> list[np.ndarray]:
         """Singular values of ``B_k`` for each k in ``ks``; ``None`` stands for ``shifted``.

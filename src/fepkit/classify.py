@@ -182,33 +182,30 @@ def algebraic_multiplicity(modes: ModeSequence) -> int:
 def partial_multiplicities(
     modes: ModeSequence,
     alpha: int,
-    policy: TolerancePolicy | None = None,
-    scale: float | None = None,
+    policy: TolerancePolicy,
+    scale: float,
 ) -> PartialMultiplicityFunction:
     """Resolve beta(l) from the ranks of the modes B_{alpha-l-2 .. alpha-l}.
 
     ``scale`` is the problem scale of the rank floor on A = H - E;
     ``classify_point`` passes the one its Weyr oracle divides by,
-    ``1 + ||H||_2 + |E|``, and it defaults to ``1 + ||A||_2 + |E|``.
-    The sum rules sum(beta) = gamma (with gamma = N - rank(A)) and
-    sum(l beta) = alpha must come out exactly; a violation raises
-    InconsistentRanksError rather than being silently repaired.
+    ``1 + ||H||_2 + |E|``.  The sum rules sum(beta) = gamma (with
+    gamma = N - rank(A)) and sum(l beta) = alpha must come out exactly; a
+    violation raises InconsistentRanksError rather than being silently
+    repaired.
     """
-    policy = policy or TolerancePolicy()
     n = modes.n
     if not (1 <= alpha <= n):
         raise ValueError(f"alpha must lie in 1..{n}, got {alpha}")
     # A structurally-zero mode still carries noise with generic relative rank
     # structure, so the scale-aware vanishing test must run before the SVD.
-    # The live modes and A share one stacked SVD; a mode's floor is
-    # numerical_rank's default, its Frobenius norm.
+    # The live modes and A share one stacked SVD; a mode's floor is its
+    # Frobenius norm.
     live = [j for j in range(alpha) if not modes.mode_vanishes(j)]
     *mode_sv, a_sv = modes.singular_values([*live, None])
     ranks = dict.fromkeys(range(alpha), 0)
     for j, s in zip(live, mode_sv):
         ranks[j] = policy.rank(s, float(np.linalg.norm(modes.mode(j), "fro")))
-    if scale is None:
-        scale = 1.0 + modes.source_norm + abs(modes.shift)
     gamma = n - policy.rank(a_sv, scale)
 
     beta: dict[int, int] = {}
@@ -233,11 +230,7 @@ def partial_multiplicities(
     return pmf
 
 
-def weyr_oracle(
-    a,
-    policy: TolerancePolicy | None = None,
-    scale: float | None = None,
-) -> PartialMultiplicityFunction:
+def weyr_oracle(a, policy: TolerancePolicy, scale: float) -> PartialMultiplicityFunction:
     """Partial multiplicities of eigenvalue 0 from a nested-null-space staircase.
 
     Independent of the modal route, and takes no matrix powers (Kublanovskaya's
@@ -249,21 +242,17 @@ def weyr_oracle(
     ``beta(l) = w_l - w_{l+1}``.
 
     The matrix is normalized by ``scale``, so an input that vanishes at the
-    problem scale is treated as the zero matrix rather than as its own noise;
-    ``scale`` defaults to ``max(1, ||A||_2)``, appropriate for matrices in
-    O(1) model-energy units.  One cutoff, ``policy.rank_cutoff(s_1, 1)`` from
-    the first level, serves every level: in units of ``scale`` it is the
-    cutoff that ``numerical_rank(a, policy, scale)`` applies.  With it the widths
-    cannot increase: ``V_1^H U_1`` preserves norms on a subspace of
+    problem scale is treated as the zero matrix rather than as its own noise.
+    One cutoff, ``policy.rank_cutoff(s_1, 1)`` from the first level, serves
+    every level: in units of ``scale`` it is the cutoff that
+    ``numerical_rank(a, policy, scale)`` applies.  With it the widths cannot
+    increase: ``V_1^H U_1`` preserves norms on a subspace of
     codimension at most ``w_l``, so a wider next level would need a unit x
     with ``||S_1 x|| <= cutoff < s_r``.  And each level drops only singular
     values at or below the cutoff.  A negative count would still raise
     InconsistentRanksError.
     """
     m = as_square_matrix(a)
-    policy = policy or TolerancePolicy()
-    if scale is None:
-        scale = max(1.0, spectral_norm(m))
     if scale <= 0:
         raise ValueError("scale must be positive")
     b = m / scale

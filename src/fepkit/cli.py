@@ -133,9 +133,8 @@ def _policy_json(policy: TolerancePolicy) -> dict:
     return {"rank_rel": policy.rank_rel, "ck_rel": CK_REL}
 
 
-def report_json(
-    report: DegeneracyReport, model: dict, k: tuple[float, ...] | None
-) -> dict:
+def report_json(report: DegeneracyReport, model: dict) -> dict:
+    k = report.k_point
     return {
         "k": list(k) if k is not None else None,
         "energy": _complex_json(report.energy),
@@ -222,7 +221,7 @@ def _cmd_classify(args, model, echo) -> dict:
         k = (0.0, 0.0, args.kz)
     energy = complex(args.energy) if args.energy is not None else 0j
     report = classify_point(bloch_matrix(model, k), energy, policy, k_point=k)
-    return report_json(report, echo, k)
+    return report_json(report, echo)
 
 
 def _cmd_band(args, model, echo) -> str:
@@ -267,7 +266,7 @@ def _cmd_scan(args, model, echo) -> dict:
                 "k": list(c.k),
                 "min_abs_energy": c.min_abs_energy,
                 "refined": c.refined,
-                "report": report_json(c.report, echo, c.k) if c.report else None,
+                "report": report_json(c.report, echo) if c.report else None,
             }
             for c in cands
         ],
@@ -278,18 +277,18 @@ def _cmd_ring(args, model, echo) -> dict:
     policy = _policy_from_args(args)
     if not isinstance(model, LiebSpec) or model.variant != "reciprocal":
         raise ValueError("ring tracing needs --model lieb:reciprocal")
-    samples = trace_ring(model, args.samples, policy)
+    reports = trace_ring(model, args.samples, policy)
     return {
         "model": echo,
         "samples": [
             {
-                "k": list(s.k),
-                "alpha": s.report.alpha,
-                "gamma": s.report.gamma,
-                "partials": list(s.report.partials),
-                "label": s.report.label,
+                "k": list(r.k_point),
+                "alpha": r.alpha,
+                "gamma": r.gamma,
+                "partials": list(r.partials),
+                "label": r.label,
             }
-            for s in samples
+            for r in reports
         ],
     }
 
@@ -395,7 +394,7 @@ def _cmd_probe(args, model, echo) -> dict:
             }
         )
     elif kind == "atomistic":
-        doc["report"] = report_json(atomistic_classify(model, policy), echo, None)
+        doc["report"] = report_json(atomistic_classify(model, policy), echo)
     else:  # a symmetry kind
         if (args.nx is None) != (args.ny is None):
             raise ValueError(f"the {kind} probe needs both --nx and --ny, or neither")

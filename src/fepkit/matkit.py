@@ -85,17 +85,12 @@ def singular_values(mats) -> np.ndarray:
     return np.linalg.svd(np.stack(mats), compute_uv=False)
 
 
-def numerical_rank(a, policy: TolerancePolicy | None = None, scale: float | None = None) -> int:
+def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:
     """Number of singular values above ``policy.rank_cutoff(s_max, scale)``.
 
-    ``scale`` is the problem scale of the absolute floor; it defaults to
-    ``||A||_F``.
+    ``scale`` is the problem scale of the absolute floor.
     """
-    m = as_square_matrix(a)
-    policy = policy or TolerancePolicy()
-    if scale is None:
-        scale = float(np.linalg.norm(m, "fro"))
-    return policy.rank(singular_values([m])[0], scale)
+    return policy.rank(singular_values([as_square_matrix(a)])[0], scale)
 
 
 def spectral_norm(a) -> float:

@@ -38,7 +38,6 @@ from .models import (
 __all__ = [
     "DegeneracyCandidate",
     "ExpectedDegeneracy",
-    "ManifoldSample",
     "bz_scan",
     "refine_degeneracy",
     "analytic_degeneracies",
@@ -77,12 +76,6 @@ class ExpectedDegeneracy:
     @property
     def label(self) -> str:
         return degeneracy_label(self.alpha, self.gamma)
-
-
-@dataclass
-class ManifoldSample:
-    k: tuple[float, float]
-    report: DegeneracyReport
 
 
 def canonical_k(k) -> tuple[float, ...]:
@@ -371,13 +364,14 @@ def trace_ring(
     model: LiebSpec,
     samples: int,
     policy: TolerancePolicy | None = None,
-) -> list[ManifoldSample]:
+) -> list[DegeneracyReport]:
     """Classify uniformly spread samples of the exceptional ring (or lines).
 
     The manifold cos kx + cos ky = 2 cos(phi) of the equal-angle reciprocal
     model is parameterized by a uniform kx ladder with both ky branches; the
     ladder points nearest to the two analytic FEP momenta are snapped onto
     them exactly, so those special points are always among the samples.
+    Each report carries its sample momentum as ``k_point``.
     """
     policy = policy or TolerancePolicy()
     if model.variant != "reciprocal":
@@ -416,14 +410,13 @@ def trace_ring(
         ladder[j] = special
         snapped.append(j)
 
-    out: list[ManifoldSample] = []
+    out: list[DegeneracyReport] = []
     for kx in ladder:
         cy = min(1.0, max(-1.0, 2 * c - math.cos(kx)))
         ky = math.acos(cy)
         for branch in (ky, -ky):
             k = (float(kx), float(branch))
-            report = classify_point(bloch_matrix(model, k), 0.0, policy, k_point=k)
-            out.append(ManifoldSample(k=k, report=report))
+            out.append(classify_point(bloch_matrix(model, k), 0.0, policy, k_point=k))
             if len(out) == samples:
                 return out
     return out

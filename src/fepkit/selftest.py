@@ -17,13 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .adjugate import flv_modes, greens_modal
-from .classify import (
-    PartialMultiplicityFunction,
-    algebraic_multiplicity,
-    classify_point,
-    partial_multiplicities,
-    weyr_oracle,
-)
+from .classify import PartialMultiplicityFunction, classify_point
 from .matkit import TolerancePolicy
 from .models import (
     HingeGeometry,
@@ -165,20 +159,20 @@ def criterion_2_reciprocal_manifolds() -> str:
 
     # ring at phi = psi = pi/4: 62 EP3 + 2 FEP at +-(pi/4, pi/4)
     ring = trace_ring(LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4), 64, POLICY)
-    counts = Counter(s.report.label for s in ring)
+    counts = Counter(r.label for r in ring)
     assert counts == {"EP3": 62, "FEP": 2}, f"ring labels {dict(counts)}"
-    fep_k = sorted(s.k for s in ring if s.report.label == "FEP")
+    fep_k = sorted(r.k_point for r in ring if r.label == "FEP")
     for got, want in zip(fep_k, [(-PI / 4, -PI / 4), (PI / 4, PI / 4)]):
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8
 
     # lines at phi = psi = pi/2: FEPs only at +-(pi/2, pi/2)
     lines = trace_ring(LiebSpec("reciprocal", phi=PI / 2, psi=PI / 2), 64, POLICY)
-    feps = sorted(s.k for s in lines if s.report.label == "FEP")
-    assert all(s.report.alpha == 3 for s in lines)
+    feps = sorted(r.k_point for r in lines if r.label == "FEP")
+    assert all(r.alpha == 3 for r in lines)
     assert len(feps) == 2, f"line FEP count {len(feps)}"
     for got, want in zip(feps, [(-PI / 2, -PI / 2), (PI / 2, PI / 2)]):
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8
-    assert all(s.report.label == "EP3" for s in lines if s.k not in feps)
+    assert all(r.label == "EP3" for r in lines if r.k_point not in feps)
     return "4 points + ring(62 EP3/2 FEP) + lines(FEPs only at +-(pi/2, pi/2))"
 
 
@@ -235,15 +229,9 @@ def criterion_5_oracle_equivalence() -> str:
         n = int(rng.integers(2, 9))
         sizes = random_partition(rng, int(rng.integers(1, n + 1)))
         want = PartialMultiplicityFunction.from_partials(sizes)
-        a = planted_jordan(rng, n, sizes)
-        modes = flv_modes(a, 0.0)
-        alpha = algebraic_multiplicity(modes)
-        assert alpha == want.alpha, f"trial {trial}: alpha {alpha} != {want.alpha}"
-        modal = partial_multiplicities(modes, alpha, POLICY)
-        oracle = weyr_oracle(a, POLICY)
-        assert modal == oracle == want, (
-            f"trial {trial}: modal {modal.beta} oracle {oracle.beta} want {want.beta}"
-        )
+        # the modal route raises OracleDisagreementError on any disagreement
+        r = classify_point(planted_jordan(rng, n, sizes), 0.0, POLICY, method="modes")
+        assert r.beta == want, f"trial {trial}: {r.beta.beta} want {want.beta}"
     # the worked 16-dimensional example with partial multiplicities (4,4,3,2,2,1)
     sizes = (4, 4, 3, 2, 2, 1)
     a = planted_jordan(rng, 16, sizes)

@@ -21,6 +21,11 @@ from fepkit.selftest import planted_jordan, random_partition
 PI = math.pi
 
 
+def fro(m):
+    """Frobenius norm, the rank scale of a mode."""
+    return float(np.linalg.norm(m, "fro"))
+
+
 @st.composite
 def small_matrices(draw):
     n = draw(st.integers(2, 6))
@@ -79,7 +84,7 @@ class TestFlvModes:
         h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         seq = flv_modes(h, 0.0)
         closure = h @ seq.modes[0] + seq.coeffs[0] * np.eye(6)
-        assert np.max(np.abs(closure)) <= 1e-9 * (1 + seq.source_norm) ** 6
+        assert np.max(np.abs(closure)) <= 1e-9 * (1 + spectral_norm(seq.shifted)) ** 6
 
     def test_dimension_guard(self, rng):
         big = np.zeros((FLV_DIMENSION_GUARD + 1,) * 2)
@@ -173,7 +178,7 @@ class TestModeStructure:
     def test_rank_monotonicity(self, h, alpha, ell, policy):
         seq = flv_modes(h, 0.0)
         ranks = [
-            0 if seq.mode_vanishes(k) else numerical_rank(seq.modes[k], policy)
+            0 if seq.mode_vanishes(k) else numerical_rank(seq.modes[k], policy, fro(seq.modes[k]))
             for k in range(alpha)
         ]
         assert all(ranks[k] <= ranks[k + 1] for k in range(alpha - 1))
@@ -207,7 +212,7 @@ class TestResponseStrengths:
             seq = flv_modes(h, 0.0)
             rs = response_strengths(seq, alpha, ell)
             lead = seq.mode(alpha - ell)
-            r = numerical_rank(lead, policy)
+            r = numerical_rank(lead, policy, fro(lead))
             assert rs.xi <= rs.eta * (1 + 1e-12)
             assert rs.eta <= math.sqrt(r) * rs.xi * (1 + 1e-12)
 

@@ -25,6 +25,11 @@ from fepkit.selftest import jordan_blocks, planted_jordan, random_partition
 PI = math.pi
 
 
+def scale_at_zero(a):
+    """The problem scale ``classify_point`` passes at E = 0."""
+    return 1.0 + spectral_norm(a)
+
+
 class TestAlgebraicMultiplicity:
     def test_simple_eigenvalue(self):
         seq = flv_modes(np.diag([1.0, 2.0, 3.0]), 1.0)
@@ -46,44 +51,46 @@ class TestAlgebraicMultiplicity:
 class TestPartialMultiplicities:
     def test_tribolic(self, policy):
         h = lieb_bloch(LiebSpec("hermitian"), (PI, PI))
-        pmf = partial_multiplicities(flv_modes(h, 0.0), 3, policy)
+        pmf = partial_multiplicities(flv_modes(h, 0.0), 3, policy, scale_at_zero(h))
         assert pmf.beta == {1: 3}
 
     def test_fep31(self, policy):
         h = hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2))
-        pmf = partial_multiplicities(flv_modes(h, 0.0), 4, policy)
+        pmf = partial_multiplicities(flv_modes(h, 0.0), 4, policy, scale_at_zero(h))
         assert pmf.beta == {3: 1, 1: 1}
 
     def test_ep4(self, policy):
         h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4))
-        pmf = partial_multiplicities(flv_modes(h, 0.0), 4, policy)
+        pmf = partial_multiplicities(flv_modes(h, 0.0), 4, policy, scale_at_zero(h))
         assert pmf.beta == {4: 1}
 
     def test_wrong_alpha_is_caught_not_repaired(self, policy):
         h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
         with pytest.raises(InconsistentRanksError):
-            partial_multiplicities(flv_modes(h, 0.0), 3, policy)
+            partial_multiplicities(flv_modes(h, 0.0), 3, policy, scale_at_zero(h))
 
 
 class TestWeyrOracle:
     def test_single_jordan_block(self, policy):
-        assert weyr_oracle(jordan_blocks([3]), policy).beta == {3: 1}
+        a = jordan_blocks([3])
+        assert weyr_oracle(a, policy, scale_at_zero(a)).beta == {3: 1}
 
     def test_two_blocks(self, policy):
-        assert weyr_oracle(jordan_blocks([2, 1]), policy).beta == {2: 1, 1: 1}
+        a = jordan_blocks([2, 1])
+        assert weyr_oracle(a, policy, scale_at_zero(a)).beta == {2: 1, 1: 1}
 
     def test_worked_example_structure(self, rng, policy):
         sizes = (4, 4, 3, 2, 2, 1)
         a = planted_jordan(rng, 16, sizes)
-        pmf = weyr_oracle(a, policy)
+        pmf = weyr_oracle(a, policy, scale_at_zero(a))
         assert pmf.partials == sizes
         assert pmf.alpha == 16 and pmf.gamma == 6
 
     def test_zero_matrix(self, policy):
-        assert weyr_oracle(np.zeros((4, 4)), policy).beta == {1: 4}
+        assert weyr_oracle(np.zeros((4, 4)), policy, 1.0).beta == {1: 4}
 
     def test_full_rank_input_gives_empty_structure(self, policy):
-        pmf = weyr_oracle(np.eye(3), policy)
+        pmf = weyr_oracle(np.eye(3), policy, scale_at_zero(np.eye(3)))
         assert pmf.beta == {} and pmf.alpha == 0
 
     @pytest.mark.parametrize(
@@ -96,12 +103,12 @@ class TestWeyrOracle:
         # from zero must not join the staircase
         want = PartialMultiplicityFunction.from_partials(sizes)
         a = jordan_blocks(sizes)
-        assert weyr_oracle(a, policy) == want
+        assert weyr_oracle(a, policy, scale_at_zero(a)) == want
         n = a.shape[0]
         b = np.zeros((n + 2, n + 2), dtype=complex)
         b[:n, :n] = a
         b[n:, n:] = jordan_blocks([2], eigenvalue=0.7)
-        assert weyr_oracle(b, policy) == want
+        assert weyr_oracle(b, policy, scale_at_zero(b)) == want
 
     def test_pool_plants_at_cond_1e3(self, policy):
         # the benchmark's planted-envelope pool, cond 1e3 cells: every plant
@@ -112,9 +119,10 @@ class TestWeyrOracle:
                 rng = np.random.default_rng([2507, n, 2, j])
                 sizes = random_partition(rng, int(rng.integers(1, n + 1)))
                 want = PartialMultiplicityFunction.from_partials(sizes)
-                cases.append((planted_jordan(rng, n, sizes, 1e3), want))
+                a = planted_jordan(rng, n, sizes, 1e3)
+                cases.append((a, scale_at_zero(a), want))
         start = time.perf_counter()
-        wrong = [want.partials for a, want in cases if weyr_oracle(a, policy) != want]
+        wrong = [want.partials for a, s, want in cases if weyr_oracle(a, policy, s) != want]
         elapsed = time.perf_counter() - start
         assert not wrong
         assert elapsed < 1.0
@@ -142,11 +150,8 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         want = PartialMultiplicityFunction.from_partials(sizes)
         a = planted_jordan(rng, n, sizes)
-        modes = flv_modes(a, 0.0)
-        alpha = algebraic_multiplicity(modes)
-        assert alpha == want.alpha
-        assert partial_multiplicities(modes, alpha, policy) == want
-        assert weyr_oracle(a, policy) == want
+        # the modal route raises OracleDisagreementError on any disagreement
+        assert classify_point(a, 0.0, policy, method="modes").beta == want
 
     def test_stress_transforms(self, rng, policy):
         # mildly non-unitary similarity, condition number up to 100
@@ -156,11 +161,8 @@ class TestOracleEquivalence:
             want = PartialMultiplicityFunction.from_partials(sizes)
             cond = float(np.exp(rng.uniform(0.0, math.log(100.0))))
             a = planted_jordan(rng, n, sizes, cond=cond)
-            modes = flv_modes(a, 0.0)
-            alpha = algebraic_multiplicity(modes)
-            assert alpha == want.alpha, f"sizes {sizes} cond {cond:.1f}"
-            assert partial_multiplicities(modes, alpha, policy) == want
-            assert weyr_oracle(a, policy) == want
+            r = classify_point(a, 0.0, policy, method="modes")
+            assert r.beta == want, f"sizes {sizes} cond {cond:.1f}"
 
 
 class TestClassifyPoint:
@@ -280,8 +282,6 @@ class TestWeyrScale:
 
         monkeypatch.setattr(fepkit.classify, "spectral_norm", refuse)
         assert weyr_oracle(jordan_blocks([3, 1]), policy, scale=2.0).beta == {3: 1, 1: 1}
-        with pytest.raises(AssertionError):
-            weyr_oracle(jordan_blocks([3, 1]), policy)
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0, 10.0])
     @pytest.mark.parametrize("rank_rel", [1e-8, 1e-4])

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -62,3 +63,13 @@ def test_route_order(monkeypatch):
     calls.clear()
     fepkit.classify.classify_point(planted_jordan(rng, 24, [2, 1]), 0.0)
     assert calls[0] == "weyr_oracle"
+
+
+def test_readme_library_block_runs():
+    """README's Python example runs against the package as it is."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["report"].partials == (2, 2)

@@ -12,6 +12,10 @@ from fepkit.matkit import (
 )
 
 
+def fro(m):
+    return float(np.linalg.norm(m, "fro"))
+
+
 def random_unitary(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q
@@ -31,26 +35,26 @@ class TestAsSquareMatrix:
 
 class TestNumericalRank:
     def test_zero_matrix(self, policy):
-        assert numerical_rank(np.zeros((3, 3)), policy) == 0
+        assert numerical_rank(np.zeros((3, 3)), policy, 0.0) == 0
 
     def test_identity(self, policy):
-        assert numerical_rank(np.eye(3), policy) == 3
+        assert numerical_rank(np.eye(3), policy, fro(np.eye(3))) == 3
 
     def test_lieb_leading_mode_is_outer_product(self, policy):
         # B_0 of the chain model at symbols P=1, Q=2, R=3, S=-2/3
         p, q, r, s = 1.0, 2.0, 3.0, -2.0 / 3.0
         b0 = np.array([[-r * s, 0, p * r], [0, 0, 0], [q * s, 0, -p * q]], dtype=complex)
-        assert numerical_rank(b0, policy) == 1
+        assert numerical_rank(b0, policy, fro(b0)) == 1
 
     def test_rejects_non_square(self, policy):
         with pytest.raises(ValueError):
-            numerical_rank(np.zeros((2, 3)), policy)
+            numerical_rank(np.zeros((2, 3)), policy, 1.0)
 
     def test_rejects_non_finite(self, policy):
         bad = np.eye(2, dtype=complex)
         bad[0, 1] = np.nan
         with pytest.raises(ValueError):
-            numerical_rank(bad, policy)
+            numerical_rank(bad, policy, 1.0)
 
     def test_planted_rank_deficits(self, policy, rng):
         # rank + numerical null dimension partitions n, 200 plants
@@ -61,21 +65,22 @@ class TestNumericalRank:
             sing = np.zeros(n)
             sing[:r] = np.sort(rng.uniform(0.1, 5.0, size=r))[::-1]
             a = (u * sing) @ v.conj().T
-            got = numerical_rank(a, policy)
+            got = numerical_rank(a, policy, fro(a))
             assert got == r
             s = np.linalg.svd(a, compute_uv=False)
-            cutoff = policy.rank_cutoff(s[0], np.linalg.norm(a, "fro"))
+            cutoff = policy.rank_cutoff(s[0], fro(a))
             null_dim = int(np.count_nonzero(s <= cutoff))
             assert got + null_dim == n
 
-    def test_default_floor_tracks_frobenius(self):
-        # the floor 1e-12 * ||A||_F wins over rank_rel * s_max here
+    def test_floor_tracks_the_given_scale(self):
+        # the floor 1e-12 * scale wins over rank_rel * s_max here
         policy = TolerancePolicy(rank_rel=1e-14)
         assert policy.rank_cutoff(3.0, 6.0) == pytest.approx(1e-12 * 6.0)
-        floor = 1e-12 * np.sqrt(27.0)  # ||diag(3, 3, 3, x)||_F for tiny x
-        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 0.98 * floor]), policy) == 3
-        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 1.02 * floor]), policy) == 4
-        # an explicit problem scale replaces ||A||_F
+        norm = np.sqrt(27.0)  # ||diag(3, 3, 3, x)||_F for tiny x
+        floor = 1e-12 * norm
+        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 0.98 * floor]), policy, norm) == 3
+        assert numerical_rank(np.diag([3.0, 3.0, 3.0, 1.02 * floor]), policy, norm) == 4
+        # a smaller problem scale lowers the floor
         assert numerical_rank(np.diag([3.0, 3.0, 3.0, 0.98 * floor]), policy, scale=1.0) == 4
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from fepkit.matkit import spectral_norm
 from fepkit import scan
+from fepkit.classify import DegeneracyReport
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
 from fepkit.scan import (
-    ManifoldSample,
     analytic_degeneracies,
     bz_scan,
     canonical_k,
@@ -273,15 +273,15 @@ class TestTraceRing:
         spec = LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4)
         samples = trace_ring(spec, 64, policy)
         assert len(samples) == 64
-        assert all(isinstance(s, ManifoldSample) for s in samples)
-        assert all(s.report.alpha == 3 for s in samples)
+        assert all(isinstance(s, DegeneracyReport) for s in samples)
+        assert all(s.alpha == 3 for s in samples)
 
     def test_special_point_sampled_exactly(self, policy):
         spec = LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4)
         samples = trace_ring(spec, 64, policy)
-        special = [s for s in samples if k_distance(s.k, (PI / 4, PI / 4)) <= 1e-12]
+        special = [s for s in samples if k_distance(s.k_point, (PI / 4, PI / 4)) <= 1e-12]
         assert len(special) == 1
-        assert special[0].report.label == "FEP"
+        assert special[0].label == "FEP"
 
     def test_off_ring_momenta_have_simple_flat_band(self, policy, rng):
         spec = LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4)
@@ -315,8 +315,8 @@ class TestTraceRing:
         spec = LiebSpec("reciprocal", phi=3 * PI / 4, psi=3 * PI / 4)
         samples = trace_ring(spec, 64, policy)
         assert len(samples) == 64
-        assert all(s.report.alpha == 3 for s in samples)
-        feps = sorted(s.k for s in samples if s.report.label == "FEP")
+        assert all(s.alpha == 3 for s in samples)
+        feps = sorted(s.k_point for s in samples if s.label == "FEP")
         assert len(feps) == 2
         for got, want in zip(feps, [(-3 * PI / 4, -3 * PI / 4), (3 * PI / 4, 3 * PI / 4)]):
             assert k_distance(got, want) <= 1e-8
