@@ -35,7 +35,7 @@ from .probes import (
     splitting_exponent,
     symmetry_check,
 )
-from .scan import analytic_degeneracies, bz_scan, refine_degeneracy, trace_ring
+from .scan import analytic_degeneracies, bz_scan, trace_ring
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "hinge_hamiltonian",
     "model_from_id",
     "bz_scan",
-    "refine_degeneracy",
     "analytic_degeneracies",
     "trace_ring",
     "ExponentFit",

@@ -202,7 +202,6 @@ class ResponseStrengths:
 
     eta: float
     xi: float
-    ell: int
 
 
 def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStrengths:
@@ -235,4 +234,4 @@ def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStr
     lead = modes.mode(alpha - ell)
     eta = float(np.linalg.norm(lead, "fro")) / abs(c_alpha)
     xi = float(modes.singular_values([alpha - ell])[0][0]) / abs(c_alpha)
-    return ResponseStrengths(eta=eta, xi=xi, ell=ell)
+    return ResponseStrengths(eta=eta, xi=xi)

@@ -99,11 +99,6 @@ class PartialMultiplicityFunction:
             out.extend([l] * self.beta[l])
         return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PartialMultiplicityFunction):
-            return self.beta == other.beta
-        return NotImplemented
-
     def __hash__(self):
         return hash(tuple(sorted(self.beta.items())))
 

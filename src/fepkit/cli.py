@@ -59,7 +59,10 @@ def parse_angle(text: str) -> float:
     coeff = float(m.group(2)) if m.group(2) else 1.0
     value = coeff * (math.pi if m.group(3) else 1.0)
     if m.group(4):
-        value /= float(m.group(4))
+        denominator = float(m.group(4))
+        if denominator == 0:
+            raise ValueError(f"cannot parse angle {text!r} (zero denominator)")
+        value /= denominator
     return sign * value
 
 
@@ -180,21 +183,31 @@ def _model(args) -> tuple[LiebSpec | HodsmSpec, dict]:
     return model, {"id": args.model, **params}
 
 
-def _model_k(args, model) -> tuple[float, ...] | None:
-    """``--k`` checked against the model's dimension; None for a hodsm model without it."""
+def _model_k(args, model) -> tuple[float, ...]:
+    """``--k`` checked against the model's dimension; on a semimetal ``--kz x`` means (0, 0, x)."""
     if isinstance(model, LiebSpec):
         k = parse_k(args.k) if args.k else None
         if k is None or len(k) != 2:
             raise ValueError("lieb models need --k kx,ky")
         return k
     if not args.k:
-        return None
+        if args.kz is None:
+            raise ValueError("hodsm models need --k or --kz")
+        return (0.0, 0.0, args.kz)
     if args.kz is not None:
         raise ValueError("give --k kx,ky,kz or --kz, not both")
     k = parse_k(args.k)
     if len(k) != 3:
         raise ValueError("hodsm models need --k kx,ky,kz (or just --kz)")
     return k
+
+
+def _point_report(args, model, policy) -> tuple[np.ndarray, DegeneracyReport]:
+    """The Bloch matrix at the flags' momentum and its report at ``--energy`` (default 0)."""
+    k = _model_k(args, model)
+    h = bloch_matrix(model, k)
+    energy = complex(args.energy) if args.energy is not None else 0j
+    return h, classify_point(h, energy, policy, k_point=k)
 
 
 def _geometry(args) -> HingeGeometry:
@@ -213,14 +226,7 @@ def _csv(rows, header: str) -> str:
 
 
 def _cmd_classify(args, model, echo) -> dict:
-    policy = _policy_from_args(args)
-    k = _model_k(args, model)
-    if k is None:
-        if args.kz is None:
-            raise ValueError("hodsm models need --k or --kz")
-        k = (0.0, 0.0, args.kz)
-    energy = complex(args.energy) if args.energy is not None else 0j
-    report = classify_point(bloch_matrix(model, k), energy, policy, k_point=k)
+    _, report = _point_report(args, model, _policy_from_args(args))
     return report_json(report, echo)
 
 
@@ -294,11 +300,10 @@ def _cmd_ring(args, model, echo) -> dict:
 
 
 def _cmd_hinge(args, model, echo) -> dict:
-    policy = _policy_from_args(args)
     if not isinstance(model, HodsmSpec):
         raise ValueError("hinge systems exist for hodsm models only")
     geom = _geometry(args)
-    rep = hinge_report(model, geom, policy)
+    rep = hinge_report(model, geom)
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         for i, intensity in enumerate(rep.intensity_maps):
@@ -357,19 +362,16 @@ def _cmd_probe(args, model, echo) -> dict:
     if kind in ("decay", "atomistic") and not isinstance(model, HodsmSpec):
         raise ValueError(f"the {kind} probe needs a hodsm model")
     if kind in ("lineshape", "splitting"):
-        k = _model_k(args, model) or (0.0, 0.0, args.kz or 0.0)
-        h = bloch_matrix(model, k)
-        energy = complex(args.energy or 0.0)
-        report = classify_point(h, energy, policy, k_point=k)
+        h, report = _point_report(args, model, policy)
         if kind == "lineshape":
-            fit = lineshape_exponent(h, energy, policy)
+            fit = lineshape_exponent(h, report.energy, policy)
             expected = -2.0 * report.ell
         else:
-            fit = splitting_exponent(h, energy, policy)
+            fit = splitting_exponent(h, report.energy, policy)
             expected = 1.0 / report.ell
         doc.update(
             {
-                "k": list(k),
+                "k": list(report.k_point),
                 "ell": report.ell,
                 "slope": fit.slope,
                 "expected_slope": expected,
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=_cmd_ring)
 
-    p = verb("hinge", "open-boundary hinge report (JSON + CSVs)", "--kz", "--rank-tol")
+    p = verb("hinge", "open-boundary hinge report (JSON + CSVs)", "--kz")
     p.add_argument("--nx", type=int, default=20)
     p.add_argument("--ny", type=int, default=20)
     p.set_defaults(func=_cmd_hinge)

@@ -58,7 +58,10 @@ __all__ = [
     "hodsm_closed_dispersion",
     "hinge_hamiltonian",
     "cell_index",
-    "symmetry_operator",
+    "CHIRAL_LIEB",
+    "CHIRAL_DSM",
+    "ROTATION_C4",
+    "generalized_reflection",
     "arccot",
 ]
 
@@ -107,6 +110,8 @@ class LiebSpec:
                 raise ValueError(f"Lieb variant {self.variant!r} requires {name}")
             if name not in needs and value is not None:
                 raise ValueError(f"Lieb variant {self.variant!r} does not take {name}")
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def dims(self) -> int:
@@ -201,6 +206,9 @@ class HodsmSpec:
     def __post_init__(self):
         if self.variant not in range(5):
             raise ValueError(f"unknown hodsm variant {self.variant}")
+        for name in ("t", "s", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s == 0:
             raise ValueError("intercell coupling s must be nonzero")
 
@@ -396,6 +404,15 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
 # ---------------------------------------------------------------------------
 # Symmetry operators
 
+# Bloch-cell involutions that anticommute with the Lieb and semimetal Bloch
+# matrices, and the fourfold rotation of the quadrupole cell (squaring to -1 on
+# the pi-flux lattice); like SIGMA, they are read, never written
+CHIRAL_LIEB = np.diag([1.0, -1.0, 1.0]).astype(complex)
+CHIRAL_DSM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+ROTATION_C4 = np.zeros((4, 4), dtype=complex)
+ROTATION_C4[:2, 2:] = np.eye(2)
+ROTATION_C4[2:, :2] = -1j * SIGMA[2]
+
 
 def _corner_permutation(geom: HingeGeometry) -> sp.csr_matrix:
     """Antidiagonal lattice reflection combined with the A <-> B site swap."""
@@ -410,33 +427,14 @@ def _corner_permutation(geom: HingeGeometry) -> sp.csr_matrix:
     return sp.csr_matrix((ones, (rows, cols)), shape=(geom.sites, geom.sites))
 
 
-def symmetry_operator(kind: str, geom: HingeGeometry | None = None) -> np.ndarray | sp.csr_matrix:
-    """The representation matrix of a catalog symmetry.
+def generalized_reflection(geom: HingeGeometry) -> sp.csr_matrix:
+    """The antidiagonal reflection combined with a sign flip on the C sublattice.
 
-    ``chiral-lieb`` and ``chiral-dsm`` are the Bloch-cell involutions that
-    anticommute with the respective Bloch matrices; ``rotation-c4`` is the
-    fourfold rotation of the quadrupole cell (squaring to -1 on the pi-flux
-    lattice).  These three are dense complex arrays.
-    ``generalized-reflection`` is the antidiagonal reflection combined with a
-    sign flip on the C sublattice; it acts on the full open system, needs a
-    geometry and is returned as a sparse complex CSR signed permutation.
+    It acts on the full open system, as a sparse complex CSR signed permutation.
     """
-    if kind == "chiral-lieb":
-        return np.diag([1.0, -1.0, 1.0]).astype(complex)
-    if kind == "chiral-dsm":
-        return np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    if kind == "rotation-c4":
-        c4 = np.zeros((4, 4), dtype=complex)
-        c4[:2, 2:] = np.eye(2)
-        c4[2:, :2] = -1j * SIGMA[2]
-        return c4
-    if geom is None:
-        raise ValueError(f"symmetry kind {kind!r} needs an open-system geometry")
-    if kind == "generalized-reflection":
-        r_op = _corner_permutation(geom)
-        r_op.data[r_op.indices % 4 == 2] = -1.0  # the C sublattice, which maps to itself
-        return r_op
-    raise ValueError(f"unknown symmetry kind {kind!r}")
+    r_op = _corner_permutation(geom)
+    r_op.data[r_op.indices % 4 == 2] = -1.0  # the C sublattice, which maps to itself
+    return r_op
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,15 @@ from scipy.sparse.csgraph import connected_components as sparse_connected_compon
 from .classify import DegeneracyReport, classify_point
 from .matkit import TolerancePolicy
 from .models import (
+    CHIRAL_DSM,
+    CHIRAL_LIEB,
+    ROTATION_C4,
     HingeGeometry,
     HodsmSpec,
     LiebSpec,
     bloch_matrix,
+    generalized_reflection,
     hinge_hamiltonian,
-    symmetry_operator,
 )
 
 __all__ = [
@@ -208,7 +211,6 @@ class HingeReport:
     the full spectrum is not part of the report.
     """
 
-    kz: float
     low_energies: np.ndarray  # the four smallest |E|, in ascending |E|
     gap_ratio: float  # |E_5| / |E_4| in the |E| ordering
     gram: np.ndarray  # 4x4 matrix of |<u_i, u_j>|
@@ -241,11 +243,7 @@ GRAM_THRESHOLD = 0.1
 EIGENSOLVER_CAP = 4096
 
 
-def hinge_report(
-    spec: HodsmSpec,
-    geom: HingeGeometry,
-    policy: TolerancePolicy | None = None,
-) -> HingeReport:
+def hinge_report(spec: HodsmSpec, geom: HingeGeometry) -> HingeReport:
     """Summarize the four lowest states of the open system.
 
     The eight eigenpairs nearest E = 0 come from shift-invert Arnoldi on the
@@ -254,7 +252,6 @@ def hinge_report(
     (Kramers) states orthonormal.  The Gram rank counts singular values of
     the overlap matrix above ``GRAM_THRESHOLD``.
     """
-    policy = policy or TolerancePolicy()
     n = geom.sites
     if n > EIGENSOLVER_CAP:
         raise ValueError(f"{n} sites exceed the eigensolver cap {EIGENSOLVER_CAP}")
@@ -275,12 +272,11 @@ def hinge_report(
     states = u[:, :nq] / np.linalg.norm(u[:, :nq], axis=0, keepdims=True)
     gram = np.abs(states.conj().T @ states)
     s = np.linalg.svd(gram, compute_uv=False)
-    gram_rank = int(np.count_nonzero(s > max(GRAM_THRESHOLD, policy.rank_rel * s[0])))
+    gram_rank = int(np.count_nonzero(s > GRAM_THRESHOLD))
 
     intensity = np.abs(states) ** 2  # (n, 4)
     maps = intensity.T.reshape(nq, geom.nx, geom.ny, 4).sum(axis=3)
     return HingeReport(
-        kz=geom.kz,
         low_energies=w[:nq],
         gap_ratio=gap_ratio,
         gram=gram,
@@ -387,12 +383,11 @@ def symmetry_check(
         k = np.random.default_rng(SYMMETRY_SEED).uniform(-math.pi, math.pi, size=(100, spec.dims))
         h = bloch_matrix(spec, k.T)
         if kind == "chiral":
-            x = symmetry_operator("chiral-lieb" if spec.dims == 2 else "chiral-dsm")
+            x = CHIRAL_LIEB if spec.dims == 2 else CHIRAL_DSM
             delta, scale = x @ h @ x + h, 1.0 + float(np.max(np.abs(h)))
         else:
-            c4 = symmetry_operator("rotation-c4")
             kx, ky, kz = k.T
-            delta = c4 @ h @ np.linalg.inv(c4) - bloch_matrix(spec, (ky, -kx, kz))
+            delta = ROTATION_C4 @ h @ np.linalg.inv(ROTATION_C4) - bloch_matrix(spec, (ky, -kx, kz))
             scale = 10.0
         per_k = np.max(np.abs(delta), axis=(1, 2))
         at = int(np.argmax(per_k))
@@ -431,7 +426,7 @@ def symmetry_check(
         witness = f"(H^2) block entry {at}" if worst else ""
         return SymmetryCheckResult(kind, worst <= 1e-10 * scale**2, worst, witness)
 
-    r_op = symmetry_operator("generalized-reflection", geom)
+    r_op = generalized_reflection(geom)
     moved = h if kind == "reflection" else h.T
     worst, at = _largest_entry(r_op @ moved @ r_op.T - h)
     witness = f"entry {at}" if worst else ""

@@ -142,17 +142,16 @@ def min_abs_energy(model, k):
     return float(e[0]) if one else e
 
 
-def refine_degeneracy(model, k0, scale: float | None = None) -> DegeneracyCandidate:
+def refine_degeneracy(model, k0, scale: float) -> DegeneracyCandidate:
     """Damped Gauss-Newton descent of the detector from the starting momentum.
 
     The complex detector gives two real residuals; in three dimensions the
     system is underdetermined and the minimum-norm step is taken, which
     converges to the nearest point of the degeneracy manifold.  Convergence
     means the normalized detector falls below 1e-12; otherwise the candidate
-    is returned with ``refined=False`` after 100 iterations.  ``scale``
-    defaults to the model scale; ``bz_scan`` computes it once and passes it.
+    is returned with ``refined=False`` after 100 iterations.  ``scale`` is
+    the model scale, which ``bz_scan`` computes once per scan.
     """
-    scale = scale or _model_scale(model)
     norm_pow = scale ** _detector_degree(model)
     k = np.asarray([float(c) for c in k0], dtype=float)
     dims = k.size
@@ -381,8 +380,6 @@ def trace_ring(
     if samples < 8:
         raise ValueError("need at least 8 samples")
     c = math.cos(model.phi)
-    if abs(2 * c) > 2:
-        raise ValueError("empty manifold")  # unreachable, guarded anyway
 
     # valid kx domain: |2c - cos kx| <= 1.  For c >= 0 it is one interval
     # through kx = 0; for c < 0 it wraps through kx = pi; at c = 0 both

@@ -324,7 +324,7 @@ def criterion_9_hinge_vicinity() -> str:
     want_rank = {0: 4, 1: 1, 2: 2, 3: 2, 4: 3}
     ranks = {}
     for variant in range(5):
-        rep = hinge_report(HodsmSpec(variant, epsilon=FIGURE_EPS[variant]), geom, POLICY)
+        rep = hinge_report(HodsmSpec(variant, epsilon=FIGURE_EPS[variant]), geom)
         assert rep.gram_rank == want_rank[variant], (
             f"variant {variant}: gram rank {rep.gram_rank}, want {want_rank[variant]}"
         )
@@ -394,9 +394,10 @@ def run(stream=None) -> int:
                 f"PASS criterion {crit.number} ({crit.title}) "
                 f"[{time.time() - start:.1f}s]: {detail}"
             )
-        except AssertionError as exc:
+        except Exception as exc:  # a criterion that raises fails alone; the rest still run
             failures += 1
-            line = f"FAIL criterion {crit.number} ({crit.title}): {exc}"
+            reason = exc if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
+            line = f"FAIL criterion {crit.number} ({crit.title}): {reason}"
         if stream:
             print(line, file=stream, flush=True)
     return 1 if failures else 0

@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import fepkit.cli
+import fepkit.selftest
 from fepkit.classify import OracleDisagreementError, PartialMultiplicityFunction
 from fepkit.cli import PROBE_FLAGS, dumps_canonical, main, parse_angle, parse_k
 from fepkit.models import HingeGeometry, bloch_matrix, model_from_id
@@ -42,13 +45,39 @@ class TestAngleParsing:
     def test_accepted(self, text, want):
         assert parse_angle(text) == pytest.approx(want)
 
-    @pytest.mark.parametrize("text", ["2arccot(0.5)", "pie", "pi*2", "", "x"])
+    @pytest.mark.parametrize(
+        "text", ["2arccot(0.5)", "pie", "pi*2", "", "x", "pi/0", "1/0", "3pi/0.0"]
+    )
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_angle(text)
 
     def test_parse_k(self):
         assert parse_k("pi,-pi/2") == pytest.approx((PI, -PI / 2))
+
+    @pytest.mark.parametrize(
+        "argv,flag,parser",
+        [
+            (("classify", "--model", "hodsm:h", "--kz", "pi/0"), "--kz", "parse_angle"),
+            (("ring", "--model", "lieb:reciprocal", "--phi", "1/0"), "--phi", "parse_angle"),
+            (("scan", "--model", "lieb:reciprocal", "--psi", "3pi/0.0"), "--psi", "parse_angle"),
+            (("band", "--model", "hodsm:h", "--path", "kz=-pi:pi/0:5"), "--path", "_parse_path"),
+        ],
+        ids=["kz", "phi", "psi", "path"],
+    )
+    def test_zero_denominator_flag_exits_2(self, capsys, argv, flag, parser):
+        """argparse prints its usage, then one error line; no traceback."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            f"fepkit {argv[0]}: error: argument {flag}: invalid {parser} value: {argv[-1]!r}"
+        )
+        assert "Traceback" not in err
+
+    def test_zero_denominator_momentum_exits_2(self, capsys):
+        code, out, err = run(capsys, "classify", "--model", "lieb:hermitian", "--k", "pi/0,pi")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["fepkit: cannot parse angle 'pi/0' (zero denominator)"]
 
 
 class TestCanonicalJson:
@@ -375,6 +404,10 @@ class TestProbeVerb:
                 "hodsm models need --k kx,ky,kz",
             ),
             (("--model", "lieb:hermitian", "--kind", "splitting", "--k", "pi"), "lieb models need --k kx,ky"),
+            (
+                ("--model", "hodsm:h", "--kind", "lineshape", "--energy", "0.7071067811865476"),
+                "hodsm models need --k or --kz",
+            ),
         ],
         ids=[
             "decay-without-geometry",
@@ -383,6 +416,7 @@ class TestProbeVerb:
             "lieb-decay",
             "hodsm-lineshape-short-k",
             "lieb-splitting-short-k",
+            "hodsm-lineshape-without-k",
         ],
     )
     def test_input_errors_exit_2(self, capsys, argv, needs):
@@ -390,6 +424,19 @@ class TestProbeVerb:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and needs in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("kind", ["lineshape", "splitting"])
+    def test_kz_alone_is_the_k_axis_point(self, capsys, kind):
+        """On a semimetal ``--kz 0`` reads as ``--k 0,0,0``, the point ``classify`` takes."""
+        base = ("probe", "--kind", kind, "--model", "hodsm:h", "--energy", "0.7071067811865476")
+        code, out, err = run(capsys, *base, "--kz", "0")
+        assert code == 0, err
+        code, explicit, _ = run(capsys, *base, "--k", "0,0,0")
+        assert code == 0
+        assert untimed(out) == untimed(explicit)
+        doc = json.loads(out)
+        assert doc["k"] == [0, 0, 0] and doc["ell"] == 1
+        assert doc["expected_slope"] == (-2 if kind == "lineshape" else 1)
 
 
 class TestSymmetryProbeGeometry:
@@ -432,6 +479,30 @@ def test_selftest_runs_every_criterion(capsys):
     assert len(lines) == 10 and all(line.startswith("PASS criterion") for line in lines)
 
 
+def test_selftest_reports_a_raising_criterion_and_runs_the_rest(monkeypatch):
+    """A criterion whose classification raises fails alone, named, and the others still run."""
+
+    def disagree(*args, **kwargs):
+        raise OracleDisagreementError(
+            PartialMultiplicityFunction({3: 1}), PartialMultiplicityFunction({2: 1})
+        )
+
+    monkeypatch.setattr(fepkit.selftest, "classify_point", disagree)
+    stream = io.StringIO()
+    assert fepkit.selftest.run(stream=stream) == 1
+    lines = stream.getvalue().splitlines()
+    assert len(lines) == 10
+    for number, line in enumerate(lines, start=1):
+        if number <= 5:
+            assert line.startswith(f"FAIL criterion {number} ("), line
+            assert line.endswith(
+                "): OracleDisagreementError: "
+                "mode-rank fingerprint {3: 1} disagrees with Weyr oracle {2: 1}"
+            )
+        else:
+            assert line.startswith(f"PASS criterion {number} ("), line
+
+
 class TestUnreadFlags:
     """Each verb accepts only the flags it reads."""
 
@@ -461,6 +532,7 @@ class TestUnreadFlags:
             ("ring", "--kz"),
             ("ring", "--cluster-tol"),
             ("hinge", "--k"),
+            ("hinge", "--rank-tol"),
             ("hinge", "--cluster-tol"),
         ],
     )
@@ -594,6 +666,21 @@ def test_probe_reads_a_tolerance_variable_only_with_its_flag(capsys, monkeypatch
         assert untimed(out) == untimed(plain)
 
 
+# every emitting run with an --eps; ring takes a Lieb model that has one, which
+# is built (and refused) before ring checks the variant
+NONFINITE = {**EMITTING, "ring": ("ring", "--model", "lieb:nh-symmetric", "--eps", "1")}
+
+
+@pytest.mark.parametrize("value,shown", [("nan", "nan"), ("inf", "inf"), ("1e309", "inf")])
+@pytest.mark.parametrize("argv", NONFINITE.values(), ids=NONFINITE.keys())
+def test_nonfinite_parameter_exits_2(capsys, argv, value, shown):
+    """Every verb and probe kind refuses a NaN or infinite model parameter with one line."""
+    i = argv.index("--eps")
+    code, out, err = run(capsys, *argv[: i + 1], value, *argv[i + 2 :])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"fepkit: epsilon must be finite, got {shown}"]
+
+
 def test_overflowing_classification_exits_2(capsys):
     code, out, err = run(capsys, "classify", "--model", "hodsm:h", "--t", "1e100", "--kz", "pi/2")
     assert code == 2 and out == ""
@@ -615,3 +702,24 @@ def test_cached_parser_gives_fresh_process_bytes(capsys):
     assert code == 0 and err == ""
     assert fepkit.cli.build_parser() is fepkit.cli.build_parser()
     assert untimed(out) == untimed(fresh.stdout)
+
+
+def test_readme_cli_examples_run(capsys, tmp_path):
+    """Every README ``fepkit`` example but ``selftest`` exits 0, its --out in tmp_path."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"^```sh\n(.*?)^```$", readme, flags=re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("fepkit ") and not line.startswith("fepkit selftest")
+    ]
+    assert len(examples) == 11
+    for i, argv in enumerate(examples):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        else:
+            argv += ["--out", str(tmp_path / f"example{i}.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == "" and err == "", (argv, err)
+        assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0

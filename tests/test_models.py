@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from fepkit import models
 from fepkit.models import (
+    CHIRAL_DSM,
+    CHIRAL_LIEB,
+    ROTATION_C4,
     HingeGeometry,
     HodsmSpec,
     LiebSpec,
@@ -22,7 +25,6 @@ from fepkit.models import (
     lieb_case,
     lieb_pqrs,
     model_from_id,
-    symmetry_operator,
 )
 from fepkit.selftest import FIGURE_EPS
 
@@ -130,14 +132,14 @@ class TestChiralAndReciprocity:
         ids=["hermitian", "nh-symmetric", "minimal-fep", "reciprocal"],
     )
     def test_lieb_chiral_anticommutation(self, spec, rng):
-        x = symmetry_operator("chiral-lieb")
+        x = CHIRAL_LIEB
         for _ in range(100):
             h = lieb_bloch(spec, rng.uniform(-PI, PI, 2))
             assert np.max(np.abs(x @ h @ x + h)) <= 1e-12
 
     @pytest.mark.parametrize("variant,eps", [(0, 0.0), (1, 0.7), (2, 0.7), (3, 0.5), (4, 0.35)])
     def test_hodsm_chiral_anticommutation(self, variant, eps, rng):
-        x = symmetry_operator("chiral-dsm")
+        x = CHIRAL_DSM
         spec = HodsmSpec(variant, epsilon=eps)
         for _ in range(100):
             h = hodsm_bloch(spec, rng.uniform(-PI, PI, 3))
@@ -430,23 +432,38 @@ def test_corner_permutation_matches_loop_form(size):
 
 class TestSymmetryOperators:
     def test_chiral_involutions(self):
-        for kind in ("chiral-lieb", "chiral-dsm"):
-            x = symmetry_operator(kind)
+        for x in (CHIRAL_LIEB, CHIRAL_DSM):
             assert np.allclose(x @ x, np.eye(x.shape[0]))
 
     def test_c4_fourth_power_is_minus_one(self):
-        c4 = symmetry_operator("rotation-c4")
-        assert np.allclose(np.linalg.matrix_power(c4, 4), -np.eye(4))
+        assert np.allclose(np.linalg.matrix_power(ROTATION_C4, 4), -np.eye(4))
 
     def test_reflection_is_unitary_involution(self):
         geom = HingeGeometry(4, 4, kz=0.0)
-        r = symmetry_operator("generalized-reflection", geom).toarray()
+        r = models.generalized_reflection(geom).toarray()
         assert np.allclose(r @ r.conj().T, np.eye(64))
         assert np.allclose(r @ r, np.eye(64))
 
     def test_reflection_needs_square_geometry(self):
         with pytest.raises(ValueError):
-            symmetry_operator("generalized-reflection", HingeGeometry(3, 4))
+            models.generalized_reflection(HingeGeometry(3, 4))
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda v: LiebSpec("nh-symmetric", epsilon=v), "epsilon"),
+        (lambda v: LiebSpec("reciprocal", phi=v, psi=0.3), "phi"),
+        (lambda v: LiebSpec("reciprocal", phi=0.3, psi=v), "psi"),
+        (lambda v: HodsmSpec(1, epsilon=v), "epsilon"),
+        (lambda v: HodsmSpec(0, t=v), "t"),
+        (lambda v: HodsmSpec(0, s=v), "s"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_specs_refuse_nonfinite_parameters(build, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+        build(value)
 
 
 class TestModelRegistry:

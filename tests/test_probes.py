@@ -6,6 +6,9 @@ import scipy.sparse as sp
 
 from fepkit import probes
 from fepkit.models import (
+    CHIRAL_DSM,
+    CHIRAL_LIEB,
+    ROTATION_C4,
     HingeGeometry,
     HodsmSpec,
     LiebSpec,
@@ -14,7 +17,6 @@ from fepkit.models import (
     hinge_hamiltonian,
     hodsm_bloch,
     lieb_bloch,
-    symmetry_operator,
 )
 from fepkit.probes import (
     SYMMETRY_KINDS,
@@ -69,8 +71,8 @@ class TestSplitting:
 
 
 class TestHingeReport:
-    def test_hermitian_small_lattice(self, policy):
-        rep = hinge_report(HodsmSpec(0), HingeGeometry(12, 12, 0.0), policy)
+    def test_hermitian_small_lattice(self):
+        rep = hinge_report(HodsmSpec(0), HingeGeometry(12, 12, 0.0))
         assert rep.gram_rank == 4
         assert rep.gap_ratio >= 5.0
         assert rep.intensity_maps.shape == (4, 12, 12)
@@ -86,46 +88,44 @@ class TestHingeReport:
         )
         assert np.all(corner_weight > 0.5)
 
-    def test_skin_effect_collapses_gram_rank(self, policy):
-        rep = hinge_report(
-            HodsmSpec(1, epsilon=2**-0.5), HingeGeometry(14, 14, 0.0), policy
-        )
+    def test_skin_effect_collapses_gram_rank(self):
+        rep = hinge_report(HodsmSpec(1, epsilon=2**-0.5), HingeGeometry(14, 14, 0.0))
         assert rep.gram_rank == 1
         # all right states in the lower-left (B) corner
         assert np.all(rep.intensity_maps[:, 0, 0] > 0.3)
 
-    def test_eigensolver_cap(self, policy):
+    def test_eigensolver_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            hinge_report(HodsmSpec(0), HingeGeometry(40, 40, 0.0), policy)
+            hinge_report(HodsmSpec(0), HingeGeometry(40, 40, 0.0))
 
-    def test_too_few_sites(self, policy):
+    def test_too_few_sites(self):
         with pytest.raises(ValueError, match="too few"):
-            hinge_report(HodsmSpec(0), HingeGeometry(1, 2, 0.0), policy)
+            hinge_report(HodsmSpec(0), HingeGeometry(1, 2, 0.0))
 
 
 class TestHingeShiftInvert:
     @pytest.mark.parametrize("cells", [6, 10])
     @pytest.mark.parametrize("variant", range(5))
-    def test_matches_dense_reference(self, variant, cells, policy):
+    def test_matches_dense_reference(self, variant, cells):
         # the four near-EP energies are ill-conditioned; compare ranks and gaps
         spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
         geom = HingeGeometry(cells, cells, 0.0)
-        rep = hinge_report(spec, geom, policy)
+        rep = hinge_report(spec, geom)
         h = hinge_hamiltonian(spec, geom).toarray()
         w, u = np.linalg.eigh(h) if variant == 0 else np.linalg.eig(h)
         by_abs = np.argsort(np.abs(w), kind="stable")
         states = u[:, by_abs[:4]] / np.linalg.norm(u[:, by_abs[:4]], axis=0)
         s = np.linalg.svd(np.abs(states.conj().T @ states), compute_uv=False)
-        assert rep.gram_rank == int(np.count_nonzero(s > max(0.1, policy.rank_rel * s[0])))
+        assert rep.gram_rank == int(np.count_nonzero(s > probes.GRAM_THRESHOLD))
         e4, e5 = np.abs(w[by_abs[3]]), np.abs(w[by_abs[4]])
         assert rep.gap_ratio == pytest.approx(e5 / e4, rel=1e-5)
         assert abs(rep.gap_ratio * abs(rep.low_energies[3]) - e5) <= 1e-8
         assert np.all(np.diff(np.abs(rep.low_energies)) >= 0)
 
-    def test_repeated_calls_are_bitwise_identical(self, policy):
+    def test_repeated_calls_are_bitwise_identical(self):
         for variant in (0, 2):
             spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
-            a, b = (hinge_report(spec, HingeGeometry(10, 10, 0.0), policy) for _ in range(2))
+            a, b = (hinge_report(spec, HingeGeometry(10, 10, 0.0)) for _ in range(2))
             assert np.array_equal(a.gram, b.gram)
             assert a.gap_ratio == b.gap_ratio
         spec = HodsmSpec(1, t=-1.0, s=1.0, epsilon=0.25)
@@ -277,7 +277,7 @@ def loop_bloch_check(spec, kind):
     rng = np.random.default_rng(probes.SYMMETRY_SEED)
     worst, at, scale = 0.0, "", 1.0
     if kind == "chiral":
-        x = symmetry_operator("chiral-lieb" if spec.dims == 2 else "chiral-dsm")
+        x = CHIRAL_LIEB if spec.dims == 2 else CHIRAL_DSM
         for _ in range(100):
             k = rng.uniform(-PI, PI, size=spec.dims)
             h = bloch_matrix(spec, k)
@@ -286,7 +286,7 @@ def loop_bloch_check(spec, kind):
             if v > worst:
                 worst, at = v, f"k = ({', '.join(f'{c:.4f}' for c in k)})"
         return SymmetryCheckResult(kind, worst <= 1e-10 * scale, worst, at)
-    c4 = symmetry_operator("rotation-c4")
+    c4 = ROTATION_C4
     for _ in range(100):
         kx, ky, kz = rng.uniform(-PI, PI, size=3)
         lhs = c4 @ bloch_matrix(spec, (kx, ky, kz)) @ np.linalg.inv(c4)

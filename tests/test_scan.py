@@ -80,7 +80,7 @@ class TestScanGrid:
         starts = []
         refine = scan.refine_degeneracy
 
-        def recording(model, k0, scale=None):
+        def recording(model, k0, scale):
             starts.append(k0)
             return refine(model, k0, scale)
 
@@ -172,19 +172,19 @@ class TestBzScan:
 class TestRefine:
     def test_converges_to_corner_point(self):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        cand = refine_degeneracy(spec, (PI + 0.05, PI - 0.05))
+        cand = refine_degeneracy(spec, (PI + 0.05, PI - 0.05), _model_scale(spec))
         assert cand.refined
         assert k_distance(cand.k, (PI, PI)) <= 1e-8
 
     def test_hodsm_ep4_from_off_point(self):
         spec = HodsmSpec(1, epsilon=2**-0.5)
-        cand = refine_degeneracy(spec, (0.0, 0.0, 0.8))
+        cand = refine_degeneracy(spec, (0.0, 0.0, 0.8), _model_scale(spec))
         assert cand.refined
         assert k_distance(cand.k, (0.0, 0.0, PI / 4)) <= 1e-6
 
     def test_exact_start_returns_immediately(self):
         spec = LiebSpec("hermitian")
-        cand = refine_degeneracy(spec, (PI, PI))
+        cand = refine_degeneracy(spec, (PI, PI), _model_scale(spec))
         assert cand.refined
         assert k_distance(cand.k, (PI, PI)) <= 1e-10
 
@@ -192,8 +192,9 @@ class TestRefine:
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
         cell = 2 * PI / 128
         k0 = (2 * PI / 3, 2 * PI / 3)
-        a = refine_degeneracy(spec, (k0[0] + 0.4 * cell, k0[1] - 0.3 * cell))
-        b = refine_degeneracy(spec, (k0[0] - 0.5 * cell, k0[1] + 0.2 * cell))
+        scale = _model_scale(spec)
+        a = refine_degeneracy(spec, (k0[0] + 0.4 * cell, k0[1] - 0.3 * cell), scale)
+        b = refine_degeneracy(spec, (k0[0] - 0.5 * cell, k0[1] + 0.2 * cell), scale)
         assert a.refined and b.refined
         assert k_distance(a.k, b.k) <= 1e-6
 
@@ -215,7 +216,7 @@ class TestRefine:
             return detector(model, k)
 
         monkeypatch.setattr(scan, "_detector_complex", recording)
-        assert refine_degeneracy(spec, k0).refined
+        assert refine_degeneracy(spec, k0, _model_scale(spec)).refined
         dims = spec.dims
         assert all(isinstance(k, np.ndarray) and k.ndim == 2 and k.shape[0] == dims for k in seen)
         widths = [k.shape[1] for k in seen]
@@ -231,7 +232,7 @@ class TestRefine:
         # outside -3/2 < t/s < -1/2 the parent semimetal is gapped: there is
         # no zero of the detector anywhere, so refinement must report failure
         spec = HodsmSpec(0, t=-2.0, s=1.0)
-        cand = refine_degeneracy(spec, (0.3, -0.2, 1.1))
+        cand = refine_degeneracy(spec, (0.3, -0.2, 1.1), _model_scale(spec))
         assert not cand.refined
         assert cand.min_abs_energy > 0.05
 
