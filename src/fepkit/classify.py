@@ -298,6 +298,8 @@ def classify_point(
     n = m.shape[0]
     norm = spectral_norm(m)
     energy = complex(energy)
+    if not np.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
 
     if method == "auto":
         method = "modes" if n <= 16 else "weyr"

@@ -6,8 +6,8 @@ order and floats carry 17 significant digits.  Files are written atomically
 (temp file plus rename).
 
 Angle-valued flags accept radians or "pi arithmetic": ``pi``, ``-pi/2``,
-``3pi/4``, ``0.75``.  Derived angles (arccos and the like) must be passed
-numerically.
+``3pi/4``, ``0.75``, ``1e-3``.  Derived angles (arccos and the like) must be
+passed numerically.
 """
 
 from __future__ import annotations
@@ -46,24 +46,32 @@ from .scan import bz_scan, min_abs_energy, trace_ring
 
 __all__ = ["main", "parse_angle", "dumps_canonical"]
 
-_ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?(pi)?(?:/(\d+(?:\.\d*)?))?$")
+# a decimal or exponent literal; inf and nan parse, to be refused as not finite
+_NUMBER = r"(?:(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|inf|nan)"
+_ANGLE_RE = re.compile(rf"^([+-]?)({_NUMBER})?(pi)?(?:/({_NUMBER}))?$")
 
 
 def parse_angle(text: str) -> float:
-    """Parse 'pi', '-pi/2', '3pi/4', '2pi/3', or a plain number, to radians."""
+    """Parse 'pi', '-pi/2', '3pi/4', '2pi/3', or a finite number such as '1e-3', to radians."""
     s = text.strip().replace(" ", "")
     m = _ANGLE_RE.match(s)
     if not m or (m.group(2) is None and m.group(3) is None):
         raise ValueError(f"cannot parse angle {text!r} (radians or pi fractions only)")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    coeff = float(m.group(2)) if m.group(2) else 1.0
-    value = coeff * (math.pi if m.group(3) else 1.0)
-    if m.group(4):
-        denominator = float(m.group(4))
-        if denominator == 0:
-            raise ValueError(f"cannot parse angle {text!r} (zero denominator)")
-        value /= denominator
-    return sign * value
+    coeff, denominator = float(m.group(2) or 1.0), float(m.group(4) or 1.0)
+    if denominator == 0:
+        raise ValueError(f"cannot parse angle {text!r} (zero denominator)")
+    value = coeff * (math.pi if m.group(3) else 1.0) / denominator
+    if not all(map(math.isfinite, (coeff, denominator, value))):
+        raise ValueError(f"cannot parse angle {text!r} (not finite)")
+    return -value if m.group(1) == "-" else value
+
+
+def _angle_flag(text: str) -> float:
+    """``parse_angle`` as an argparse type: a refusal keeps its own reason."""
+    try:
+        return parse_angle(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_k(text: str) -> tuple[float, ...]:
@@ -155,23 +163,14 @@ def report_json(report: DegeneracyReport, model: dict) -> dict:
 
 
 def _policy_from_args(args) -> TolerancePolicy:
-    """The tolerance flags a verb or probe kind takes, else their variables, else the defaults."""
-    default = TolerancePolicy()
-
-    def setting(flag: str, env: str, fallback: float) -> float:
-        dest = flag[2:].replace("-", "_")
-        taken = flag in PROBE_FLAGS[args.kind] if args.verb == "probe" else hasattr(args, dest)
-        value = getattr(args, dest) if taken else fallback
-        return float(os.environ.get(env, fallback)) if value is None else value
-
-    return TolerancePolicy(
-        rank_rel=setting("--rank-tol", "FEPKIT_RANK_TOL", default.rank_rel),
-        cluster_tol=setting("--cluster-tol", "FEPKIT_CLUSTER_TOL", default.cluster_tol),
-    )
+    """The tolerance flags given, the defaults for the rest."""
+    rank, cluster = getattr(args, "rank_tol", None), getattr(args, "cluster_tol", None)
+    given = {"rank_rel": rank, "cluster_tol": cluster}
+    return TolerancePolicy(**{k: v for k, v in given.items() if v is not None})
 
 
 # the model parameter flags every model verb takes, with their types
-_PARAMS = {"eps": float, "t": float, "s": float, "phi": parse_angle, "psi": parse_angle}
+_PARAMS = {"eps": float, "t": float, "s": float, "phi": _angle_flag, "psi": _angle_flag}
 
 
 def _model(args) -> tuple[LiebSpec | HodsmSpec, dict]:
@@ -232,6 +231,8 @@ def _cmd_classify(args, model, echo) -> dict:
 
 def _cmd_band(args, model, echo) -> str:
     axis, start, stop, count = args.path
+    if count < 1:
+        raise ValueError(f"path count must be at least 1, got {count}")
     dims = model.dims
     names = ("kx", "ky", "kz")[:dims]
     if axis not in names:
@@ -253,6 +254,8 @@ def _cmd_band(args, model, echo) -> str:
 
 
 def _cmd_contour(args, model, echo) -> str:
+    if args.grid < 1:
+        raise ValueError(f"grid must be at least 1, got {args.grid}")
     ks = np.linspace(-math.pi, math.pi, args.grid, endpoint=False)
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     k = (kx, ky) if model.dims == 2 else (kx, ky, np.full_like(kx, args.kz or 0.0))
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags that only some verbs read; each verb names the ones it takes
     optional = {
         "--k": dict(type=str, help="comma-separated momenta (pi fractions ok)"),
-        "--kz": dict(type=parse_angle),
+        "--kz": dict(type=_angle_flag),
         "--rank-tol": dict(type=float),
         "--cluster-tol": dict(type=float),
     }
@@ -457,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(func=_cmd_contour)
 
-    p = verb("scan", "find and classify zone degeneracies (JSON)", "--rank-tol", "--cluster-tol")
+    p = verb("scan", "find and classify zone degeneracies (JSON)", "--rank-tol")
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(func=_cmd_scan)
 
@@ -490,13 +493,29 @@ def _parse_path(text: str) -> tuple[str, float, float, int]:
     parts = spec.split(":")
     if not axis or len(parts) != 3:
         raise argparse.ArgumentTypeError(f"bad path {text!r}; use axis=start:stop:count")
-    return axis, parse_angle(parts[0]), parse_angle(parts[1]), int(parts[2])
+    return axis, _angle_flag(parts[0]), _angle_flag(parts[1]), int(parts[2])
+
+
+def _bind_dashed_values(argv: list[str]) -> list[str]:
+    """``--flag -x`` as ``--flag=-x``, which argparse would read as two options.
+
+    Every option but --help takes one value, so the token after an option is
+    its value, even one that starts with '-' (``-pi/2``, ``-1e-3``).
+    """
+    out: list[str] = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if token.startswith("-") and last.startswith("--") and "=" not in last and last != "--help":
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_dashed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse uses exit(2) for usage errors
         return int(exc.code or 0)
     try:

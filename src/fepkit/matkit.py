@@ -48,8 +48,8 @@ class TolerancePolicy:
         above ``rank_cutoff``.
     cluster_tol
         Eigenvalue clustering radius in units of ``1 + ||H||_2``.  It sets
-        the scan's energy cut, the degenerate cluster of the exponent probes
-        and the Kramers check's pairs; ``classify_point`` does not use it.
+        the degenerate cluster of the exponent probes and the Kramers
+        check's pairs; ``classify_point`` and ``bz_scan`` do not use it.
 
     The vanishing tests use the fixed threshold ``CK_REL``.
     """

@@ -206,11 +206,10 @@ def bz_scan(
 
     The grid has ``resolution`` points per axis of the model's zone, half-open
     on [-pi, pi) so that no point is sampled twice across the wrap.  Kept
-    candidates are refined, have their smallest dispersive |E| below ten
-    cluster radii, and are deduplicated within one grid-cell diagonal
-    (periodic metric).  The result is sorted lexicographically by k.
+    candidates are refined and deduplicated within one grid-cell diagonal
+    (periodic metric).  The result is sorted lexicographically by k, and
+    ``policy`` is read only to classify them.
     """
-    policy = policy or TolerancePolicy()
     if resolution < 8:
         raise ValueError("need a resolution of at least 8 per axis")
     dims = model.dims
@@ -229,12 +228,11 @@ def bz_scan(
         seeds = seeds[order]
 
     kept: list[DegeneracyCandidate] = []
-    energy_cut = 10 * policy.cluster_radius(scale - 1.0)
     radius = math.sqrt(dims * (2 * math.pi / resolution) ** 2)
     for idx in seeds:
         k0 = tuple(axes[d][idx[d]] for d in range(dims))
         cand = refine_degeneracy(model, k0, scale=scale)
-        if not cand.refined or cand.min_abs_energy > energy_cut:
+        if not cand.refined:
             continue
         if any(_periodic_distance(cand.k, other.k) < radius for other in kept):
             continue

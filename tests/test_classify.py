@@ -194,6 +194,15 @@ class TestClassifyPoint:
         with pytest.raises(NotAnEigenvalueError, match="full"):
             classify_point(a, 0.3, policy)
 
+    @pytest.mark.parametrize("method", ["auto", "modes", "weyr"])
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_nonfinite_energy_refused(self, policy, method, energy):
+        """Refused by name on every route, before any step that would misdiagnose it."""
+        h = lieb_bloch(LiebSpec("minimal-fep", epsilon=1.0), (PI, PI))
+        with pytest.raises(ValueError, match="^energy must be finite, got ") as info:
+            classify_point(h, energy, policy, method=method)
+        assert type(info.value) is ValueError
+
     def test_overflowing_modes_name_the_weyr_route(self, policy):
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
         h = 1e100 * q @ np.diag(np.ones(3), 1) @ q.T

@@ -40,6 +40,11 @@ class TestAngleParsing:
             ("0.5", 0.5),
             ("-1.25", -1.25),
             ("2", 2.0),
+            ("1e-3", 1e-3),
+            ("-2.5E-1", -0.25),
+            (".5", 0.5),
+            ("3/4", 0.75),
+            ("1e-1pi/2", PI / 20),
         ],
     )
     def test_accepted(self, text, want):
@@ -52,27 +57,46 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle(text)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e309", "pi/1e309", "1e308pi"])
+    def test_nonfinite_rejected(self, text):
+        with pytest.raises(ValueError, match=r"\(not finite\)"):
+            parse_angle(text)
+
     def test_parse_k(self):
         assert parse_k("pi,-pi/2") == pytest.approx((PI, -PI / 2))
 
     @pytest.mark.parametrize(
-        "argv,flag,parser",
+        "argv,flag,angle",
         [
-            (("classify", "--model", "hodsm:h", "--kz", "pi/0"), "--kz", "parse_angle"),
-            (("ring", "--model", "lieb:reciprocal", "--phi", "1/0"), "--phi", "parse_angle"),
-            (("scan", "--model", "lieb:reciprocal", "--psi", "3pi/0.0"), "--psi", "parse_angle"),
-            (("band", "--model", "hodsm:h", "--path", "kz=-pi:pi/0:5"), "--path", "_parse_path"),
+            (("classify", "--model", "hodsm:h", "--kz", "pi/0"), "--kz", "pi/0"),
+            (("ring", "--model", "lieb:reciprocal", "--phi", "1/0"), "--phi", "1/0"),
+            (("scan", "--model", "lieb:reciprocal", "--psi", "3pi/0.0"), "--psi", "3pi/0.0"),
+            (("band", "--model", "hodsm:h", "--path", "kz=-pi:pi/0:5"), "--path", "pi/0"),
         ],
         ids=["kz", "phi", "psi", "path"],
     )
-    def test_zero_denominator_flag_exits_2(self, capsys, argv, flag, parser):
-        """argparse prints its usage, then one error line; no traceback."""
+    def test_zero_denominator_flag_exits_2(self, capsys, argv, flag, angle):
+        """argparse prints its usage, then one error line with parse_angle's reason; no traceback."""
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == (
-            f"fepkit {argv[0]}: error: argument {flag}: invalid {parser} value: {argv[-1]!r}"
+            f"fepkit {argv[0]}: error: argument {flag}: cannot parse angle {angle!r} (zero denominator)"
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e309"])
+    def test_nonfinite_angle_flag_exits_2(self, capsys, value):
+        code, out, err = run(capsys, "classify", "--model", "hodsm:h", "--kz", value)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            f"fepkit classify: error: argument --kz: cannot parse angle {value!r} (not finite)"
+        )
+
+    def test_exponent_angle_flag(self, capsys):
+        """``--kz 1e-3`` is the angle 0.001 rad."""
+        code, out, err = run(capsys, "contour", "--model", "hodsm:h", "--kz", "1e-3", "--grid", "4")
+        assert code == 0, err
+        assert out == run(capsys, "contour", "--model", "hodsm:h", "--kz", "0.001", "--grid", "4")[1]
 
     def test_zero_denominator_momentum_exits_2(self, capsys):
         code, out, err = run(capsys, "classify", "--model", "lieb:hermitian", "--k", "pi/0,pi")
@@ -176,27 +200,11 @@ class TestClassifyVerb:
             "fepkit: mode-rank fingerprint {3: 1} disagrees with Weyr oracle {2: 1}"
         ]
 
-    def test_env_override(self, capsys, monkeypatch):
-        """Nothing on these paths reads the clustering radius; the rank cutoff is echoed."""
-        for argv in (
-            ("classify", "--model", "lieb:hermitian", "--k", "pi,pi"),
-            ("probe", "--kind", "atomistic", "--model", "hodsm:nh3", "--eps", "0.5",
-             "--t", "-0.5", "--s", "1"),
-        ):
-            monkeypatch.delenv("FEPKIT_CLUSTER_TOL", raising=False)
-            monkeypatch.delenv("FEPKIT_RANK_TOL", raising=False)
-            code, plain, _ = run(capsys, *argv)
-            assert code == 0
-            monkeypatch.setenv("FEPKIT_CLUSTER_TOL", "0.5")
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            assert untimed(out) == untimed(plain)
-            monkeypatch.setenv("FEPKIT_RANK_TOL", "1e-7")
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            doc = json.loads(out)
-            report = doc if argv[0] == "classify" else doc["report"]
-            assert report["policy"] == {"rank_rel": 1e-7, "ck_rel": 1e-9}
+    def test_nonfinite_energy_exits_2(self, capsys):
+        for value in ("nan", "inf"):
+            code, out, err = run(capsys, "classify", "--model", "hodsm:h", "--kz", "0", "--energy", value)
+            assert code == 2 and out == ""
+            assert err.splitlines() == [f"fepkit: energy must be finite, got ({value}+0j)"]
 
 
 class TestBandVerb:
@@ -528,6 +536,7 @@ class TestUnreadFlags:
             ("contour", "--cluster-tol"),
             ("scan", "--k"),
             ("scan", "--kz"),
+            ("scan", "--cluster-tol"),
             ("ring", "--k"),
             ("ring", "--kz"),
             ("ring", "--cluster-tol"),
@@ -646,24 +655,75 @@ def test_out_file_holds_the_stdout_document(capsys, tmp_path, argv):
         assert "timestamp" not in out
 
 
-@pytest.mark.parametrize(
-    "env,flag", [("FEPKIT_RANK_TOL", "--rank-tol"), ("FEPKIT_CLUSTER_TOL", "--cluster-tol")]
-)
-@pytest.mark.parametrize("kind", PROBE_FLAGS)
-def test_probe_reads_a_tolerance_variable_only_with_its_flag(capsys, monkeypatch, kind, env, flag):
-    """A bad value exits 2 exactly where the kind takes the flag; elsewhere it changes nothing."""
+@pytest.mark.parametrize("argv", EMITTING.values(), ids=EMITTING.keys())
+def test_tolerance_variables_change_nothing(capsys, monkeypatch, argv):
+    """The tolerances come from their flags alone: FEPKIT_* variables are not read."""
     monkeypatch.delenv("FEPKIT_RANK_TOL", raising=False)
     monkeypatch.delenv("FEPKIT_CLUSTER_TOL", raising=False)
-    code, plain, err = run(capsys, *EMITTING[kind])
+    code, plain, err = run(capsys, *argv)
     assert code == 0, err
-    monkeypatch.setenv(env, "abc")
-    code, out, err = run(capsys, *EMITTING[kind])
-    if flag in PROBE_FLAGS[kind]:
-        assert code == 2 and out == ""
-        assert err.splitlines() == ["fepkit: could not convert string to float: 'abc'"]
-    else:
-        assert code == 0 and err == ""
-        assert untimed(out) == untimed(plain)
+    monkeypatch.setenv("FEPKIT_RANK_TOL", "abc")
+    monkeypatch.setenv("FEPKIT_CLUSTER_TOL", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert untimed(out) == untimed(plain)
+
+
+def test_rank_tol_flag_is_the_echoed_cutoff(capsys):
+    """--rank-tol is rank_rel's one input: every report's policy block echoes it."""
+    for name, reports in (
+        ("classify", lambda doc: [doc]),
+        ("scan", lambda doc: [c["report"] for c in doc["candidates"]]),
+        ("atomistic", lambda doc: [doc["report"]]),
+    ):
+        code, out, err = run(capsys, *EMITTING[name], "--rank-tol", "1e-7")
+        assert code == 0, err
+        policies = [r["policy"] for r in reports(json.loads(out))]
+        assert policies and all(p == {"rank_rel": 1e-7, "ck_rel": 1e-9} for p in policies)
+
+
+# one value each flag reads: argparse alone would take it for an option
+DASHED = [
+    ("classify", "--model", "hodsm:nh3", "--eps", "0.5", "--kz", "-pi/2"),
+    ("classify", "--model", "lieb:minimal-fep", "--eps", "1", "--k", "-pi,pi"),
+    ("probe", "--kind", "atomistic", "--model", "hodsm:nh3", "--eps", "0.5", "--t", "-5e-1"),
+    ("band", "--model", "hodsm:nh1", "--eps", "-1e-3", "--path", "kz=0:1:3"),
+]
+
+
+@pytest.mark.parametrize("argv", DASHED, ids=["kz", "k", "t", "eps"])
+def test_negative_value_as_its_own_token(capsys, argv):
+    """``--flag -x`` gives the ``--flag=-x`` document."""
+    i = next(i for i, token in enumerate(argv) if token.startswith("-") and not token.startswith("--"))
+    joined = (*argv[: i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1 :])
+    code, want, err = run(capsys, *joined)
+    assert code == 0, err
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "", err
+    assert untimed(out) == untimed(want)
+
+
+def test_help_takes_no_value(capsys):
+    """--help is the one option that takes no value: the token after it stays its own."""
+    with pytest.raises(SystemExit):
+        fepkit.cli.build_parser().parse_args(["classify", "--help"])
+    help_text = capsys.readouterr().out
+    code, out, _ = run(capsys, "classify", "--help", "-pi")
+    assert code == 0 and out == help_text
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("contour", "--model", "hodsm:h", "--grid", "0"), "grid must be at least 1, got 0"),
+        (("band", "--model", "hodsm:h", "--path", "kz=0:1:0"), "path count must be at least 1, got 0"),
+    ],
+    ids=["contour-grid", "band-path"],
+)
+def test_empty_grid_exits_2(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"fepkit: {line}"]
 
 
 # every emitting run with an --eps; ring takes a Lieb model that has one, which

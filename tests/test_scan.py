@@ -138,6 +138,25 @@ class TestBzScan:
         for c in cands:
             assert c.min_abs_energy <= 0.05
 
+    @pytest.mark.parametrize("resolution", [16, 32])
+    def test_kept_candidates_meet_the_refine_bound(self, catalog_model, resolution):
+        """Every kept candidate has min |E| <= REFINE_TOL ** (1 / degree) * scale.
+
+        Refined means |detector| <= REFINE_TOL * scale**degree.  Lieb: |E|**2
+        = |PQ + RS|.  Semimetal: |E|**2 = |det QR| / lambda_big <= sqrt|det QR|,
+        since lambda_big**2 >= |det QR|.  So no energy cut above this bound can
+        drop a refined candidate.  Slack 1e-3 relative: min |E| is evaluated at
+        canonical_k(k), which can differ from the refined k by the rounding of
+        a 2 pi shift (~1e-15), moving the normalized detector by up to ~1e-15
+        against REFINE_TOL = 1e-12.
+        """
+        scale = _model_scale(catalog_model)
+        bound = scan.REFINE_TOL ** (1 / _detector_degree(catalog_model)) * scale
+        cands = bz_scan(catalog_model, resolution)
+        assert cands
+        for c in cands:
+            assert c.refined and c.min_abs_energy <= bound * (1 + 1e-3), c
+
     def test_classification_attached_on_request(self, policy):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
         cands = bz_scan(spec, 96, policy, classify=True)
