@@ -669,6 +669,29 @@ def test_tolerance_variables_change_nothing(capsys, monkeypatch, argv):
     assert untimed(out) == untimed(plain)
 
 
+@pytest.mark.parametrize(
+    "env,flag", [("FEPKIT_RANK_TOL", "--rank-tol"), ("FEPKIT_CLUSTER_TOL", "--cluster-tol")]
+)
+@pytest.mark.parametrize("kind", PROBE_FLAGS)
+def test_probe_reads_a_tolerance_variable_only_with_its_flag(capsys, monkeypatch, kind, env, flag):
+    """A bad variable changes nothing; the flag is read where the kind takes it, refused elsewhere."""
+    monkeypatch.delenv(env, raising=False)
+    code, plain, err = run(capsys, *EMITTING[kind])
+    assert code == 0, err
+    monkeypatch.setenv(env, "abc")
+    code, out, err = run(capsys, *EMITTING[kind])
+    assert code == 0 and err == ""
+    assert untimed(out) == untimed(plain)
+    if flag in PROBE_FLAGS[kind]:
+        code, out, err = run(capsys, *EMITTING[kind], flag, "abc")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(f"argument {flag}: invalid float value: 'abc'")
+    else:
+        code, out, err = run(capsys, *EMITTING[kind], flag, "1e-3")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"fepkit: the {kind} probe does not read {flag}"]
+
+
 def test_rank_tol_flag_is_the_echoed_cutoff(capsys):
     """--rank-tol is rank_rel's one input: every report's policy block echoes it."""
     for name, reports in (
