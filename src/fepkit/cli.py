@@ -266,18 +266,20 @@ def _cmd_contour(args, model, echo) -> str:
 
 
 def _cmd_scan(args, model, echo) -> dict:
-    cands = bz_scan(model, args.grid, _policy_from_args(args), classify=True)
+    reports = bz_scan(model, args.grid, _policy_from_args(args))
     return {
         "model": echo,
         "grid": {"dims": model.dims, "resolution": [args.grid] * model.dims},
         "candidates": [
             {
-                "k": list(c.k),
-                "min_abs_energy": c.min_abs_energy,
-                "refined": c.refined,
-                "report": report_json(c.report, echo) if c.report else None,
+                "k": list(r.k_point),
+                "min_abs_energy": min_abs_energy(model, r.k_point),
+                # bz_scan returns converged refinements only; the field stays
+                # so that the output keeps its shape
+                "refined": True,
+                "report": report_json(r, echo),
             }
-            for c in cands
+            for r in reports
         ],
     }
 

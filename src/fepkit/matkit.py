@@ -60,8 +60,8 @@ class TolerancePolicy:
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError("rank_rel must lie in (0, 1)")
-        if self.cluster_tol <= 0.0:
-            raise ValueError("cluster_tol must be positive")
+        if not (0.0 < self.cluster_tol < np.inf):
+            raise ValueError(f"cluster_tol must be positive and finite, got {self.cluster_tol}")
 
     def rank_cutoff(self, s_max: float, scale: float) -> float:
         """Singular values at or below ``max(rank_rel * s_max, 1e-12 * scale)`` are zero."""

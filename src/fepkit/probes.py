@@ -203,7 +203,7 @@ def splitting_exponent(
 HINGE_STATES = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class HingeReport:
     """Low-energy structure of one open-boundary system.
 

@@ -36,7 +36,6 @@ from .models import (
 )
 
 __all__ = [
-    "DegeneracyCandidate",
     "ExpectedDegeneracy",
     "bz_scan",
     "refine_degeneracy",
@@ -48,14 +47,6 @@ __all__ = [
 
 REFINE_TOL = 1e-12  # on the normalized detector
 REFINE_MAX_ITER = 100
-
-
-@dataclass
-class DegeneracyCandidate:
-    k: tuple[float, ...]
-    min_abs_energy: float
-    refined: bool
-    report: DegeneracyReport | None = None
 
 
 @dataclass(frozen=True)
@@ -142,15 +133,16 @@ def min_abs_energy(model, k):
     return float(e[0]) if one else e
 
 
-def refine_degeneracy(model, k0, scale: float) -> DegeneracyCandidate:
+def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None:
     """Damped Gauss-Newton descent of the detector from the starting momentum.
 
     The complex detector gives two real residuals; in three dimensions the
     system is underdetermined and the minimum-norm step is taken, which
     converges to the nearest point of the degeneracy manifold.  Convergence
-    means the normalized detector falls below 1e-12; otherwise the candidate
-    is returned with ``refined=False`` after 100 iterations.  ``scale`` is
-    the model scale, which ``bz_scan`` computes once per scan.
+    means the normalized detector falls below 1e-12, and returns the refined
+    momentum in the principal zone; otherwise ``None`` is returned after at
+    most 100 iterations.  ``scale`` is the model scale, which ``bz_scan``
+    computes once per scan.
     """
     norm_pow = scale ** _detector_degree(model)
     k = np.asarray([float(c) for c in k0], dtype=float)
@@ -182,11 +174,7 @@ def refine_degeneracy(model, k0, scale: float) -> DegeneracyCandidate:
         else:
             break
 
-    refined = bool(np.linalg.norm(r) <= REFINE_TOL)
-    kc = canonical_k(k)
-    return DegeneracyCandidate(
-        k=kc, min_abs_energy=min_abs_energy(model, kc), refined=refined
-    )
+    return canonical_k(k) if np.linalg.norm(r) <= REFINE_TOL else None
 
 
 def _periodic_distance(a, b) -> float:
@@ -196,19 +184,15 @@ def _periodic_distance(a, b) -> float:
 
 
 def bz_scan(
-    model,
-    resolution: int = 128,
-    policy: TolerancePolicy | None = None,
-    *,
-    classify: bool = False,
-) -> list[DegeneracyCandidate]:
-    """Grid-scan the zone for E = 0 degeneracies and refine every local minimum.
+    model, resolution: int = 128, policy: TolerancePolicy | None = None
+) -> list[DegeneracyReport]:
+    """Grid-scan the zone for E = 0 degeneracies, refine and classify them.
 
     The grid has ``resolution`` points per axis of the model's zone, half-open
-    on [-pi, pi) so that no point is sampled twice across the wrap.  Kept
-    candidates are refined and deduplicated within one grid-cell diagonal
-    (periodic metric).  The result is sorted lexicographically by k, and
-    ``policy`` is read only to classify them.
+    on [-pi, pi) so that no point is sampled twice across the wrap.  Every
+    local minimum is refined; converged momenta are deduplicated within one
+    grid-cell diagonal (periodic metric, first come kept).  One report per
+    kept momentum is returned, sorted lexicographically by its ``k_point``.
     """
     if resolution < 8:
         raise ValueError("need a resolution of at least 8 per axis")
@@ -227,24 +211,13 @@ def bz_scan(
         order = np.argsort(vals[is_min])[:5000]
         seeds = seeds[order]
 
-    kept: list[DegeneracyCandidate] = []
+    kept: list[tuple[float, ...]] = []
     radius = math.sqrt(dims * (2 * math.pi / resolution) ** 2)
     for idx in seeds:
-        k0 = tuple(axes[d][idx[d]] for d in range(dims))
-        cand = refine_degeneracy(model, k0, scale=scale)
-        if not cand.refined:
-            continue
-        if any(_periodic_distance(cand.k, other.k) < radius for other in kept):
-            continue
-        kept.append(cand)
-
-    kept.sort(key=lambda c: c.k)
-    if classify:
-        for cand in kept:
-            cand.report = classify_point(
-                bloch_matrix(model, cand.k), 0.0, policy, k_point=cand.k
-            )
-    return kept
+        k = refine_degeneracy(model, tuple(axes[d][idx[d]] for d in range(dims)), scale)
+        if k is not None and not any(_periodic_distance(k, other) < radius for other in kept):
+            kept.append(k)
+    return [classify_point(bloch_matrix(model, k), 0.0, policy, k_point=k) for k in sorted(kept)]
 
 
 def _expected_from_case(model: LiebSpec, k) -> ExpectedDegeneracy:

@@ -152,10 +152,12 @@ def criterion_2_reciprocal_manifolds() -> str:
     cands = bz_scan(spec, 128, POLICY)
     assert len(cands) == 4, f"scan found {len(cands)} candidates, want 4"
     for c in cands:
-        err = min(
-            max(abs(a - b) for a, b in zip(p, c.k)) for p in expected
+        match = min(expected, key=lambda p: max(abs(a - b) for a, b in zip(p, c.k_point)))
+        err = max(abs(a - b) for a, b in zip(match, c.k_point))
+        assert err <= 1e-8, f"scan candidate {c.k_point} off by {err:.2e}"
+        assert c.label == expected[match], (
+            f"scan at {match}: got {c.label}, want {expected[match]}"
         )
-        assert err <= 1e-8, f"scan candidate {c.k} off by {err:.2e}"
 
     # ring at phi = psi = pi/4: 62 EP3 + 2 FEP at +-(pi/4, pi/4)
     ring = trace_ring(LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4), 64, POLICY)

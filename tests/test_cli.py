@@ -314,6 +314,18 @@ class TestScanRingVerbs:
         labels = sorted(c["report"]["label"] for c in doc["candidates"])
         assert labels == ["EP3", "FEP"]
 
+    def test_scan_candidates_are_refined_and_classified(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--model", "lieb:reciprocal", "--phi", "pi/6", "--psi", "pi/6",
+            "--grid", "64",
+        )
+        assert code == 0, err
+        cands = json.loads(out)["candidates"]
+        assert cands
+        for c in cands:
+            assert c["refined"] is True
+            assert c["report"] is not None and c["report"]["k"] == c["k"]
+
     def test_ring_json(self, tmp_path, capsys):
         out = tmp_path / "ring.json"
         code, _, _ = run(
@@ -762,6 +774,14 @@ def test_nonfinite_parameter_exits_2(capsys, argv, value, shown):
     code, out, err = run(capsys, *argv[: i + 1], value, *argv[i + 2 :])
     assert code == 2 and out == ""
     assert err.splitlines() == [f"fepkit: epsilon must be finite, got {shown}"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["kramers", "lineshape", "splitting"])
+def test_nonfinite_cluster_tol_exits_2(capsys, kind, value):
+    code, out, err = run(capsys, *EMITTING[kind], "--cluster-tol", value)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"fepkit: cluster_tol must be positive and finite, got {value}"]
 
 
 def test_overflowing_classification_exits_2(capsys):

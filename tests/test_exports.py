@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -9,6 +10,8 @@ import numpy as np
 
 import fepkit
 import fepkit.classify
+import fepkit.probes
+import fepkit.scan
 from fepkit.selftest import planted_jordan
 
 
@@ -19,6 +22,18 @@ def test_every_export_resolves():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_exported_dataclasses_are_frozen():
+    """Returned objects are immutable: every exported dataclass is frozen."""
+    seen = 0
+    for module in (fepkit, fepkit.scan, fepkit.probes):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                seen += 1
+                assert obj.__dataclass_params__.frozen, f"{module.__name__}.{name} is mutable"
+    assert seen
 
 
 def test_traced_names_resolve(monkeypatch):

@@ -130,6 +130,8 @@ class TestTolerancePolicy:
             {"rank_rel": 1.0},
             {"cluster_tol": 0.0},
             {"cluster_tol": -0.1},
+            {"cluster_tol": np.nan},
+            {"cluster_tol": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -6,7 +6,7 @@ import pytest
 
 from fepkit.matkit import spectral_norm
 from fepkit import scan
-from fepkit.classify import DegeneracyReport
+from fepkit.classify import DegeneracyReport, classify_point
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
 from fepkit.scan import (
     analytic_degeneracies,
@@ -87,15 +87,15 @@ class TestScanGrid:
         monkeypatch.setattr(scan, "refine_degeneracy", recording)
         cands = bz_scan(LiebSpec("hermitian"), 8)
         assert starts == [(-PI, -PI)]
-        assert len(cands) == 1 and k_distance(cands[0].k, (PI, PI)) <= 1e-12
+        assert len(cands) == 1 and k_distance(cands[0].k_point, (PI, PI)) <= 1e-12
 
 
 class TestBzScan:
     def test_hermitian_single_candidate(self, policy):
         cands = bz_scan(LiebSpec("hermitian"), 128, policy)
         assert len(cands) == 1
-        assert k_distance(cands[0].k, (PI, PI)) <= 1e-8
-        assert cands[0].refined
+        assert k_distance(cands[0].k_point, (PI, PI)) <= 1e-8
+        assert cands[0].k_point is not None
 
     def test_minimal_fep_two_candidates(self, policy):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
@@ -104,7 +104,7 @@ class TestBzScan:
         kappa = 2 * arccot(0.5)
         wants = [(kappa, -kappa), (PI, PI)]
         for c, want in zip(cands, wants):
-            assert k_distance(c.k, want) <= 1e-8
+            assert k_distance(c.k_point, want) <= 1e-8
 
     def test_nh_symmetric_four_candidates(self, policy):
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
@@ -113,7 +113,7 @@ class TestBzScan:
         k0 = 2 * PI / 3
         wants = {(mu * k0, nu * k0) for mu in (1, -1) for nu in (1, -1)}
         for c in cands:
-            assert min(k_distance(c.k, w) for w in wants) <= 1e-8
+            assert min(k_distance(c.k_point, w) for w in wants) <= 1e-8
 
     def test_no_misses_no_spurious_vs_analytic(self, policy):
         for spec in [
@@ -126,17 +126,17 @@ class TestBzScan:
             cands = bz_scan(spec, 128, policy)
             assert len(cands) == len(catalog)
             for entry in catalog:
-                assert min(k_distance(entry.k, c.k) for c in cands) <= 1e-8
+                assert min(k_distance(entry.k, c.k_point) for c in cands) <= 1e-8
             for c in cands:
-                assert min(k_distance(c.k, e.k) for e in catalog) <= 1e-8
+                assert min(k_distance(c.k_point, e.k) for e in catalog) <= 1e-8
 
     def test_candidates_sorted_and_below_energy_cut(self, policy):
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
         cands = bz_scan(spec, 96, policy)
-        ks = [c.k for c in cands]
+        ks = [c.k_point for c in cands]
         assert ks == sorted(ks)
-        for c in cands:
-            assert c.min_abs_energy <= 0.05
+        for k in ks:
+            assert min_abs_energy(spec, k) <= 0.05
 
     @pytest.mark.parametrize("resolution", [16, 32])
     def test_kept_candidates_meet_the_refine_bound(self, catalog_model, resolution):
@@ -155,24 +155,27 @@ class TestBzScan:
         cands = bz_scan(catalog_model, resolution)
         assert cands
         for c in cands:
-            assert c.refined and c.min_abs_energy <= bound * (1 + 1e-3), c
+            assert c.k_point is not None
+            assert min_abs_energy(catalog_model, c.k_point) <= bound * (1 + 1e-3), c
 
-    def test_classification_attached_on_request(self, policy):
+    def test_reports_are_classify_point_at_their_momenta(self, policy):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        cands = bz_scan(spec, 96, policy, classify=True)
-        labels = {tuple(round(x, 4) for x in c.k): c.report.label for c in cands}
-        assert sorted(labels.values()) == ["EP3", "FEP"]
+        reports = bz_scan(spec, 96, policy)
+        assert sorted(r.label for r in reports) == ["EP3", "FEP"]
+        for r in reports:
+            assert isinstance(r, DegeneracyReport)
+            assert r == classify_point(bloch_matrix(spec, r.k_point), 0.0, policy, k_point=r.k_point)
 
     def test_equal_angle_ring_classifies(self, policy):
         # every refined point of the exceptional ring is an EP3 or the FEP;
         # none is refused by the classifier
         phi = PI / 6
         spec = LiebSpec("reciprocal", phi=phi, psi=phi)
-        cands = bz_scan(spec, 64, policy, classify=True)
+        cands = bz_scan(spec, 64, policy)
         assert cands
         for c in cands:
-            assert abs(math.cos(c.k[0]) + math.cos(c.k[1]) - 2 * math.cos(phi)) <= 1e-8
-            assert c.report.label in ("EP3", "FEP")
+            assert abs(math.cos(c.k_point[0]) + math.cos(c.k_point[1]) - 2 * math.cos(phi)) <= 1e-8
+            assert c.label in ("EP3", "FEP")
 
     def test_hodsm_line_degeneracies_found_in_3d(self, policy):
         # full-zone scan at modest resolution; every on-axis analytic point
@@ -182,30 +185,30 @@ class TestBzScan:
         cands = bz_scan(spec, 24, policy)
         assert cands, "scan found nothing"
         for c in cands:
-            assert c.min_abs_energy <= 0.05
+            assert min_abs_energy(spec, c.k_point) <= 0.05
         for entry in analytic_degeneracies(spec):
-            near = min(k_distance(entry.k, c.k) for c in cands)
+            near = min(k_distance(entry.k, c.k_point) for c in cands)
             assert near <= 2 * math.sqrt(3) * 2 * PI / 24, f"missed {entry.k}"
 
 
 class TestRefine:
     def test_converges_to_corner_point(self):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        cand = refine_degeneracy(spec, (PI + 0.05, PI - 0.05), _model_scale(spec))
-        assert cand.refined
-        assert k_distance(cand.k, (PI, PI)) <= 1e-8
+        k = refine_degeneracy(spec, (PI + 0.05, PI - 0.05), _model_scale(spec))
+        assert k is not None
+        assert k_distance(k, (PI, PI)) <= 1e-8
 
     def test_hodsm_ep4_from_off_point(self):
         spec = HodsmSpec(1, epsilon=2**-0.5)
-        cand = refine_degeneracy(spec, (0.0, 0.0, 0.8), _model_scale(spec))
-        assert cand.refined
-        assert k_distance(cand.k, (0.0, 0.0, PI / 4)) <= 1e-6
+        k = refine_degeneracy(spec, (0.0, 0.0, 0.8), _model_scale(spec))
+        assert k is not None
+        assert k_distance(k, (0.0, 0.0, PI / 4)) <= 1e-6
 
     def test_exact_start_returns_immediately(self):
         spec = LiebSpec("hermitian")
-        cand = refine_degeneracy(spec, (PI, PI), _model_scale(spec))
-        assert cand.refined
-        assert k_distance(cand.k, (PI, PI)) <= 1e-10
+        k = refine_degeneracy(spec, (PI, PI), _model_scale(spec))
+        assert k is not None
+        assert k_distance(k, (PI, PI)) <= 1e-10
 
     def test_two_starts_converge_together(self):
         spec = LiebSpec("nh-symmetric", epsilon=1.0)
@@ -214,8 +217,8 @@ class TestRefine:
         scale = _model_scale(spec)
         a = refine_degeneracy(spec, (k0[0] + 0.4 * cell, k0[1] - 0.3 * cell), scale)
         b = refine_degeneracy(spec, (k0[0] - 0.5 * cell, k0[1] + 0.2 * cell), scale)
-        assert a.refined and b.refined
-        assert k_distance(a.k, b.k) <= 1e-6
+        assert a is not None and b is not None
+        assert k_distance(a, b) <= 1e-6
 
     @pytest.mark.parametrize(
         "spec,k0",
@@ -235,7 +238,7 @@ class TestRefine:
             return detector(model, k)
 
         monkeypatch.setattr(scan, "_detector_complex", recording)
-        assert refine_degeneracy(spec, k0, _model_scale(spec)).refined
+        assert refine_degeneracy(spec, k0, _model_scale(spec)) is not None
         dims = spec.dims
         assert all(isinstance(k, np.ndarray) and k.ndim == 2 and k.shape[0] == dims for k in seen)
         widths = [k.shape[1] for k in seen]
@@ -251,9 +254,9 @@ class TestRefine:
         # outside -3/2 < t/s < -1/2 the parent semimetal is gapped: there is
         # no zero of the detector anywhere, so refinement must report failure
         spec = HodsmSpec(0, t=-2.0, s=1.0)
-        cand = refine_degeneracy(spec, (0.3, -0.2, 1.1), _model_scale(spec))
-        assert not cand.refined
-        assert cand.min_abs_energy > 0.05
+        k0 = (0.3, -0.2, 1.1)
+        assert refine_degeneracy(spec, k0, _model_scale(spec)) is None
+        assert min_abs_energy(spec, k0) > 0.05
 
     def test_gapped_model_scan_is_empty(self, policy):
         spec = HodsmSpec(0, t=-2.0, s=1.0)
