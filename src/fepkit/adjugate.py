@@ -25,6 +25,7 @@ __all__ = [
     "FLV_DIMENSION_GUARD",
     "flv_modes",
     "greens_modal",
+    "load_singular_values",
     "response_strengths",
 ]
 
@@ -49,8 +50,12 @@ class ModeSequence:
     modes: tuple[np.ndarray, ...]
     coeffs: np.ndarray
     shifted: np.ndarray
-    # singular values of the modes (key None: of A) computed so far
+    # largest entry modulus max|B_k| of every mode
+    _mode_max: list[float] = field(repr=False)
+    # singular values of the modes (key None: of A) and Frobenius norms of the
+    # modes computed so far
     _sigma: dict[int | None, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _fro: dict[int, float] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -67,27 +72,28 @@ class ModeSequence:
     # of A badly overestimates that magnitude for non-normal input (||A^m||
     # can grow far slower than ||A||^m), so the scale is calibrated from the
     # computed sequence itself and floored at one (O(1) model-energy units).
-    # The sequence is immutable, so each scale and each mode's largest entry
-    # and singular values are computed once, on first use, and every later
-    # test reads the stored value.
+    # The sequence is immutable, so each scale and each mode's singular
+    # values and Frobenius norm are computed once, on first use, and every
+    # later test reads the stored value; each mode's largest entry comes with
+    # the sequence.
 
     def singular_values(self, ks) -> list[np.ndarray]:
         """Singular values of ``B_k`` for each k in ``ks``; ``None`` stands for ``shifted``.
 
         The ones not known yet come from one stacked values-only SVD and are kept.
         """
-        new = [k for k in ks if k not in self._sigma]
-        if new:
-            mats = [self.shifted if k is None else self.modes[k] for k in new]
-            self._sigma.update(zip(new, singular_values(mats)))
+        load_singular_values([(self, ks)])
         return [self._sigma[k] for k in ks]
 
-    @cached_property
-    def _mode_max(self) -> list[float]:
-        """Largest entry modulus max|B_k| of every mode."""
-        # a list comprehension: a tuple built from a generator here raised the
-        # planted-envelope benchmark's peak RSS by about 0.9 MB per 30 s run
-        return [float(np.max(np.abs(b))) for b in self.modes]
+    def frobenius(self, k: int) -> float:
+        """Frobenius norm of ``B_k``: a mode's rank floor, and eta's numerator."""
+        if k not in self._fro:
+            self._fro[k] = float(np.linalg.norm(self.modes[k], "fro"))
+        return self._fro[k]
+
+    def live(self, alpha: int) -> list[int]:
+        """Indices j < alpha of the modes B_j that do not vanish."""
+        return [j for j in range(alpha) if not self.mode_vanishes(j)]
 
     @cached_property
     def mode_scale(self) -> float:
@@ -124,7 +130,21 @@ class ModeSequence:
         return abs(self.coeffs[k]) <= bound
 
 
-def flv_modes(h, shift: complex = 0.0) -> ModeSequence:
+def load_singular_values(requests) -> None:
+    """Compute and keep the singular values that (sequence, ks) ``requests`` ask for.
+
+    ``ks`` are mode indices as in ``ModeSequence.singular_values``.  All the
+    matrices not known yet, over every sequence, go into one stacked
+    values-only SVD; each row is bitwise what an SVD of its matrix alone gives.
+    """
+    new = [(seq, k) for seq, ks in requests for k in ks if k not in seq._sigma]
+    if new:
+        mats = [seq.shifted if k is None else seq.modes[k] for seq, k in new]
+        for (seq, k), s in zip(new, singular_values(mats)):
+            seq._sigma[k] = s
+
+
+def flv_modes(h, shift: complex = 0.0) -> ModeSequence | list[ModeSequence | ValueError]:
     """Run the division-free recursion for all modes and coefficients.
 
     Modes are always computed for the full index range: the recursion costs
@@ -132,42 +152,58 @@ def flv_modes(h, shift: complex = 0.0) -> ModeSequence:
     Dimensions above FLV_DIMENSION_GUARD, and input whose coefficients
     overflow (c_k grows like ||A||**(N-k)), are refused; classify those with
     the staircase Weyr oracle (``classify_point(..., method="weyr")``).
+
+    ``h`` may be a stack of B equally sized matrices, shape (B, n, n).  Each
+    step then runs once for the whole stack (a stacked product and trace),
+    and a list is returned with, in each matrix's place, its sequence or the
+    ValueError that refuses it; every sequence is bitwise the one its matrix
+    gives alone.
     """
     m = as_square_matrix(h)
-    n = m.shape[0]
+    stack = m if m.ndim == 3 else m[None]
+    n = stack.shape[-1]
     if n > FLV_DIMENSION_GUARD:
         raise ValueError(
             f"dimension {n} exceeds the FLV stability guard ({FLV_DIMENSION_GUARD})"
         )
-    eye = np.eye(n)
-    a = m - complex(shift) * eye
+    # a complex identity: NumPy casts a real one to complex anyway, so the
+    # bits are the same and no product casts
+    eye = np.eye(n, dtype=complex)
+    a = stack - complex(shift) * eye
 
-    modes: list[np.ndarray] = [np.zeros((0, 0))] * n
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    b = np.eye(n, dtype=complex)
-    modes[n - 1] = b
+    # modes[:, k] is B_k of every matrix
+    modes = np.empty((len(stack), n, n, n), dtype=complex)
+    coeffs = np.zeros((len(stack), n + 1), dtype=complex)
+    coeffs[:, n] = 1.0
+    modes[:, n - 1] = eye
+    b = modes[:, n - 1]
     # an overflow is diagnosed below, once, rather than warned about here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
             ab = a @ b
-            c = -np.trace(ab) / (n - k)
-            coeffs[k] = c
+            c = -ab.trace(axis1=1, axis2=2) / (n - k)
+            coeffs[:, k] = c
             if k > 0:
-                b = ab + c * eye
-                modes[k - 1] = b
-    if not np.isfinite(coeffs).all():
-        raise ValueError(
+                b = modes[:, k - 1] = ab + c[:, None, None] * eye
+        mode_max = np.abs(modes).max(axis=(2, 3)).tolist()
+
+    finite = np.isfinite(coeffs).all(axis=1)
+    out = [
+        ModeSequence(
+            shift=complex(shift), modes=tuple(mi), coeffs=ci, shifted=ai, _mode_max=top
+        )
+        if ok
+        else ValueError(
             "the Faddeev-LeVerrier coefficients overflowed; "
             'classify with method="weyr"'
         )
-
-    return ModeSequence(
-        shift=complex(shift),
-        modes=tuple(modes),
-        coeffs=coeffs,
-        shifted=a,
-    )
+        for mi, ci, ai, top, ok in zip(modes, coeffs, a, mode_max, finite)
+    ]
+    if m.ndim == 3:
+        return out
+    if isinstance(out[0], ValueError):
+        raise out[0]
+    return out[0]
 
 
 def greens_modal(modes: ModeSequence, energy: complex) -> np.ndarray:
@@ -231,7 +267,6 @@ def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStr
             f"leading mode B_{alpha - ell} vanishes; ell = {ell} overstates the "
             "maximal partial multiplicity"
         )
-    lead = modes.mode(alpha - ell)
-    eta = float(np.linalg.norm(lead, "fro")) / abs(c_alpha)
+    eta = modes.frobenius(alpha - ell) / abs(c_alpha)
     xi = float(modes.singular_values([alpha - ell])[0][0]) / abs(c_alpha)
     return ResponseStrengths(eta=eta, xi=xi)

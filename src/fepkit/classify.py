@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjugate import ModeSequence, flv_modes, response_strengths
+from .adjugate import ModeSequence, flv_modes, load_singular_values, response_strengths
 from .matkit import TolerancePolicy, as_square_matrix, spectral_norm
 
 __all__ = [
@@ -196,11 +196,11 @@ def partial_multiplicities(
     # structure, so the scale-aware vanishing test must run before the SVD.
     # The live modes and A share one stacked SVD; a mode's floor is its
     # Frobenius norm.
-    live = [j for j in range(alpha) if not modes.mode_vanishes(j)]
+    live = modes.live(alpha)
     *mode_sv, a_sv = modes.singular_values([*live, None])
     ranks = dict.fromkeys(range(alpha), 0)
     for j, s in zip(live, mode_sv):
-        ranks[j] = policy.rank(s, float(np.linalg.norm(modes.mode(j), "fro")))
+        ranks[j] = policy.rank(s, modes.frobenius(j))
     gamma = n - policy.rank(a_sv, scale)
 
     beta: dict[int, int] = {}
@@ -225,7 +225,9 @@ def partial_multiplicities(
     return pmf
 
 
-def weyr_oracle(a, policy: TolerancePolicy, scale: float) -> PartialMultiplicityFunction:
+def weyr_oracle(
+    a, policy: TolerancePolicy, scale
+) -> PartialMultiplicityFunction | list[PartialMultiplicityFunction | InconsistentRanksError]:
     """Partial multiplicities of eigenvalue 0 from a nested-null-space staircase.
 
     Independent of the modal route, and takes no matrix powers (Kublanovskaya's
@@ -246,27 +248,60 @@ def weyr_oracle(a, policy: TolerancePolicy, scale: float) -> PartialMultiplicity
     with ``||S_1 x|| <= cutoff < s_r``.  And each level drops only singular
     values at or below the cutoff.  A negative count would still raise
     InconsistentRanksError.
+
+    ``a`` may be a stack of B equally sized matrices, shape (B, n, n), with
+    one scale per matrix.  Matrices whose blocks keep equal sizes share one
+    SVD per level, and a list is returned with, in each matrix's place, its
+    function or the InconsistentRanksError that refuses it; each function is
+    bitwise the one its matrix gives alone.
     """
     m = as_square_matrix(a)
-    if scale <= 0:
+    scale = np.asarray(scale, dtype=float)
+    if any(x <= 0 for x in scale.flat):
         raise ValueError("scale must be positive")
-    b = m / scale
-    cutoff = None
-    widths = []
-    while b.size:
-        u, s, vh = np.linalg.svd(b)
-        if cutoff is None:
+    # real factors enter as complex arrays: NumPy casts a real operand to
+    # complex anyway, so the bits are the same and no product casts
+    b = m / scale.astype(complex)[..., None, None]
+    stack = b if m.ndim == 3 else b[None]
+    widths: list[list[int]] = [[] for _ in range(len(stack))]
+    # stacks of equally sized blocks, with the matrices they belong to and their cutoffs
+    work = [(list(range(len(stack))), stack, None)]
+    while work:
+        items, blocks, cut = work.pop()
+        u, s, vh = np.linalg.svd(blocks)
+        if cut is None:
             # normalized units: the problem scale is 1
-            cutoff = policy.rank_cutoff(s[0], 1.0)
-        r = int(np.count_nonzero(s > cutoff))
-        if r == s.size:
-            break
-        widths.append(s.size - r)
-        b = (vh[:r] @ u[:, :r]) * s[:r]
-    widths.append(0)
-    return PartialMultiplicityFunction(
-        {l: widths[l - 1] - widths[l] for l in range(1, len(widths))}
-    )
+            cut = np.array([policy.rank_cutoff(top, 1.0) for top in s[:, 0].tolist()])[:, None]
+        size = blocks.shape[-1]
+        by_rank: dict[int, list[int]] = {}
+        for j, above in enumerate((s > cut).tolist()):
+            r = sum(above)
+            if r < size:
+                widths[items[j]].append(size - r)
+                if r:
+                    by_rank.setdefault(r, []).append(j)
+        for r, sel in by_rank.items():
+            part = (items, u, s, vh, cut)
+            if len(sel) < len(items):
+                # index before slicing: each product then sees its matrix's strides
+                part = ([items[j] for j in sel], u[sel], s[sel], vh[sel], cut[sel])
+            ids, us, ss, vs, cs = part
+            work.append((ids, (vs[:, :r] @ us[:, :, :r]) * ss[:, None, :r].astype(complex), cs))
+
+    out: list = []
+    for w in widths:
+        w.append(0)
+        try:
+            out.append(
+                PartialMultiplicityFunction({l: w[l - 1] - w[l] for l in range(1, len(w))})
+            )
+        except InconsistentRanksError as exc:
+            out.append(exc)
+    if m.ndim == 3:
+        return out
+    if isinstance(out[0], InconsistentRanksError):
+        raise out[0]
+    return out[0]
 
 
 def classify_point(
@@ -275,8 +310,8 @@ def classify_point(
     policy: TolerancePolicy | None = None,
     *,
     method: str = "auto",
-    k_point: tuple[float, ...] | None = None,
-) -> DegeneracyReport:
+    k_point=None,
+) -> DegeneracyReport | list[DegeneracyReport]:
     """Full degeneracy report for one eigenvalue of one matrix.
 
     ``method``:
@@ -292,10 +327,49 @@ def classify_point(
 
     NotAnEigenvalueError means the staircase found A = H - E full rank (Weyr
     route) or c_0 does not vanish (modal route); no eigenvalues are computed.
+
+    ``h`` may be a stack of B equally sized matrices, shape (B, n, n), with
+    ``k_point`` then one momentum (or None) per matrix; a list of reports is
+    returned.  Each step runs once for the whole stack: the norm SVD, the FLV
+    recursion, one values-only SVD of every matrix's live modes and A, and
+    each staircase level.  The decisions between the steps are taken matrix
+    by matrix, in order, up to the first matrix that fails.  So each report
+    is bitwise the one its matrix gives alone, and a stack raises the error
+    of its first failing matrix.
     """
-    m = as_square_matrix(h)
     policy = policy or TolerancePolicy()
-    n = m.shape[0]
+    failure = None
+
+    def upto(step, *columns) -> list:
+        """``step`` of each row of ``columns`` in order, up to the first row that fails.
+
+        A row fails where ``step`` raises, or where a stacked step returned the
+        error that refuses its matrix.
+        """
+        nonlocal failure
+        done = []
+        for row in zip(*columns):
+            try:
+                for x in row:
+                    if isinstance(x, Exception):
+                        raise x
+                done.append(step(*row))
+            except (ValueError, RuntimeError) as exc:
+                # an earlier matrix than any failure so far: the ones after it are dropped
+                failure = exc
+                break
+        return done
+
+    stacked = np.ndim(h) == 3
+    if stacked and k_point is not None and len(k_point) != len(h):
+        raise ValueError(f"need one k_point per matrix: {len(k_point)} for {len(h)} matrices")
+    mats = upto(as_square_matrix, h) if stacked else [as_square_matrix(h)]
+    if not mats:
+        if failure is not None:
+            raise failure
+        return []
+    m = np.stack(mats) if stacked else mats[0][None]
+    n = m.shape[-1]
     norm = spectral_norm(m)
     energy = complex(energy)
     if not np.isfinite(energy):
@@ -308,32 +382,48 @@ def classify_point(
 
     a = m - energy * np.eye(n)
     problem_scale = 1.0 + norm + abs(energy)
-    eta = xi = math.nan
 
-    if method == "modes":
-        modes = flv_modes(m, energy)
+    def modal_alpha(modes):
         alpha = algebraic_multiplicity(modes)
         if alpha == 0:
             raise NotAnEigenvalueError(
                 f"c_0 = {modes.coeffs[0]:.3e} does not vanish at E = {energy}"
             )
-        pmf = partial_multiplicities(modes, alpha, policy, scale=problem_scale)
-        oracle = weyr_oracle(a, policy, scale=problem_scale)
+        return alpha
+
+    def cross_checked(modes, alpha, pmf, oracle):
         if oracle != pmf:
             raise OracleDisagreementError(pmf, oracle)
-        strengths = response_strengths(modes, alpha, pmf.ell)
-        eta, xi = strengths.eta, strengths.xi
-    else:
-        pmf = weyr_oracle(a, policy, scale=problem_scale)
+        return response_strengths(modes, alpha, pmf.ell)
+
+    def weyr_found(pmf):
         if pmf.alpha == 0:
             raise NotAnEigenvalueError(f"rank(A) is full at E = {energy}")
+        return pmf
 
-    return DegeneracyReport(
-        energy=energy,
-        beta=pmf,
-        eta=eta,
-        xi=xi,
-        policy=policy,
-        k_point=k_point,
-        method=method,
-    )
+    if method == "modes":
+        seqs = flv_modes(m, energy)
+        alphas = upto(modal_alpha, seqs)
+        # the live modes and A of every matrix share one stacked SVD
+        load_singular_values([(modes, [*modes.live(al), None]) for modes, al in zip(seqs, alphas)])
+        pmfs = upto(
+            lambda modes, alpha, scale: partial_multiplicities(modes, alpha, policy, scale),
+            seqs, alphas, problem_scale.tolist(),
+        )
+        # the cross-check takes the matrices left, and no call when none is
+        oracles = weyr_oracle(a[: len(pmfs)], policy, problem_scale[: len(pmfs)]) if pmfs else []
+        strengths = [(r.eta, r.xi) for r in upto(cross_checked, seqs, alphas, pmfs, oracles)]
+    else:
+        pmfs = upto(weyr_found, weyr_oracle(a, policy, problem_scale))
+        strengths = [(math.nan, math.nan)] * len(pmfs)
+    if failure is not None:
+        raise failure
+
+    k_points = (k_point if k_point is not None else [None] * len(m)) if stacked else [k_point]
+    reports = [
+        DegeneracyReport(
+            energy=energy, beta=pmf, eta=eta, xi=xi, policy=policy, k_point=k, method=method
+        )
+        for pmf, (eta, xi), k in zip(pmfs, strengths, k_points)
+    ]
+    return reports if stacked else reports[0]

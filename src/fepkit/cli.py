@@ -267,19 +267,21 @@ def _cmd_contour(args, model, echo) -> str:
 
 def _cmd_scan(args, model, echo) -> dict:
     reports = bz_scan(model, args.grid, _policy_from_args(args))
+    k = np.reshape([r.k_point for r in reports], (-1, model.dims)).T
+    energies = min_abs_energy(model, k).tolist()
     return {
         "model": echo,
         "grid": {"dims": model.dims, "resolution": [args.grid] * model.dims},
         "candidates": [
             {
                 "k": list(r.k_point),
-                "min_abs_energy": min_abs_energy(model, r.k_point),
+                "min_abs_energy": e,
                 # bz_scan returns converged refinements only; the field stays
                 # so that the output keeps its shape
                 "refined": True,
                 "report": report_json(r, echo),
             }
-            for r in reports
+            for r, e in zip(reports, energies)
         ],
     }
 

@@ -22,11 +22,15 @@ __all__ = [
 
 
 def as_square_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a square, finite complex128 array."""
+    """Validate and return ``a`` as a square, finite complex128 array.
+
+    A stack of B equally sized square matrices, shape (B, n, n), is
+    validated as a whole.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.shape[-1] == 0:
         raise ValueError("empty matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
@@ -90,10 +94,18 @@ def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:
 
     ``scale`` is the problem scale of the absolute floor.
     """
-    return policy.rank(singular_values([as_square_matrix(a)])[0], scale)
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value; zero iff the matrix is zero."""
     m = as_square_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return policy.rank(singular_values([m])[0], scale)
+
+
+def spectral_norm(a):
+    """Largest singular value; zero iff the matrix is zero.
+
+    A float for one matrix; for a stack, one stacked SVD gives an array of
+    the norms, each bitwise what its matrix gives alone.
+    """
+    m = as_square_matrix(a)
+    norm = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norm) if m.ndim == 2 else norm

@@ -193,6 +193,9 @@ def bz_scan(
     local minimum is refined; converged momenta are deduplicated within one
     grid-cell diagonal (periodic metric, first come kept).  One report per
     kept momentum is returned, sorted lexicographically by its ``k_point``.
+    The kept momenta are built and classified as one stack
+    (``classify_point``), so a point that fails to classify raises the error
+    of the first such point.
     """
     if resolution < 8:
         raise ValueError("need a resolution of at least 8 per axis")
@@ -217,7 +220,10 @@ def bz_scan(
         k = refine_degeneracy(model, tuple(axes[d][idx[d]] for d in range(dims)), scale)
         if k is not None and not any(_periodic_distance(k, other) < radius for other in kept):
             kept.append(k)
-    return [classify_point(bloch_matrix(model, k), 0.0, policy, k_point=k) for k in sorted(kept)]
+    if not kept:
+        return []
+    kept.sort()
+    return classify_point(bloch_matrix(model, np.transpose(kept)), 0.0, policy, k_point=kept)
 
 
 def _expected_from_case(model: LiebSpec, k) -> ExpectedDegeneracy:
@@ -341,7 +347,9 @@ def trace_ring(
     model is parameterized by a uniform kx ladder with both ky branches; the
     ladder points nearest to the two analytic FEP momenta are snapped onto
     them exactly, so those special points are always among the samples.
-    Each report carries its sample momentum as ``k_point``.
+    Each report carries its sample momentum as ``k_point``.  The samples are
+    built and classified as one stack (``classify_point``), so a sample that
+    fails to classify raises the error of the first such sample.
     """
     policy = policy or TolerancePolicy()
     if model.variant != "reciprocal":
@@ -378,13 +386,9 @@ def trace_ring(
         ladder[j] = special
         snapped.append(j)
 
-    out: list[DegeneracyReport] = []
+    ks: list[tuple[float, float]] = []
     for kx in ladder:
-        cy = min(1.0, max(-1.0, 2 * c - math.cos(kx)))
-        ky = math.acos(cy)
-        for branch in (ky, -ky):
-            k = (float(kx), float(branch))
-            out.append(classify_point(bloch_matrix(model, k), 0.0, policy, k_point=k))
-            if len(out) == samples:
-                return out
-    return out
+        ky = math.acos(min(1.0, max(-1.0, 2 * c - math.cos(kx))))
+        ks += [(float(kx), float(ky)), (float(kx), float(-ky))]
+    ks = ks[:samples]
+    return classify_point(bloch_matrix(model, np.transpose(ks)), 0.0, policy, k_point=ks)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -19,7 +20,8 @@ from fepkit.classify import (
     weyr_oracle,
 )
 from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
-from fepkit.models import HodsmSpec, LiebSpec, arccot, hodsm_bloch, lieb_bloch
+from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix, hodsm_bloch, lieb_bloch
+from fepkit.scan import analytic_degeneracies
 from fepkit.selftest import jordan_blocks, planted_jordan, random_partition
 
 PI = math.pi
@@ -318,7 +320,11 @@ class TestWeyrScale:
 
 class TestSingularValuePasses:
     def test_modal_route_takes_one_stacked_pass(self, policy, monkeypatch, rng):
-        """||H||_2, one stacked pass for the mode ranks, gamma and xi, and the Weyr levels."""
+        """||H||_2, one pass for the mode ranks, gamma and xi, and one per Weyr level.
+
+        Every call is stacked, and B copies of a matrix take exactly the calls
+        of one copy.
+        """
         calls = []
         svd = np.linalg.svd
 
@@ -337,10 +343,110 @@ class TestSingularValuePasses:
             calls.clear()
             weyr_oracle(h - energy * np.eye(len(h)), policy, scale)
             levels = len(calls)
-            calls.clear()
-            classify_point(h, energy, policy, method="modes")
-            assert len(calls) == 2 + levels
-            assert calls.count(3) == 1  # the one stacked call
+            assert levels >= 1
+            for stack in (h, np.stack([h] * 7)):
+                calls.clear()
+                classify_point(stack, energy, policy, method="modes")
+                assert calls == [3] * (2 + levels)
+
+    def test_weyr_route_takes_one_stacked_pass_per_level(self, policy, monkeypatch, rng):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        h = planted_jordan(rng, 20, [4, 2, 1], 10.0)
+        calls.clear()
+        classify_point(h, 0.0, policy)
+        assert calls[1:] and calls == [3] * len(calls)
+        one = len(calls)
+        calls.clear()
+        classify_point(np.stack([h] * 5), 0.0, policy)
+        assert calls == [3] * one
+
+
+def outcome(call):
+    """(beta, method, k_point, eta.hex(), xi.hex()) of each report, or the (type, message) raised."""
+    try:
+        reports = call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return [(r.beta, r.method, r.k_point, r.eta.hex(), r.xi.hex()) for r in reports]
+
+
+class TestStacks:
+    """A stack of matrices classifies as the loop over its matrices, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["auto", "modes", "weyr"])
+    def test_planted_stack_equals_pointwise(self, method):
+        for n, cond in ((5, 1e1), (8, 1e3), (16, 1e2), (20, 1e1)):
+            if n > 16 and method == "modes":
+                continue
+            rng = np.random.default_rng([n, int(cond)])
+            mats = []
+            for _ in range(6):
+                sizes = random_partition(rng, int(rng.integers(1, n + 1)))
+                mats.append(planted_jordan(rng, n, sizes, cond))
+            ks = [(float(i),) for i in range(len(mats))]
+            pointwise = [
+                outcome(lambda: [classify_point(h, 0.0, method=method, k_point=k)])
+                for h, k in zip(mats, ks)
+            ]
+            # each matrix's own outcome, so the stack is compared up to its first failure
+            ok = [o for o in pointwise if isinstance(o, list)]
+            fails = [i for i, o in enumerate(pointwise) if isinstance(o, tuple)]
+            stacked = outcome(lambda: classify_point(np.stack(mats), 0.0, method=method, k_point=ks))
+            if fails:
+                assert stacked == pointwise[fails[0]]
+            else:
+                assert stacked == [o[0] for o in ok]
+
+    def test_catalog_stack_equals_pointwise(self, catalog_model):
+        rng = np.random.default_rng(7)
+        degenerate = [tuple(e.k) for e in analytic_degeneracies(catalog_model)]
+        # off the degeneracy set: a simple flat-band zero (Lieb) or no zero at all
+        # (semimetal, NotAnEigenvalueError)
+        generic = [tuple(rng.uniform(-PI, PI, catalog_model.dims)) for _ in range(2)]
+        for ks in (degenerate, degenerate + generic, generic + degenerate):
+            stack = np.stack([bloch_matrix(catalog_model, k) for k in ks])
+            pointwise = outcome(lambda: [classify_point(h, 0.0, k_point=k) for h, k in zip(stack, ks)])
+            assert outcome(lambda: classify_point(stack, 0.0, k_point=ks)) == pointwise
+
+    # failing matrices whose errors arise at successive steps of the classification
+    NAN = np.full((3, 3), np.nan)  # refused on input
+    HUGE = 1e200 * np.ones((3, 3))  # FLV coefficients overflow
+    GAPPED = np.diag([1.0, 2.0, 3.0])  # c_0 does not vanish
+    GOOD = np.zeros((3, 3))
+
+    @pytest.mark.parametrize(
+        "mats, error, message",
+        [
+            ((GOOD, GAPPED, HUGE, NAN), NotAnEigenvalueError, "c_0 = "),
+            ((GOOD, HUGE, GAPPED, NAN), ValueError, "Faddeev-LeVerrier coefficients overflowed"),
+            ((GOOD, NAN, HUGE, GAPPED), ValueError, "NaN or Inf"),
+            ((GAPPED, GOOD), NotAnEigenvalueError, "c_0 = "),
+        ],
+    )
+    def test_first_failing_matrix_raises(self, mats, error, message):
+        assert classify_point(self.GOOD, 0.0).partials == (1, 1, 1)
+        for h in (self.NAN, self.HUGE, self.GAPPED):
+            with pytest.raises(ValueError):
+                classify_point(h, 0.0)
+        with pytest.raises(error, match=re.escape(message)):
+            classify_point(np.stack(mats), 0.0)
+
+    def test_stack_of_one_and_empty_stack(self, policy):
+        h = lieb_bloch(LiebSpec("minimal-fep", epsilon=1.0), (PI, PI))
+        one = classify_point(h[None], 0.0, policy, k_point=[(PI, PI)])
+        assert one == [classify_point(h, 0.0, policy, k_point=(PI, PI))]
+        assert classify_point(np.zeros((0, 3, 3)), 0.0, policy) == []
+        reports = classify_point(np.stack([h, h]), 0.0, policy)
+        assert [r.k_point for r in reports] == [None, None]
+        with pytest.raises(ValueError, match="one k_point per matrix: 1 for 2 matrices"):
+            classify_point(np.stack([h, h]), 0.0, policy, k_point=[(PI, PI)])
 
 
 # Outcomes of classify_point on planted Jordan forms, pinned bit for bit so

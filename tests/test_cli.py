@@ -326,6 +326,21 @@ class TestScanRingVerbs:
             assert c["refined"] is True
             assert c["report"] is not None and c["report"]["k"] == c["k"]
 
+    @pytest.mark.parametrize(
+        "flags", [("hodsm:nh1", "--eps", "0.6", "--grid", "32"), ("hodsm:h", "--t", "-5", "--grid", "8")]
+    )
+    def test_scan_energies_are_the_one_point_values(self, capsys, flags):
+        # the verb takes all candidates' energies in one stacked call; an empty
+        # scan prints no candidate
+        code, out, err = run(capsys, "scan", "--model", *flags)
+        assert code == 0, err
+        doc = json.loads(out)
+        params = {"eps": 0.6} if flags[0] == "hodsm:nh1" else {"t": -5.0}
+        model = model_from_id(flags[0], **params)
+        for c in doc["candidates"]:
+            assert c["min_abs_energy"] == min_abs_energy(model, tuple(c["k"]))
+        assert bool(doc["candidates"]) == (flags[0] == "hodsm:nh1")
+
     def test_ring_json(self, tmp_path, capsys):
         out = tmp_path / "ring.json"
         code, _, _ = run(

@@ -49,6 +49,9 @@ class TestNumericalRank:
     def test_rejects_non_square(self, policy):
         with pytest.raises(ValueError):
             numerical_rank(np.zeros((2, 3)), policy, 1.0)
+        # a stack is not one matrix: one line names its shape
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3, 3\)"):
+            numerical_rank(np.zeros((2, 3, 3)), policy, 1.0)
 
     def test_rejects_non_finite(self, policy):
         bad = np.eye(2, dtype=complex)

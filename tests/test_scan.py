@@ -1,12 +1,18 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fepkit.matkit import spectral_norm
 from fepkit import scan
-from fepkit.classify import DegeneracyReport, classify_point
+from fepkit.classify import (
+    DegeneracyReport,
+    InconsistentRanksError,
+    OracleDisagreementError,
+    classify_point,
+)
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
 from fepkit.scan import (
     analytic_degeneracies,
@@ -189,6 +195,78 @@ class TestBzScan:
         for entry in analytic_degeneracies(spec):
             near = min(k_distance(entry.k, c.k_point) for c in cands)
             assert near <= 2 * math.sqrt(3) * 2 * PI / 24, f"missed {entry.k}"
+
+
+# the grids of the benchmark's zone-scan workload
+ZONE_SCAN_GRIDS = {LiebSpec: (128,), HodsmSpec: (32, 48)}
+
+
+def fingerprints(model, ks, classify):
+    """(beta, method, k_point, eta.hex(), xi.hex()) per report, or the (type, message) raised."""
+    try:
+        reports = classify(ks)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return [(r.beta, r.method, r.k_point, r.eta.hex(), r.xi.hex()) for r in reports]
+
+
+def pointwise(model):
+    """One classify_point call per momentum, in order, as a loop over points classified."""
+    return lambda ks: [
+        classify_point(bloch_matrix(model, k), 0.0, k_point=k) for k in ks
+    ]
+
+
+class TestStackEqualsPointwise:
+    """Scans and rings classify their points as one stack, bit for bit as one by one."""
+
+    @pytest.mark.parametrize("angle, samples", [(PI / 4, 64), (PI / 2, 256), (PI / 6, 64)])
+    def test_ring(self, angle, samples):
+        model = LiebSpec("reciprocal", phi=angle, psi=angle)
+        reports = trace_ring(model, samples)
+        ks = [r.k_point for r in reports]
+        assert len(ks) == samples
+        stacked = fingerprints(model, ks, lambda _: reports)
+        assert stacked == fingerprints(model, ks, pointwise(model))
+
+    def test_scan(self, catalog_model, monkeypatch):
+        stacks = []
+
+        def recording(h, energy, policy=None, **kwargs):
+            stacks.append(list(kwargs["k_point"]))
+            return classify_point(h, energy, policy, **kwargs)
+
+        monkeypatch.setattr(scan, "classify_point", recording)
+        for grid in ZONE_SCAN_GRIDS[type(catalog_model)]:
+            stacks.clear()
+            stacked = fingerprints(catalog_model, None, lambda _: bz_scan(catalog_model, grid))
+            assert len(stacks) == 1, "one stack per scan"
+            assert stacked == fingerprints(catalog_model, stacks[0], pointwise(catalog_model))
+
+    @pytest.mark.parametrize(
+        "spec, grid, error, message",
+        [
+            (HodsmSpec(4, epsilon=0.2), 32, InconsistentRanksError, "negative beta(1) = -4"),
+            (HodsmSpec(1, epsilon=0.70710678), 48, OracleDisagreementError, "disagrees with Weyr"),
+        ],
+    )
+    def test_scan_raises_the_first_failing_points_error(
+        self, spec, grid, error, message, monkeypatch
+    ):
+        stacks = []
+
+        def recording(h, energy, policy=None, **kwargs):
+            stacks.append(list(kwargs["k_point"]))
+            return classify_point(h, energy, policy, **kwargs)
+
+        monkeypatch.setattr(scan, "classify_point", recording)
+        with pytest.raises(error, match=re.escape(message)) as raised:
+            bz_scan(spec, grid)
+        # each point alone: the first that fails raises the stack's error
+        outcomes = [fingerprints(spec, [k], pointwise(spec)) for k in stacks[0]]
+        first = next(o for o in outcomes if isinstance(o, tuple))
+        assert first == (type(raised.value), str(raised.value))
+        assert all(isinstance(o, list) for o in outcomes[: outcomes.index(first)])
 
 
 class TestRefine:
