@@ -11,8 +11,8 @@ degenerate eigenvalue carry its complete multiplicity structure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "FLV_DIMENSION_GUARD",
     "flv_modes",
     "greens_modal",
-    "load_singular_values",
     "response_strengths",
 ]
 
@@ -42,109 +41,98 @@ class ResonanceError(ValueError):
 class ModeSequence:
     """Modes ``B_0 .. B_{N-1}`` and coefficients ``c_0 .. c_N`` at one shift.
 
-    ``shifted`` is ``A = H - shift * I`` as the recursion received it.
-    Sequences compare by identity: array fields have no single truth value.
+    ``modes[k]`` is ``B_k``, and ``shifted`` is ``A = H - shift * I`` as the
+    recursion received it.  The sequence of a stack of B matrices carries a
+    leading axis of length B on every array, and its scales and vanishing
+    tests hold one value per matrix.  Sequences compare by identity: array
+    fields have no single truth value.
     """
 
     shift: complex
-    modes: tuple[np.ndarray, ...]
     coeffs: np.ndarray
-    shifted: np.ndarray
-    # largest entry modulus max|B_k| of every mode
-    _mode_max: list[float] = field(repr=False)
-    # singular values of the modes (key None: of A) and Frobenius norms of the
-    # modes computed so far
-    _sigma: dict[int | None, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _fro: dict[int, float] = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.modes)
-
-    def mode(self, k: int) -> np.ndarray:
-        """``B_k``, with the convention ``B_k = 0`` for k < 0."""
-        if k < 0:
-            return np.zeros_like(self.modes[0])
-        return self.modes[k]
-
+    # B_0 .. B_{N-1}, then A
+    _mats: np.ndarray
+    # largest entry modulus max|B_k| of every mode, the value its vanishing test compares
+    _mode_max: list
     # B_k and c_k are polynomials of degree N-1-k and N-k in A, so vanishing
     # thresholds must carry that power of a per-degree magnitude.  The norm
     # of A badly overestimates that magnitude for non-normal input (||A^m||
     # can grow far slower than ||A||^m), so the scale is calibrated from the
     # computed sequence itself and floored at one (O(1) model-energy units).
-    # The sequence is immutable, so each scale and each mode's singular
-    # values and Frobenius norm are computed once, on first use, and every
-    # later test reads the stored value; each mode's largest entry comes with
-    # the sequence.
+    # Both scales and the vanishing tests of B_k and c_k (k < N) are taken
+    # once, when the sequence is built.
+    mode_scale: float | np.ndarray
+    coeff_scale: float | np.ndarray
+    _mode_zero: np.ndarray
+    _coeff_zero: np.ndarray
+    # Frobenius norm of each row of _mats: a mode's rank floor, and eta's numerator
+    _fro: np.ndarray
+    # singular values of the rows of _mats; NaN until computed
+    _sigma: np.ndarray = field(init=False, repr=False)
 
-    def singular_values(self, ks) -> list[np.ndarray]:
-        """Singular values of ``B_k`` for each k in ``ks``; ``None`` stands for ``shifted``.
+    def __post_init__(self):
+        object.__setattr__(self, "_sigma", np.full(self._mats.shape[:-1], np.nan))
 
-        The ones not known yet come from one stacked values-only SVD and are kept.
-        """
-        load_singular_values([(self, ks)])
-        return [self._sigma[k] for k in ks]
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[-1] - 1
 
-    def frobenius(self, k: int) -> float:
-        """Frobenius norm of ``B_k``: a mode's rank floor, and eta's numerator."""
-        if k not in self._fro:
-            self._fro[k] = float(np.linalg.norm(self.modes[k], "fro"))
-        return self._fro[k]
+    @property
+    def modes(self) -> np.ndarray:
+        return self._mats[..., :-1, :, :]
 
-    def live(self, alpha: int) -> list[int]:
-        """Indices j < alpha of the modes B_j that do not vanish."""
-        return [j for j in range(alpha) if not self.mode_vanishes(j)]
+    @property
+    def shifted(self) -> np.ndarray:
+        return self._mats[..., -1, :, :]
 
-    @cached_property
-    def mode_scale(self) -> float:
-        """Per-degree magnitude scale of the mode sequence."""
-        s = 1.0
-        for j in range(self.n - 1):
-            top = self._mode_max[j]
-            if top > 0.0:
-                s = max(s, top ** (1.0 / (self.n - 1 - j)))
-        return s
-
-    @cached_property
-    def coeff_scale(self) -> float:
-        """Per-degree magnitude scale of the characteristic coefficients."""
-        s = 1.0
-        for k in range(self.n):
-            c = abs(self.coeffs[k])
-            if c > 0.0:
-                s = max(s, c ** (1.0 / (self.n - k)))
-        return s
-
-    def mode_vanishes(self, k: int) -> bool:
-        """Scale-aware zero test for the mode B_k."""
+    def mode(self, k: int) -> np.ndarray:
+        """``B_k``, with the convention ``B_k = 0`` for k < 0."""
         if k < 0:
-            return True
-        bound = CK_REL * self.mode_scale ** (self.n - 1 - k)
-        return self._mode_max[k] <= bound
+            return np.zeros_like(self.shifted)
+        return self.modes[..., k, :, :]
 
-    def coeff_vanishes(self, k: int) -> bool:
-        """Scale-aware zero test for the coefficient c_k (equivalently C_k)."""
-        if k < 0 or k >= self.n:
-            return False
-        bound = CK_REL * self.coeff_scale ** (self.n - k)
-        return abs(self.coeffs[k]) <= bound
+    def mode_vanishes(self, k: int):
+        """Scale-aware zero test for the mode B_k."""
+        return True if k < 0 else self._mode_zero[..., k]
+
+    def singular_values(self, want: np.ndarray) -> np.ndarray:
+        """Singular values of the matrices ``want`` marks, one descending row each.
+
+        ``want[..., k]`` marks ``B_k`` and ``want[..., N]`` marks ``shifted``;
+        the rows come back in the shape (..., N + 1, N), NaN for the
+        matrices not computed.  The ones not known yet come from one stacked
+        values-only SVD and are kept; each row is bitwise what an SVD of its
+        matrix alone gives.
+        """
+        todo = want & np.isnan(self._sigma[..., 0])
+        if todo.any():
+            self._sigma[todo] = singular_values(self._mats[todo])
+        return self._sigma
 
 
-def load_singular_values(requests) -> None:
-    """Compute and keep the singular values that (sequence, ks) ``requests`` ask for.
+def _frobenius(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack: a mode's rank floor, and eta's numerator.
 
-    ``ks`` are mode indices as in ``ModeSequence.singular_values``.  All the
-    matrices not known yet, over every sequence, go into one stacked
-    values-only SVD; each row is bitwise what an SVD of its matrix alone gives.
+    Each norm is bitwise ``np.linalg.norm(mat, "fro")``, which sums the
+    strided real and imaginary parts by two dot products.
     """
-    new = [(seq, k) for seq, ks in requests for k in ks if k not in seq._sigma]
-    if new:
-        mats = [seq.shifted if k is None else seq.modes[k] for seq, k in new]
-        for (seq, k), s in zip(new, singular_values(mats)):
-            seq._sigma[k] = s
+    flat = mats.reshape(*mats.shape[:-2], mats.shape[-1] ** 2)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def flv_modes(h, shift: complex = 0.0) -> ModeSequence | list[ModeSequence | ValueError]:
+@functools.cache
+def _degrees(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees of max|B_k| (row 0) and |c_k| (row 1) in A, k < n, and the root each scale takes.
+
+    B_{N-1} = I has degree 0 and largest entry 1, whose root leaves the scale alone.
+    """
+    degree = np.arange(n, 0, -1) - np.array([[1], [0]])
+    root = 1.0 / np.maximum(degree, 1)
+    degree.flags.writeable = root.flags.writeable = False
+    return degree, root
+
+
+def flv_modes(h, shift: complex = 0.0):
     """Run the division-free recursion for all modes and coefficients.
 
     Modes are always computed for the full index range: the recursion costs
@@ -154,10 +142,11 @@ def flv_modes(h, shift: complex = 0.0) -> ModeSequence | list[ModeSequence | Val
     the staircase Weyr oracle (``classify_point(..., method="weyr")``).
 
     ``h`` may be a stack of B equally sized matrices, shape (B, n, n).  Each
-    step then runs once for the whole stack (a stacked product and trace),
-    and a list is returned with, in each matrix's place, its sequence or the
-    ValueError that refuses it; every sequence is bitwise the one its matrix
-    gives alone.
+    step then runs once for the whole stack (a stacked product and trace, the
+    scales and vanishing tests as array operations), and a pair is
+    returned: the sequence of the matrices before the first one whose
+    coefficients overflow, and ``(index, ValueError)`` of that matrix, or
+    None.  Every row is bitwise what its matrix gives alone.
     """
     m = as_square_matrix(h)
     stack = m if m.ndim == 3 else m[None]
@@ -171,39 +160,49 @@ def flv_modes(h, shift: complex = 0.0) -> ModeSequence | list[ModeSequence | Val
     eye = np.eye(n, dtype=complex)
     a = stack - complex(shift) * eye
 
-    # modes[:, k] is B_k of every matrix
-    modes = np.empty((len(stack), n, n, n), dtype=complex)
+    # mats[:, k] is B_k of every matrix, and mats[:, n] is A
+    mats = np.empty((len(stack), n + 1, n, n), dtype=complex)
+    mats[:, n] = a
     coeffs = np.zeros((len(stack), n + 1), dtype=complex)
     coeffs[:, n] = 1.0
-    modes[:, n - 1] = eye
-    b = modes[:, n - 1]
+    mats[:, n - 1] = eye
+    b = mats[:, n - 1]
     # an overflow is diagnosed below, once, rather than warned about here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
             ab = a @ b
-            c = -ab.trace(axis1=1, axis2=2) / (n - k)
-            coeffs[:, k] = c
+            c = np.divide(-ab.trace(axis1=1, axis2=2), n - k, out=coeffs[:, k])
             if k > 0:
-                b = modes[:, k - 1] = ab + c[:, None, None] * eye
-        mode_max = np.abs(modes).max(axis=(2, 3)).tolist()
+                b = np.add(ab, c[:, None, None] * eye, out=mats[:, k - 1])
 
-    finite = np.isfinite(coeffs).all(axis=1)
-    out = [
-        ModeSequence(
-            shift=complex(shift), modes=tuple(mi), coeffs=ci, shifted=ai, _mode_max=top
-        )
-        if ok
-        else ValueError(
+    failure = None
+    if not np.isfinite(coeffs).all():
+        row = int(np.isfinite(coeffs).all(axis=1).argmin())
+        failure = row, ValueError(
             "the Faddeev-LeVerrier coefficients overflowed; "
             'classify with method="weyr"'
         )
-        for mi, ci, ai, top, ok in zip(modes, coeffs, a, mode_max, finite)
-    ]
+        mats, coeffs = mats[:row], coeffs[:row]
+    # row 0: max|B_k| of degree N-1-k; row 1: |c_k| of degree N-k.  float_power
+    # and hypot call the C library per element, as Python's ** and abs do,
+    # where np.power and a complex np.abs may round differently.
+    mags = np.empty((len(mats), 2, n))
+    np.maximum.reduce(np.abs(mats[:, :n]), axis=(2, 3), out=mags[:, 0])
+    np.hypot(coeffs[:, :n].real, coeffs[:, :n].imag, out=mags[:, 1])
+    degree, root = _degrees(n)
+    # the scale is the largest root, floored at one; fmax skips NaN
+    scale = np.fmax.reduce(np.float_power(mags, root), axis=2, initial=1.0)
+    zero = mags <= CK_REL * np.float_power(scale[:, :, None], degree)
+    fields = (
+        coeffs, mats, mags[:, 0].tolist(), scale[:, 0], scale[:, 1], zero[:, 0], zero[:, 1],
+        _frobenius(mats),
+    )
     if m.ndim == 3:
-        return out
-    if isinstance(out[0], ValueError):
-        raise out[0]
-    return out[0]
+        return ModeSequence(complex(shift), *fields), failure
+    if failure is not None:
+        raise failure[1]
+    one = [f[0] for f in fields]
+    return ModeSequence(complex(shift), *one[:3], float(one[3]), float(one[4]), *one[5:])
 
 
 def greens_modal(modes: ModeSequence, energy: complex) -> np.ndarray:
@@ -233,27 +232,43 @@ class ResponseStrengths:
 
     Both derive from the first nonvanishing mode ``B_{alpha - ell}``:
     ``eta**2 = tr(B^dag B) / |c_alpha|**2`` and ``xi**2 = ||B||_2**2 /
-    |c_alpha|**2``.  The two coincide when that mode has rank one.
+    |c_alpha|**2``.  The two coincide when that mode has rank one.  For a
+    stack they hold one value per matrix.
     """
 
-    eta: float
-    xi: float
+    eta: float | np.ndarray
+    xi: float | np.ndarray
+
+
+def strengths(modes: ModeSequence, alpha: np.ndarray, lead: np.ndarray) -> ResponseStrengths:
+    """eta and xi of each matrix of a stack from its leading mode ``B_lead``, unchecked.
+
+    ``lead`` is ``alpha - ell``, one per matrix, and the leading modes'
+    singular values must be known.  ``response_strengths`` checks one
+    matrix's pattern first; ``classify_point`` reads its reports' strengths
+    here, where its sum rules imply that pattern.
+    """
+    n, rows = modes.n, np.arange(len(alpha))
+    c_alpha = modes.coeffs.reshape(-1, n + 1)[rows, alpha]
+    abs_c = np.hypot(c_alpha.real, c_alpha.imag)
+    sigma = modes._sigma.reshape(-1, n + 1, n)[rows, lead, 0]
+    return ResponseStrengths(eta=modes._fro.reshape(-1, n + 1)[rows, lead] / abs_c, xi=sigma / abs_c)
 
 
 def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStrengths:
     """Response strengths of a degeneracy with multiplicities (alpha, ell).
 
-    The modes must have been computed with the shift at the degenerate
-    eigenvalue; the vanishing pattern ``B_k = 0`` for ``k < alpha - ell`` is
-    checked and inconsistent (alpha, ell) pairs are rejected.
+    The modes, of one matrix, must have been computed with the shift at the
+    degenerate eigenvalue; the vanishing pattern ``B_k = 0`` for
+    ``k < alpha - ell`` is checked and inconsistent (alpha, ell) pairs are
+    rejected.
     """
     n = modes.n
     if not (1 <= ell <= alpha <= n):
         raise ValueError(f"need 1 <= ell <= alpha <= {n}, got ell={ell} alpha={alpha}")
-    c_alpha = modes.coeffs[alpha]
-    if alpha < n and modes.coeff_vanishes(alpha):
+    if alpha < n and modes._coeff_zero[alpha]:
         raise ValueError(
-            f"|c_alpha| = {abs(c_alpha):.3e} is below threshold; "
+            f"|c_alpha| = {abs(modes.coeffs[alpha]):.3e} is below threshold; "
             "alpha does not match the vanishing pattern of the coefficients"
         )
     for k in range(alpha - ell):
@@ -267,6 +282,7 @@ def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStr
             f"leading mode B_{alpha - ell} vanishes; ell = {ell} overstates the "
             "maximal partial multiplicity"
         )
-    eta = modes.frobenius(alpha - ell) / abs(c_alpha)
-    xi = float(modes.singular_values([alpha - ell])[0][0]) / abs(c_alpha)
-    return ResponseStrengths(eta=eta, xi=xi)
+    want = np.arange(n + 1) == alpha - ell
+    modes.singular_values(want)
+    found = strengths(modes, np.array([alpha]), np.array([alpha - ell]))
+    return ResponseStrengths(eta=float(found.eta[0]), xi=float(found.xi[0]))

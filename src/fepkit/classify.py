@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjugate import ModeSequence, flv_modes, load_singular_values, response_strengths
+from .adjugate import ModeSequence, flv_modes, strengths
 from .matkit import TolerancePolicy, as_square_matrix, spectral_norm
 
 __all__ = [
@@ -160,26 +160,29 @@ class DegeneracyReport:
         return degeneracy_label(self.alpha, self.gamma)
 
 
-def algebraic_multiplicity(modes: ModeSequence) -> int:
+def _pmf(row) -> PartialMultiplicityFunction:
+    """The function whose counts are ``row``: ``row[l - 1]`` blocks of size l."""
+    return PartialMultiplicityFunction({l: c for l, c in enumerate(row, 1) if c})
+
+
+def _first(bad) -> int | None:
+    """Index of the first true entry of ``bad``, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
+def algebraic_multiplicity(modes: ModeSequence):
     """Largest alpha with C_k = tr(A B_k) vanishing for all k < alpha.
 
     Returns 0 when even c_0 is far from zero, i.e. the shift used for the
     modes is not an eigenvalue.  C_k = -(N-k) c_k is a degree N-k polynomial
     in A, so the vanishing test carries that power of the per-degree
-    coefficient scale of the sequence.
+    coefficient scale of the sequence.  One value per matrix for the
+    sequence of a stack.
     """
-    for k in range(modes.n):
-        if not modes.coeff_vanishes(k):
-            return k
-    return modes.n
+    return np.add.reduce(np.logical_and.accumulate(modes._coeff_zero, axis=-1), axis=-1)
 
 
-def partial_multiplicities(
-    modes: ModeSequence,
-    alpha: int,
-    policy: TolerancePolicy,
-    scale: float,
-) -> PartialMultiplicityFunction:
+def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, scale):
     """Resolve beta(l) from the ranks of the modes B_{alpha-l-2 .. alpha-l}.
 
     ``scale`` is the problem scale of the rank floor on A = H - E;
@@ -188,46 +191,68 @@ def partial_multiplicities(
     gamma = N - rank(A)) and sum(l beta) = alpha must come out exactly; a
     violation raises InconsistentRanksError rather than being silently
     repaired.
+
+    For the sequence of a stack, ``alpha`` and ``scale`` hold one value per
+    matrix, the ranks, second differences and sum rules run as array
+    operations, and a pair is returned: the counts, one row per matrix with
+    ``beta(l)`` in column l - 1, and ``(index, error)`` of the first matrix
+    that fails, or None.
     """
     n = modes.n
-    if not (1 <= alpha <= n):
-        raise ValueError(f"alpha must lie in 1..{n}, got {alpha}")
+    stacked = np.ndim(alpha) == 1
+    al = np.asarray(alpha).reshape(-1)
+    k = np.arange(n)
     # A structurally-zero mode still carries noise with generic relative rank
     # structure, so the scale-aware vanishing test must run before the SVD.
-    # The live modes and A share one stacked SVD; a mode's floor is its
-    # Frobenius norm.
-    live = modes.live(alpha)
-    *mode_sv, a_sv = modes.singular_values([*live, None])
-    ranks = dict.fromkeys(range(alpha), 0)
-    for j, s in zip(live, mode_sv):
-        ranks[j] = policy.rank(s, modes.frobenius(j))
-    gamma = n - policy.rank(a_sv, scale)
+    # The live modes and A share one stacked SVD and one rank count; a
+    # mode's floor is its Frobenius norm, A's the problem scale.
+    want = np.ones((len(al), n + 1), dtype=bool)
+    np.less(k, al[:, None], out=want[:, :n])
+    want[:, :n] &= ~modes._mode_zero.reshape(-1, n)
+    sigma = modes.singular_values(want.reshape(modes._sigma.shape[:-1])).reshape(-1, n + 1, n)
+    floor = modes._fro.reshape(-1, n + 1).copy()
+    floor[:, n] = scale
+    # ranks[:, j + 2] is rnk B_j, with rnk B_{-2} = rnk B_{-1} = 0, and ranks[:, -1] is rnk A;
+    # a matrix not wanted counts as rank 0 (its singular values may be unknown, NaN)
+    ranks = np.zeros((len(al), n + 3), dtype=int)
+    np.multiply(policy.rank(sigma, floor), want, out=ranks[:, 2:])
+    gamma = n - ranks[:, -1]
 
-    beta: dict[int, int] = {}
-    for l in range(1, alpha + 1):
-        j = alpha - l
-        b = ranks.get(j - 2, 0) - 2 * ranks.get(j - 1, 0) + ranks[j]
-        if b < 0:
-            raise InconsistentRanksError(
-                f"negative beta({l}) = {b}; rank profile is not a Weyr-consistent sequence"
+    # beta(l) = rnk B_{j-2} - 2 rnk B_{j-1} + rnk B_j at j = alpha - l; a
+    # negative j reads the zeros of columns n .. 2n - 1
+    second = np.zeros((len(al), 2 * n), dtype=int)
+    np.add(ranks[:, :n] - 2 * ranks[:, 1 : n + 1], ranks[:, 2 : n + 2], out=second[:, :n])
+    ls = k + 1
+    beta = second[np.arange(len(al))[:, None], (al[:, None] - ls) % (2 * n)]
+    sum_l, sum_1 = beta @ ls, np.add.reduce(beta, axis=1)
+    negative = np.minimum.reduce(beta, axis=1) < 0
+    checks = ((al < 1) | (al > n), negative, sum_l != al, sum_1 != gamma)
+    bad = checks[0] | checks[1] | checks[2] | checks[3]
+
+    def error(i) -> ValueError:
+        if checks[0][i]:
+            return ValueError(f"alpha must lie in 1..{n}, got {al[i]}")
+        if checks[1][i]:
+            l = int((beta[i] < 0).argmax()) + 1
+            return InconsistentRanksError(
+                f"negative beta({l}) = {beta[i, l - 1]}; rank profile is not a "
+                "Weyr-consistent sequence"
             )
-        if b:
-            beta[l] = b
-    pmf = PartialMultiplicityFunction(beta)
-    if pmf.alpha != alpha:
-        raise InconsistentRanksError(
-            f"sum rule sum(l * beta(l)) = {pmf.alpha} != alpha = {alpha}"
-        )
-    if pmf.gamma != gamma:
-        raise InconsistentRanksError(
-            f"sum rule sum(beta(l)) = {pmf.gamma} != gamma = {gamma}"
-        )
-    return pmf
+        if checks[2][i]:
+            return InconsistentRanksError(
+                f"sum rule sum(l * beta(l)) = {sum_l[i]} != alpha = {al[i]}"
+            )
+        return InconsistentRanksError(f"sum rule sum(beta(l)) = {sum_1[i]} != gamma = {gamma[i]}")
+
+    row = _first(bad)
+    if stacked:
+        return beta, None if row is None else (row, error(row))
+    if row is not None:
+        raise error(row)
+    return _pmf(beta[0].tolist())
 
 
-def weyr_oracle(
-    a, policy: TolerancePolicy, scale
-) -> PartialMultiplicityFunction | list[PartialMultiplicityFunction | InconsistentRanksError]:
+def weyr_oracle(a, policy: TolerancePolicy, scale):
     """Partial multiplicities of eigenvalue 0 from a nested-null-space staircase.
 
     Independent of the modal route, and takes no matrix powers (Kublanovskaya's
@@ -251,57 +276,61 @@ def weyr_oracle(
 
     ``a`` may be a stack of B equally sized matrices, shape (B, n, n), with
     one scale per matrix.  Matrices whose blocks keep equal sizes share one
-    SVD per level, and a list is returned with, in each matrix's place, its
-    function or the InconsistentRanksError that refuses it; each function is
-    bitwise the one its matrix gives alone.
+    SVD per level, and the widths and the grouping are array operations.  A
+    pair is returned: the counts, one row per matrix with ``beta(l)`` in
+    column l - 1, and ``(index, InconsistentRanksError)`` of the first matrix
+    with a negative count, or None.  Each row is bitwise what its matrix
+    gives alone.
     """
     m = as_square_matrix(a)
     scale = np.asarray(scale, dtype=float)
-    if any(x <= 0 for x in scale.flat):
+    if (scale <= 0).any():
         raise ValueError("scale must be positive")
     # real factors enter as complex arrays: NumPy casts a real operand to
     # complex anyway, so the bits are the same and no product casts
     b = m / scale.astype(complex)[..., None, None]
     stack = b if m.ndim == 3 else b[None]
-    widths: list[list[int]] = [[] for _ in range(len(stack))]
-    # stacks of equally sized blocks, with the matrices they belong to and their cutoffs
-    work = [(list(range(len(stack))), stack, None)]
+    n = stack.shape[-1]
+    # widths[i, l - 1] is w_l of matrix i; a staircase ends at a zero width
+    widths = np.zeros((len(stack), n + 1), dtype=int)
+    # stacks of equally sized blocks at one level, with the matrices they belong to and their cutoffs
+    work = [(np.arange(len(stack)), stack, None, 0)]
     while work:
-        items, blocks, cut = work.pop()
+        items, blocks, cut, level = work.pop()
         u, s, vh = np.linalg.svd(blocks)
         if cut is None:
             # normalized units: the problem scale is 1
-            cut = np.array([policy.rank_cutoff(top, 1.0) for top in s[:, 0].tolist()])[:, None]
+            cut = policy.rank_cutoff(s[:, 0], 1.0)[:, None]
         size = blocks.shape[-1]
-        by_rank: dict[int, list[int]] = {}
-        for j, above in enumerate((s > cut).tolist()):
-            r = sum(above)
-            if r < size:
-                widths[items[j]].append(size - r)
-                if r:
-                    by_rank.setdefault(r, []).append(j)
-        for r, sel in by_rank.items():
+        level_widths = np.add.reduce(s <= cut, axis=1)
+        widths[:, level][items] = level_widths
+        # a block of full rank ends its staircase, and one of rank zero is all null
+        keys = set(level_widths.tolist())
+        for w in sorted(keys - {0, size}):
             part = (items, u, s, vh, cut)
-            if len(sel) < len(items):
+            if len(keys) > 1:
                 # index before slicing: each product then sees its matrix's strides
-                part = ([items[j] for j in sel], u[sel], s[sel], vh[sel], cut[sel])
+                sel = level_widths == w
+                part = (items[sel], u[sel], s[sel], vh[sel], cut[sel])
             ids, us, ss, vs, cs = part
-            work.append((ids, (vs[:, :r] @ us[:, :, :r]) * ss[:, None, :r].astype(complex), cs))
+            r = size - w
+            block = (vs[:, :r] @ us[:, :, :r]) * ss[:, None, :r].astype(complex)
+            work.append((ids, block, cs, level + 1))
 
-    out: list = []
-    for w in widths:
-        w.append(0)
+    beta = widths[:, :-1] - widths[:, 1:]
+    failure = None
+    if beta.min() < 0:
+        row = int((beta.min(axis=1) < 0).argmax())
+        w = widths[row].tolist()
         try:
-            out.append(
-                PartialMultiplicityFunction({l: w[l - 1] - w[l] for l in range(1, len(w))})
-            )
+            PartialMultiplicityFunction({l: w[l - 1] - w[l] for l in range(1, w.index(0) + 1)})
         except InconsistentRanksError as exc:
-            out.append(exc)
+            failure = row, exc
     if m.ndim == 3:
-        return out
-    if isinstance(out[0], InconsistentRanksError):
-        raise out[0]
-    return out[0]
+        return beta, failure
+    if failure is not None:
+        raise failure[1]
+    return _pmf(beta[0].tolist())
 
 
 def classify_point(
@@ -330,45 +359,42 @@ def classify_point(
 
     ``h`` may be a stack of B equally sized matrices, shape (B, n, n), with
     ``k_point`` then one momentum (or None) per matrix; a list of reports is
-    returned.  Each step runs once for the whole stack: the norm SVD, the FLV
-    recursion, one values-only SVD of every matrix's live modes and A, and
-    each staircase level.  The decisions between the steps are taken matrix
-    by matrix, in order, up to the first matrix that fails.  So each report
-    is bitwise the one its matrix gives alone, and a stack raises the error
-    of its first failing matrix.
+    returned.  One matrix is the stack of one.  Each step runs once for the
+    whole stack: the finiteness check, the norm SVD, the FLV recursion with
+    its scales and vanishing tests, the C_k chain, one values-only SVD of
+    every matrix's live modes and A with one rank count, the second
+    differences and sum rules, each staircase level with its widths and
+    grouping, the cross-check and the strengths.  The decisions are array
+    operations over the stack, and each step's result is kept up to the
+    first matrix that fails, so each report is bitwise the one its matrix
+    gives alone, and a stack raises the error of its first failing matrix.
     """
     policy = policy or TolerancePolicy()
-    failure = None
-
-    def upto(step, *columns) -> list:
-        """``step`` of each row of ``columns`` in order, up to the first row that fails.
-
-        A row fails where ``step`` raises, or where a stacked step returned the
-        error that refuses its matrix.
-        """
-        nonlocal failure
-        done = []
-        for row in zip(*columns):
-            try:
-                for x in row:
-                    if isinstance(x, Exception):
-                        raise x
-                done.append(step(*row))
-            except (ValueError, RuntimeError) as exc:
-                # an earlier matrix than any failure so far: the ones after it are dropped
-                failure = exc
-                break
-        return done
-
     stacked = np.ndim(h) == 3
     if stacked and k_point is not None and len(k_point) != len(h):
         raise ValueError(f"need one k_point per matrix: {len(k_point)} for {len(h)} matrices")
-    mats = upto(as_square_matrix, h) if stacked else [as_square_matrix(h)]
-    if not mats:
-        if failure is not None:
-            raise failure
+    if stacked and not len(h):
         return []
-    m = np.stack(mats) if stacked else mats[0][None]
+    m = np.asarray(h, dtype=complex)
+    m = m if stacked else m[None]
+    # the first matrix alone: a shape or finiteness error is its own
+    as_square_matrix(m[0])
+    count, failure = len(m), None
+
+    def fail(found) -> None:
+        """Keep the matrices before a failure at an earlier matrix than any so far."""
+        nonlocal count, failure
+        if found is not None and found[0] < count:
+            count, failure = found
+
+    if count > 1:
+        row = _first(~np.isfinite(m).all(axis=(1, 2)))
+        if row is not None:
+            try:
+                as_square_matrix(m[row])
+            except ValueError as exc:
+                fail((row, exc))
+    m = m[:count]
     n = m.shape[-1]
     norm = spectral_norm(m)
     energy = complex(energy)
@@ -383,47 +409,49 @@ def classify_point(
     a = m - energy * np.eye(n)
     problem_scale = 1.0 + norm + abs(energy)
 
-    def modal_alpha(modes):
-        alpha = algebraic_multiplicity(modes)
-        if alpha == 0:
-            raise NotAnEigenvalueError(
-                f"c_0 = {modes.coeffs[0]:.3e} does not vanish at E = {energy}"
-            )
-        return alpha
-
-    def cross_checked(modes, alpha, pmf, oracle):
-        if oracle != pmf:
-            raise OracleDisagreementError(pmf, oracle)
-        return response_strengths(modes, alpha, pmf.ell)
-
-    def weyr_found(pmf):
-        if pmf.alpha == 0:
-            raise NotAnEigenvalueError(f"rank(A) is full at E = {energy}")
-        return pmf
-
+    eta_xi = [(math.nan, math.nan)] * count
     if method == "modes":
-        seqs = flv_modes(m, energy)
-        alphas = upto(modal_alpha, seqs)
-        # the live modes and A of every matrix share one stacked SVD
-        load_singular_values([(modes, [*modes.live(al), None]) for modes, al in zip(seqs, alphas)])
-        pmfs = upto(
-            lambda modes, alpha, scale: partial_multiplicities(modes, alpha, policy, scale),
-            seqs, alphas, problem_scale.tolist(),
-        )
+        seqs, found = flv_modes(m, energy)
+        fail(found)
+        alpha = algebraic_multiplicity(seqs)
+        row = _first(alpha == 0)
+        if row is not None:
+            fail((row, NotAnEigenvalueError(
+                f"c_0 = {seqs.coeffs[row, 0]:.3e} does not vanish at E = {energy}"
+            )))
+        if count:
+            beta, found = partial_multiplicities(seqs, alpha, policy, problem_scale[: len(alpha)])
+            fail(found)
         # the cross-check takes the matrices left, and no call when none is
-        oracles = weyr_oracle(a[: len(pmfs)], policy, problem_scale[: len(pmfs)]) if pmfs else []
-        strengths = [(r.eta, r.xi) for r in upto(cross_checked, seqs, alphas, pmfs, oracles)]
+        if count:
+            oracle, found = weyr_oracle(a[:count], policy, problem_scale[:count])
+            fail(found)
+            differ = oracle[:count] != beta[:count]
+            if differ.any():
+                row = int(differ.any(axis=1).argmax())
+                modal, weyr = _pmf(beta[row].tolist()), _pmf(oracle[row].tolist())
+                fail((row, OracleDisagreementError(modal, weyr)))
+            # the largest block, ell, is the last nonzero count.  Where the sum rules
+            # hold, B_j has rank 0 (it vanishes) below alpha - ell and B_{alpha - ell}
+            # does not, and alpha is the first c_k that does not vanish: the
+            # checks of response_strengths hold, and the strengths are read directly
+            ell = n - (beta[:count, ::-1] > 0).argmax(axis=1)
+            found = strengths(seqs, alpha[:count], alpha[:count] - ell)
+            eta_xi = zip(found.eta.tolist(), found.xi.tolist())
     else:
-        pmfs = upto(weyr_found, weyr_oracle(a, policy, problem_scale))
-        strengths = [(math.nan, math.nan)] * len(pmfs)
+        beta, found = weyr_oracle(a, policy, problem_scale)
+        fail(found)
+        row = _first(np.add.reduce(beta[:count], axis=1) == 0)
+        if row is not None:
+            fail((row, NotAnEigenvalueError(f"rank(A) is full at E = {energy}")))
     if failure is not None:
         raise failure
 
-    k_points = (k_point if k_point is not None else [None] * len(m)) if stacked else [k_point]
+    k_points = (k_point if k_point is not None else [None] * count) if stacked else [k_point]
     reports = [
         DegeneracyReport(
-            energy=energy, beta=pmf, eta=eta, xi=xi, policy=policy, k_point=k, method=method
+            energy=energy, beta=_pmf(row), eta=eta, xi=xi, policy=policy, k_point=k, method=method
         )
-        for pmf, (eta, xi), k in zip(pmfs, strengths, k_points)
+        for row, (eta, xi), k in zip(beta[:count].tolist(), eta_xi, k_points)
     ]
     return reports if stacked else reports[0]

@@ -67,13 +67,20 @@ class TolerancePolicy:
         if not (0.0 < self.cluster_tol < np.inf):
             raise ValueError(f"cluster_tol must be positive and finite, got {self.cluster_tol}")
 
-    def rank_cutoff(self, s_max: float, scale: float) -> float:
-        """Singular values at or below ``max(rank_rel * s_max, 1e-12 * scale)`` are zero."""
-        return max(self.rank_rel * s_max, 1e-12 * scale)
+    def rank_cutoff(self, s_max, scale):
+        """Singular values at or below ``max(rank_rel * s_max, 1e-12 * scale)`` are zero.
 
-    def rank(self, s: np.ndarray, scale: float) -> int:
-        """Number of the singular values ``s`` (descending) above ``rank_cutoff(s[0], scale)``."""
-        return int(np.count_nonzero(s > self.rank_cutoff(s[0], scale)))
+        Takes floats or equally shaped arrays, one cutoff per element.
+        """
+        return np.maximum(self.rank_rel * s_max, 1e-12 * scale)
+
+    def rank(self, s: np.ndarray, scale):
+        """Number of the singular values ``s`` (descending) above ``rank_cutoff(s[0], scale)``.
+
+        Row-wise: ``s`` may hold one row of singular values per matrix, with
+        one ``scale`` per row, and an array of counts is returned.
+        """
+        return np.add.reduce(s > self.rank_cutoff(s[..., 0], scale)[..., None], axis=-1)
 
     def cluster_radius(self, norm: float) -> float:
         return self.cluster_tol * (1.0 + norm)
@@ -84,9 +91,10 @@ def singular_values(mats) -> np.ndarray:
 
     One values-only SVD of the stack: NumPy runs the same LAPACK call on each
     matrix, so a row is bitwise what an SVD of its matrix alone gives, and
-    the stack pays the per-call overhead once.
+    the stack pays the per-call overhead once.  ``mats`` is a sequence of
+    matrices or a (B, n, n) array.
     """
-    return np.linalg.svd(np.stack(mats), compute_uv=False)
+    return np.linalg.svd(np.asarray(mats), compute_uv=False)
 
 
 def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:
@@ -97,7 +105,7 @@ def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:
     m = as_square_matrix(a)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return policy.rank(singular_values([m])[0], scale)
+    return int(policy.rank(singular_values([m])[0], scale))
 
 
 def spectral_norm(a):

@@ -133,8 +133,8 @@ def min_abs_energy(model, k):
     return float(e[0]) if one else e
 
 
-def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None:
-    """Damped Gauss-Newton descent of the detector from the starting momentum.
+def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | list:
+    """Damped Gauss-Newton descent of the detector from the starting momenta.
 
     The complex detector gives two real residuals; in three dimensions the
     system is underdetermined and the minimum-norm step is taken, which
@@ -143,38 +143,64 @@ def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None:
     momentum in the principal zone; otherwise ``None`` is returned after at
     most 100 iterations.  ``scale`` is the model scale, which ``bz_scan``
     computes once per scan.
+
+    ``k0`` is one momentum, or an (S, dims) stack of seeds, for which a list
+    of S results is returned.  The seeds refine in lockstep: each
+    Gauss-Newton round takes one detector call on the stencils of every seed
+    still iterating, and each halving of the line search one call on the
+    trials of every seed still searching.  The least-squares step, the norm
+    comparisons and the halvings stay per seed, so each seed's trajectory is
+    bitwise the one it has alone.
     """
     norm_pow = scale ** _detector_degree(model)
-    k = np.asarray([float(c) for c in k0], dtype=float)
-    dims = k.size
+    seeds = np.array(k0, dtype=float)
+    k = np.atleast_2d(seeds)
+    dims = k.shape[1]
 
     def residual(kk) -> np.ndarray:
-        g = _detector_complex(model, kk)
-        return np.array([g.real, g.imag]) / norm_pow
+        """The rows [Re, Im] / scale**degree at each row of the momenta kk."""
+        g = _detector_complex(model, np.array(kk.T, order="C"))
+        return np.ascontiguousarray(np.array([g.real, g.imag]).T) / norm_pow
 
-    r = residual(k[:, None])[:, 0]
+    r = residual(k)
+    r_norm = [np.linalg.norm(ri) for ri in r]
     step_h = 1e-6
-    stencil = step_h * np.hstack([np.eye(dims), -np.eye(dims)])
+    stencil = step_h * np.vstack([np.eye(dims), -np.eye(dims)])
+    active = [i for i in range(len(k)) if r_norm[i] > REFINE_TOL]
     for _ in range(REFINE_MAX_ITER):
-        if np.linalg.norm(r) <= REFINE_TOL:
+        if not active:
             break
-        g = residual(k[:, None] + stencil)
-        jac = (g[:, :dims] - g[:, dims:]) / (2 * step_h)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
+        g = residual((k[active][:, None, :] + stencil).reshape(-1, dims))
+        # a seed whose step is not finite stops
+        stepped, steps = [], []
+        for i, gi in zip(active, g.reshape(len(active), 2 * dims, 2)):
+            jac = (gi[:dims] - gi[dims:]).T / (2 * step_h)
+            step, *_ = np.linalg.lstsq(jac, -r[i], rcond=None)
+            if np.isfinite(step).all():
+                stepped.append(i)
+                steps.append(step)
+        searching, steps = stepped, np.array(steps).reshape(-1, dims)
         damp = 1.0
         for _ in range(30):
-            k_new = k + damp * step
-            r_new = residual(k_new[:, None])[:, 0]
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                k, r = k_new, r_new
+            if not searching:
                 break
+            trials = k[searching] + damp * steps
+            keep = []
+            for j, (i, r_new) in enumerate(zip(searching, residual(trials))):
+                new_norm = np.linalg.norm(r_new)
+                if new_norm < r_norm[i]:
+                    k[i], r[i], r_norm[i] = trials[j], r_new, new_norm
+                else:
+                    keep.append(j)
+            searching = [searching[j] for j in keep]
+            steps = steps[keep]
             damp /= 2
-        else:
-            break
+        # a seed whose line search fails stops too
+        failed = set(searching)
+        active = [i for i in stepped if i not in failed and r_norm[i] > REFINE_TOL]
 
-    return canonical_k(k) if np.linalg.norm(r) <= REFINE_TOL else None
+    out = [canonical_k(ki) if ni <= REFINE_TOL else None for ki, ni in zip(k, r_norm)]
+    return out[0] if seeds.ndim == 1 else out
 
 
 def _periodic_distance(a, b) -> float:
@@ -190,21 +216,32 @@ def bz_scan(
 
     The grid has ``resolution`` points per axis of the model's zone, half-open
     on [-pi, pi) so that no point is sampled twice across the wrap.  Every
-    local minimum is refined; converged momenta are deduplicated within one
-    grid-cell diagonal (periodic metric, first come kept).  One report per
-    kept momentum is returned, sorted lexicographically by its ``k_point``.
-    The kept momenta are built and classified as one stack
+    local minimum is refined, all of them in one lockstep
+    ``refine_degeneracy`` call; converged momenta are deduplicated within one
+    grid-cell diagonal (periodic metric, first come kept).  One
+    report per kept momentum is returned, sorted lexicographically by its
+    ``k_point``.  The kept momenta are built and classified as one stack
     (``classify_point``), so a point that fails to classify raises the error
-    of the first such point.
+    of the first such point.  A model whose scale overflows the detector
+    (``scale**degree``, or the detector on the grid, is not finite) is
+    refused with a ValueError.
     """
     if resolution < 8:
         raise ValueError("need a resolution of at least 8 per axis")
     dims = model.dims
     scale = _model_scale(model)
+    degree = _detector_degree(model)
 
     axes = [np.linspace(-math.pi, math.pi, resolution, endpoint=False)] * dims
     # each symbol is evaluated on the axes it reads; the detector spans the grid
-    vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_pow = np.float64(scale) ** degree
+        vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    if not (np.isfinite(norm_pow) and np.isfinite(vals).all()):
+        raise ValueError(
+            f"the detector overflows at model scale {scale:.3e}: a scan needs "
+            f"scale**{degree} and the detector on the grid to be finite"
+        )
     is_min = np.ones(vals.shape, dtype=bool)
     for axis in range(dims):
         for shift in (1, -1):
@@ -216,8 +253,8 @@ def bz_scan(
 
     kept: list[tuple[float, ...]] = []
     radius = math.sqrt(dims * (2 * math.pi / resolution) ** 2)
-    for idx in seeds:
-        k = refine_degeneracy(model, tuple(axes[d][idx[d]] for d in range(dims)), scale)
+    starts = np.stack([axes[d][seeds[:, d]] for d in range(dims)], axis=1)
+    for k in refine_degeneracy(model, starts, scale):
         if k is not None and not any(_periodic_distance(k, other) < radius for other in kept):
             kept.append(k)
     if not kept:

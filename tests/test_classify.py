@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fepkit.classify
-from fepkit.adjugate import flv_modes
+from fepkit.adjugate import flv_modes, response_strengths
 from fepkit.classify import (
     InconsistentRanksError,
     NotAnEigenvalueError,
@@ -21,7 +21,7 @@ from fepkit.classify import (
 )
 from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix, hodsm_bloch, lieb_bloch
-from fepkit.scan import analytic_degeneracies
+from fepkit.scan import analytic_degeneracies, trace_ring
 from fepkit.selftest import jordan_blocks, planted_jordan, random_partition
 
 PI = math.pi
@@ -368,6 +368,33 @@ class TestSingularValuePasses:
         assert calls == [3] * one
 
 
+    def test_rank_counts_take_one_stacked_pass(self, policy, monkeypatch):
+        """The rank counts of 1 and of 256 matrices take the same number of calls."""
+        calls = []
+        rank = TolerancePolicy.rank
+
+        def counted(self, s, scale):
+            calls.append(np.shape(s))
+            return rank(self, s, scale)
+
+        monkeypatch.setattr(TolerancePolicy, "rank", counted)
+        h = ring_stack()
+        for method in ("modes", "weyr"):
+            counts = []
+            for stack in (h[:1], h):
+                calls.clear()
+                assert len(classify_point(stack, 0.0, policy, method=method)) == len(stack)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] == (method == "modes")
+
+
+def ring_stack():
+    """The 256 Bloch matrices of trace_ring's samples of the equal-angle ring at pi/4."""
+    model = LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4)
+    ks = [r.k_point for r in trace_ring(model, 256)]
+    return bloch_matrix(model, np.transpose(ks))
+
+
 def outcome(call):
     """(beta, method, k_point, eta.hex(), xi.hex()) of each report, or the (type, message) raised."""
     try:
@@ -437,6 +464,49 @@ class TestStacks:
                 classify_point(h, 0.0)
         with pytest.raises(error, match=re.escape(message)):
             classify_point(np.stack(mats), 0.0)
+
+    # fails the rank sum rules; and gets a modal fingerprint the Weyr oracle refuses
+    NEGATIVE_BETA = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-8], [0.0, 0.0, 0.0]])
+    DISAGREES = np.array([[1e-8, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "method, bad",
+        [("modes", m) for m in (NAN, HUGE, GAPPED, NEGATIVE_BETA, DISAGREES)]
+        + [("weyr", m) for m in (NAN, GAPPED)],
+        ids=["nan", "huge", "gapped", "negative-beta", "disagrees", "weyr-nan", "weyr-gapped"],
+    )
+    def test_ring_stack_with_one_failing_matrix(self, method, bad):
+        """A ring stack of 256 raises its one failing matrix's own error and message."""
+        stack = ring_stack()
+        assert len(classify_point(stack, 0.0, method=method)) == 256
+        with pytest.raises((ValueError, RuntimeError)) as alone:
+            classify_point(bad, 0.0, method=method)
+        stack[128] = bad
+        with pytest.raises(type(alone.value)) as stacked:
+            classify_point(stack, 0.0, method=method)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_strengths_pass_the_strength_checks(self):
+        """Each modal report's eta and xi are what response_strengths gives its modes.
+
+        classify_point reads the strengths without response_strengths' checks,
+        which its sum rules imply; the checks pass and the values agree bitwise.
+        """
+        mats = list(ring_stack()[::16])
+        rng = np.random.default_rng(11)
+        for n in (4, 8, 12):
+            for _ in range(4):
+                mats.append(planted_jordan(rng, n, random_partition(rng, int(rng.integers(1, n + 1))), 10.0))
+        checked = 0
+        for h in mats:
+            try:
+                report = classify_point(h, 0.0, method="modes")
+            except (ValueError, RuntimeError):
+                continue
+            rs = response_strengths(flv_modes(h, 0.0), report.alpha, report.ell)
+            assert (rs.eta.hex(), rs.xi.hex()) == (report.eta.hex(), report.xi.hex())
+            checked += 1
+        assert checked >= 20
 
     def test_stack_of_one_and_empty_stack(self, policy):
         h = lieb_bloch(LiebSpec("minimal-fep", epsilon=1.0), (PI, PI))

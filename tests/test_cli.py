@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,17 @@ class TestScanRingVerbs:
         for c in doc["candidates"]:
             assert c["min_abs_energy"] == min_abs_energy(model, tuple(c["k"]))
         assert bool(doc["candidates"]) == (flags[0] == "hodsm:nh1")
+
+    @pytest.mark.parametrize("eps", ["1e80", "1e300"])
+    def test_scan_overflow_exits_2(self, capsys, eps):
+        # the detector normalization scale**4 overflows at 1e80 (it raised
+        # OverflowError), and at 1e300 the detector grid itself (it warned and
+        # printed no candidate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--model", "hodsm:nh2", "--eps", eps, "--grid", "8")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "the detector overflows at model scale" in err
 
     def test_ring_json(self, tmp_path, capsys):
         out = tmp_path / "ring.json"

@@ -14,6 +14,7 @@ from fepkit.classify import (
     classify_point,
 )
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
+from fepkit.selftest import FIGURE_EPS
 from fepkit.scan import (
     analytic_degeneracies,
     bz_scan,
@@ -87,7 +88,8 @@ class TestScanGrid:
         refine = scan.refine_degeneracy
 
         def recording(model, k0, scale):
-            starts.append(k0)
+            # bz_scan refines its seeds as one (S, dims) stack
+            starts.extend(tuple(float(c) for c in k) for k in k0)
             return refine(model, k0, scale)
 
         monkeypatch.setattr(scan, "refine_degeneracy", recording)
@@ -339,6 +341,108 @@ class TestRefine:
     def test_gapped_model_scan_is_empty(self, policy):
         spec = HodsmSpec(0, t=-2.0, s=1.0)
         assert bz_scan(spec, 12, policy) == []
+
+
+def scan_seeds(model, grid, monkeypatch):
+    """The (S, dims) stack of grid minima that ``bz_scan`` refines, and its model scale."""
+    seen = []
+    refine = scan.refine_degeneracy
+
+    def recording(m, k0, scale):
+        seen.append((np.array(k0), scale))
+        return refine(m, k0, scale)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, "refine_degeneracy", recording)
+        try:
+            bz_scan(model, grid)
+        except (ValueError, RuntimeError):
+            pass  # the scans that exit 2 raise when they classify, after refining
+    assert len(seen) == 1, "one refinement call per scan"
+    return seen[0]
+
+
+def bits(results):
+    return [None if k is None else tuple(c.hex() for c in k) for k in results]
+
+
+EQUAL_ANGLE_SCANS = [
+    (LiebSpec("reciprocal", phi=angle, psi=angle), grid)
+    for angle in (PI / 6, PI / 4, PI / 3)
+    for grid in (16, 32, 64, 96, 128, 160)
+]
+# the two zone-scan inputs that exit 2 (one refined point fails to classify)
+EXIT_2_SCANS = [(HodsmSpec(1, epsilon=0.70710678), 48), (HodsmSpec(4, epsilon=FIGURE_EPS[4]), 48)]
+
+
+class TestLockstepRefine:
+    """A stack of seeds refines in lockstep, each seed bitwise as it refines alone."""
+
+    @staticmethod
+    def check(model, grid, monkeypatch):
+        starts, scale = scan_seeds(model, grid, monkeypatch)
+        stacked = refine_degeneracy(model, starts, scale)
+        assert len(stacked) == len(starts) > 0
+        assert bits(stacked) == bits(refine_degeneracy(model, k, scale) for k in starts)
+
+    def test_catalog_models_at_zone_scan_grids(self, catalog_model, monkeypatch):
+        for grid in ZONE_SCAN_GRIDS[type(catalog_model)]:
+            self.check(catalog_model, grid, monkeypatch)
+
+    @pytest.mark.parametrize("model, grid", EQUAL_ANGLE_SCANS + EXIT_2_SCANS)
+    def test_equal_angle_and_exit_2_scans(self, model, grid, monkeypatch):
+        self.check(model, grid, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "model, grid",
+        [
+            (LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4), 32),
+            (HodsmSpec(2, epsilon=0.3), 11),
+            (HodsmSpec(0, t=-2.0, s=1.0), 9),  # gapped: every refinement fails
+        ],
+        ids=["ring", "semimetal", "gapped"],
+    )
+    def test_one_detector_call_per_round(self, model, grid, monkeypatch):
+        """The start, then per round one stencil call and one call per halving.
+
+        Each seed alone makes the start call, then per Gauss-Newton round one
+        call on its 2 * dims stencil points and one per line-search trial.  The
+        stack makes one call for all starts, one stencil call for the seeds in
+        each round, and one call per halving on the seeds still searching.
+        """
+        starts, scale = scan_seeds(model, grid, monkeypatch)
+        dims = model.dims
+        widths = []
+        detector = scan._detector_complex
+
+        def recording(m, k):
+            assert k.ndim == 2 and k.shape[0] == dims
+            widths.append(k.shape[1])
+            return detector(m, k)
+
+        monkeypatch.setattr(scan, "_detector_complex", recording)
+        rounds = []  # per seed, the trial count of each of its rounds
+        for k in starts:
+            widths.clear()
+            refine_degeneracy(model, k, scale)
+            assert widths[0] == 1
+            trials = []
+            for w in widths[1:]:
+                if w == 2 * dims:
+                    trials.append(0)
+                else:
+                    assert w == 1
+                    trials[-1] += 1
+            rounds.append(trials)
+        want = [len(starts)]
+        for r in range(max(map(len, rounds))):
+            active = [t[r] for t in rounds if len(t) > r]
+            want.append(2 * dims * len(active))
+            want += [sum(t >= j for t in active) for j in range(1, max(active) + 1)]
+        widths.clear()
+        refine_degeneracy(model, starts, scale)
+        assert len(starts) > 1 and max(map(len, rounds)) > 1
+        assert widths == want
 
 
 class TestAnalyticCatalog:
