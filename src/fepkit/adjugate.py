@@ -193,16 +193,18 @@ def flv_modes(h, shift: complex = 0.0):
     # the scale is the largest root, floored at one; fmax skips NaN
     scale = np.fmax.reduce(np.float_power(mags, root), axis=2, initial=1.0)
     zero = mags <= CK_REL * np.float_power(scale[:, :, None], degree)
-    fields = (
-        coeffs, mats, mags[:, 0].tolist(), scale[:, 0], scale[:, 1], zero[:, 0], zero[:, 1],
-        _frobenius(mats),
+    fields = dict(
+        coeffs=coeffs, _mats=mats, _mode_max=mags[:, 0].tolist(),
+        mode_scale=scale[:, 0], coeff_scale=scale[:, 1],
+        _mode_zero=zero[:, 0], _coeff_zero=zero[:, 1], _fro=_frobenius(mats),
     )
     if m.ndim == 3:
-        return ModeSequence(complex(shift), *fields), failure
+        return ModeSequence(complex(shift), **fields), failure
     if failure is not None:
         raise failure[1]
-    one = [f[0] for f in fields]
-    return ModeSequence(complex(shift), *one[:3], float(one[3]), float(one[4]), *one[5:])
+    one = {name: value[0] for name, value in fields.items()}
+    one["mode_scale"], one["coeff_scale"] = float(scale[0, 0]), float(scale[0, 1])
+    return ModeSequence(complex(shift), **one)
 
 
 def greens_modal(modes: ModeSequence, energy: complex) -> np.ndarray:

@@ -176,10 +176,11 @@ def algebraic_multiplicity(modes: ModeSequence):
     Returns 0 when even c_0 is far from zero, i.e. the shift used for the
     modes is not an eigenvalue.  C_k = -(N-k) c_k is a degree N-k polynomial
     in A, so the vanishing test carries that power of the per-degree
-    coefficient scale of the sequence.  One value per matrix for the
-    sequence of a stack.
+    coefficient scale of the sequence.  An int for one matrix, and an array
+    of one value per matrix for the sequence of a stack.
     """
-    return np.add.reduce(np.logical_and.accumulate(modes._coeff_zero, axis=-1), axis=-1)
+    alpha = np.add.reduce(np.logical_and.accumulate(modes._coeff_zero, axis=-1), axis=-1)
+    return int(alpha) if alpha.ndim == 0 else alpha
 
 
 def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, scale):

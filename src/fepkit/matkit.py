@@ -78,9 +78,11 @@ class TolerancePolicy:
         """Number of the singular values ``s`` (descending) above ``rank_cutoff(s[0], scale)``.
 
         Row-wise: ``s`` may hold one row of singular values per matrix, with
-        one ``scale`` per row, and an array of counts is returned.
+        one ``scale`` per row, and an array of counts is returned; one row
+        gives an int.
         """
-        return np.add.reduce(s > self.rank_cutoff(s[..., 0], scale)[..., None], axis=-1)
+        count = np.add.reduce(s > self.rank_cutoff(s[..., 0], scale)[..., None], axis=-1)
+        return int(count) if count.ndim == 0 else count
 
     def cluster_radius(self, norm: float) -> float:
         return self.cluster_tol * (1.0 + norm)
@@ -105,7 +107,7 @@ def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:
     m = as_square_matrix(a)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return int(policy.rank(singular_values([m])[0], scale))
+    return policy.rank(singular_values([m])[0], scale)
 
 
 def spectral_norm(a):

@@ -142,7 +142,8 @@ def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | lis
     means the normalized detector falls below 1e-12, and returns the refined
     momentum in the principal zone; otherwise ``None`` is returned after at
     most 100 iterations.  ``scale`` is the model scale, which ``bz_scan``
-    computes once per scan.
+    computes once per scan; a scale whose ``scale**degree`` normalisation
+    overflows is refused with a ValueError.
 
     ``k0`` is one momentum, or an (S, dims) stack of seeds, for which a list
     of S results is returned.  The seeds refine in lockstep: each
@@ -152,7 +153,16 @@ def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | lis
     comparisons and the halvings stay per seed, so each seed's trajectory is
     bitwise the one it has alone.
     """
-    norm_pow = scale ** _detector_degree(model)
+    degree = _detector_degree(model)
+    try:
+        norm_pow = scale**degree
+    except OverflowError:
+        norm_pow = math.inf
+    if not math.isfinite(norm_pow):
+        raise ValueError(
+            f"the detector overflows at model scale {scale:.3e}: refinement "
+            f"divides it by scale**{degree}, which is not finite"
+        )
     seeds = np.array(k0, dtype=float)
     k = np.atleast_2d(seeds)
     dims = k.shape[1]
@@ -223,24 +233,22 @@ def bz_scan(
     ``k_point``.  The kept momenta are built and classified as one stack
     (``classify_point``), so a point that fails to classify raises the error
     of the first such point.  A model whose scale overflows the detector
-    (``scale**degree``, or the detector on the grid, is not finite) is
-    refused with a ValueError.
+    (the detector on the grid, or the normalisation ``refine_degeneracy``
+    divides it by, is not finite) is refused with a ValueError.
     """
     if resolution < 8:
         raise ValueError("need a resolution of at least 8 per axis")
     dims = model.dims
     scale = _model_scale(model)
-    degree = _detector_degree(model)
 
     axes = [np.linspace(-math.pi, math.pi, resolution, endpoint=False)] * dims
     # each symbol is evaluated on the axes it reads; the detector spans the grid
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_pow = np.float64(scale) ** degree
         vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij", sparse=True)))
-    if not (np.isfinite(norm_pow) and np.isfinite(vals).all()):
+    if not np.isfinite(vals).all():
         raise ValueError(
             f"the detector overflows at model scale {scale:.3e}: a scan needs "
-            f"scale**{degree} and the detector on the grid to be finite"
+            "the detector on the grid to be finite"
         )
     is_min = np.ones(vals.shape, dtype=bool)
     for axis in range(dims):

@@ -49,6 +49,11 @@ class TestAlgebraicMultiplicity:
         seq = flv_modes(np.diag([1.0, 2.0]), 0.5)
         assert algebraic_multiplicity(seq) == 0
 
+    def test_one_matrix_gives_an_int(self):
+        seq = flv_modes(np.diag([1.0, 1.0, 3.0]), 1.0)
+        assert type(algebraic_multiplicity(seq)) is int
+        assert type(seq.mode_scale) is float and type(seq.coeff_scale) is float
+
 
 class TestPartialMultiplicities:
     def test_tribolic(self, policy):

@@ -40,6 +40,12 @@ class TestNumericalRank:
     def test_identity(self, policy):
         assert numerical_rank(np.eye(3), policy, fro(np.eye(3))) == 3
 
+    def test_one_row_gives_an_int(self, policy):
+        assert type(numerical_rank(np.eye(3), policy, 1.0)) is int
+        assert type(policy.rank(np.array([2.0, 1.0, 0.0]), 1.0)) is int
+        counts = policy.rank(np.array([[2.0, 1.0, 0.0], [2.0, 0.0, 0.0]]), np.ones(2))
+        assert counts.tolist() == [2, 1]
+
     def test_lieb_leading_mode_is_outer_product(self, policy):
         # B_0 of the chain model at symbols P=1, Q=2, R=3, S=-2/3
         p, q, r, s = 1.0, 2.0, 3.0, -2.0 / 3.0

@@ -284,6 +284,11 @@ class TestRefine:
         assert k is not None
         assert k_distance(k, (0.0, 0.0, PI / 4)) <= 1e-6
 
+    def test_overflowing_normalisation_is_refused(self):
+        spec = LiebSpec("hermitian")
+        with pytest.raises(ValueError, match=r"the detector overflows at model scale 1\.000e\+160"):
+            refine_degeneracy(spec, (PI, PI), 1e160)
+
     def test_exact_start_returns_immediately(self):
         spec = LiebSpec("hermitian")
         k = refine_degeneracy(spec, (PI, PI), _model_scale(spec))
