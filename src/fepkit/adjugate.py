@@ -52,8 +52,6 @@ class ModeSequence:
     coeffs: np.ndarray
     # B_0 .. B_{N-1}, then A
     _mats: np.ndarray
-    # largest entry modulus max|B_k| of every mode, the value its vanishing test compares
-    _mode_max: list
     # B_k and c_k are polynomials of degree N-1-k and N-k in A, so vanishing
     # thresholds must carry that power of a per-degree magnitude.  The norm
     # of A badly overestimates that magnitude for non-normal input (||A^m||
@@ -143,10 +141,9 @@ def flv_modes(h, shift: complex = 0.0):
 
     ``h`` may be a stack of B equally sized matrices, shape (B, n, n).  Each
     step then runs once for the whole stack (a stacked product and trace, the
-    scales and vanishing tests as array operations), and a pair is
-    returned: the sequence of the matrices before the first one whose
-    coefficients overflow, and ``(index, ValueError)`` of that matrix, or
-    None.  Every row is bitwise what its matrix gives alone.
+    scales and vanishing tests as array operations); an overflow of any
+    matrix is refused as for one.  Every row is bitwise what its matrix
+    gives alone.
     """
     m = as_square_matrix(h)
     stack = m if m.ndim == 3 else m[None]
@@ -175,14 +172,11 @@ def flv_modes(h, shift: complex = 0.0):
             if k > 0:
                 b = np.add(ab, c[:, None, None] * eye, out=mats[:, k - 1])
 
-    failure = None
     if not np.isfinite(coeffs).all():
-        row = int(np.isfinite(coeffs).all(axis=1).argmin())
-        failure = row, ValueError(
+        raise ValueError(
             "the Faddeev-LeVerrier coefficients overflowed; "
             'classify with method="weyr"'
         )
-        mats, coeffs = mats[:row], coeffs[:row]
     # row 0: max|B_k| of degree N-1-k; row 1: |c_k| of degree N-k.  float_power
     # and hypot call the C library per element, as Python's ** and abs do,
     # where np.power and a complex np.abs may round differently.
@@ -194,14 +188,12 @@ def flv_modes(h, shift: complex = 0.0):
     scale = np.fmax.reduce(np.float_power(mags, root), axis=2, initial=1.0)
     zero = mags <= CK_REL * np.float_power(scale[:, :, None], degree)
     fields = dict(
-        coeffs=coeffs, _mats=mats, _mode_max=mags[:, 0].tolist(),
+        coeffs=coeffs, _mats=mats,
         mode_scale=scale[:, 0], coeff_scale=scale[:, 1],
         _mode_zero=zero[:, 0], _coeff_zero=zero[:, 1], _fro=_frobenius(mats),
     )
     if m.ndim == 3:
-        return ModeSequence(complex(shift), **fields), failure
-    if failure is not None:
-        raise failure[1]
+        return ModeSequence(complex(shift), **fields)
     one = {name: value[0] for name, value in fields.items()}
     one["mode_scale"], one["coeff_scale"] = float(scale[0, 0]), float(scale[0, 1])
     return ModeSequence(complex(shift), **one)

@@ -195,9 +195,8 @@ def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, 
 
     For the sequence of a stack, ``alpha`` and ``scale`` hold one value per
     matrix, the ranks, second differences and sum rules run as array
-    operations, and a pair is returned: the counts, one row per matrix with
-    ``beta(l)`` in column l - 1, and ``(index, error)`` of the first matrix
-    that fails, or None.
+    operations, and the counts are returned, one row per matrix with
+    ``beta(l)`` in column l - 1; the first matrix that fails raises its error.
     """
     n = modes.n
     stacked = np.ndim(alpha) == 1
@@ -228,29 +227,22 @@ def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, 
     sum_l, sum_1 = beta @ ls, np.add.reduce(beta, axis=1)
     negative = np.minimum.reduce(beta, axis=1) < 0
     checks = ((al < 1) | (al > n), negative, sum_l != al, sum_1 != gamma)
-    bad = checks[0] | checks[1] | checks[2] | checks[3]
-
-    def error(i) -> ValueError:
+    i = _first(checks[0] | checks[1] | checks[2] | checks[3])
+    if i is not None:
         if checks[0][i]:
-            return ValueError(f"alpha must lie in 1..{n}, got {al[i]}")
+            raise ValueError(f"alpha must lie in 1..{n}, got {al[i]}")
         if checks[1][i]:
             l = int((beta[i] < 0).argmax()) + 1
-            return InconsistentRanksError(
+            raise InconsistentRanksError(
                 f"negative beta({l}) = {beta[i, l - 1]}; rank profile is not a "
                 "Weyr-consistent sequence"
             )
         if checks[2][i]:
-            return InconsistentRanksError(
+            raise InconsistentRanksError(
                 f"sum rule sum(l * beta(l)) = {sum_l[i]} != alpha = {al[i]}"
             )
-        return InconsistentRanksError(f"sum rule sum(beta(l)) = {sum_1[i]} != gamma = {gamma[i]}")
-
-    row = _first(bad)
-    if stacked:
-        return beta, None if row is None else (row, error(row))
-    if row is not None:
-        raise error(row)
-    return _pmf(beta[0].tolist())
+        raise InconsistentRanksError(f"sum rule sum(beta(l)) = {sum_1[i]} != gamma = {gamma[i]}")
+    return beta if stacked else _pmf(beta[0].tolist())
 
 
 def weyr_oracle(a, policy: TolerancePolicy, scale):
@@ -277,11 +269,10 @@ def weyr_oracle(a, policy: TolerancePolicy, scale):
 
     ``a`` may be a stack of B equally sized matrices, shape (B, n, n), with
     one scale per matrix.  Matrices whose blocks keep equal sizes share one
-    SVD per level, and the widths and the grouping are array operations.  A
-    pair is returned: the counts, one row per matrix with ``beta(l)`` in
-    column l - 1, and ``(index, InconsistentRanksError)`` of the first matrix
-    with a negative count, or None.  Each row is bitwise what its matrix
-    gives alone.
+    SVD per level, and the widths and the grouping are array operations.
+    The counts are returned, one row per matrix with ``beta(l)`` in column
+    l - 1, each bitwise what its matrix gives alone; the first matrix with a
+    negative count raises its error.
     """
     m = as_square_matrix(a)
     scale = np.asarray(scale, dtype=float)
@@ -319,19 +310,10 @@ def weyr_oracle(a, policy: TolerancePolicy, scale):
             work.append((ids, block, cs, level + 1))
 
     beta = widths[:, :-1] - widths[:, 1:]
-    failure = None
     if beta.min() < 0:
-        row = int((beta.min(axis=1) < 0).argmax())
-        w = widths[row].tolist()
-        try:
-            PartialMultiplicityFunction({l: w[l - 1] - w[l] for l in range(1, w.index(0) + 1)})
-        except InconsistentRanksError as exc:
-            failure = row, exc
-    if m.ndim == 3:
-        return beta, failure
-    if failure is not None:
-        raise failure[1]
-    return _pmf(beta[0].tolist())
+        w = widths[int((beta.min(axis=1) < 0).argmax())].tolist()
+        PartialMultiplicityFunction({l: w[l - 1] - w[l] for l in range(1, w.index(0) + 1)})
+    return beta if m.ndim == 3 else _pmf(beta[0].tolist())
 
 
 def classify_point(
@@ -366,9 +348,9 @@ def classify_point(
     every matrix's live modes and A with one rank count, the second
     differences and sum rules, each staircase level with its widths and
     grouping, the cross-check and the strengths.  The decisions are array
-    operations over the stack, and each step's result is kept up to the
-    first matrix that fails, so each report is bitwise the one its matrix
-    gives alone, and a stack raises the error of its first failing matrix.
+    operations over the stack, so each report is bitwise the one its matrix
+    gives alone.  A stack that fails is classified again one matrix at a
+    time, so it raises the error of its first failing matrix.
     """
     policy = policy or TolerancePolicy()
     stacked = np.ndim(h) == 3
@@ -376,83 +358,60 @@ def classify_point(
         raise ValueError(f"need one k_point per matrix: {len(k_point)} for {len(h)} matrices")
     if stacked and not len(h):
         return []
-    m = np.asarray(h, dtype=complex)
-    m = m if stacked else m[None]
-    # the first matrix alone: a shape or finiteness error is its own
-    as_square_matrix(m[0])
-    count, failure = len(m), None
+    try:
+        m = as_square_matrix(h)
+        m = m if stacked else m[None]
+        n = m.shape[-1]
+        norm = spectral_norm(m)
+        energy = complex(energy)
+        if not np.isfinite(energy):
+            raise ValueError(f"energy must be finite, got {energy}")
 
-    def fail(found) -> None:
-        """Keep the matrices before a failure at an earlier matrix than any so far."""
-        nonlocal count, failure
-        if found is not None and found[0] < count:
-            count, failure = found
+        if method == "auto":
+            method = "modes" if n <= 16 else "weyr"
+        if method not in ("modes", "weyr"):
+            raise ValueError(f"unknown method {method!r}")
 
-    if count > 1:
-        row = _first(~np.isfinite(m).all(axis=(1, 2)))
-        if row is not None:
-            try:
-                as_square_matrix(m[row])
-            except ValueError as exc:
-                fail((row, exc))
-    m = m[:count]
-    n = m.shape[-1]
-    norm = spectral_norm(m)
-    energy = complex(energy)
-    if not np.isfinite(energy):
-        raise ValueError(f"energy must be finite, got {energy}")
+        a = m - energy * np.eye(n)
+        problem_scale = 1.0 + norm + abs(energy)
 
-    if method == "auto":
-        method = "modes" if n <= 16 else "weyr"
-    if method not in ("modes", "weyr"):
-        raise ValueError(f"unknown method {method!r}")
-
-    a = m - energy * np.eye(n)
-    problem_scale = 1.0 + norm + abs(energy)
-
-    eta_xi = [(math.nan, math.nan)] * count
-    if method == "modes":
-        seqs, found = flv_modes(m, energy)
-        fail(found)
-        alpha = algebraic_multiplicity(seqs)
-        row = _first(alpha == 0)
-        if row is not None:
-            fail((row, NotAnEigenvalueError(
-                f"c_0 = {seqs.coeffs[row, 0]:.3e} does not vanish at E = {energy}"
-            )))
-        if count:
-            beta, found = partial_multiplicities(seqs, alpha, policy, problem_scale[: len(alpha)])
-            fail(found)
-        # the cross-check takes the matrices left, and no call when none is
-        if count:
-            oracle, found = weyr_oracle(a[:count], policy, problem_scale[:count])
-            fail(found)
-            differ = oracle[:count] != beta[:count]
-            if differ.any():
-                row = int(differ.any(axis=1).argmax())
-                modal, weyr = _pmf(beta[row].tolist()), _pmf(oracle[row].tolist())
-                fail((row, OracleDisagreementError(modal, weyr)))
+        eta_xi = [(math.nan, math.nan)] * len(m)
+        if method == "modes":
+            seqs = flv_modes(m, energy)
+            alpha = algebraic_multiplicity(seqs)
+            row = _first(alpha == 0)
+            if row is not None:
+                raise NotAnEigenvalueError(
+                    f"c_0 = {seqs.coeffs[row, 0]:.3e} does not vanish at E = {energy}"
+                )
+            beta = partial_multiplicities(seqs, alpha, policy, problem_scale)
+            oracle = weyr_oracle(a, policy, problem_scale)
+            row = _first((oracle != beta).any(axis=1))
+            if row is not None:
+                raise OracleDisagreementError(_pmf(beta[row].tolist()), _pmf(oracle[row].tolist()))
             # the largest block, ell, is the last nonzero count.  Where the sum rules
             # hold, B_j has rank 0 (it vanishes) below alpha - ell and B_{alpha - ell}
             # does not, and alpha is the first c_k that does not vanish: the
             # checks of response_strengths hold, and the strengths are read directly
-            ell = n - (beta[:count, ::-1] > 0).argmax(axis=1)
-            found = strengths(seqs, alpha[:count], alpha[:count] - ell)
+            ell = n - (beta[:, ::-1] > 0).argmax(axis=1)
+            found = strengths(seqs, alpha, alpha - ell)
             eta_xi = zip(found.eta.tolist(), found.xi.tolist())
-    else:
-        beta, found = weyr_oracle(a, policy, problem_scale)
-        fail(found)
-        row = _first(np.add.reduce(beta[:count], axis=1) == 0)
-        if row is not None:
-            fail((row, NotAnEigenvalueError(f"rank(A) is full at E = {energy}")))
-    if failure is not None:
-        raise failure
+        else:
+            beta = weyr_oracle(a, policy, problem_scale)
+            if (np.add.reduce(beta, axis=1) == 0).any():
+                raise NotAnEigenvalueError(f"rank(A) is full at E = {energy}")
+    except (ValueError, RuntimeError):
+        # the first matrix that fails alone raises its own error
+        if stacked and len(h) > 1:
+            for one in h:
+                classify_point(one, energy, policy, method=method)
+        raise
 
-    k_points = (k_point if k_point is not None else [None] * count) if stacked else [k_point]
+    k_points = (k_point if k_point is not None else [None] * len(m)) if stacked else [k_point]
     reports = [
         DegeneracyReport(
             energy=energy, beta=_pmf(row), eta=eta, xi=xi, policy=policy, k_point=k, method=method
         )
-        for row, (eta, xi), k in zip(beta[:count].tolist(), eta_xi, k_points)
+        for row, (eta, xi), k in zip(beta.tolist(), eta_xi, k_points)
     ]
     return reports if stacked else reports[0]

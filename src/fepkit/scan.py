@@ -396,7 +396,6 @@ def trace_ring(
     built and classified as one stack (``classify_point``), so a sample that
     fails to classify raises the error of the first such sample.
     """
-    policy = policy or TolerancePolicy()
     if model.variant != "reciprocal":
         raise ValueError("trace_ring needs the reciprocal variant")
     if not math.isclose(math.cos(model.phi - model.psi), 1.0, abs_tol=1e-12):

@@ -280,8 +280,7 @@ class TestCachedScales:
         for _ in range(2):  # the second read comes from the cache
             assert seq.mode_scale == loop_mode_scale(seq)
             assert seq.coeff_scale == loop_coeff_scale(seq)
-        assert seq._mode_max == [float(np.max(np.abs(b))) for b in seq.modes]
-        assert {"mode_scale", "coeff_scale", "_mode_max"} <= vars(seq).keys()
+        assert {"mode_scale", "coeff_scale"} <= vars(seq).keys()
 
     def test_catalog_points(self, catalog_model):
         for entry in analytic_degeneracies(catalog_model):

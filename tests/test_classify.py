@@ -470,6 +470,54 @@ class TestStacks:
         with pytest.raises(error, match=re.escape(message)):
             classify_point(np.stack(mats), 0.0)
 
+    @staticmethod
+    def widening_staircase():
+        """A 3x3 matrix and a policy under which its Weyr staircase widens.
+
+        A Jordan chain of length two plus the eigenvalue 1e-4, in a random
+        unitary basis.  In exact arithmetic the second staircase level keeps
+        the first level's singular value s_2; rounding can put it a few ulps
+        lower, and a cutoff just below s_2 then counts one more null
+        direction at the second level than at the first: a negative beta(1).
+        """
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            a = q @ np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1e-4]]) @ q.conj().T
+            s = np.linalg.svd(a, compute_uv=False)
+            for j in range(52, 36, -1):
+                policy = TolerancePolicy(rank_rel=s[1] / s[0] * (1 - 2.0**-j))
+                try:
+                    weyr_oracle(a, policy, 1.0)
+                except InconsistentRanksError:
+                    return a, policy
+        raise AssertionError("no staircase widened")
+
+    @pytest.mark.parametrize("kernel", ["flv_modes", "partial_multiplicities", "weyr_oracle"])
+    def test_kernel_raises_first_failing_matrix(self, kernel):
+        """A stacked kernel raises the type and message of its first failing matrix alone."""
+        policy = TolerancePolicy()
+
+        def run(m):
+            if kernel == "weyr_oracle":
+                return weyr_oracle(m, policy, 1.0)
+            seqs = flv_modes(m, 0.0)
+            if kernel == "partial_multiplicities":
+                return partial_multiplicities(seqs, algebraic_multiplicity(seqs), policy, scale_at_zero(m))
+            return seqs
+
+        if kernel == "weyr_oracle":
+            bad, policy = self.widening_staircase()
+        else:
+            bad = self.HUGE if kernel == "flv_modes" else self.NEGATIVE_BETA
+        run(self.GOOD)
+        with pytest.raises(ValueError) as alone:
+            run(bad)
+        with pytest.raises(ValueError) as stacked:
+            run(np.stack([self.GOOD, bad, self.GOOD, bad]))
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
     # fails the rank sum rules; and gets a modal fingerprint the Weyr oracle refuses
     NEGATIVE_BETA = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-8], [0.0, 0.0, 0.0]])
     DISAGREES = np.array([[1e-8, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
