@@ -260,12 +260,14 @@ def weyr_oracle(a, policy: TolerancePolicy, scale):
     problem scale is treated as the zero matrix rather than as its own noise.
     One cutoff, ``policy.rank_cutoff(s_1, 1)`` from the first level, serves
     every level: in units of ``scale`` it is the cutoff that
-    ``numerical_rank(a, policy, scale)`` applies.  With it the widths cannot
-    increase: ``V_1^H U_1`` preserves norms on a subspace of
-    codimension at most ``w_l``, so a wider next level would need a unit x
+    ``numerical_rank(a, policy, scale)`` applies.  In exact arithmetic the
+    widths then cannot increase: ``V_1^H U_1`` preserves norms on a subspace
+    of codimension at most ``w_l``, so a wider next level would need a unit x
     with ``||S_1 x|| <= cutoff < s_r``.  And each level drops only singular
-    values at or below the cutoff.  A negative count would still raise
-    InconsistentRanksError.
+    values at or below the cutoff.  In floating point a later level's
+    singular value can come out about 1e-16 relative below ``s_r``, so a
+    cutoff that falls between the two widens the staircase; the negative
+    count then raises InconsistentRanksError, never a silent result.
 
     ``a`` may be a stack of B equally sized matrices, shape (B, n, n), with
     one scale per matrix.  Matrices whose blocks keep equal sizes share one

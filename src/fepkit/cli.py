@@ -114,9 +114,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fepkit-", suffix=".tmp")
+    # mkstemp creates its file 0600; give it the mode open(path, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

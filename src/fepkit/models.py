@@ -37,11 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .matkit import CK_REL
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "LiebSpec",
@@ -379,6 +382,9 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
     nonzero entries of each 4x4 block are placed at the cell pairs it couples
     on the ``geom.cells`` grid, so rows follow ``cell_index``.
     """
+    # scipy.sparse adds about 0.25 s to an import; only open systems use it
+    import scipy.sparse as sp
+
     tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
     h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
     sx, sy = _intercell_blocks(spec.s)
@@ -416,6 +422,8 @@ ROTATION_C4[2:, :2] = -1j * SIGMA[2]
 
 def _corner_permutation(geom: HingeGeometry) -> sp.csr_matrix:
     """Antidiagonal lattice reflection combined with the A <-> B site swap."""
+    import scipy.sparse as sp
+
     if geom.nx != geom.ny:
         raise ValueError("antidiagonal reflection needs nx == ny")
     cell = geom.cells

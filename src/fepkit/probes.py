@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components as sparse_connected_components
 
 from .classify import DegeneracyReport, classify_point
 from .matkit import TolerancePolicy
@@ -40,6 +38,9 @@ from .models import (
     generalized_reflection,
     hinge_hamiltonian,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ExponentFit",
@@ -226,6 +227,8 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     repeated calls give bitwise-identical results; unlike a constant vector,
     a random one is not orthogonal to any symmetry sector of the hinge states.
     """
+    import scipy.sparse.linalg as spla
+
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
     try:
@@ -341,6 +344,8 @@ class SymmetryCheckResult:
 
 def _largest_entry(m: sp.spmatrix) -> tuple[float, tuple[int, int] | None]:
     """The largest |entry| of a sparse matrix and its first position in row-major order."""
+    import scipy.sparse as sp
+
     m = sp.csr_matrix(m)
     m.sum_duplicates()  # canonical: stored entries run in row-major order
     if not m.nnz:
@@ -399,6 +404,10 @@ def symmetry_check(
         raise ValueError(f"symmetry kind {kind!r} needs an open-system geometry")
     if isinstance(spec, LiebSpec):
         raise ValueError("open-system symmetry checks apply to the semimetal lattice")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.sparse.csgraph import connected_components as sparse_connected_components
+
     h = hinge_hamiltonian(spec, geom)
     scale = 1.0 + float(spla.norm(h, np.inf))
 

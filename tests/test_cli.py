@@ -853,3 +853,58 @@ def test_readme_cli_examples_run(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 0 and out == "" and err == "", (argv, err)
         assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+# run in a fresh interpreter, since this process has loaded scipy.sparse already
+BULK_ONLY_IMPORTS = """
+import sys
+
+import fepkit
+import fepkit.cli
+
+out = sys.argv[1] + "/doc"
+for argv in (
+    "classify --model lieb:hermitian --k pi,pi",
+    "scan --model lieb:nh-symmetric --eps 1 --grid 16",
+    "ring --model lieb:reciprocal --phi pi/4 --psi pi/4 --samples 8",
+    "band --model hodsm:nh2 --eps 0.7 --path kz=-pi:pi:5",
+    "contour --model lieb:reciprocal --phi pi/4 --psi pi/4 --grid 8",
+    "probe --kind lineshape --model hodsm:nh2 --eps 0.7071067811865476 --kz pi/2",
+    "probe --kind chiral --model hodsm:nh4 --eps 0.35",
+):
+    assert fepkit.cli.main([*argv.split(), "--out", out]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.spatial")))
+assert not loaded, loaded
+hinge = "hinge --model hodsm:nh1 --eps 0.7 --nx 3 --ny 3 --kz 0"
+assert fepkit.cli.main([*hinge.split(), "--out", out]) == 0
+"""
+
+
+def test_bulk_verbs_load_no_sparse_stack(tmp_path):
+    """fepkit and the bulk verbs load NumPy only; an open system loads SciPy's sparse stack."""
+    src = str(Path(fepkit.cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", BULK_ONLY_IMPORTS, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "" and proc.stderr == ""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_out_files_get_the_umask_mode(capsys, tmp_path, umask):
+    """--out files get the mode open(path, "w") would create, also over an existing file."""
+    old = os.umask(umask)
+    try:
+        doc = tmp_path / "x.json"
+        doc.write_text("")
+        doc.chmod(0o600 if umask == 0o022 else 0o644)
+        assert run(capsys, "classify", "--model", "lieb:hermitian", "--k", "pi,pi", "--out", str(doc))[0] == 0
+        hinge = tmp_path / "hinge.json"
+        argv = ("hinge", "--model", "hodsm:nh1", "--eps", "0.7", "--nx", "3", "--ny", "3", "--kz", "0")
+        assert run(capsys, *argv, "--out", str(hinge))[0] == 0
+    finally:
+        os.umask(old)
+    outs = [doc, hinge, *(tmp_path / f"hinge_state{i}.csv" for i in range(4))]
+    assert [p.stat().st_mode & 0o777 for p in outs] == [0o666 & ~umask] * 6
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in outs)
