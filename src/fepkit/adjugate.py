@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matkit import CK_REL, as_square_matrix, singular_values
+from .matkit import CK_REL, as_square_matrix
 
 __all__ = [
     "ModeSequence",
@@ -39,13 +39,13 @@ class ResonanceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ModeSequence:
-    """Modes ``B_0 .. B_{N-1}`` and coefficients ``c_0 .. c_N`` at one shift.
+    """Modes ``B_0 .. B_{N-1}`` and coefficients ``c_0 .. c_N`` of a stack at one shift.
 
-    ``modes[k]`` is ``B_k``, and ``shifted`` is ``A = H - shift * I`` as the
-    recursion received it.  The sequence of a stack of B matrices carries a
-    leading axis of length B on every array, and its scales and vanishing
-    tests hold one value per matrix.  Sequences compare by identity: array
-    fields have no single truth value.
+    Every array carries a leading axis of one row per matrix of the stack:
+    ``modes[i, k]`` is ``B_k`` of matrix i, ``coeffs[i, k]`` its ``c_k``, and
+    ``shifted[i]`` its ``A = H - shift * I`` as the recursion received it.
+    The scales and vanishing tests hold one value per matrix.  Sequences
+    compare by identity: array fields have no single truth value.
     """
 
     shift: complex
@@ -59,8 +59,8 @@ class ModeSequence:
     # computed sequence itself and floored at one (O(1) model-energy units).
     # Both scales and the vanishing tests of B_k and c_k (k < N) are taken
     # once, when the sequence is built.
-    mode_scale: float | np.ndarray
-    coeff_scale: float | np.ndarray
+    mode_scale: np.ndarray
+    coeff_scale: np.ndarray
     _mode_zero: np.ndarray
     _coeff_zero: np.ndarray
     # Frobenius norm of each row of _mats: a mode's rank floor, and eta's numerator
@@ -77,34 +77,24 @@ class ModeSequence:
 
     @property
     def modes(self) -> np.ndarray:
-        return self._mats[..., :-1, :, :]
+        return self._mats[:, :-1]
 
     @property
     def shifted(self) -> np.ndarray:
-        return self._mats[..., -1, :, :]
-
-    def mode(self, k: int) -> np.ndarray:
-        """``B_k``, with the convention ``B_k = 0`` for k < 0."""
-        if k < 0:
-            return np.zeros_like(self.shifted)
-        return self.modes[..., k, :, :]
-
-    def mode_vanishes(self, k: int):
-        """Scale-aware zero test for the mode B_k."""
-        return True if k < 0 else self._mode_zero[..., k]
+        return self._mats[:, -1]
 
     def singular_values(self, want: np.ndarray) -> np.ndarray:
         """Singular values of the matrices ``want`` marks, one descending row each.
 
-        ``want[..., k]`` marks ``B_k`` and ``want[..., N]`` marks ``shifted``;
-        the rows come back in the shape (..., N + 1, N), NaN for the
-        matrices not computed.  The ones not known yet come from one stacked
-        values-only SVD and are kept; each row is bitwise what an SVD of its
-        matrix alone gives.
+        ``want[i, k]`` marks ``B_k`` of matrix i and ``want[i, N]`` its
+        ``shifted``; the rows come back in the shape (B, N + 1, N), NaN for
+        the matrices not computed.  The ones not known yet come from one
+        stacked values-only SVD and are kept; each row is bitwise what an SVD
+        of its matrix alone gives.
         """
         todo = want & np.isnan(self._sigma[..., 0])
         if todo.any():
-            self._sigma[todo] = singular_values(self._mats[todo])
+            self._sigma[todo] = np.linalg.svd(self._mats[todo], compute_uv=False)
         return self._sigma
 
 
@@ -139,15 +129,15 @@ def flv_modes(h, shift: complex = 0.0):
     overflow (c_k grows like ||A||**(N-k)), are refused; classify those with
     the staircase Weyr oracle (``classify_point(..., method="weyr")``).
 
-    ``h`` may be a stack of B equally sized matrices, shape (B, n, n).  Each
-    step then runs once for the whole stack (a stacked product and trace, the
-    scales and vanishing tests as array operations); an overflow of any
-    matrix is refused as for one.  Every row is bitwise what its matrix
-    gives alone.
+    ``h`` is a stack of B equally sized matrices, shape (B, n, n); one
+    matrix, shape (n, n), is the stack of one.  Each step runs once for the
+    whole stack (a stacked product and trace, the scales and vanishing tests
+    as array operations); an overflow of any matrix is refused.  Every row
+    is bitwise what its matrix gives alone.
     """
     m = as_square_matrix(h)
-    stack = m if m.ndim == 3 else m[None]
-    n = stack.shape[-1]
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
     if n > FLV_DIMENSION_GUARD:
         raise ValueError(
             f"dimension {n} exceeds the FLV stability guard ({FLV_DIMENSION_GUARD})"
@@ -187,37 +177,36 @@ def flv_modes(h, shift: complex = 0.0):
     # the scale is the largest root, floored at one; fmax skips NaN
     scale = np.fmax.reduce(np.float_power(mags, root), axis=2, initial=1.0)
     zero = mags <= CK_REL * np.float_power(scale[:, :, None], degree)
-    fields = dict(
-        coeffs=coeffs, _mats=mats,
+    return ModeSequence(
+        complex(shift), coeffs=coeffs, _mats=mats,
         mode_scale=scale[:, 0], coeff_scale=scale[:, 1],
         _mode_zero=zero[:, 0], _coeff_zero=zero[:, 1], _fro=_frobenius(mats),
     )
-    if m.ndim == 3:
-        return ModeSequence(complex(shift), **fields)
-    one = {name: value[0] for name, value in fields.items()}
-    one["mode_scale"], one["coeff_scale"] = float(scale[0, 0]), float(scale[0, 1])
-    return ModeSequence(complex(shift), **one)
 
 
 def greens_modal(modes: ModeSequence, energy: complex) -> np.ndarray:
-    """Evaluate the resolvent G(E) from the modal expansion.
+    """Evaluate the resolvent G(E) of every matrix of the sequence, shape (B, n, n).
 
     Agrees with direct inversion of ``E I - H`` wherever both exist; raises
-    ResonanceError when the characteristic denominator falls below
-    ``1e-12 * (1 + |E - shift|)**N`` (E is numerically an eigenvalue).
+    ResonanceError when a matrix's characteristic denominator falls below
+    ``1e-12 * (1 + |E - shift|)**N`` (E is numerically its eigenvalue).
+    Each matrix's resolvent is bitwise what its sequence alone gives.
     """
     lam = complex(energy) - modes.shift
     n = modes.n
     powers = lam ** np.arange(n + 1)
-    denom = np.dot(modes.coeffs, powers)
-    if abs(denom) <= 1e-12 * (1.0 + abs(lam)) ** n:
+    # one dot product per matrix: a stacked matrix-vector product sums in
+    # another order, so a row would not be the bits its matrix gives alone
+    denom = np.array([np.dot(c, powers) for c in modes.coeffs])
+    resonant = np.abs(denom) <= 1e-12 * (1.0 + abs(lam)) ** n
+    if resonant.any():
         raise ResonanceError(
-            f"at resonance: |q(E - shift)| = {abs(denom):.3e} with E = {energy}"
+            f"at resonance: |q(E - shift)| = {abs(denom[resonant][0]):.3e} with E = {energy}"
         )
-    num = np.zeros_like(modes.modes[0])
+    num = np.zeros_like(modes.shifted)
     for k in range(n):
-        num = num + powers[k] * modes.modes[k]
-    return num / denom
+        num = num + powers[k] * modes.modes[:, k]
+    return num / denom[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -226,8 +215,9 @@ class ResponseStrengths:
 
     Both derive from the first nonvanishing mode ``B_{alpha - ell}``:
     ``eta**2 = tr(B^dag B) / |c_alpha|**2`` and ``xi**2 = ||B||_2**2 /
-    |c_alpha|**2``.  The two coincide when that mode has rank one.  For a
-    stack they hold one value per matrix.
+    |c_alpha|**2``.  The two coincide when that mode has rank one.  They
+    hold one value per matrix, or floats for the one matrix that
+    ``response_strengths`` reads.
     """
 
     eta: float | np.ndarray
@@ -242,41 +232,44 @@ def strengths(modes: ModeSequence, alpha: np.ndarray, lead: np.ndarray) -> Respo
     matrix's pattern first; ``classify_point`` reads its reports' strengths
     here, where its sum rules imply that pattern.
     """
-    n, rows = modes.n, np.arange(len(alpha))
-    c_alpha = modes.coeffs.reshape(-1, n + 1)[rows, alpha]
+    rows = np.arange(len(alpha))
+    c_alpha = modes.coeffs[rows, alpha]
     abs_c = np.hypot(c_alpha.real, c_alpha.imag)
-    sigma = modes._sigma.reshape(-1, n + 1, n)[rows, lead, 0]
-    return ResponseStrengths(eta=modes._fro.reshape(-1, n + 1)[rows, lead] / abs_c, xi=sigma / abs_c)
+    sigma = modes._sigma[rows, lead, 0]
+    return ResponseStrengths(eta=modes._fro[rows, lead] / abs_c, xi=sigma / abs_c)
 
 
 def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStrengths:
     """Response strengths of a degeneracy with multiplicities (alpha, ell).
 
-    The modes, of one matrix, must have been computed with the shift at the
-    degenerate eigenvalue; the vanishing pattern ``B_k = 0`` for
-    ``k < alpha - ell`` is checked and inconsistent (alpha, ell) pairs are
-    rejected.
+    The modes, of a stack of one matrix, must have been computed with the
+    shift at the degenerate eigenvalue; the vanishing pattern ``B_k = 0``
+    for ``k < alpha - ell`` is checked and inconsistent (alpha, ell) pairs
+    are rejected.  A sequence of more matrices is refused.
     """
     n = modes.n
+    if len(modes.coeffs) != 1:
+        raise ValueError(
+            f"response_strengths reads one matrix, got a sequence of {len(modes.coeffs)}"
+        )
     if not (1 <= ell <= alpha <= n):
         raise ValueError(f"need 1 <= ell <= alpha <= {n}, got ell={ell} alpha={alpha}")
-    if alpha < n and modes._coeff_zero[alpha]:
+    if alpha < n and modes._coeff_zero[0, alpha]:
         raise ValueError(
-            f"|c_alpha| = {abs(modes.coeffs[alpha]):.3e} is below threshold; "
+            f"|c_alpha| = {abs(modes.coeffs[0, alpha]):.3e} is below threshold; "
             "alpha does not match the vanishing pattern of the coefficients"
         )
     for k in range(alpha - ell):
-        if not modes.mode_vanishes(k):
+        if not modes._mode_zero[0, k]:
             raise ValueError(
                 f"mode B_{k} does not vanish although k < alpha - ell = {alpha - ell}; "
                 "inconsistent (alpha, ell)"
             )
-    if modes.mode_vanishes(alpha - ell):
+    if modes._mode_zero[0, alpha - ell]:
         raise ValueError(
             f"leading mode B_{alpha - ell} vanishes; ell = {ell} overstates the "
             "maximal partial multiplicity"
         )
-    want = np.arange(n + 1) == alpha - ell
-    modes.singular_values(want)
+    modes.singular_values((np.arange(n + 1) == alpha - ell)[None])
     found = strengths(modes, np.array([alpha]), np.array([alpha - ell]))
     return ResponseStrengths(eta=float(found.eta[0]), xi=float(found.xi[0]))

@@ -170,21 +170,21 @@ def _first(bad) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-def algebraic_multiplicity(modes: ModeSequence):
-    """Largest alpha with C_k = tr(A B_k) vanishing for all k < alpha.
+def algebraic_multiplicity(modes: ModeSequence) -> np.ndarray:
+    """Largest alpha with C_k = tr(A B_k) vanishing for all k < alpha, one per matrix.
 
-    Returns 0 when even c_0 is far from zero, i.e. the shift used for the
-    modes is not an eigenvalue.  C_k = -(N-k) c_k is a degree N-k polynomial
-    in A, so the vanishing test carries that power of the per-degree
-    coefficient scale of the sequence.  An int for one matrix, and an array
-    of one value per matrix for the sequence of a stack.
+    0 where even c_0 is far from zero, i.e. the shift used for the modes is
+    not an eigenvalue.  C_k = -(N-k) c_k is a degree N-k polynomial in A, so
+    the vanishing test carries that power of the per-degree coefficient
+    scale of the sequence.
     """
-    alpha = np.add.reduce(np.logical_and.accumulate(modes._coeff_zero, axis=-1), axis=-1)
-    return int(alpha) if alpha.ndim == 0 else alpha
+    return np.add.reduce(np.logical_and.accumulate(modes._coeff_zero, axis=1), axis=1)
 
 
-def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, scale):
-    """Resolve beta(l) from the ranks of the modes B_{alpha-l-2 .. alpha-l}.
+def partial_multiplicities(
+    modes: ModeSequence, alpha: np.ndarray, policy: TolerancePolicy, scale
+) -> np.ndarray:
+    """Resolve beta(l) of each matrix from the ranks of its modes B_{alpha-l-2 .. alpha-l}.
 
     ``scale`` is the problem scale of the rank floor on A = H - E;
     ``classify_point`` passes the one its Weyr oracle divides by,
@@ -193,44 +193,42 @@ def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, 
     violation raises InconsistentRanksError rather than being silently
     repaired.
 
-    For the sequence of a stack, ``alpha`` and ``scale`` hold one value per
-    matrix, the ranks, second differences and sum rules run as array
+    ``alpha`` holds one value per matrix, and ``scale`` one per matrix or
+    one for all.  The ranks, second differences and sum rules run as array
     operations, and the counts are returned, one row per matrix with
     ``beta(l)`` in column l - 1; the first matrix that fails raises its error.
     """
     n = modes.n
-    stacked = np.ndim(alpha) == 1
-    al = np.asarray(alpha).reshape(-1)
     k = np.arange(n)
     # A structurally-zero mode still carries noise with generic relative rank
     # structure, so the scale-aware vanishing test must run before the SVD.
     # The live modes and A share one stacked SVD and one rank count; a
     # mode's floor is its Frobenius norm, A's the problem scale.
-    want = np.ones((len(al), n + 1), dtype=bool)
-    np.less(k, al[:, None], out=want[:, :n])
-    want[:, :n] &= ~modes._mode_zero.reshape(-1, n)
-    sigma = modes.singular_values(want.reshape(modes._sigma.shape[:-1])).reshape(-1, n + 1, n)
-    floor = modes._fro.reshape(-1, n + 1).copy()
+    want = np.ones((len(alpha), n + 1), dtype=bool)
+    np.less(k, alpha[:, None], out=want[:, :n])
+    want[:, :n] &= ~modes._mode_zero
+    sigma = modes.singular_values(want)
+    floor = modes._fro.copy()
     floor[:, n] = scale
     # ranks[:, j + 2] is rnk B_j, with rnk B_{-2} = rnk B_{-1} = 0, and ranks[:, -1] is rnk A;
     # a matrix not wanted counts as rank 0 (its singular values may be unknown, NaN)
-    ranks = np.zeros((len(al), n + 3), dtype=int)
+    ranks = np.zeros((len(alpha), n + 3), dtype=int)
     np.multiply(policy.rank(sigma, floor), want, out=ranks[:, 2:])
     gamma = n - ranks[:, -1]
 
     # beta(l) = rnk B_{j-2} - 2 rnk B_{j-1} + rnk B_j at j = alpha - l; a
     # negative j reads the zeros of columns n .. 2n - 1
-    second = np.zeros((len(al), 2 * n), dtype=int)
+    second = np.zeros((len(alpha), 2 * n), dtype=int)
     np.add(ranks[:, :n] - 2 * ranks[:, 1 : n + 1], ranks[:, 2 : n + 2], out=second[:, :n])
     ls = k + 1
-    beta = second[np.arange(len(al))[:, None], (al[:, None] - ls) % (2 * n)]
+    beta = second[np.arange(len(alpha))[:, None], (alpha[:, None] - ls) % (2 * n)]
     sum_l, sum_1 = beta @ ls, np.add.reduce(beta, axis=1)
     negative = np.minimum.reduce(beta, axis=1) < 0
-    checks = ((al < 1) | (al > n), negative, sum_l != al, sum_1 != gamma)
+    checks = ((alpha < 1) | (alpha > n), negative, sum_l != alpha, sum_1 != gamma)
     i = _first(checks[0] | checks[1] | checks[2] | checks[3])
     if i is not None:
         if checks[0][i]:
-            raise ValueError(f"alpha must lie in 1..{n}, got {al[i]}")
+            raise ValueError(f"alpha must lie in 1..{n}, got {alpha[i]}")
         if checks[1][i]:
             l = int((beta[i] < 0).argmax()) + 1
             raise InconsistentRanksError(
@@ -239,14 +237,14 @@ def partial_multiplicities(modes: ModeSequence, alpha, policy: TolerancePolicy, 
             )
         if checks[2][i]:
             raise InconsistentRanksError(
-                f"sum rule sum(l * beta(l)) = {sum_l[i]} != alpha = {al[i]}"
+                f"sum rule sum(l * beta(l)) = {sum_l[i]} != alpha = {alpha[i]}"
             )
         raise InconsistentRanksError(f"sum rule sum(beta(l)) = {sum_1[i]} != gamma = {gamma[i]}")
-    return beta if stacked else _pmf(beta[0].tolist())
+    return beta
 
 
-def weyr_oracle(a, policy: TolerancePolicy, scale):
-    """Partial multiplicities of eigenvalue 0 from a nested-null-space staircase.
+def weyr_oracle(a, policy: TolerancePolicy, scale) -> np.ndarray:
+    """Partial multiplicities of eigenvalue 0 of each matrix from a nested-null-space staircase.
 
     Independent of the modal route, and takes no matrix powers (Kublanovskaya's
     algorithm as refined by Kagstrom & Ruhe, ACM TOMS 6 (1980) 398-419).  At
@@ -269,22 +267,22 @@ def weyr_oracle(a, policy: TolerancePolicy, scale):
     cutoff that falls between the two widens the staircase; the negative
     count then raises InconsistentRanksError, never a silent result.
 
-    ``a`` may be a stack of B equally sized matrices, shape (B, n, n), with
-    one scale per matrix.  Matrices whose blocks keep equal sizes share one
-    SVD per level, and the widths and the grouping are array operations.
-    The counts are returned, one row per matrix with ``beta(l)`` in column
-    l - 1, each bitwise what its matrix gives alone; the first matrix with a
-    negative count raises its error.
+    ``a`` is a stack of B equally sized matrices, shape (B, n, n), with one
+    scale per matrix (or one for all); one matrix is the stack of one.
+    Matrices whose blocks keep equal sizes share one SVD per level, and the
+    widths and the grouping are array operations.  The counts are returned,
+    one row per matrix with ``beta(l)`` in column l - 1, each bitwise what
+    its matrix gives alone; the first matrix with a negative count raises
+    its error.
     """
     m = as_square_matrix(a)
     scale = np.asarray(scale, dtype=float)
     if (scale <= 0).any():
         raise ValueError("scale must be positive")
+    n = m.shape[-1]
     # real factors enter as complex arrays: NumPy casts a real operand to
     # complex anyway, so the bits are the same and no product casts
-    b = m / scale.astype(complex)[..., None, None]
-    stack = b if m.ndim == 3 else b[None]
-    n = stack.shape[-1]
+    stack = (m / scale.astype(complex)[..., None, None]).reshape(-1, n, n)
     # widths[i, l - 1] is w_l of matrix i; a staircase ends at a zero width
     widths = np.zeros((len(stack), n + 1), dtype=int)
     # stacks of equally sized blocks at one level, with the matrices they belong to and their cutoffs
@@ -315,7 +313,7 @@ def weyr_oracle(a, policy: TolerancePolicy, scale):
     if beta.min() < 0:
         w = widths[int((beta.min(axis=1) < 0).argmax())].tolist()
         PartialMultiplicityFunction({l: w[l - 1] - w[l] for l in range(1, w.index(0) + 1)})
-    return beta if m.ndim == 3 else _pmf(beta[0].tolist())
+    return beta
 
 
 def classify_point(

@@ -18,8 +18,9 @@ import itertools
 import math
 import os
 import re
+import secrets
+import stat
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -112,15 +113,23 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temp file and a rename, with the mode ``open(path, "w")`` leaves.
+
+    A new file gets 0o666 less the umask, which the kernel applies when the
+    temp file is created; an existing file keeps its mode.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fepkit-", suffix=".tmp")
-    # mkstemp creates its file 0600; give it the mode open(path, "w") would
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(directory, f".fepkit-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
+        if mode is not None:  # the umask applied at creation may have narrowed it
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

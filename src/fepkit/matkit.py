@@ -16,7 +16,6 @@ __all__ = [
     "TolerancePolicy",
     "as_square_matrix",
     "numerical_rank",
-    "singular_values",
     "spectral_norm",
 ]
 
@@ -74,48 +73,36 @@ class TolerancePolicy:
         """
         return np.maximum(self.rank_rel * s_max, 1e-12 * scale)
 
-    def rank(self, s: np.ndarray, scale):
-        """Number of the singular values ``s`` (descending) above ``rank_cutoff(s[0], scale)``.
+    def rank(self, s: np.ndarray, scale) -> np.ndarray:
+        """Row-wise number of the singular values above ``rank_cutoff(s[..., 0], scale)``.
 
-        Row-wise: ``s`` may hold one row of singular values per matrix, with
-        one ``scale`` per row, and an array of counts is returned; one row
-        gives an int.
+        ``s`` holds one descending row of singular values per matrix, and
+        ``scale`` one value per row (or one for all); the counts come back in
+        the shape of the leading axes.
         """
-        count = np.add.reduce(s > self.rank_cutoff(s[..., 0], scale)[..., None], axis=-1)
-        return int(count) if count.ndim == 0 else count
+        return np.add.reduce(s > self.rank_cutoff(s[..., 0], scale)[..., None], axis=-1)
 
     def cluster_radius(self, norm: float) -> float:
         return self.cluster_tol * (1.0 + norm)
 
 
-def singular_values(mats) -> np.ndarray:
-    """Singular values of equally sized square matrices, one descending row each.
-
-    One values-only SVD of the stack: NumPy runs the same LAPACK call on each
-    matrix, so a row is bitwise what an SVD of its matrix alone gives, and
-    the stack pays the per-call overhead once.  ``mats`` is a sequence of
-    matrices or a (B, n, n) array.
-    """
-    return np.linalg.svd(np.asarray(mats), compute_uv=False)
-
-
 def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:
     """Number of singular values above ``policy.rank_cutoff(s_max, scale)``.
 
-    ``scale`` is the problem scale of the absolute floor.
+    ``scale`` is the problem scale of the absolute floor.  One matrix: the
+    rank of its stack of one.
     """
     m = as_square_matrix(a)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return policy.rank(singular_values([m])[0], scale)
+    return int(policy.rank(np.linalg.svd(m[None], compute_uv=False), scale)[0])
 
 
-def spectral_norm(a):
-    """Largest singular value; zero iff the matrix is zero.
+def spectral_norm(a) -> np.ndarray:
+    """Largest singular value of each matrix of a stack; zero iff the matrix is zero.
 
-    A float for one matrix; for a stack, one stacked SVD gives an array of
-    the norms, each bitwise what its matrix gives alone.
+    One values-only SVD of the (B, n, n) stack gives the B norms: NumPy runs
+    the same LAPACK call on each matrix, so each norm is bitwise what its
+    matrix gives alone.
     """
-    m = as_square_matrix(a)
-    norm = np.linalg.svd(m, compute_uv=False)[..., 0]
-    return float(norm) if m.ndim == 2 else norm
+    return np.linalg.svd(as_square_matrix(a), compute_uv=False)[..., 0]

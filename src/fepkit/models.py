@@ -338,6 +338,8 @@ class HingeGeometry:
                 raise ValueError(f"{name} must be an integer, got {size!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be at least 1")
+        if not math.isfinite(self.kz):
+            raise ValueError(f"kz must be finite, got {self.kz}")
 
     @property
     def sites(self) -> int:

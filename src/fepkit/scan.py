@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import DegeneracyReport, classify_point, degeneracy_label
-from .matkit import TolerancePolicy
+from .matkit import TolerancePolicy, spectral_norm
 from .models import (
     HodsmSpec,
     LiebSpec,
@@ -77,8 +77,7 @@ def canonical_k(k) -> tuple[float, ...]:
 def _model_scale(model) -> float:
     pts = np.linspace(-math.pi, math.pi, 7, endpoint=False)
     h = bloch_matrix(model, np.meshgrid(*(pts,) * model.dims, indexing="ij", sparse=True))
-    norms = np.linalg.svd(h.reshape(-1, *h.shape[-2:]), compute_uv=False)[:, 0]
-    return 1.0 + float(norms.max())
+    return 1.0 + float(spectral_norm(h.reshape(-1, *h.shape[-2:])).max())
 
 
 def _pauli_det(qc, rc):
@@ -100,7 +99,7 @@ def _detector_degree(model) -> int:
     return 2 if isinstance(model, LiebSpec) else 4
 
 
-def min_abs_energy(model, k):
+def min_abs_energy(model, k) -> np.ndarray:
     """Smallest |E| over the dispersive bands (flat-band zeros excluded).
 
     Closed form from the model symbols.  Lieb: sqrt|PQ + RS|.  Semimetal:
@@ -109,31 +108,29 @@ def min_abs_energy(model, k):
     is summed from b itself: as a**2 - det(QR) it would cancel wherever the
     two values of E**2 nearly coincide.
 
-    A float for one momentum, an array of the trailing shape for stacked momenta.
+    ``k`` holds momenta of shape (dims, ...), and the energies come back in
+    the trailing shape.  A bare point, shape (dims,), is refused: its scalar
+    arithmetic may round differently from a stack's, so one momentum is
+    passed as a stack of one, shape (dims, 1).
     """
     k = np.asarray(k, dtype=float)
-    one = k.ndim == 1
-    if one:
-        # one point runs as a one-element stack: scalar and array arithmetic
-        # may round differently, and the two must agree bit for bit
-        k = k[:, None]
+    if k.ndim < 2:
+        raise ValueError(f"min_abs_energy takes momenta of shape (dims, ...), got shape {k.shape}")
     if isinstance(model, LiebSpec):
-        e = np.sqrt(np.abs(_detector_complex(model, k)))
-    else:
-        q, r = hodsm_pauli_coeffs(model, k)
-        a = q[0] * r[0] + q[1] * r[1] + q[2] * r[2] + q[3] * r[3]
-        b1 = q[0] * r[1] + r[0] * q[1] + 1j * (q[2] * r[3] - q[3] * r[2])
-        b2 = q[0] * r[2] + r[0] * q[2] + 1j * (q[3] * r[1] - q[1] * r[3])
-        b3 = q[0] * r[3] + r[0] * q[3] + 1j * (q[1] * r[2] - q[2] * r[1])
-        root = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-        big = np.maximum(np.abs(a + root), np.abs(a - root))
-        small = np.zeros_like(big)
-        np.divide(np.abs(_pauli_det(q, r)), big, out=small, where=big > 0)
-        e = np.sqrt(small)
-    return float(e[0]) if one else e
+        return np.sqrt(np.abs(_detector_complex(model, k)))
+    q, r = hodsm_pauli_coeffs(model, k)
+    a = q[0] * r[0] + q[1] * r[1] + q[2] * r[2] + q[3] * r[3]
+    b1 = q[0] * r[1] + r[0] * q[1] + 1j * (q[2] * r[3] - q[3] * r[2])
+    b2 = q[0] * r[2] + r[0] * q[2] + 1j * (q[3] * r[1] - q[1] * r[3])
+    b3 = q[0] * r[3] + r[0] * q[3] + 1j * (q[1] * r[2] - q[2] * r[1])
+    root = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+    big = np.maximum(np.abs(a + root), np.abs(a - root))
+    small = np.zeros_like(big)
+    np.divide(np.abs(_pauli_det(q, r)), big, out=small, where=big > 0)
+    return np.sqrt(small)
 
 
-def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | list:
+def refine_degeneracy(model, k0, scale: float) -> list[tuple[float, ...] | None]:
     """Damped Gauss-Newton descent of the detector from the starting momenta.
 
     The complex detector gives two real residuals; in three dimensions the
@@ -145,13 +142,14 @@ def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | lis
     computes once per scan; a scale whose ``scale**degree`` normalisation
     overflows is refused with a ValueError.
 
-    ``k0`` is one momentum, or an (S, dims) stack of seeds, for which a list
-    of S results is returned.  The seeds refine in lockstep: each
-    Gauss-Newton round takes one detector call on the stencils of every seed
-    still iterating, and each halving of the line search one call on the
-    trials of every seed still searching.  The least-squares step, the norm
-    comparisons and the halvings stay per seed, so each seed's trajectory is
-    bitwise the one it has alone.
+    ``k0`` is an (S, dims) stack of seeds, for which a list of S results is
+    returned; a bare point, shape (dims,), is refused, since its scalar
+    arithmetic may round differently from a stack's.  The seeds refine in
+    lockstep: each Gauss-Newton round takes one detector call on the
+    stencils of every seed still iterating, and each halving of the line
+    search one call on the trials of every seed still searching.  The
+    least-squares step, the norm comparisons and the halvings stay per
+    seed, so each seed's trajectory is bitwise the one it has alone.
     """
     degree = _detector_degree(model)
     try:
@@ -163,8 +161,9 @@ def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | lis
             f"the detector overflows at model scale {scale:.3e}: refinement "
             f"divides it by scale**{degree}, which is not finite"
         )
-    seeds = np.array(k0, dtype=float)
-    k = np.atleast_2d(seeds)
+    k = np.array(k0, dtype=float)
+    if k.ndim != 2:
+        raise ValueError(f"refine_degeneracy takes seeds of shape (S, dims), got shape {k.shape}")
     dims = k.shape[1]
 
     def residual(kk) -> np.ndarray:
@@ -209,8 +208,7 @@ def refine_degeneracy(model, k0, scale: float) -> tuple[float, ...] | None | lis
         failed = set(searching)
         active = [i for i in stepped if i not in failed and r_norm[i] > REFINE_TOL]
 
-    out = [canonical_k(ki) if ni <= REFINE_TOL else None for ki, ni in zip(k, r_norm)]
-    return out[0] if seeds.ndim == 1 else out
+    return [canonical_k(ki) if ni <= REFINE_TOL else None for ki, ni in zip(k, r_norm)]
 
 
 def _periodic_distance(a, b) -> float:

@@ -257,7 +257,7 @@ def criterion_6_resolvent_identity() -> str:
         radius = POLICY.cluster_radius(float(np.linalg.norm(h, 2)))
         if np.min(np.abs(ev - energy)) < radius:
             continue
-        modal = greens_modal(flv_modes(h, shift), energy)
+        modal = greens_modal(flv_modes(h, shift), energy)[0]
         direct = np.linalg.inv(energy * np.eye(n) - h)
         rel = np.linalg.norm(modal - direct) / np.linalg.norm(direct)
         worst = max(worst, float(rel))

@@ -42,25 +42,25 @@ def small_matrices(draw):
 
 class TestFlvModes:
     def test_zero_matrix(self):
-        seq = flv_modes(np.zeros((3, 3)), 0.0)
-        assert np.array_equal(seq.modes[2], np.eye(3))
-        assert np.all(seq.modes[1] == 0) and np.all(seq.modes[0] == 0)
-        assert np.allclose(seq.coeffs, [0, 0, 0, 1])
+        seq = flv_modes(np.zeros((1, 3, 3)), 0.0)
+        assert np.array_equal(seq.modes[0, 2], np.eye(3))
+        assert np.all(seq.modes[0, 1] == 0) and np.all(seq.modes[0, 0] == 0)
+        assert np.allclose(seq.coeffs[0], [0, 0, 0, 1])
 
     def test_general_lieb_symbols(self, rng):
         p, q, r, s = rng.normal(size=4) + 1j * rng.normal(size=4)
         h = np.array([[0, p, 0], [q, 0, r], [0, s, 0]], dtype=complex)
-        seq = flv_modes(h, 0.0)
-        assert np.allclose(seq.modes[1], h)
+        seq = flv_modes(h[None], 0.0)
+        assert np.allclose(seq.modes[0, 1], h)
         b0 = np.array([[-r * s, 0, p * r], [0, 0, 0], [q * s, 0, -p * q]])
-        assert np.allclose(seq.modes[0], b0, atol=1e-13)
+        assert np.allclose(seq.modes[0, 0], b0, atol=1e-13)
 
     def test_jordan_block(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        seq = flv_modes(a, 0.0)
-        assert np.array_equal(seq.modes[1], np.eye(2))
-        assert np.allclose(seq.modes[0], a)
-        assert np.allclose(seq.coeffs, [0, 0, 1])
+        seq = flv_modes(a[None], 0.0)
+        assert np.array_equal(seq.modes[0, 1], np.eye(2))
+        assert np.allclose(seq.modes[0, 0], a)
+        assert np.allclose(seq.coeffs[0], [0, 0, 1])
 
     def test_shift_covariance_exact(self, rng):
         h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
@@ -76,15 +76,15 @@ class TestFlvModes:
         for _ in range(20):
             n = int(rng.integers(2, 7))
             h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            seq = flv_modes(h, 0.0)
+            seq = flv_modes(h[None], 0.0)
             want = np.linalg.det(-h)
-            assert abs(seq.coeffs[0] - want) <= 1e-8 * abs(want)
+            assert abs(seq.coeffs[0, 0] - want) <= 1e-8 * abs(want)
 
     def test_cayley_hamilton_closure(self, rng):
         h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        seq = flv_modes(h, 0.0)
-        closure = h @ seq.modes[0] + seq.coeffs[0] * np.eye(6)
-        assert np.max(np.abs(closure)) <= 1e-9 * (1 + spectral_norm(seq.shifted)) ** 6
+        seq = flv_modes(h[None], 0.0)
+        closure = h @ seq.modes[0, 0] + seq.coeffs[0, 0] * np.eye(6)
+        assert np.max(np.abs(closure)) <= 1e-9 * (1 + spectral_norm(seq.shifted)[0]) ** 6
 
     def test_dimension_guard(self, rng):
         big = np.zeros((FLV_DIMENSION_GUARD + 1,) * 2)
@@ -100,35 +100,35 @@ class TestFlvModes:
     @given(small_matrices())
     def test_characteristic_polynomial_identity(self, a):
         n = a.shape[0]
-        seq = flv_modes(a, 0.0)
+        seq = flv_modes(a[None], 0.0)
         rng = np.random.default_rng(0)
-        scale = 1 + spectral_norm(a)
+        scale = 1 + spectral_norm(a[None])[0]
         for lam in rng.normal(size=5) + 1j * rng.normal(size=5):
-            q_modal = np.polyval(seq.coeffs[::-1], lam)
+            q_modal = np.polyval(seq.coeffs[0, ::-1], lam)
             q_direct = np.linalg.det(lam * np.eye(n) - a)
             assert abs(q_modal - q_direct) <= 1e-8 * (abs(lam) + scale) ** n
 
     def test_polynomial_identity_at_ten_points(self, rng):
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        seq = flv_modes(h, 0.3 + 0.1j)
+        seq = flv_modes(h[None], 0.3 + 0.1j)
         a = h - (0.3 + 0.1j) * np.eye(4)
         for lam in rng.normal(size=10) + 1j * rng.normal(size=10):
-            lhs = np.polyval(seq.coeffs[::-1], lam)
+            lhs = np.polyval(seq.coeffs[0, ::-1], lam)
             rhs = np.linalg.det(lam * np.eye(4) - a)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
 class TestGreensModal:
     def test_diagonal_resolvent(self):
-        seq = flv_modes(np.diag([1.0, 2.0]), 0.0)
-        g = greens_modal(seq, 3.0)
+        seq = flv_modes(np.diag([1.0, 2.0])[None], 0.0)
+        g = greens_modal(seq, 3.0)[0]
         assert np.allclose(g, np.diag([0.5, 1.0]))
 
     def test_matches_direct_inverse(self, policy):
         h = lieb_bloch(LiebSpec("hermitian"), (0.0, 0.0))
-        seq = flv_modes(h, 0.0)
+        seq = flv_modes(h[None], 0.0)
         direct = np.linalg.inv(np.eye(3) - h)
-        modal = greens_modal(seq, 1.0)
+        modal = greens_modal(seq, 1.0)[0]
         assert np.linalg.norm(modal - direct) <= 1e-10 * np.linalg.norm(direct)
 
     def test_resolvent_identity_random(self, rng, policy):
@@ -139,17 +139,31 @@ class TestGreensModal:
             shift = complex(rng.normal(), rng.normal())
             energy = complex(rng.normal(scale=2), rng.normal(scale=2))
             ev = np.linalg.eigvals(h)
-            if np.min(np.abs(ev - energy)) < policy.cluster_radius(spectral_norm(h)):
+            if np.min(np.abs(ev - energy)) < policy.cluster_radius(spectral_norm(h[None])[0]):
                 continue
-            modal = greens_modal(flv_modes(h, shift), energy)
+            modal = greens_modal(flv_modes(h[None], shift), energy)[0]
             direct = np.linalg.inv(energy * np.eye(n) - h)
             assert np.linalg.norm(modal - direct) <= 1e-10 * np.linalg.norm(direct)
             done += 1
 
     def test_resonance_error(self):
-        seq = flv_modes(np.diag([1.0, 2.0]), 0.0)
+        seq = flv_modes(np.diag([1.0, 2.0])[None], 0.0)
         with pytest.raises(ResonanceError, match="at resonance"):
             greens_modal(seq, 1.0 + 1e-14)
+        # one resonant matrix of a stack is enough
+        seq = flv_modes(np.array([np.diag([3.0, 2.0]), np.diag([1.0, 2.0])]), 0.0)
+        with pytest.raises(ResonanceError, match="at resonance"):
+            greens_modal(seq, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_stack_gives_each_matrix_its_own_bits(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        shift, energy = 0.3 - 0.2j, 2.5 + 1.5j
+        together = greens_modal(flv_modes(stack, shift), energy)
+        assert together.shape == (6, n, n)
+        for h, g in zip(stack, together):
+            assert g.tobytes() == greens_modal(flv_modes(h[None], shift), energy)[0].tobytes()
 
 
 def catalog_degeneracies():
@@ -169,16 +183,17 @@ def catalog_degeneracies():
 class TestModeStructure:
     @pytest.mark.parametrize("h,alpha,ell", catalog_degeneracies())
     def test_mode_vanishing_pattern(self, h, alpha, ell):
-        seq = flv_modes(h, 0.0)
+        seq = flv_modes(h[None], 0.0)
         for k in range(alpha - ell):
-            assert seq.mode_vanishes(k), f"B_{k} should vanish"
-        assert not seq.mode_vanishes(alpha - ell)
+            assert seq._mode_zero[0, k], f"B_{k} should vanish"
+        assert not seq._mode_zero[0, alpha - ell]
 
     @pytest.mark.parametrize("h,alpha,ell", catalog_degeneracies())
     def test_rank_monotonicity(self, h, alpha, ell, policy):
-        seq = flv_modes(h, 0.0)
+        seq = flv_modes(h[None], 0.0)
+        modes = seq.modes[0]
         ranks = [
-            0 if seq.mode_vanishes(k) else numerical_rank(seq.modes[k], policy, fro(seq.modes[k]))
+            0 if seq._mode_zero[0, k] else numerical_rank(modes[k], policy, fro(modes[k]))
             for k in range(alpha)
         ]
         assert all(ranks[k] <= ranks[k + 1] for k in range(alpha - 1))
@@ -186,20 +201,20 @@ class TestModeStructure:
 
 class TestResponseStrengths:
     def test_canonical_jordan_block(self):
-        seq = flv_modes(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+        seq = flv_modes(np.array([[[0.0, 1.0], [0.0, 0.0]]]), 0.0)
         rs = response_strengths(seq, alpha=2, ell=2)
         assert rs.eta == pytest.approx(1.0)
         assert rs.xi == pytest.approx(1.0)
 
     def test_two_entry_nilpotent_fep(self):
         eps = 0.5
-        seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=eps), (0, 0, PI / 2)), 0.0)
+        seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=eps), (0, 0, PI / 2))[None], 0.0)
         rs = response_strengths(seq, alpha=4, ell=2)
         assert rs.eta == pytest.approx(eps * math.sqrt(2), abs=1e-12)
         assert rs.xi == pytest.approx(eps, abs=1e-12)
 
     def test_scaling_covariance(self):
-        h = np.array([[0.0, 0.7], [0.0, 0.0]], dtype=complex)
+        h = np.array([[[0.0, 0.7], [0.0, 0.0]]], dtype=complex)
         a = response_strengths(flv_modes(h, 0.0), 2, 2)
         b = response_strengths(flv_modes(2 * h, 0.0), 2, 2)
         # eta, xi ~ ||B_0|| / |c_2| rescale together under H -> 2H
@@ -209,9 +224,9 @@ class TestResponseStrengths:
 
     def test_norm_inequalities(self, policy):
         for h, alpha, ell in catalog_degeneracies():
-            seq = flv_modes(h, 0.0)
+            seq = flv_modes(h[None], 0.0)
             rs = response_strengths(seq, alpha, ell)
-            lead = seq.mode(alpha - ell)
+            lead = seq.modes[0, alpha - ell]
             r = numerical_rank(lead, policy, fro(lead))
             assert rs.xi <= rs.eta * (1 + 1e-12)
             assert rs.eta <= math.sqrt(r) * rs.xi * (1 + 1e-12)
@@ -224,14 +239,14 @@ class TestResponseStrengths:
             h = planted_jordan(rng, sum(sizes) + 2, sizes, 10.0)
             cases.append((h, sum(sizes), max(sizes)))
         for h, alpha, ell in cases:
-            seq = flv_modes(h, 0.0)
-            want = spectral_norm(seq.mode(alpha - ell)) / abs(seq.coeffs[alpha])
+            seq = flv_modes(h[None], 0.0)
+            want = spectral_norm(seq.modes[:, alpha - ell])[0] / abs(seq.coeffs[0, alpha])
             assert response_strengths(seq, alpha, ell).xi == want
             assert classify_point(h, 0.0).xi == want
 
     def test_rejects_inconsistent_ell(self):
         # (2,2) FEP of the third variant: alpha = 4, ell = 2, B_1 = B_0 = 0
-        seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2)), 0.0)
+        seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))[None], 0.0)
         with pytest.raises(ValueError, match="c_alpha"):
             response_strengths(seq, alpha=2, ell=2)  # c_2 vanishes
         with pytest.raises(ValueError, match="overstates"):
@@ -240,8 +255,14 @@ class TestResponseStrengths:
         with pytest.raises(ValueError, match="does not vanish"):
             response_strengths(seq, alpha=4, ell=1)
 
+    def test_reads_one_matrix_only(self):
+        seq = flv_modes(np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2), 0.0)
+        one_line = "^response_strengths reads one matrix, got a sequence of 2$"
+        with pytest.raises(ValueError, match=one_line):
+            response_strengths(seq, alpha=2, ell=2)
+
     def test_rejects_out_of_range(self):
-        seq = flv_modes(np.diag([1.0, 2.0]), 1.0)
+        seq = flv_modes(np.diag([1.0, 2.0])[None], 1.0)
         with pytest.raises(ValueError):
             response_strengths(seq, alpha=0, ell=1)
         with pytest.raises(ValueError):
@@ -257,7 +278,7 @@ class TestResponseStrengths:
 def loop_mode_scale(seq):
     s = 1.0
     for j in range(seq.n - 1):
-        top = float(np.max(np.abs(seq.modes[j])))
+        top = float(np.max(np.abs(seq.modes[0, j])))
         if top > 0.0:
             s = max(s, top ** (1.0 / (seq.n - 1 - j)))
     return s
@@ -266,7 +287,7 @@ def loop_mode_scale(seq):
 def loop_coeff_scale(seq):
     s = 1.0
     for k in range(seq.n):
-        c = abs(seq.coeffs[k])
+        c = abs(seq.coeffs[0, k])
         if c > 0.0:
             s = max(s, c ** (1.0 / (seq.n - k)))
     return s
@@ -278,18 +299,18 @@ class TestCachedScales:
     @staticmethod
     def check(seq):
         for _ in range(2):  # the second read comes from the cache
-            assert seq.mode_scale == loop_mode_scale(seq)
-            assert seq.coeff_scale == loop_coeff_scale(seq)
+            assert seq.mode_scale[0] == loop_mode_scale(seq)
+            assert seq.coeff_scale[0] == loop_coeff_scale(seq)
         assert {"mode_scale", "coeff_scale"} <= vars(seq).keys()
 
     def test_catalog_points(self, catalog_model):
         for entry in analytic_degeneracies(catalog_model):
-            self.check(flv_modes(bloch_matrix(catalog_model, entry.k), 0.0))
+            self.check(flv_modes(bloch_matrix(catalog_model, entry.k)[None], 0.0))
 
     def test_planted_forms(self):
         rng = np.random.default_rng(77)
         for n in (2, 5, 8, 12, 16):
             for cond in (1.0, 1e1, 1e3):
                 sizes = random_partition(rng, int(rng.integers(1, n + 1)))
-                self.check(flv_modes(planted_jordan(rng, n, sizes, cond), 0.0))
+                self.check(flv_modes(planted_jordan(rng, n, sizes, cond)[None], 0.0))
 

@@ -13,6 +13,7 @@ from fepkit.classify import (
     InconsistentRanksError,
     NotAnEigenvalueError,
     PartialMultiplicityFunction,
+    _pmf,
     algebraic_multiplicity,
     classify_point,
     degeneracy_label,
@@ -28,77 +29,78 @@ PI = math.pi
 
 
 def scale_at_zero(a):
-    """The problem scale ``classify_point`` passes at E = 0."""
+    """The problem scale ``classify_point`` passes at E = 0, one per matrix of the stack."""
     return 1.0 + spectral_norm(a)
 
 
 class TestAlgebraicMultiplicity:
     def test_simple_eigenvalue(self):
-        seq = flv_modes(np.diag([1.0, 2.0, 3.0]), 1.0)
-        assert algebraic_multiplicity(seq) == 1
+        seq = flv_modes(np.diag([1.0, 2.0, 3.0])[None], 1.0)
+        assert algebraic_multiplicity(seq)[0] == 1
 
     def test_minimal_fep_point(self):
         h = lieb_bloch(LiebSpec("minimal-fep", epsilon=0.8), (PI, PI))
-        assert algebraic_multiplicity(flv_modes(h, 0.0)) == 3
+        assert algebraic_multiplicity(flv_modes(h[None], 0.0))[0] == 3
 
     def test_dp_of_first_variant(self):
         h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 2))
-        assert algebraic_multiplicity(flv_modes(h, 0.0)) == 2
+        assert algebraic_multiplicity(flv_modes(h[None], 0.0))[0] == 2
 
     def test_zero_when_not_an_eigenvalue(self):
-        seq = flv_modes(np.diag([1.0, 2.0]), 0.5)
-        assert algebraic_multiplicity(seq) == 0
+        seq = flv_modes(np.diag([1.0, 2.0])[None], 0.5)
+        assert algebraic_multiplicity(seq)[0] == 0
 
-    def test_one_matrix_gives_an_int(self):
+    def test_one_matrix_gives_one_row(self):
         seq = flv_modes(np.diag([1.0, 1.0, 3.0]), 1.0)
-        assert type(algebraic_multiplicity(seq)) is int
-        assert type(seq.mode_scale) is float and type(seq.coeff_scale) is float
+        assert algebraic_multiplicity(seq).tolist() == [2]
+        assert seq.mode_scale.shape == seq.coeff_scale.shape == (1,)
 
 
 class TestPartialMultiplicities:
     def test_tribolic(self, policy):
-        h = lieb_bloch(LiebSpec("hermitian"), (PI, PI))
-        pmf = partial_multiplicities(flv_modes(h, 0.0), 3, policy, scale_at_zero(h))
-        assert pmf.beta == {1: 3}
+        h = lieb_bloch(LiebSpec("hermitian"), (PI, PI))[None]
+        beta = partial_multiplicities(flv_modes(h, 0.0), np.array([3]), policy, scale_at_zero(h))
+        assert _pmf(beta[0]).beta == {1: 3}
 
     def test_fep31(self, policy):
-        h = hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2))
-        pmf = partial_multiplicities(flv_modes(h, 0.0), 4, policy, scale_at_zero(h))
-        assert pmf.beta == {3: 1, 1: 1}
+        h = hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2))[None]
+        beta = partial_multiplicities(flv_modes(h, 0.0), np.array([4]), policy, scale_at_zero(h))
+        assert _pmf(beta[0]).beta == {3: 1, 1: 1}
 
     def test_ep4(self, policy):
-        h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4))
-        pmf = partial_multiplicities(flv_modes(h, 0.0), 4, policy, scale_at_zero(h))
-        assert pmf.beta == {4: 1}
+        h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4))[None]
+        beta = partial_multiplicities(flv_modes(h, 0.0), np.array([4]), policy, scale_at_zero(h))
+        assert _pmf(beta[0]).beta == {4: 1}
 
     def test_wrong_alpha_is_caught_not_repaired(self, policy):
-        h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
+        h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))[None]
         with pytest.raises(InconsistentRanksError):
-            partial_multiplicities(flv_modes(h, 0.0), 3, policy, scale_at_zero(h))
+            partial_multiplicities(flv_modes(h, 0.0), np.array([3]), policy, scale_at_zero(h))
 
 
 class TestWeyrOracle:
     def test_single_jordan_block(self, policy):
-        a = jordan_blocks([3])
-        assert weyr_oracle(a, policy, scale_at_zero(a)).beta == {3: 1}
+        a = jordan_blocks([3])[None]
+        assert _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0]).beta == {3: 1}
 
     def test_two_blocks(self, policy):
-        a = jordan_blocks([2, 1])
-        assert weyr_oracle(a, policy, scale_at_zero(a)).beta == {2: 1, 1: 1}
+        a = jordan_blocks([2, 1])[None]
+        assert _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0]).beta == {2: 1, 1: 1}
 
     def test_worked_example_structure(self, rng, policy):
         sizes = (4, 4, 3, 2, 2, 1)
-        a = planted_jordan(rng, 16, sizes)
-        pmf = weyr_oracle(a, policy, scale_at_zero(a))
-        assert pmf.partials == sizes
-        assert pmf.alpha == 16 and pmf.gamma == 6
+        a = planted_jordan(rng, 16, sizes)[None]
+        beta = _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0])
+        assert beta.partials == sizes
+        assert beta.alpha == 16 and beta.gamma == 6
 
     def test_zero_matrix(self, policy):
-        assert weyr_oracle(np.zeros((4, 4)), policy, 1.0).beta == {1: 4}
+        assert _pmf(weyr_oracle(np.zeros((1, 4, 4)), policy, 1.0)[0]).beta == {1: 4}
 
     def test_full_rank_input_gives_empty_structure(self, policy):
-        pmf = weyr_oracle(np.eye(3), policy, scale_at_zero(np.eye(3)))
-        assert pmf.beta == {} and pmf.alpha == 0
+        eye = np.eye(3)[None]
+        beta = _pmf(weyr_oracle(eye, policy, scale_at_zero(eye))[0])
+        assert beta.beta == {} and beta.alpha == 0
 
     @pytest.mark.parametrize(
         "sizes",
@@ -109,13 +111,13 @@ class TestWeyrOracle:
         # Weyr widths w_l = #{blocks of size >= l}; a simple eigenvalue away
         # from zero must not join the staircase
         want = PartialMultiplicityFunction.from_partials(sizes)
-        a = jordan_blocks(sizes)
-        assert weyr_oracle(a, policy, scale_at_zero(a)) == want
-        n = a.shape[0]
-        b = np.zeros((n + 2, n + 2), dtype=complex)
-        b[:n, :n] = a
-        b[n:, n:] = jordan_blocks([2], eigenvalue=0.7)
-        assert weyr_oracle(b, policy, scale_at_zero(b)) == want
+        a = jordan_blocks(sizes)[None]
+        assert _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0]) == want
+        n = a.shape[-1]
+        b = np.zeros((1, n + 2, n + 2), dtype=complex)
+        b[0, :n, :n] = a[0]
+        b[0, n:, n:] = jordan_blocks([2], eigenvalue=0.7)
+        assert _pmf(weyr_oracle(b, policy, scale_at_zero(b))[0]) == want
 
     def test_pool_plants_at_cond_1e3(self, policy):
         # the benchmark's planted-envelope pool, cond 1e3 cells: every plant
@@ -126,10 +128,10 @@ class TestWeyrOracle:
                 rng = np.random.default_rng([2507, n, 2, j])
                 sizes = random_partition(rng, int(rng.integers(1, n + 1)))
                 want = PartialMultiplicityFunction.from_partials(sizes)
-                a = planted_jordan(rng, n, sizes, 1e3)
+                a = planted_jordan(rng, n, sizes, 1e3)[None]
                 cases.append((a, scale_at_zero(a), want))
         start = time.perf_counter()
-        wrong = [want.partials for a, s, want in cases if weyr_oracle(a, policy, s) != want]
+        wrong = [want.partials for a, s, want in cases if _pmf(weyr_oracle(a, policy, s)[0]) != want]
         elapsed = time.perf_counter() - start
         assert not wrong
         assert elapsed < 1.0
@@ -297,7 +299,8 @@ class TestWeyrScale:
             raise AssertionError("spectral_norm called although a scale was given")
 
         monkeypatch.setattr(fepkit.classify, "spectral_norm", refuse)
-        assert weyr_oracle(jordan_blocks([3, 1]), policy, scale=2.0).beta == {3: 1, 1: 1}
+        beta = weyr_oracle(jordan_blocks([3, 1])[None], policy, scale=2.0)
+        assert _pmf(beta[0]).beta == {3: 1, 1: 1}
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0, 10.0])
     @pytest.mark.parametrize("rank_rel", [1e-8, 1e-4])
@@ -310,7 +313,7 @@ class TestWeyrScale:
         a = np.diag([s_max, c * (1 + 1e-6), c * (1 - 1e-6), c * (1 + 1e-6), c * (1 - 1e-6), 0.0])
         gamma = 6 - numerical_rank(a, policy, sigma)
         assert gamma == 3
-        assert weyr_oracle(a, policy, sigma).gamma == gamma
+        assert _pmf(weyr_oracle(a[None], policy, sigma)[0]).gamma == gamma
 
     @pytest.mark.parametrize("energy", [10.0, -10.0, 100.0])
     def test_classify_point_gives_both_routes_one_scale(self, energy):

@@ -339,7 +339,7 @@ class TestScanRingVerbs:
         params = {"eps": 0.6} if flags[0] == "hodsm:nh1" else {"t": -5.0}
         model = model_from_id(flags[0], **params)
         for c in doc["candidates"]:
-            assert c["min_abs_energy"] == min_abs_energy(model, tuple(c["k"]))
+            assert c["min_abs_energy"] == min_abs_energy(model, np.reshape(c["k"], (-1, 1)))[0]
         assert bool(doc["candidates"]) == (flags[0] == "hodsm:nh1")
 
     @pytest.mark.parametrize("eps", ["1e80", "1e300"])
@@ -893,12 +893,10 @@ def test_bulk_verbs_load_no_sparse_stack(tmp_path):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_out_files_get_the_umask_mode(capsys, tmp_path, umask):
-    """--out files get the mode open(path, "w") would create, also over an existing file."""
+    """New --out files get the mode open(path, "w") would create: 0o666 less the umask."""
     old = os.umask(umask)
     try:
         doc = tmp_path / "x.json"
-        doc.write_text("")
-        doc.chmod(0o600 if umask == 0o022 else 0o644)
         assert run(capsys, "classify", "--model", "lieb:hermitian", "--k", "pi,pi", "--out", str(doc))[0] == 0
         hinge = tmp_path / "hinge.json"
         argv = ("hinge", "--model", "hodsm:nh1", "--eps", "0.7", "--nx", "3", "--ny", "3", "--kz", "0")
@@ -908,3 +906,20 @@ def test_out_files_get_the_umask_mode(capsys, tmp_path, umask):
     outs = [doc, hinge, *(tmp_path / f"hinge_state{i}.csv" for i in range(4))]
     assert [p.stat().st_mode & 0o777 for p in outs] == [0o666 & ~umask] * 6
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in outs)
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o600, 0o666], ids=["640", "600", "666"])
+def test_overwritten_out_file_keeps_its_mode(capsys, tmp_path, monkeypatch, mode):
+    """As with open(path, "w"), an --out file that exists keeps its mode; the umask is not set."""
+
+    def refuse(*_):
+        raise AssertionError("the umask was set")
+
+    doc = tmp_path / "m.json"
+    doc.write_text("old")
+    doc.chmod(mode)
+    monkeypatch.setattr(os, "umask", refuse)
+    assert run(capsys, "classify", "--model", "lieb:hermitian", "--k", "pi,pi", "--out", str(doc))[0] == 0
+    assert doc.stat().st_mode & 0o777 == mode
+    assert json.loads(doc.read_text())["label"] == "tribolic"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]

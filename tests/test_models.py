@@ -403,6 +403,13 @@ class TestGridAssembly:
             HingeGeometry(nx, ny)
         assert len(str(info.value).splitlines()) == 1
 
+    @pytest.mark.parametrize("kz", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_kz(self, kz):
+        # refused here, before the sparse factorization fails on the NaN Hamiltonian
+        with pytest.raises(ValueError, match="^kz must be finite, got ") as info:
+            HingeGeometry(3, 3, kz=kz)
+        assert len(str(info.value).splitlines()) == 1
+
     def test_accepts_numpy_integers(self):
         geom = HingeGeometry(np.int64(2), np.int32(3))
         assert hinge_hamiltonian(HodsmSpec(0), geom).shape == (24, 24)

@@ -30,6 +30,11 @@ from fepkit.scan import (
 PI = math.pi
 
 
+def column(k):
+    """One momentum as a stack of one, shape (dims, 1)."""
+    return np.reshape(k, (-1, 1))
+
+
 def k_distance(a, b):
     return max(
         PI - abs(abs(x - y) % (2 * PI) - PI) for x, y in zip(a, b)
@@ -73,7 +78,7 @@ class TestBroadcast:
         stack = min_abs_energy(catalog_model, k)
         assert stack.shape == (5,)
         for i in range(5):
-            assert stack[i] == min_abs_energy(catalog_model, tuple(k[:, i]))
+            assert stack[i] == min_abs_energy(catalog_model, k[:, i : i + 1])[0]
 
 
 class TestScanGrid:
@@ -144,7 +149,7 @@ class TestBzScan:
         ks = [c.k_point for c in cands]
         assert ks == sorted(ks)
         for k in ks:
-            assert min_abs_energy(spec, k) <= 0.05
+            assert min_abs_energy(spec, column(k))[0] <= 0.05
 
     @pytest.mark.parametrize("resolution", [16, 32])
     def test_kept_candidates_meet_the_refine_bound(self, catalog_model, resolution):
@@ -164,7 +169,7 @@ class TestBzScan:
         assert cands
         for c in cands:
             assert c.k_point is not None
-            assert min_abs_energy(catalog_model, c.k_point) <= bound * (1 + 1e-3), c
+            assert min_abs_energy(catalog_model, column(c.k_point))[0] <= bound * (1 + 1e-3), c
 
     def test_reports_are_classify_point_at_their_momenta(self, policy):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
@@ -193,7 +198,7 @@ class TestBzScan:
         cands = bz_scan(spec, 24, policy)
         assert cands, "scan found nothing"
         for c in cands:
-            assert min_abs_energy(spec, c.k_point) <= 0.05
+            assert min_abs_energy(spec, column(c.k_point))[0] <= 0.05
         for entry in analytic_degeneracies(spec):
             near = min(k_distance(entry.k, c.k_point) for c in cands)
             assert near <= 2 * math.sqrt(3) * 2 * PI / 24, f"missed {entry.k}"
@@ -274,24 +279,24 @@ class TestStackEqualsPointwise:
 class TestRefine:
     def test_converges_to_corner_point(self):
         spec = LiebSpec("minimal-fep", epsilon=1.0)
-        k = refine_degeneracy(spec, (PI + 0.05, PI - 0.05), _model_scale(spec))
+        k = refine_degeneracy(spec, [(PI + 0.05, PI - 0.05)], _model_scale(spec))[0]
         assert k is not None
         assert k_distance(k, (PI, PI)) <= 1e-8
 
     def test_hodsm_ep4_from_off_point(self):
         spec = HodsmSpec(1, epsilon=2**-0.5)
-        k = refine_degeneracy(spec, (0.0, 0.0, 0.8), _model_scale(spec))
+        k = refine_degeneracy(spec, [(0.0, 0.0, 0.8)], _model_scale(spec))[0]
         assert k is not None
         assert k_distance(k, (0.0, 0.0, PI / 4)) <= 1e-6
 
     def test_overflowing_normalisation_is_refused(self):
         spec = LiebSpec("hermitian")
         with pytest.raises(ValueError, match=r"the detector overflows at model scale 1\.000e\+160"):
-            refine_degeneracy(spec, (PI, PI), 1e160)
+            refine_degeneracy(spec, [(PI, PI)], 1e160)
 
     def test_exact_start_returns_immediately(self):
         spec = LiebSpec("hermitian")
-        k = refine_degeneracy(spec, (PI, PI), _model_scale(spec))
+        k = refine_degeneracy(spec, [(PI, PI)], _model_scale(spec))[0]
         assert k is not None
         assert k_distance(k, (PI, PI)) <= 1e-10
 
@@ -300,8 +305,8 @@ class TestRefine:
         cell = 2 * PI / 128
         k0 = (2 * PI / 3, 2 * PI / 3)
         scale = _model_scale(spec)
-        a = refine_degeneracy(spec, (k0[0] + 0.4 * cell, k0[1] - 0.3 * cell), scale)
-        b = refine_degeneracy(spec, (k0[0] - 0.5 * cell, k0[1] + 0.2 * cell), scale)
+        a = refine_degeneracy(spec, [(k0[0] + 0.4 * cell, k0[1] - 0.3 * cell)], scale)[0]
+        b = refine_degeneracy(spec, [(k0[0] - 0.5 * cell, k0[1] + 0.2 * cell)], scale)[0]
         assert a is not None and b is not None
         assert k_distance(a, b) <= 1e-6
 
@@ -323,7 +328,7 @@ class TestRefine:
             return detector(model, k)
 
         monkeypatch.setattr(scan, "_detector_complex", recording)
-        assert refine_degeneracy(spec, k0, _model_scale(spec)) is not None
+        assert refine_degeneracy(spec, [k0], _model_scale(spec))[0] is not None
         dims = spec.dims
         assert all(isinstance(k, np.ndarray) and k.ndim == 2 and k.shape[0] == dims for k in seen)
         widths = [k.shape[1] for k in seen]
@@ -340,8 +345,24 @@ class TestRefine:
         # no zero of the detector anywhere, so refinement must report failure
         spec = HodsmSpec(0, t=-2.0, s=1.0)
         k0 = (0.3, -0.2, 1.1)
-        assert refine_degeneracy(spec, k0, _model_scale(spec)) is None
-        assert min_abs_energy(spec, k0) > 0.05
+        assert refine_degeneracy(spec, [k0], _model_scale(spec))[0] is None
+        assert min_abs_energy(spec, column(k0))[0] > 0.05
+
+    @pytest.mark.parametrize(
+        "spec", [LiebSpec("hermitian"), HodsmSpec(1, epsilon=0.6)], ids=["lieb", "hodsm"]
+    )
+    def test_bare_point_is_refused(self, spec):
+        """A bare point's scalar arithmetic could round otherwise; one point is a stack of one."""
+        k = (PI,) * spec.dims
+        scale = _model_scale(spec)
+        seeds = f"refine_degeneracy takes seeds of shape (S, dims), got shape ({spec.dims},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(seeds)}$"):
+            refine_degeneracy(spec, k, scale)
+        momenta = f"min_abs_energy takes momenta of shape (dims, ...), got shape ({spec.dims},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(momenta)}$"):
+            min_abs_energy(spec, k)
+        assert len(refine_degeneracy(spec, [k], scale)) == 1
+        assert min_abs_energy(spec, column(k)).shape == (1,)
 
     def test_gapped_model_scan_is_empty(self, policy):
         spec = HodsmSpec(0, t=-2.0, s=1.0)
@@ -388,7 +409,7 @@ class TestLockstepRefine:
         starts, scale = scan_seeds(model, grid, monkeypatch)
         stacked = refine_degeneracy(model, starts, scale)
         assert len(stacked) == len(starts) > 0
-        assert bits(stacked) == bits(refine_degeneracy(model, k, scale) for k in starts)
+        assert bits(stacked) == bits(refine_degeneracy(model, k[None], scale)[0] for k in starts)
 
     def test_catalog_models_at_zone_scan_grids(self, catalog_model, monkeypatch):
         for grid in ZONE_SCAN_GRIDS[type(catalog_model)]:
@@ -429,7 +450,7 @@ class TestLockstepRefine:
         rounds = []  # per seed, the trial count of each of its rounds
         for k in starts:
             widths.clear()
-            refine_degeneracy(model, k, scale)
+            refine_degeneracy(model, k[None], scale)
             assert widths[0] == 1
             trials = []
             for w in widths[1:]:
@@ -563,7 +584,7 @@ class TestClosedFormEnergy:
             # rounding k perturbs H by about 1e-16, and a Jordan block of size
             # four (the EP4) splits by its fourth root, about 1e-4
             bound = 1e-6 if max(entry.partials) < 4 else 1e-3
-            assert min_abs_energy(catalog_model, entry.k) <= bound, entry
+            assert min_abs_energy(catalog_model, column(entry.k))[0] <= bound, entry
 
 
 class TestHelpers:
@@ -575,5 +596,5 @@ class TestHelpers:
     def test_min_abs_energy_skips_flat_band(self):
         spec = LiebSpec("hermitian")
         # at the zone center the dispersive gap is 2 sqrt(2)
-        assert min_abs_energy(spec, (0.0, 0.0)) == pytest.approx(2 * math.sqrt(2))
-        assert min_abs_energy(HodsmSpec(0), (0.0, 0.0, PI / 2)) <= 1e-12
+        assert min_abs_energy(spec, column((0.0, 0.0)))[0] == pytest.approx(2 * math.sqrt(2))
+        assert min_abs_energy(HodsmSpec(0), column((0.0, 0.0, PI / 2)))[0] <= 1e-12
