@@ -126,8 +126,9 @@ def flv_modes(h, shift: complex = 0.0):
     Modes are always computed for the full index range: the recursion costs
     O(N^4) total, and only small model matrices ever take this path.
     Dimensions above FLV_DIMENSION_GUARD, and input whose coefficients
-    overflow (c_k grows like ||A||**(N-k)), are refused; classify those with
-    the staircase Weyr oracle (``classify_point(..., method="weyr")``).
+    overflow (c_k grows like ||A||**(N-k)) or whose vanishing thresholds or
+    Frobenius norms do, are refused; classify those with the staircase Weyr
+    oracle (``classify_point(..., method="weyr")``).
 
     ``h`` is a stack of B equally sized matrices, shape (B, n, n); one
     matrix, shape (n, n), is the stack of one.  Each step runs once for the
@@ -154,6 +155,7 @@ def flv_modes(h, shift: complex = 0.0):
     coeffs[:, n] = 1.0
     mats[:, n - 1] = eye
     b = mats[:, n - 1]
+    degree, root = _degrees(n)
     # an overflow is diagnosed below, once, rather than warned about here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
@@ -161,26 +163,32 @@ def flv_modes(h, shift: complex = 0.0):
             c = np.divide(-ab.trace(axis1=1, axis2=2), n - k, out=coeffs[:, k])
             if k > 0:
                 b = np.add(ab, c[:, None, None] * eye, out=mats[:, k - 1])
+        # row 0: max|B_k| of degree N-1-k; row 1: |c_k| of degree N-k.  float_power
+        # and hypot call the C library per element, as Python's ** and abs do,
+        # where np.power and a complex np.abs may round differently.
+        mags = np.empty((len(mats), 2, n))
+        np.maximum.reduce(np.abs(mats[:, :n]), axis=(2, 3), out=mags[:, 0])
+        np.hypot(coeffs[:, :n].real, coeffs[:, :n].imag, out=mags[:, 1])
+        # the scale is the largest root, floored at one; fmax skips NaN
+        scale = np.fmax.reduce(np.float_power(mags, root), axis=2, initial=1.0)
+        threshold = CK_REL * np.float_power(scale[:, :, None], degree)
+        fro = _frobenius(mats)
 
     if not np.isfinite(coeffs).all():
         raise ValueError(
             "the Faddeev-LeVerrier coefficients overflowed; "
             'classify with method="weyr"'
         )
-    # row 0: max|B_k| of degree N-1-k; row 1: |c_k| of degree N-k.  float_power
-    # and hypot call the C library per element, as Python's ** and abs do,
-    # where np.power and a complex np.abs may round differently.
-    mags = np.empty((len(mats), 2, n))
-    np.maximum.reduce(np.abs(mats[:, :n]), axis=(2, 3), out=mags[:, 0])
-    np.hypot(coeffs[:, :n].real, coeffs[:, :n].imag, out=mags[:, 1])
-    degree, root = _degrees(n)
-    # the scale is the largest root, floored at one; fmax skips NaN
-    scale = np.fmax.reduce(np.float_power(mags, root), axis=2, initial=1.0)
-    zero = mags <= CK_REL * np.float_power(scale[:, :, None], degree)
+    if not (np.isfinite(threshold).all() and np.isfinite(fro).all()):
+        raise ValueError(
+            "the Faddeev-LeVerrier scales overflowed (scale**degree or a mode's "
+            'Frobenius norm); use smaller model parameters, or classify with method="weyr"'
+        )
+    zero = mags <= threshold
     return ModeSequence(
         complex(shift), coeffs=coeffs, _mats=mats,
         mode_scale=scale[:, 0], coeff_scale=scale[:, 1],
-        _mode_zero=zero[:, 0], _coeff_zero=zero[:, 1], _fro=_frobenius(mats),
+        _mode_zero=zero[:, 0], _coeff_zero=zero[:, 1], _fro=fro,
     )
 
 

@@ -2,8 +2,10 @@
 
 Artifacts are plain CSV and JSON meant for external plotting.  JSON output is
 deterministic apart from the ``timestamp`` field: keys appear in a fixed
-order and floats carry 17 significant digits.  Files are written atomically
-(temp file plus rename).
+order and floats carry 17 significant digits.  CSV floats carry the same 17
+digits, and each CSV column is formatted once per distinct value (bit
+pattern), then gathered back into its rows.  A non-finite float is written
+``null`` in both.  Files are written atomically (temp file plus rename).
 
 Angle-valued flags accept radians or "pi arithmetic": ``pi``, ``-pi/2``,
 ``3pi/4``, ``0.75``, ``1e-3``.  Derived angles (arccos and the like) must be
@@ -83,8 +85,45 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
+def _fmt_floats(values) -> np.ndarray:
+    """``_fmt_float`` of every value of a float array, as an object array of its shape.
+
+    Each distinct bit pattern is formatted once: ``-0.0`` and ``0.0`` stay
+    apart, and so do NaN payloads (all ``null``).  The finite ones go through
+    one ``%`` call whose template repeats ``%.17g``, which formats a float as
+    ``format(x, ".17g")`` does.
+    """
+    a = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    finite = np.isfinite(distinct)
+    texts = np.full(distinct.shape, "null", dtype=object)
+    numbers = tuple(distinct[finite].tolist())
+    texts[finite] = ("%.17g," * len(numbers) % numbers).split(",")[:-1]
+    # the inverse comes flat or in the input's shape, by NumPy release
+    return texts[inverse.reshape(a.shape)]
+
+
+def _json_str(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# the JSON text of a scalar, looked up by its exact type before any container
+# check; NumPy scalars and subclasses take the isinstance checks below
+_SCALAR_JSON = {
+    float: _fmt_float,
+    int: str,
+    str: _json_str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits."""
+    scalar = _SCALAR_JSON.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -99,16 +138,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         if all(not isinstance(v, (dict, list, tuple)) for v in obj) and len(parts) <= 8:
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + p for p in parts) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _json_str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -226,10 +261,17 @@ def _geometry(args) -> HingeGeometry:
     return HingeGeometry(nx=args.nx, ny=args.ny, kz=args.kz or 0.0)
 
 
-def _csv(rows, header: str) -> str:
-    lines = [header]
-    lines += [",".join([_fmt_float(x) if isinstance(x, float) else str(x) for x in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """The header, then one row per entry of the equally long 1-D columns.
+
+    A float column is written by ``_fmt_floats``, each distinct value
+    formatted once; any other column by ``str``.
+    """
+    cells = [
+        _fmt_floats(c).tolist() if c.dtype.kind == "f" else list(map(str, c.tolist()))
+        for c in map(np.asarray, columns)
+    ]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +300,14 @@ def _cmd_band(args, model, echo) -> str:
     k[names.index(axis)] = np.linspace(start, stop, count)
     ev = np.linalg.eigvals(bloch_matrix(model, k[:dims]))
     ev = np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
-    rows = [
-        (kx, ky, kz, idx, e.real, e.imag)
-        for (kx, ky, kz), bands in zip(k.T.tolist(), ev.tolist())
-        for idx, e in enumerate(bands)
-    ]
-    return _csv(rows, "kx,ky,kz,band_index,re_E,im_E")
+    bands = ev.shape[-1]
+    return _csv(
+        "kx,ky,kz,band_index,re_E,im_E",
+        *np.repeat(k, bands, axis=1),
+        np.tile(np.arange(bands), count),
+        ev.real.ravel(),
+        ev.imag.ravel(),
+    )
 
 
 def _cmd_contour(args, model, echo) -> str:
@@ -272,10 +316,7 @@ def _cmd_contour(args, model, echo) -> str:
     ks = np.linspace(-math.pi, math.pi, args.grid, endpoint=False)
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     k = (kx, ky) if model.dims == 2 else (kx, ky, np.full_like(kx, args.kz or 0.0))
-    energies = [_fmt_float(e) for e in min_abs_energy(model, k).ravel().tolist()]
-    axis = [_fmt_float(x) for x in ks.tolist()]  # kx and ky take only these values
-    rows = [f"{x},{y},{e}" for (x, y), e in zip(itertools.product(axis, axis), energies)]
-    return "\n".join(["kx,ky,min_abs_E", *rows]) + "\n"
+    return _csv("kx,ky,min_abs_E", kx.ravel(), ky.ravel(), min_abs_energy(model, k).ravel())
 
 
 def _cmd_scan(args, model, echo) -> dict:
@@ -326,13 +367,9 @@ def _cmd_hinge(args, model, echo) -> dict:
     rep = hinge_report(model, geom)
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
+        x, y = (np.indices((geom.nx, geom.ny)) + 1).reshape(2, -1)  # 1-based cells, row-major
         for i, intensity in enumerate(rep.intensity_maps):
-            rows = [
-                (x + 1, y + 1, float(intensity[x, y]))
-                for x in range(geom.nx)
-                for y in range(geom.ny)
-            ]
-            _write_atomic(f"{stem}_state{i}.csv", _csv(rows, "x,y,intensity"))
+            _write_atomic(f"{stem}_state{i}.csv", _csv("x,y,intensity", x, y, intensity.ravel()))
     return {
         "model": echo,
         "nx": geom.nx,

@@ -241,20 +241,22 @@ def hodsm_pauli_coeffs(spec: HodsmSpec, k) -> tuple[tuple[np.ndarray, ...], tupl
     and r_1 of ky, q_2 and r_2 of (ky, kz), q_3 and r_3 of kx.  So a dense
     stack gives its trailing shape, a sparse meshgrid gives no coefficient
     the full grid (their products broadcast to it), and one point gives NumPy
-    scalars.
+    scalars.  Couplings near the float limit may overflow to non-finite
+    coefficients, without a warning; their readers refuse them.
     """
     kx, ky, kz = k
     t, s = spec.t, spec.s
-    tz = t + 0.5 * s * np.cos(kz)
-    base = (
-        tz + s * np.cos(kx),
-        1j * s * np.sin(ky),
-        1j * (tz + s * np.cos(ky)),
-        1j * s * np.sin(kx),
-    )
-    dq, dr = spec.epsilon * _EPS_PAULI[spec.variant]
-    q = tuple(b + d for b, d in zip(base, dq))
-    r = tuple(np.conj(b) + d for b, d in zip(base, dr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tz = t + 0.5 * s * np.cos(kz)
+        base = (
+            tz + s * np.cos(kx),
+            1j * s * np.sin(ky),
+            1j * (tz + s * np.cos(ky)),
+            1j * s * np.sin(kx),
+        )
+        dq, dr = spec.epsilon * _EPS_PAULI[spec.variant]
+        q = tuple(b + d for b, d in zip(base, dq))
+        r = tuple(np.conj(b) + d for b, d in zip(base, dr))
     return q, r
 
 
@@ -364,6 +366,9 @@ _INTRACELL = np.array(
 )
 
 
+_NOT_FINITE = "the {what} is not finite: the model parameters overflow its entries"
+
+
 def _intercell_blocks(s: float) -> tuple[np.ndarray, np.ndarray]:
     sx = s * np.array(
         [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
@@ -388,7 +393,10 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
     import scipy.sparse as sp
 
     tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
-    h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
+    if not np.isfinite(h0).all():
+        raise ValueError(_NOT_FINITE.format(what="hinge Hamiltonian"))
     sx, sy = _intercell_blocks(spec.s)
     cell = 4 * geom.cells
     rows, cols, data = [], [], []
@@ -488,7 +496,13 @@ def model_from_id(model_id: str, **params) -> LiebSpec | HodsmSpec:
 
 
 def bloch_matrix(spec: LiebSpec | HodsmSpec, k) -> np.ndarray:
-    """Dispatch to the right Bloch constructor for either lattice family."""
-    if isinstance(spec, LiebSpec):
-        return lieb_bloch(spec, k)
-    return hodsm_bloch(spec, k)
+    """Dispatch to the right Bloch constructor for either lattice family.
+
+    Matrices with an entry that is not finite (couplings whose symbols
+    overflow) are refused with a ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = lieb_bloch(spec, k) if isinstance(spec, LiebSpec) else hodsm_bloch(spec, k)
+    if not np.isfinite(h).all():
+        raise ValueError(_NOT_FINITE.format(what="Bloch matrix"))
+    return h

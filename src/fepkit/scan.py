@@ -112,22 +112,36 @@ def min_abs_energy(model, k) -> np.ndarray:
     the trailing shape.  A bare point, shape (dims,), is refused: its scalar
     arithmetic may round differently from a stack's, so one momentum is
     passed as a stack of one, shape (dims, 1).
+
+    Parameters whose symbols overflow make |PQ + RS|, or lambda_big and
+    |det(QR)|, not finite; that is refused with a ValueError, never
+    returned as an energy of 0 or infinity.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim < 2:
         raise ValueError(f"min_abs_energy takes momenta of shape (dims, ...), got shape {k.shape}")
-    if isinstance(model, LiebSpec):
-        return np.sqrt(np.abs(_detector_complex(model, k)))
-    q, r = hodsm_pauli_coeffs(model, k)
-    a = q[0] * r[0] + q[1] * r[1] + q[2] * r[2] + q[3] * r[3]
-    b1 = q[0] * r[1] + r[0] * q[1] + 1j * (q[2] * r[3] - q[3] * r[2])
-    b2 = q[0] * r[2] + r[0] * q[2] + 1j * (q[3] * r[1] - q[1] * r[3])
-    b3 = q[0] * r[3] + r[0] * q[3] + 1j * (q[1] * r[2] - q[2] * r[1])
-    root = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    big = np.maximum(np.abs(a + root), np.abs(a - root))
-    small = np.zeros_like(big)
-    np.divide(np.abs(_pauli_det(q, r)), big, out=small, where=big > 0)
-    return np.sqrt(small)
+    # an overflow is refused below, once, rather than warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, LiebSpec):
+            square = np.abs(_detector_complex(model, k))
+            finite = np.isfinite(square)
+        else:
+            q, r = hodsm_pauli_coeffs(model, k)
+            a = q[0] * r[0] + q[1] * r[1] + q[2] * r[2] + q[3] * r[3]
+            b1 = q[0] * r[1] + r[0] * q[1] + 1j * (q[2] * r[3] - q[3] * r[2])
+            b2 = q[0] * r[2] + r[0] * q[2] + 1j * (q[3] * r[1] - q[1] * r[3])
+            b3 = q[0] * r[3] + r[0] * q[3] + 1j * (q[1] * r[2] - q[2] * r[1])
+            root = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+            big = np.maximum(np.abs(a + root), np.abs(a - root))
+            det = np.abs(_pauli_det(q, r))
+            finite = np.isfinite(big) & np.isfinite(det)
+            square = np.zeros_like(big)
+            np.divide(det, big, out=square, where=big > 0)
+    if not finite.all():
+        raise ValueError(
+            "min |E| overflows at these model parameters: its closed form is not finite"
+        )
+    return np.sqrt(square)
 
 
 def refine_degeneracy(model, k0, scale: float) -> list[tuple[float, ...] | None]:

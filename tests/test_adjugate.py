@@ -55,6 +55,12 @@ class TestFlvModes:
         b0 = np.array([[-r * s, 0, p * r], [0, 0, 0], [q * s, 0, -p * q]])
         assert np.allclose(seq.modes[0, 0], b0, atol=1e-13)
 
+    def test_overflowing_scales_are_refused(self):
+        # the coefficients are finite, but scale**degree and the Frobenius norms are not
+        h = hodsm_bloch(HodsmSpec(2, epsilon=1e150), (0.0, 0.0, PI / 2))
+        with pytest.raises(ValueError, match="^the Faddeev-LeVerrier scales overflowed"):
+            flv_modes(h[None], 0.0)
+
     def test_jordan_block(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         seq = flv_modes(a[None], 0.0)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fepkit.cli
 import fepkit.selftest
@@ -105,7 +107,44 @@ class TestAngleParsing:
         assert err.splitlines() == ["fepkit: cannot parse angle 'pi/0' (zero denominator)"]
 
 
+def _bits(x: float) -> int:
+    return int(np.array(x).view(np.int64))
+
+
+# bit patterns of the floats a column may hold: the special values, and NaNs
+# of either sign with any payload
+FLOAT_BITS = st.one_of(
+    st.floats(allow_nan=False).map(_bits),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324, -2.2e-308])
+    .map(_bits),
+    st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF).flatmap(
+        lambda nan: st.sampled_from([nan, nan - 2**63])
+    ),
+)
+
+
+@st.composite
+def float_arrays(draw):
+    """A 1-D or 2-D float array drawn from a few distinct bit patterns, so with duplicates."""
+    pool = draw(st.lists(FLOAT_BITS, min_size=1, max_size=8))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    a = np.array(picks, dtype=np.int64).view(float)
+    return a if draw(st.booleans()) else a.reshape(rows, cols)
+
+
 class TestCanonicalJson:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(float_arrays())
+    @example(np.array([0.0, -0.0, 0.0, -0.0]))  # equal as floats, apart as bits
+    @example(np.array([[math.nan, -math.inf, 1.7e308], [-0.0, 5e-324, 1.7e308]]))
+    def test_fmt_floats_formats_like_each_value(self, a):
+        got = fepkit.cli._fmt_floats(a)
+        assert got.shape == a.shape
+        fmt = fepkit.cli._fmt_float
+        want = [fmt(x) for x in a.tolist()] if a.ndim == 1 else [[fmt(x) for x in row] for row in a.tolist()]
+        assert got.tolist() == want
+
     def test_float_precision(self):
         assert dumps_canonical(1 / 3) == "0.33333333333333331"
 
@@ -121,7 +160,7 @@ class TestCanonicalJson:
             (-0.0, 3, 0.1),
             (1 / 3, -2.5e-300, 12345678901234567.0),
         ]
-        assert fepkit.cli._csv(rows, "a,b,c") == (
+        assert fepkit.cli._csv("a,b,c", *np.array(rows).T) == (
             "a,b,c\n"
             "null,null,null\n"
             "-0,3,0.10000000000000001\n"
@@ -809,6 +848,29 @@ def test_nonfinite_cluster_tol_exits_2(capsys, kind, value):
     code, out, err = run(capsys, *EMITTING[kind], "--cluster-tol", value)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"fepkit: cluster_tol must be positive and finite, got {value}"]
+
+
+# inputs whose arithmetic overflows in float; each exits 2 with this one line
+OVERFLOWING = {
+    "contour --model hodsm:nh2 --eps 1e150 --grid 4": "min |E| overflows",
+    "contour --model hodsm:h --s 1e300 --grid 4": "min |E| overflows",
+    "contour --model lieb:nh-symmetric --eps 1e300 --grid 4": "min |E| overflows",
+    "scan --model hodsm:h --t -1.7e308 --s 1.7e308 --grid 8": "the Bloch matrix is not finite",
+    "band --model hodsm:h --t 1.7e308 --s 1.7e308 --path kz=0:1:3": "the Bloch matrix is not finite",
+    "hinge --model hodsm:h --t 1.7e308 --s 1.7e308 --nx 3 --ny 3": "the hinge Hamiltonian is not finite",
+    "classify --model hodsm:nh2 --eps 1e150 --kz pi/2": "the Faddeev-LeVerrier scales overflowed",
+    "probe --kind lineshape --model hodsm:nh2 --eps 1e150 --kz pi/2": "the Faddeev-LeVerrier scales overflowed",
+    "classify --model hodsm:nh3 --eps 1e150 --kz pi/2": "the Faddeev-LeVerrier scales overflowed",
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING)
+def test_overflow_exits_2_with_one_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy warning would end the run as an internal error
+        code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"fepkit: {OVERFLOWING[argv]}"), err
 
 
 def test_overflowing_classification_exits_2(capsys):

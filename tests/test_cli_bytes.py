@@ -37,6 +37,10 @@ PINS = {
     'contour --model hodsm:nh2 --eps 0.5 --grid 4 --kz 0.3': '24b7d7d8e0e66fee95ab967aba6cb0dfd21ccf515feee69956b7e41b9338fbc9',  # exit 0
     'band --model hodsm:nh3 --eps 0.5 --path kz=-pi:pi:9': 'ea0d105d68e0bbe59eb7b27aee94be96e699f40912b4944de7288530b18c8d16',  # exit 0
     'hinge --model hodsm:nh3 --eps 0.5 --nx 3 --ny 3 --out doc.json': '7d1bf298fefa231172cf55dfae25104e6c452ade8abb16dcfad0af70017ff281',  # exit 0
+    # many repeated values: each distinct float is formatted once
+    'band --model hodsm:h --path kz=-pi:pi:9': '453ac6603d52f1c76011de3f2bb8d530e221aa3a75ca3347e99ed98d8c12bb65',  # exit 0
+    'contour --model lieb:hermitian --grid 16': 'c80db26eb5680e6a694a8f65e53c5a1fd194f2fdffecd0a802a7bec746870f7e',  # exit 0
+    'hinge --model hodsm:h --nx 3 --ny 3 --out doc.json': '3e717232ac6ab04f01bc5780e1157ccce55690973fe06a8663ba7937f1c6fc62',  # exit 0
     'probe --kind lineshape --model hodsm:nh3 --eps 0.5 --kz pi/2': '26645b4cb463d052f57e123a11c0ab8b83481cb280237d3a9b91707619a81b84',  # exit 0
     'probe --kind splitting --model hodsm:nh3 --eps 0.5 --kz pi/2': '72085dd30c4c671a22bad00cb1def18ad185188721d0d4ec1620d318aef0cfbd',  # exit 0
     'probe --kind decay --model hodsm:nh1 --eps 0.25 --nx 6 --ny 30': 'fe348fbc9ba35d634fa2e992ba8051e8ccc180617f31ea87f125fd4019cf735d',  # exit 0

@@ -473,6 +473,17 @@ def test_specs_refuse_nonfinite_parameters(build, name, value):
         build(value)
 
 
+@pytest.mark.parametrize("t,s", [(-1.7e308, 1.7e308), (1.7e308, 1.7e308)])
+def test_bloch_matrix_refuses_overflowing_symbols(t, s):
+    with pytest.raises(ValueError, match="^the Bloch matrix is not finite"):
+        bloch_matrix(HodsmSpec(0, t=t, s=s), np.array([[0.0, 0.0], [0.0, 1.0], [0.0, PI]]))
+
+
+def test_hinge_hamiltonian_refuses_overflowing_blocks():
+    with pytest.raises(ValueError, match="^the hinge Hamiltonian is not finite"):
+        hinge_hamiltonian(HodsmSpec(0, t=1.7e308, s=1.7e308), HingeGeometry(2, 2))
+
+
 class TestModelRegistry:
     def test_every_id_builds_with_its_defaults(self):
         assert models.MODEL_IDS == (

@@ -579,6 +579,21 @@ class TestClosedFormEnergy:
     def test_semimetal_off_normalization_matches_dense(self, rng):
         self.check_against_dense(HodsmSpec(4, t=-0.7, s=1.3, epsilon=0.4), rng)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LiebSpec("nh-symmetric", epsilon=1e300),
+            HodsmSpec(2, epsilon=1e150),  # b.b overflows
+            HodsmSpec(0, s=1e300),  # a, b and det(QR) overflow
+            HodsmSpec(0, t=-1.7e308, s=1.7e308),  # the symbols overflow
+        ],
+    )
+    def test_overflow_is_refused(self, model):
+        k = np.zeros((model.dims, 3))
+        k[-1, -1] = PI  # t + s/2 cos(kz) + s cos(kx) overflows there
+        with pytest.raises(ValueError, match=r"^min \|E\| overflows at these model parameters"):
+            min_abs_energy(model, k)
+
     def test_vanishes_at_catalog_points(self, catalog_model):
         for entry in analytic_degeneracies(catalog_model):
             # rounding k perturbs H by about 1e-16, and a Jordan block of size
