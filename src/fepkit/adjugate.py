@@ -12,7 +12,7 @@ degenerate eigenvalue carry its complete multiplicity structure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
 # refused, and classification relies on the staircase Weyr oracle alone.
 FLV_DIMENSION_GUARD = 64
 
+# what an overflow refusal suggests, on the command line and in Python
+_REMEDY = 'use smaller model parameters or --energy (in Python, classify with method="weyr")'
+
 
 class ResonanceError(ValueError):
     """Raised when the modal resolvent is evaluated at (numerically) an eigenvalue."""
@@ -44,32 +47,31 @@ class ModeSequence:
     Every array carries a leading axis of one row per matrix of the stack:
     ``modes[i, k]`` is ``B_k`` of matrix i, ``coeffs[i, k]`` its ``c_k``, and
     ``shifted[i]`` its ``A = H - shift * I`` as the recursion received it.
-    The scales and vanishing tests hold one value per matrix.  Sequences
-    compare by identity: array fields have no single truth value.
+    The scales, vanishing tests and ``alpha`` hold one value per matrix.
+    ``flv_modes`` builds every field and marks its arrays read-only, so the
+    record is finished when it is returned.  Sequences compare by identity:
+    array fields have no single truth value.
     """
 
     shift: complex
     coeffs: np.ndarray
     # B_0 .. B_{N-1}, then A
-    _mats: np.ndarray
+    mats: np.ndarray
     # B_k and c_k are polynomials of degree N-1-k and N-k in A, so vanishing
     # thresholds must carry that power of a per-degree magnitude.  The norm
     # of A badly overestimates that magnitude for non-normal input (||A^m||
     # can grow far slower than ||A||^m), so the scale is calibrated from the
     # computed sequence itself and floored at one (O(1) model-energy units).
-    # Both scales and the vanishing tests of B_k and c_k (k < N) are taken
-    # once, when the sequence is built.
     mode_scale: np.ndarray
     coeff_scale: np.ndarray
-    _mode_zero: np.ndarray
-    _coeff_zero: np.ndarray
-    # Frobenius norm of each row of _mats: a mode's rank floor, and eta's numerator
-    _fro: np.ndarray
-    # singular values of the rows of _mats; NaN until computed
-    _sigma: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_sigma", np.full(self._mats.shape[:-1], np.nan))
+    mode_zero: np.ndarray
+    coeff_zero: np.ndarray
+    # Frobenius norm of each row of mats: a mode's rank floor, and eta's numerator
+    fro: np.ndarray
+    # the largest alpha with c_k vanishing for all k < alpha; 0 off the spectrum
+    alpha: np.ndarray
+    # singular values of each live row of mats, descending; NaN for the others
+    sigma: np.ndarray
 
     @property
     def n(self) -> int:
@@ -77,25 +79,11 @@ class ModeSequence:
 
     @property
     def modes(self) -> np.ndarray:
-        return self._mats[:, :-1]
+        return self.mats[:, :-1]
 
     @property
     def shifted(self) -> np.ndarray:
-        return self._mats[:, -1]
-
-    def singular_values(self, want: np.ndarray) -> np.ndarray:
-        """Singular values of the matrices ``want`` marks, one descending row each.
-
-        ``want[i, k]`` marks ``B_k`` of matrix i and ``want[i, N]`` its
-        ``shifted``; the rows come back in the shape (B, N + 1, N), NaN for
-        the matrices not computed.  The ones not known yet come from one
-        stacked values-only SVD and are kept; each row is bitwise what an SVD
-        of its matrix alone gives.
-        """
-        todo = want & np.isnan(self._sigma[..., 0])
-        if todo.any():
-            self._sigma[todo] = np.linalg.svd(self._mats[todo], compute_uv=False)
-        return self._sigma
+        return self.mats[:, -1]
 
 
 def _frobenius(mats: np.ndarray) -> np.ndarray:
@@ -128,7 +116,8 @@ def flv_modes(h, shift: complex = 0.0):
     Dimensions above FLV_DIMENSION_GUARD, and input whose coefficients
     overflow (c_k grows like ||A||**(N-k)) or whose vanishing thresholds or
     Frobenius norms do, are refused; classify those with the staircase Weyr
-    oracle (``classify_point(..., method="weyr")``).
+    oracle (``classify_point(..., method="weyr")``).  The sequence comes
+    back finished, with each matrix's alpha and its live rows' singular values.
 
     ``h`` is a stack of B equally sized matrices, shape (B, n, n); one
     matrix, shape (n, n), is the stack of one.  Each step runs once for the
@@ -175,20 +164,31 @@ def flv_modes(h, shift: complex = 0.0):
         fro = _frobenius(mats)
 
     if not np.isfinite(coeffs).all():
-        raise ValueError(
-            "the Faddeev-LeVerrier coefficients overflowed; "
-            'classify with method="weyr"'
-        )
+        raise ValueError(f"the Faddeev-LeVerrier coefficients overflowed; {_REMEDY}")
     if not (np.isfinite(threshold).all() and np.isfinite(fro).all()):
         raise ValueError(
             "the Faddeev-LeVerrier scales overflowed (scale**degree or a mode's "
-            'Frobenius norm); use smaller model parameters, or classify with method="weyr"'
+            f"Frobenius norm); {_REMEDY}"
         )
     zero = mags <= threshold
+    alpha = np.add.reduce(np.logical_and.accumulate(zero[:, 1], axis=1), axis=1)
+    # A structurally-zero mode still carries noise with generic relative rank
+    # structure, so the scale-aware vanishing test runs before the SVD.  The
+    # live rows, the modes below alpha that do not vanish and A, of every
+    # matrix whose shift is an eigenvalue, share one stacked values-only SVD;
+    # each row is bitwise what an SVD of its matrix alone gives.
+    below = (np.arange(n) < alpha[:, None]) & ~zero[:, 0]
+    live = np.concatenate((below, (alpha > 0)[:, None]), axis=1)
+    sigma = np.full((len(mats), n + 1, n), np.nan)
+    if live.any():
+        sigma[live] = np.linalg.svd(mats[live], compute_uv=False)
+    # the record is finished: its arrays, and the views taken of them below, are read-only
+    for done in (coeffs, mats, scale, zero, fro, alpha, sigma):
+        done.flags.writeable = False
     return ModeSequence(
-        complex(shift), coeffs=coeffs, _mats=mats,
+        complex(shift), coeffs=coeffs, mats=mats,
         mode_scale=scale[:, 0], coeff_scale=scale[:, 1],
-        _mode_zero=zero[:, 0], _coeff_zero=zero[:, 1], _fro=fro,
+        mode_zero=zero[:, 0], coeff_zero=zero[:, 1], fro=fro, alpha=alpha, sigma=sigma,
     )
 
 
@@ -232,28 +232,29 @@ class ResponseStrengths:
     xi: float | np.ndarray
 
 
-def strengths(modes: ModeSequence, alpha: np.ndarray, lead: np.ndarray) -> ResponseStrengths:
+def strengths(modes: ModeSequence, lead: np.ndarray) -> ResponseStrengths:
     """eta and xi of each matrix of a stack from its leading mode ``B_lead``, unchecked.
 
-    ``lead`` is ``alpha - ell``, one per matrix, and the leading modes'
-    singular values must be known.  ``response_strengths`` checks one
-    matrix's pattern first; ``classify_point`` reads its reports' strengths
-    here, where its sum rules imply that pattern.
+    ``lead`` is ``alpha - ell``, one per matrix, and must be a live mode.
+    ``response_strengths`` checks one matrix's pattern first;
+    ``classify_point`` reads its reports' strengths here, where its sum
+    rules imply that pattern.
     """
-    rows = np.arange(len(alpha))
-    c_alpha = modes.coeffs[rows, alpha]
+    rows = np.arange(len(lead))
+    c_alpha = modes.coeffs[rows, modes.alpha]
     abs_c = np.hypot(c_alpha.real, c_alpha.imag)
-    sigma = modes._sigma[rows, lead, 0]
-    return ResponseStrengths(eta=modes._fro[rows, lead] / abs_c, xi=sigma / abs_c)
+    sigma = modes.sigma[rows, lead, 0]
+    return ResponseStrengths(eta=modes.fro[rows, lead] / abs_c, xi=sigma / abs_c)
 
 
 def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStrengths:
     """Response strengths of a degeneracy with multiplicities (alpha, ell).
 
     The modes, of a stack of one matrix, must have been computed with the
-    shift at the degenerate eigenvalue; the vanishing pattern ``B_k = 0``
-    for ``k < alpha - ell`` is checked and inconsistent (alpha, ell) pairs
-    are rejected.  A sequence of more matrices is refused.
+    shift at the degenerate eigenvalue; ``alpha`` must be the sequence's own,
+    the vanishing pattern ``B_k = 0`` for ``k < alpha - ell`` is checked, and
+    inconsistent (alpha, ell) pairs are rejected.  A sequence of more
+    matrices is refused.
     """
     n = modes.n
     if len(modes.coeffs) != 1:
@@ -262,22 +263,21 @@ def response_strengths(modes: ModeSequence, alpha: int, ell: int) -> ResponseStr
         )
     if not (1 <= ell <= alpha <= n):
         raise ValueError(f"need 1 <= ell <= alpha <= {n}, got ell={ell} alpha={alpha}")
-    if alpha < n and modes._coeff_zero[0, alpha]:
+    if alpha != modes.alpha[0]:
         raise ValueError(
-            f"|c_alpha| = {abs(modes.coeffs[0, alpha]):.3e} is below threshold; "
-            "alpha does not match the vanishing pattern of the coefficients"
+            f"alpha = {alpha} does not match the vanishing chain of the coefficients, "
+            f"which gives alpha = {modes.alpha[0]}"
         )
     for k in range(alpha - ell):
-        if not modes._mode_zero[0, k]:
+        if not modes.mode_zero[0, k]:
             raise ValueError(
                 f"mode B_{k} does not vanish although k < alpha - ell = {alpha - ell}; "
                 "inconsistent (alpha, ell)"
             )
-    if modes._mode_zero[0, alpha - ell]:
+    if modes.mode_zero[0, alpha - ell]:
         raise ValueError(
             f"leading mode B_{alpha - ell} vanishes; ell = {ell} overstates the "
             "maximal partial multiplicity"
         )
-    modes.singular_values((np.arange(n + 1) == alpha - ell)[None])
-    found = strengths(modes, np.array([alpha]), np.array([alpha - ell]))
+    found = strengths(modes, np.array([alpha - ell]))
     return ResponseStrengths(eta=float(found.eta[0]), xi=float(found.xi[0]))

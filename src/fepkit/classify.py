@@ -176,14 +176,12 @@ def algebraic_multiplicity(modes: ModeSequence) -> np.ndarray:
     0 where even c_0 is far from zero, i.e. the shift used for the modes is
     not an eigenvalue.  C_k = -(N-k) c_k is a degree N-k polynomial in A, so
     the vanishing test carries that power of the per-degree coefficient
-    scale of the sequence.
+    scale of the sequence; ``flv_modes`` takes it once, as ``modes.alpha``.
     """
-    return np.add.reduce(np.logical_and.accumulate(modes._coeff_zero, axis=1), axis=1)
+    return modes.alpha
 
 
-def partial_multiplicities(
-    modes: ModeSequence, alpha: np.ndarray, policy: TolerancePolicy, scale
-) -> np.ndarray:
+def partial_multiplicities(modes: ModeSequence, policy: TolerancePolicy, scale) -> np.ndarray:
     """Resolve beta(l) of each matrix from the ranks of its modes B_{alpha-l-2 .. alpha-l}.
 
     ``scale`` is the problem scale of the rank floor on A = H - E;
@@ -193,38 +191,32 @@ def partial_multiplicities(
     violation raises InconsistentRanksError rather than being silently
     repaired.
 
-    ``alpha`` holds one value per matrix, and ``scale`` one per matrix or
-    one for all.  The ranks, second differences and sum rules run as array
-    operations, and the counts are returned, one row per matrix with
+    ``scale`` holds one value per matrix or one for all.  The ranks come
+    from the singular values of the live modes and A that ``flv_modes``
+    took, with one rank count; the second differences and sum rules run as
+    array operations, and the counts are returned, one row per matrix with
     ``beta(l)`` in column l - 1; the first matrix that fails raises its error.
     """
     n = modes.n
-    k = np.arange(n)
-    # A structurally-zero mode still carries noise with generic relative rank
-    # structure, so the scale-aware vanishing test must run before the SVD.
-    # The live modes and A share one stacked SVD and one rank count; a
-    # mode's floor is its Frobenius norm, A's the problem scale.
-    want = np.ones((len(alpha), n + 1), dtype=bool)
-    np.less(k, alpha[:, None], out=want[:, :n])
-    want[:, :n] &= ~modes._mode_zero
-    sigma = modes.singular_values(want)
-    floor = modes._fro.copy()
+    alpha = modes.alpha
+    # a mode's floor is its Frobenius norm, A's the problem scale
+    floor = modes.fro.copy()
     floor[:, n] = scale
-    # ranks[:, j + 2] is rnk B_j, with rnk B_{-2} = rnk B_{-1} = 0, and ranks[:, -1] is rnk A;
-    # a matrix not wanted counts as rank 0 (its singular values may be unknown, NaN)
+    # ranks[:, j + 2] is rnk B_j, with rnk B_{-2} = rnk B_{-1} = 0, and ranks[:, -1] is
+    # rnk A; a row that is not live has NaN singular values, none above its cutoff, so rank 0
     ranks = np.zeros((len(alpha), n + 3), dtype=int)
-    np.multiply(policy.rank(sigma, floor), want, out=ranks[:, 2:])
+    ranks[:, 2:] = policy.rank(modes.sigma, floor)
     gamma = n - ranks[:, -1]
 
     # beta(l) = rnk B_{j-2} - 2 rnk B_{j-1} + rnk B_j at j = alpha - l; a
     # negative j reads the zeros of columns n .. 2n - 1
     second = np.zeros((len(alpha), 2 * n), dtype=int)
     np.add(ranks[:, :n] - 2 * ranks[:, 1 : n + 1], ranks[:, 2 : n + 2], out=second[:, :n])
-    ls = k + 1
+    ls = np.arange(1, n + 1)
     beta = second[np.arange(len(alpha))[:, None], (alpha[:, None] - ls) % (2 * n)]
     sum_l, sum_1 = beta @ ls, np.add.reduce(beta, axis=1)
     negative = np.minimum.reduce(beta, axis=1) < 0
-    checks = ((alpha < 1) | (alpha > n), negative, sum_l != alpha, sum_1 != gamma)
+    checks = (alpha < 1, negative, sum_l != alpha, sum_1 != gamma)
     i = _first(checks[0] | checks[1] | checks[2] | checks[3])
     if i is not None:
         if checks[0][i]:
@@ -378,13 +370,13 @@ def classify_point(
         eta_xi = [(math.nan, math.nan)] * len(m)
         if method == "modes":
             seqs = flv_modes(m, energy)
-            alpha = algebraic_multiplicity(seqs)
+            alpha = seqs.alpha
             row = _first(alpha == 0)
             if row is not None:
                 raise NotAnEigenvalueError(
                     f"c_0 = {seqs.coeffs[row, 0]:.3e} does not vanish at E = {energy}"
                 )
-            beta = partial_multiplicities(seqs, alpha, policy, problem_scale)
+            beta = partial_multiplicities(seqs, policy, problem_scale)
             oracle = weyr_oracle(a, policy, problem_scale)
             row = _first((oracle != beta).any(axis=1))
             if row is not None:
@@ -394,7 +386,7 @@ def classify_point(
             # does not, and alpha is the first c_k that does not vanish: the
             # checks of response_strengths hold, and the strengths are read directly
             ell = n - (beta[:, ::-1] > 0).argmax(axis=1)
-            found = strengths(seqs, alpha, alpha - ell)
+            found = strengths(seqs, alpha - ell)
             eta_xi = zip(found.eta.tolist(), found.xi.tolist())
         else:
             beta = weyr_oracle(a, policy, problem_scale)

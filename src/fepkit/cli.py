@@ -299,6 +299,8 @@ def _cmd_band(args, model, echo) -> str:
     k[:dims] = np.asarray(fixed, dtype=float)[:, None]
     k[names.index(axis)] = np.linspace(start, stop, count)
     ev = np.linalg.eigvals(bloch_matrix(model, k[:dims]))
+    if not np.isfinite(ev).all():
+        raise ValueError("the band energies overflow at these model parameters")
     ev = np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
     bands = ev.shape[-1]
     return _csv(

@@ -116,13 +116,9 @@ def lineshape_exponent(
         direction = np.exp(1j * math.pi / 4)
 
     radii = np.geomspace(lo, hi, LINESHAPE_POINTS)
-    eye = np.eye(m.shape[0])
-    p_vals = np.array(
-        [
-            np.linalg.norm(np.linalg.inv((energy + r * direction) * eye - m), "fro") ** 2
-            for r in radii
-        ]
-    )
+    # one stacked inversion of every sampled resolvent
+    shifts = (energy + radii * direction)[:, None, None] * np.eye(m.shape[0])
+    p_vals = np.array([np.linalg.norm(g, "fro") ** 2 for g in np.linalg.inv(shifts - m)])
     slope, intercept, r2 = _log_fit(np.log(radii), p_vals)
     return ExponentFit(
         slope=slope, intercept=intercept, r_squared=r2, window=LINESHAPE_WINDOW
@@ -170,20 +166,17 @@ def splitting_exponent(
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         perturbations.append(g / np.linalg.norm(g, "fro"))
 
-    disp_max = np.empty(ladder.size)
-    disp_mean = np.empty(ladder.size)
-    for i, strength in enumerate(ladder):
-        per_dir = []
-        for wmat in perturbations:
-            ev = np.linalg.eigvals(m + strength * wmat)
-            split = np.sort(np.abs(ev - energy))[:alpha]
-            per_dir.append(split.max())
-        disp_max[i] = max(per_dir)
-        disp_mean[i] = float(np.mean(per_dir))
-        if disp_max[i] > 0.5 * guard:
-            raise ValueError(
-                f"ladder strength {strength:.2e} reaches the eigenvalue-collision scale"
-            )
+    # one stacked eigensolve of every perturbed matrix, shape (strengths, directions, n)
+    ev = np.linalg.eigvals(m + ladder[:, None, None, None] * np.array(perturbations))
+    # per strength and direction, the largest displacement within the multiplet
+    per_dir = np.sort(np.abs(ev - energy), axis=-1)[..., :alpha].max(axis=-1)
+    disp_max = per_dir.max(axis=1)
+    disp_mean = np.array([np.mean(row) for row in per_dir])
+    reached = disp_max > 0.5 * guard
+    if reached.any():
+        raise ValueError(
+            f"ladder strength {ladder[reached.argmax()]:.2e} reaches the eigenvalue-collision scale"
+        )
 
     log_ladder = np.log(ladder)
     slope, intercept, r2 = _log_fit(log_ladder, disp_max)
@@ -226,15 +219,22 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     (SIAM 1998).  ARPACK starts from a fixed-seed complex random vector, so
     repeated calls give bitwise-identical results; unlike a constant vector,
     a random one is not orthogonal to any symmetry sector of the hinge states.
+    A solve that fails at sigma = 0 (exactly singular) is retried once at
+    1e-6 i; a second failure is refused with one line.
     """
     import scipy.sparse.linalg as spla
 
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    try:
-        return spla.eigs(h, k=k, sigma=0.0, v0=v0)
-    except RuntimeError:  # exactly singular at sigma = 0
-        return spla.eigs(h, k=k, sigma=1e-6 * 1j, v0=v0)
+    for sigma in (0.0, 1e-6 * 1j):
+        try:
+            return spla.eigs(h, k=k, sigma=sigma, v0=v0)
+        except RuntimeError as exc:
+            failure = exc
+    raise ValueError(
+        f"the shift-invert eigensolve near E = 0 failed at sigma = 0 and 1e-6i ({failure}); "
+        "use smaller model parameters"
+    )
 
 
 # singular-value cutoff (dimensionless overlap scale) deciding how many of the
@@ -266,6 +266,8 @@ def hinge_report(spec: HodsmSpec, geom: HingeGeometry) -> HingeReport:
         q, _ = np.linalg.qr(u)
         w, y = np.linalg.eigh(q.conj().T @ (h @ q))
         w, u = w.astype(complex), q @ y
+    if not np.isfinite(w).all():
+        raise ValueError("the low energies of the open system overflow at these model parameters")
 
     nq = HINGE_STATES
     order = np.lexsort((w.imag, w.real, np.abs(w)))
@@ -409,7 +411,16 @@ def symmetry_check(
     from scipy.sparse.csgraph import connected_components as sparse_connected_components
 
     h = hinge_hamiltonian(spec, geom)
-    scale = 1.0 + float(spla.norm(h, np.inf))
+    # ||H||_inf, and the square of it that the sum rules compare at, can
+    # overflow on finite entries
+    sum_rule = kind in ("sum-rule-ba", "sum-rule-cd")
+    with np.errstate(over="ignore"):
+        norm = spla.norm(h, np.inf)
+        bound = np.square(norm) if sum_rule else norm
+    if not np.isfinite(bound):
+        what = "||H||_inf**2" if sum_rule else "||H||_inf"
+        raise ValueError(f"{what} of the open system overflows at these model parameters")
+    scale = 1.0 + float(norm)
 
     if kind == "kramers":
         hd = h.toarray()
@@ -418,8 +429,17 @@ def symmetry_check(
         # scipy.spatial adds about 7 MB and 0.1 s to an import; only this check uses it
         from scipy.spatial import cKDTree
 
+        points = np.c_[w.real, w.imag]
+        # cKDTree compares squared distances, up to the squared diameter of
+        # the points' bounding box, which can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.sum(np.square(np.ptp(points, axis=0)))
+        if not np.isfinite(reach):
+            raise ValueError(
+                "the Kramers check's squared eigenvalue distances overflow at these model parameters"
+            )
         # single-linkage clusters of the spectrum at the cluster radius
-        pairs = cKDTree(np.c_[w.real, w.imag]).query_pairs(radius, output_type="ndarray")
+        pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
         links = sp.coo_matrix(
             (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(w.size, w.size)
         )

@@ -191,18 +191,52 @@ class TestModeStructure:
     def test_mode_vanishing_pattern(self, h, alpha, ell):
         seq = flv_modes(h[None], 0.0)
         for k in range(alpha - ell):
-            assert seq._mode_zero[0, k], f"B_{k} should vanish"
-        assert not seq._mode_zero[0, alpha - ell]
+            assert seq.mode_zero[0, k], f"B_{k} should vanish"
+        assert not seq.mode_zero[0, alpha - ell]
 
     @pytest.mark.parametrize("h,alpha,ell", catalog_degeneracies())
     def test_rank_monotonicity(self, h, alpha, ell, policy):
         seq = flv_modes(h[None], 0.0)
         modes = seq.modes[0]
         ranks = [
-            0 if seq._mode_zero[0, k] else numerical_rank(modes[k], policy, fro(modes[k]))
+            0 if seq.mode_zero[0, k] else numerical_rank(modes[k], policy, fro(modes[k]))
             for k in range(alpha)
         ]
         assert all(ranks[k] <= ranks[k + 1] for k in range(alpha - 1))
+
+
+class TestFinishedRecord:
+    """flv_modes returns a finished record: no method writes to it, and its arrays are read-only."""
+
+    def test_every_array_is_read_only(self):
+        h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
+        seq = flv_modes(np.stack([h, h]), 0.0)
+        arrays = {k: v for k, v in vars(seq).items() if isinstance(v, np.ndarray)}
+        assert arrays.keys() == {
+            "coeffs", "mats", "mode_scale", "coeff_scale", "mode_zero", "coeff_zero",
+            "fro", "alpha", "sigma",
+        }
+        for name, value in [*arrays.items(), ("modes", seq.modes), ("shifted", seq.shifted)]:
+            with pytest.raises(ValueError, match="read-only"):
+                value[(0,) * value.ndim] = value[(0,) * value.ndim]
+        methods = [k for k, v in vars(type(seq)).items() if callable(v) and not k.startswith("__")]
+        assert methods == []
+
+    def test_live_rows_carry_their_singular_values(self):
+        # the (2,2) FEP: alpha = 4, B_0 = B_1 = 0, so B_2, B_3 and A are live
+        h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
+        seq = flv_modes(h, 0.0)
+        live = ~np.isnan(seq.sigma[0, :, 0])
+        assert live.tolist() == [False, False, True, True, True]
+        for k in np.flatnonzero(live):
+            want = np.linalg.svd(seq.mats[0, k], compute_uv=False)
+            assert seq.sigma[0, k].tobytes() == want.tobytes()
+        assert np.isnan(seq.sigma[0, ~live]).all()
+
+    def test_not_an_eigenvalue_has_no_live_rows(self):
+        seq = flv_modes(np.diag([1.0, 2.0]), 0.5)
+        assert seq.alpha.tolist() == [0]
+        assert np.isnan(seq.sigma).all()
 
 
 class TestResponseStrengths:
@@ -253,7 +287,7 @@ class TestResponseStrengths:
     def test_rejects_inconsistent_ell(self):
         # (2,2) FEP of the third variant: alpha = 4, ell = 2, B_1 = B_0 = 0
         seq = flv_modes(hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))[None], 0.0)
-        with pytest.raises(ValueError, match="c_alpha"):
+        with pytest.raises(ValueError, match="^alpha = 2 does not match the vanishing chain"):
             response_strengths(seq, alpha=2, ell=2)  # c_2 vanishes
         with pytest.raises(ValueError, match="overstates"):
             response_strengths(seq, alpha=4, ell=4)  # B_0 vanishes

@@ -59,23 +59,26 @@ class TestAlgebraicMultiplicity:
 class TestPartialMultiplicities:
     def test_tribolic(self, policy):
         h = lieb_bloch(LiebSpec("hermitian"), (PI, PI))[None]
-        beta = partial_multiplicities(flv_modes(h, 0.0), np.array([3]), policy, scale_at_zero(h))
+        beta = partial_multiplicities(flv_modes(h, 0.0), policy, scale_at_zero(h))
         assert _pmf(beta[0]).beta == {1: 3}
 
     def test_fep31(self, policy):
         h = hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2))[None]
-        beta = partial_multiplicities(flv_modes(h, 0.0), np.array([4]), policy, scale_at_zero(h))
+        beta = partial_multiplicities(flv_modes(h, 0.0), policy, scale_at_zero(h))
         assert _pmf(beta[0]).beta == {3: 1, 1: 1}
 
     def test_ep4(self, policy):
         h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4))[None]
-        beta = partial_multiplicities(flv_modes(h, 0.0), np.array([4]), policy, scale_at_zero(h))
+        beta = partial_multiplicities(flv_modes(h, 0.0), policy, scale_at_zero(h))
         assert _pmf(beta[0]).beta == {4: 1}
 
-    def test_wrong_alpha_is_caught_not_repaired(self, policy):
+    def test_wrong_alpha_is_caught_not_repaired(self):
+        # the (2,2) FEP has alpha = 4; a claimed 3 is refused, not used
         h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))[None]
-        with pytest.raises(InconsistentRanksError):
-            partial_multiplicities(flv_modes(h, 0.0), np.array([3]), policy, scale_at_zero(h))
+        seq = flv_modes(h, 0.0)
+        assert seq.alpha.tolist() == [4]
+        with pytest.raises(ValueError, match="^alpha = 3 does not match"):
+            response_strengths(seq, alpha=3, ell=1)
 
 
 class TestWeyrOracle:
@@ -219,7 +222,8 @@ class TestClassifyPoint:
             classify_point(h, 0.0, policy)
         assert type(info.value) is ValueError
         assert str(info.value) == (
-            'the Faddeev-LeVerrier coefficients overflowed; classify with method="weyr"'
+            "the Faddeev-LeVerrier coefficients overflowed; use smaller model parameters or "
+            '--energy (in Python, classify with method="weyr")'
         )
         assert classify_point(h, 0.0, policy, method="weyr").partials == (4,)
 
@@ -506,7 +510,7 @@ class TestStacks:
                 return weyr_oracle(m, policy, 1.0)
             seqs = flv_modes(m, 0.0)
             if kernel == "partial_multiplicities":
-                return partial_multiplicities(seqs, algebraic_multiplicity(seqs), policy, scale_at_zero(m))
+                return partial_multiplicities(seqs, policy, scale_at_zero(m))
             return seqs
 
         if kernel == "weyr_oracle":

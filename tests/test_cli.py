@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -861,6 +862,17 @@ OVERFLOWING = {
     "classify --model hodsm:nh2 --eps 1e150 --kz pi/2": "the Faddeev-LeVerrier scales overflowed",
     "probe --kind lineshape --model hodsm:nh2 --eps 1e150 --kz pi/2": "the Faddeev-LeVerrier scales overflowed",
     "classify --model hodsm:nh3 --eps 1e150 --kz pi/2": "the Faddeev-LeVerrier scales overflowed",
+    "band --model hodsm:nh2 --t 1.7e308 --path kz=-pi:pi:3": "the band energies overflow",
+    "hinge --model hodsm:h --s 1.7e308 --nx 3 --ny 3": "the shift-invert eigensolve near E = 0 failed",
+    "hinge --model hodsm:nh3 --t 1.7e308 --nx 3 --ny 3": "the low energies of the open system overflow",
+    "probe --kind decay --model hodsm:h --s 1.7e308 --nx 3 --ny 30": "the shift-invert eigensolve near E = 0 failed",
+    "probe --kind sum-rule-ba --model hodsm:h --t 1e160 --nx 3 --ny 3": "||H||_inf**2 of the open system overflows",
+    "probe --kind sum-rule-cd --model hodsm:h --t 1e160 --nx 3 --ny 3": "||H||_inf**2 of the open system overflows",
+    "probe --kind sum-rule-ba --model hodsm:h --t 1.7e308 --nx 3 --ny 3": "||H||_inf**2 of the open system overflows",
+    "probe --kind reflection --model hodsm:h --t 1.7e308 --nx 3 --ny 3": "||H||_inf of the open system overflows",
+    "probe --kind transposition --model hodsm:h --t 1.7e308 --nx 3 --ny 3": "||H||_inf of the open system overflows",
+    "probe --kind kramers --model hodsm:h --t 1.7e308 --nx 3 --ny 3": "||H||_inf of the open system overflows",
+    "probe --kind kramers --model hodsm:h --t 1e160 --nx 3 --ny 3": "the Kramers check's squared eigenvalue distances overflow",
 }
 
 
@@ -873,11 +885,85 @@ def test_overflow_exits_2_with_one_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith(f"fepkit: {OVERFLOWING[argv]}"), err
 
 
+# large but representable parameters that the overflow refusals above leave alone
+WITHIN_RANGE = (
+    "hinge --model hodsm:h --t 1e300 --nx 3 --ny 3",
+    "hinge --model hodsm:h --s 1e300 --nx 3 --ny 3",
+    "hinge --model hodsm:nh3 --eps 1e300 --nx 3 --ny 3",
+    "probe --kind reflection --model hodsm:h --t 1e300 --nx 3 --ny 3",
+    "band --model hodsm:h --t 1e300 --path kz=-pi:pi:3",
+)
+
+
+@pytest.mark.parametrize("argv", WITHIN_RANGE)
+def test_large_finite_parameters_still_run(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == "" and out
+
+
+# the one-line contract at extreme parameters: each verb with a model that
+# takes --eps, --t and --s (ring's model takes none of them, and refuses each)
+CONTRACT_VERBS = {
+    "classify": "classify --model hodsm:nh3 --kz pi/2",
+    "scan": "scan --model hodsm:nh2 --grid 8",
+    "contour": "contour --model hodsm:nh2 --grid 4",
+    "band": "band --model hodsm:nh2 --path kz=-pi:pi:3",
+    "ring": "ring --model lieb:reciprocal --samples 8",
+    "hinge": "hinge --model hodsm:nh3 --nx 3 --ny 3",
+    "lineshape": "probe --kind lineshape --model hodsm:nh3 --kz pi/2",
+    "chiral": "probe --kind chiral --model hodsm:nh4",
+    "kramers": "probe --kind kramers --model hodsm:nh4 --nx 3 --ny 3",
+    "sum-rule-ba": "probe --kind sum-rule-ba --model hodsm:nh4 --nx 3 --ny 3",
+    "reflection": "probe --kind reflection --model hodsm:nh4 --nx 3 --ny 3",
+    "decay": "probe --kind decay --model hodsm:nh1 --nx 3 --ny 30",
+}
+MAGNITUDES = (1e-300, 1.0, 1e20, 1e80, 1e160, 1e300, 1.7e308)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    verb=st.sampled_from(tuple(CONTRACT_VERBS)),
+    param=st.sampled_from(("eps", "t", "s")),
+    value=st.sampled_from([sign * m for m in MAGNITUDES for sign in (1.0, -1.0)]),
+)
+@example(verb="hinge", param="s", value=1.7e308)
+@example(verb="hinge", param="t", value=1.7e308)
+@example(verb="decay", param="s", value=1.7e308)
+@example(verb="sum-rule-ba", param="t", value=1e160)
+@example(verb="sum-rule-ba", param="t", value=1.7e308)
+@example(verb="reflection", param="t", value=1.7e308)
+@example(verb="kramers", param="t", value=1.7e308)
+@example(verb="band", param="t", value=1.7e308)
+def test_one_line_contract_at_extreme_parameters(verb, param, value):
+    """Exit 0 with clean output, or exit 2 with one ``fepkit:`` line; never a warning.
+
+    Clean output has an empty stderr and no ``null`` but a Weyr route's
+    ``eta`` and ``xi``.
+    """
+    argv = [*CONTRACT_VERBS[verb].split(), f"--{param}", repr(value)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert err == ""
+        assert "null" not in re.sub(r'"(eta|xi)": null', "", out), out
+    else:
+        assert code == 2 and out == "", (code, err)
+        assert len(err.splitlines()) == 1 and err.startswith("fepkit: "), err
+
+
 def test_overflowing_classification_exits_2(capsys):
     code, out, err = run(capsys, "classify", "--model", "hodsm:h", "--t", "1e100", "--kz", "pi/2")
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        'fepkit: the Faddeev-LeVerrier coefficients overflowed; classify with method="weyr"'
+        "fepkit: the Faddeev-LeVerrier coefficients overflowed; use smaller model parameters "
+        'or --energy (in Python, classify with method="weyr")'
     ]
 
 

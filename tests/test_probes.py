@@ -70,6 +70,62 @@ class TestSplitting:
             splitting_exponent(h, 0.0, policy)
 
 
+def loop_lineshape(h, energy, policy):
+    """(slope, intercept, R^2) of lineshape_exponent with one inversion per radius."""
+    m = np.asarray(h, dtype=complex)
+    w = np.linalg.eigvals(m)
+    others = w[np.abs(w - energy) > policy.cluster_radius(float(np.linalg.norm(m, 2)))]
+    direction = np.exp(1j * PI / 4)
+    if others.size:
+        nearest = others[np.argmin(np.abs(others - energy))]
+        direction = (nearest - energy) / abs(nearest - energy) * direction
+    radii = np.geomspace(*probes.LINESHAPE_WINDOW, probes.LINESHAPE_POINTS)
+    eye = np.eye(m.shape[0])
+    p = [np.linalg.norm(np.linalg.inv((energy + r * direction) * eye - m), "fro") ** 2 for r in radii]
+    return probes._log_fit(np.log(radii), np.array(p))
+
+
+def loop_splitting(h, energy, policy):
+    """(slope, intercept, R^2, mean slope) of splitting_exponent with one eigensolve per matrix."""
+    m = np.asarray(h, dtype=complex)
+    rng = np.random.default_rng(probes.SPLITTING_SEED)
+    w = np.linalg.eigvals(m)
+    alpha = int(np.count_nonzero(np.abs(w - energy) <= policy.cluster_radius(float(np.linalg.norm(m, 2)))))
+    n = m.shape[0]
+    directions = []
+    for _ in range(probes.SPLITTING_DIRECTIONS):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        directions.append(g / np.linalg.norm(g, "fro"))
+    disp_max, disp_mean = [], []
+    for strength in probes.SPLITTING_LADDER:
+        per_dir = [
+            np.sort(np.abs(np.linalg.eigvals(m + strength * d) - energy))[:alpha].max()
+            for d in directions
+        ]
+        disp_max.append(max(per_dir))
+        disp_mean.append(float(np.mean(per_dir)))
+    x = np.log(probes.SPLITTING_LADDER)
+    return (*probes._log_fit(x, np.array(disp_max)), probes._log_fit(x, np.array(disp_mean))[0])
+
+
+EXPONENT_POINTS = [
+    (np.diag([1.0, 2.0]).astype(complex), 1.0),
+    (hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2)), 0.0),
+    (hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2)), 0.0),
+    (hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4)), 0.0),
+    (hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 2)), 0.0),
+]
+
+
+@pytest.mark.parametrize("h,energy", EXPONENT_POINTS)
+def test_stacked_exponent_fits_repeat_the_loops(h, energy, policy):
+    """One stacked inversion or eigensolve gives bitwise the fits of one LAPACK call per matrix."""
+    fit = lineshape_exponent(h, energy, policy)
+    assert (fit.slope, fit.intercept, fit.r_squared) == loop_lineshape(h, energy, policy)
+    fit = splitting_exponent(h, energy, policy)
+    assert (fit.slope, fit.intercept, fit.r_squared, fit.mean_slope) == loop_splitting(h, energy, policy)
+
+
 class TestHingeReport:
     def test_hermitian_small_lattice(self):
         rep = hinge_report(HodsmSpec(0), HingeGeometry(12, 12, 0.0))
