@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import CK_REL, as_square_matrix
+from .matkit import CK_REL
 
 __all__ = [
     "ModeSequence",
@@ -119,15 +119,14 @@ def flv_modes(h, shift: complex = 0.0):
     oracle (``classify_point(..., method="weyr")``).  The sequence comes
     back finished, with each matrix's alpha and its live rows' singular values.
 
-    ``h`` is a stack of B equally sized matrices, shape (B, n, n); one
-    matrix, shape (n, n), is the stack of one.  Each step runs once for the
-    whole stack (a stacked product and trace, the scales and vanishing tests
-    as array operations); an overflow of any matrix is refused.  Every row
-    is bitwise what its matrix gives alone.
+    ``h`` is a stack of B equally sized matrices, shape (B, n, n), that
+    ``classify_point`` validated; one matrix, shape (n, n), is the stack of
+    one.  Each step runs once for the whole stack (a stacked product and
+    trace, the scales and vanishing tests as array operations); an overflow
+    of any matrix is refused.  Every row is bitwise what its matrix gives alone.
     """
-    m = as_square_matrix(h)
-    n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
+    n = h.shape[-1]
+    stack = h.reshape(-1, n, n)
     if n > FLV_DIMENSION_GUARD:
         raise ValueError(
             f"dimension {n} exceeds the FLV stability guard ({FLV_DIMENSION_GUARD})"

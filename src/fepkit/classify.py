@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjugate import ModeSequence, flv_modes, strengths
-from .matkit import TolerancePolicy, as_square_matrix, spectral_norm
+from .matkit import TolerancePolicy, as_square_matrix, problem_scale
 
 __all__ = [
     "PartialMultiplicityFunction",
@@ -173,35 +173,29 @@ def _first(bad) -> int | None:
 def algebraic_multiplicity(modes: ModeSequence) -> np.ndarray:
     """Largest alpha with C_k = tr(A B_k) vanishing for all k < alpha, one per matrix.
 
-    0 where even c_0 is far from zero, i.e. the shift used for the modes is
-    not an eigenvalue.  C_k = -(N-k) c_k is a degree N-k polynomial in A, so
-    the vanishing test carries that power of the per-degree coefficient
-    scale of the sequence; ``flv_modes`` takes it once, as ``modes.alpha``.
+    0 where the shift of the modes is not an eigenvalue; ``flv_modes`` takes
+    it, with the per-degree vanishing test, as ``modes.alpha``.
     """
     return modes.alpha
 
 
-def partial_multiplicities(modes: ModeSequence, policy: TolerancePolicy, scale) -> np.ndarray:
+def partial_multiplicities(modes: ModeSequence, policy: TolerancePolicy) -> np.ndarray:
     """Resolve beta(l) of each matrix from the ranks of its modes B_{alpha-l-2 .. alpha-l}.
 
-    ``scale`` is the problem scale of the rank floor on A = H - E;
-    ``classify_point`` passes the one its Weyr oracle divides by,
-    ``1 + ||H||_2 + |E|``.  The sum rules sum(beta) = gamma (with
-    gamma = N - rank(A)) and sum(l beta) = alpha must come out exactly; a
-    violation raises InconsistentRanksError rather than being silently
-    repaired.
-
-    ``scale`` holds one value per matrix or one for all.  The ranks come
-    from the singular values of the live modes and A that ``flv_modes``
-    took, with one rank count; the second differences and sum rules run as
-    array operations, and the counts are returned, one row per matrix with
-    ``beta(l)`` in column l - 1; the first matrix that fails raises its error.
+    The ranks come from the singular values of the live modes and A that
+    ``flv_modes`` took, with one rank count.  A's floor is the problem scale
+    ``1 + ||A||_2 + |E|``, with E = ``modes.shift``.  The sum rules
+    sum(beta) = gamma (with gamma = N - rank(A)) and sum(l beta) = alpha must
+    come out exactly; a violation raises InconsistentRanksError rather than
+    being silently repaired.  The counts are returned, one row per matrix
+    with ``beta(l)`` in column l - 1; the first matrix that fails raises its
+    error.
     """
     n = modes.n
     alpha = modes.alpha
-    # a mode's floor is its Frobenius norm, A's the problem scale
+    # a mode's floor is its Frobenius norm, A's the problem scale (A has no SVD at alpha 0)
     floor = modes.fro.copy()
-    floor[:, n] = scale
+    floor[alpha > 0, n] = problem_scale(modes.sigma[alpha > 0, n, 0], modes.shift)
     # ranks[:, j + 2] is rnk B_j, with rnk B_{-2} = rnk B_{-1} = 0, and ranks[:, -1] is
     # rnk A; a row that is not live has NaN singular values, none above its cutoff, so rank 0
     ranks = np.zeros((len(alpha), n + 3), dtype=int)
@@ -235,7 +229,7 @@ def partial_multiplicities(modes: ModeSequence, policy: TolerancePolicy, scale) 
     return beta
 
 
-def weyr_oracle(a, policy: TolerancePolicy, scale) -> np.ndarray:
+def weyr_oracle(a: np.ndarray, policy: TolerancePolicy, energy: complex) -> np.ndarray:
     """Partial multiplicities of eigenvalue 0 of each matrix from a nested-null-space staircase.
 
     Independent of the modal route, and takes no matrix powers (Kublanovskaya's
@@ -246,45 +240,36 @@ def weyr_oracle(a, policy: TolerancePolicy, scale) -> np.ndarray:
     leading right singular vectors.  The staircase stops at a zero width, and
     ``beta(l) = w_l - w_{l+1}``.
 
-    The matrix is normalized by ``scale``, so an input that vanishes at the
-    problem scale is treated as the zero matrix rather than as its own noise.
-    One cutoff, ``policy.rank_cutoff(s_1, 1)`` from the first level, serves
-    every level: in units of ``scale`` it is the cutoff that
-    ``numerical_rank(a, policy, scale)`` applies.  In exact arithmetic the
-    widths then cannot increase: ``V_1^H U_1`` preserves norms on a subspace
-    of codimension at most ``w_l``, so a wider next level would need a unit x
-    with ``||S_1 x|| <= cutoff < s_r``.  And each level drops only singular
-    values at or below the cutoff.  In floating point a later level's
-    singular value can come out about 1e-16 relative below ``s_r``, so a
-    cutoff that falls between the two widens the staircase; the negative
+    ``a`` is A = H - E, a stack of B equally sized matrices, shape (B, n, n),
+    that ``classify_point`` validated, and ``energy`` is E.  The first level
+    is the SVD of A, whose s_1 = ||A||_2 gives the problem scale
+    ``1 + s_1 + |E|``, so an input that vanishes at that scale is treated as
+    the zero matrix rather than as its own noise.  One cutoff,
+    ``policy.rank_cutoff(s_1, 1 + s_1 + |E|)``, serves every level.  In exact
+    arithmetic the widths then cannot increase: ``V_1^H U_1`` preserves norms
+    on a subspace of codimension at most ``w_l``, so a wider next level would
+    need a unit x with ``||S_1 x|| <= cutoff < s_r``.  And each level drops
+    only singular values at or below the cutoff.  In floating point a later
+    level's singular value can come out about 1e-16 relative below ``s_r``,
+    so a cutoff that falls between the two widens the staircase; the negative
     count then raises InconsistentRanksError, never a silent result.
 
-    ``a`` is a stack of B equally sized matrices, shape (B, n, n), with one
-    scale per matrix (or one for all); one matrix is the stack of one.
     Matrices whose blocks keep equal sizes share one SVD per level, and the
     widths and the grouping are array operations.  The counts are returned,
     one row per matrix with ``beta(l)`` in column l - 1, each bitwise what
     its matrix gives alone; the first matrix with a negative count raises
     its error.
     """
-    m = as_square_matrix(a)
-    scale = np.asarray(scale, dtype=float)
-    if (scale <= 0).any():
-        raise ValueError("scale must be positive")
-    n = m.shape[-1]
-    # real factors enter as complex arrays: NumPy casts a real operand to
-    # complex anyway, so the bits are the same and no product casts
-    stack = (m / scale.astype(complex)[..., None, None]).reshape(-1, n, n)
+    n = a.shape[-1]
     # widths[i, l - 1] is w_l of matrix i; a staircase ends at a zero width
-    widths = np.zeros((len(stack), n + 1), dtype=int)
+    widths = np.zeros((len(a), n + 1), dtype=int)
     # stacks of equally sized blocks at one level, with the matrices they belong to and their cutoffs
-    work = [(np.arange(len(stack)), stack, None, 0)]
+    work = [(np.arange(len(a)), a, None, 0)]
     while work:
         items, blocks, cut, level = work.pop()
         u, s, vh = np.linalg.svd(blocks)
         if cut is None:
-            # normalized units: the problem scale is 1
-            cut = policy.rank_cutoff(s[:, 0], 1.0)[:, None]
+            cut = policy.rank_cutoff(s[:, 0], problem_scale(s[:, 0], energy))[:, None]
         size = blocks.shape[-1]
         level_widths = np.add.reduce(s <= cut, axis=1)
         widths[:, level][items] = level_widths
@@ -334,15 +319,12 @@ def classify_point(
 
     ``h`` may be a stack of B equally sized matrices, shape (B, n, n), with
     ``k_point`` then one momentum (or None) per matrix; a list of reports is
-    returned.  One matrix is the stack of one.  Each step runs once for the
-    whole stack: the finiteness check, the norm SVD, the FLV recursion with
-    its scales and vanishing tests, the C_k chain, one values-only SVD of
-    every matrix's live modes and A with one rank count, the second
-    differences and sum rules, each staircase level with its widths and
-    grouping, the cross-check and the strengths.  The decisions are array
-    operations over the stack, so each report is bitwise the one its matrix
-    gives alone.  A stack that fails is classified again one matrix at a
-    time, so it raises the error of its first failing matrix.
+    returned.  One matrix is the stack of one.  The input is validated here
+    only.  Each step runs once for the whole stack, with its decisions as
+    array operations, so each report is bitwise the one its matrix gives
+    alone.  Each route reads ||A||_2 from its own SVD of A, and refuses a
+    problem scale that overflows.  A stack that fails is classified again
+    one matrix at a time, so it raises the error of its first failing matrix.
     """
     policy = policy or TolerancePolicy()
     stacked = np.ndim(h) == 3
@@ -354,7 +336,6 @@ def classify_point(
         m = as_square_matrix(h)
         m = m if stacked else m[None]
         n = m.shape[-1]
-        norm = spectral_norm(m)
         energy = complex(energy)
         if not np.isfinite(energy):
             raise ValueError(f"energy must be finite, got {energy}")
@@ -363,9 +344,6 @@ def classify_point(
             method = "modes" if n <= 16 else "weyr"
         if method not in ("modes", "weyr"):
             raise ValueError(f"unknown method {method!r}")
-
-        a = m - energy * np.eye(n)
-        problem_scale = 1.0 + norm + abs(energy)
 
         eta_xi = [(math.nan, math.nan)] * len(m)
         if method == "modes":
@@ -376,8 +354,8 @@ def classify_point(
                 raise NotAnEigenvalueError(
                     f"c_0 = {seqs.coeffs[row, 0]:.3e} does not vanish at E = {energy}"
                 )
-            beta = partial_multiplicities(seqs, policy, problem_scale)
-            oracle = weyr_oracle(a, policy, problem_scale)
+            beta = partial_multiplicities(seqs, policy)
+            oracle = weyr_oracle(seqs.shifted, policy, energy)
             row = _first((oracle != beta).any(axis=1))
             if row is not None:
                 raise OracleDisagreementError(_pmf(beta[row].tolist()), _pmf(oracle[row].tolist()))
@@ -389,7 +367,7 @@ def classify_point(
             found = strengths(seqs, alpha - ell)
             eta_xi = zip(found.eta.tolist(), found.xi.tolist())
         else:
-            beta = weyr_oracle(a, policy, problem_scale)
+            beta = weyr_oracle(m - energy * np.eye(n), policy, energy)
             if (np.add.reduce(beta, axis=1) == 0).any():
                 raise NotAnEigenvalueError(f"rank(A) is full at E = {energy}")
     except (ValueError, RuntimeError):

@@ -16,6 +16,7 @@ __all__ = [
     "TolerancePolicy",
     "as_square_matrix",
     "numerical_rank",
+    "problem_scale",
     "spectral_norm",
 ]
 
@@ -84,6 +85,21 @@ class TolerancePolicy:
 
     def cluster_radius(self, norm: float) -> float:
         return self.cluster_tol * (1.0 + norm)
+
+
+def problem_scale(norm, energy: complex):
+    """``1 + ||A||_2 + |E|``, the problem scale of the rank floor on A = H - E, per norm.
+
+    An infinite scale would put every singular value under the cutoff, so
+    one that overflows is refused with one line.
+    """
+    with np.errstate(over="ignore"):
+        scale = 1.0 + norm + abs(energy)
+    if not np.isfinite(scale).all():
+        raise ValueError(
+            "the problem scale 1 + ||H - E||_2 + |E| overflows; use smaller model parameters"
+        )
+    return scale
 
 
 def numerical_rank(a, policy: TolerancePolicy, scale: float) -> int:

@@ -19,6 +19,7 @@ decoupled-corner parameter point on the dense matrix.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -221,14 +222,18 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     a random one is not orthogonal to any symmetry sector of the hinge states.
     A solve that fails at sigma = 0 (exactly singular) is retried once at
     1e-6 i; a second failure is refused with one line.
+
+    A restart near the float limit draws a fresh vector, from an OS-seeded
+    ``rng`` where ``eigs`` takes one (older SciPy: ARPACK's own fixed seed).
     """
     import scipy.sparse.linalg as spla
 
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    seeded = {"rng": rng} if "rng" in inspect.signature(spla.eigs).parameters else {}
     for sigma in (0.0, 1e-6 * 1j):
         try:
-            return spla.eigs(h, k=k, sigma=sigma, v0=v0)
+            return spla.eigs(h, k=k, sigma=sigma, v0=v0, **seeded)
         except RuntimeError as exc:
             failure = exc
     raise ValueError(

@@ -1,13 +1,17 @@
+import hashlib
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fepkit.adjugate
 import fepkit.classify
+import fepkit.matkit
 from fepkit.adjugate import flv_modes, response_strengths
 from fepkit.classify import (
     InconsistentRanksError,
@@ -20,17 +24,12 @@ from fepkit.classify import (
     partial_multiplicities,
     weyr_oracle,
 )
-from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
+from fepkit.matkit import TolerancePolicy, numerical_rank, problem_scale
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix, hodsm_bloch, lieb_bloch
 from fepkit.scan import analytic_degeneracies, trace_ring
 from fepkit.selftest import jordan_blocks, planted_jordan, random_partition
 
 PI = math.pi
-
-
-def scale_at_zero(a):
-    """The problem scale ``classify_point`` passes at E = 0, one per matrix of the stack."""
-    return 1.0 + spectral_norm(a)
 
 
 class TestAlgebraicMultiplicity:
@@ -59,17 +58,17 @@ class TestAlgebraicMultiplicity:
 class TestPartialMultiplicities:
     def test_tribolic(self, policy):
         h = lieb_bloch(LiebSpec("hermitian"), (PI, PI))[None]
-        beta = partial_multiplicities(flv_modes(h, 0.0), policy, scale_at_zero(h))
+        beta = partial_multiplicities(flv_modes(h, 0.0), policy)
         assert _pmf(beta[0]).beta == {1: 3}
 
     def test_fep31(self, policy):
         h = hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2))[None]
-        beta = partial_multiplicities(flv_modes(h, 0.0), policy, scale_at_zero(h))
+        beta = partial_multiplicities(flv_modes(h, 0.0), policy)
         assert _pmf(beta[0]).beta == {3: 1, 1: 1}
 
     def test_ep4(self, policy):
         h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 4))[None]
-        beta = partial_multiplicities(flv_modes(h, 0.0), policy, scale_at_zero(h))
+        beta = partial_multiplicities(flv_modes(h, 0.0), policy)
         assert _pmf(beta[0]).beta == {4: 1}
 
     def test_wrong_alpha_is_caught_not_repaired(self):
@@ -84,25 +83,25 @@ class TestPartialMultiplicities:
 class TestWeyrOracle:
     def test_single_jordan_block(self, policy):
         a = jordan_blocks([3])[None]
-        assert _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0]).beta == {3: 1}
+        assert _pmf(weyr_oracle(a, policy, 0.0)[0]).beta == {3: 1}
 
     def test_two_blocks(self, policy):
         a = jordan_blocks([2, 1])[None]
-        assert _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0]).beta == {2: 1, 1: 1}
+        assert _pmf(weyr_oracle(a, policy, 0.0)[0]).beta == {2: 1, 1: 1}
 
     def test_worked_example_structure(self, rng, policy):
         sizes = (4, 4, 3, 2, 2, 1)
         a = planted_jordan(rng, 16, sizes)[None]
-        beta = _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0])
+        beta = _pmf(weyr_oracle(a, policy, 0.0)[0])
         assert beta.partials == sizes
         assert beta.alpha == 16 and beta.gamma == 6
 
     def test_zero_matrix(self, policy):
-        assert _pmf(weyr_oracle(np.zeros((1, 4, 4)), policy, 1.0)[0]).beta == {1: 4}
+        assert _pmf(weyr_oracle(np.zeros((1, 4, 4)), policy, 0.0)[0]).beta == {1: 4}
 
     def test_full_rank_input_gives_empty_structure(self, policy):
         eye = np.eye(3)[None]
-        beta = _pmf(weyr_oracle(eye, policy, scale_at_zero(eye))[0])
+        beta = _pmf(weyr_oracle(eye, policy, 0.0)[0])
         assert beta.beta == {} and beta.alpha == 0
 
     @pytest.mark.parametrize(
@@ -115,12 +114,12 @@ class TestWeyrOracle:
         # from zero must not join the staircase
         want = PartialMultiplicityFunction.from_partials(sizes)
         a = jordan_blocks(sizes)[None]
-        assert _pmf(weyr_oracle(a, policy, scale_at_zero(a))[0]) == want
+        assert _pmf(weyr_oracle(a, policy, 0.0)[0]) == want
         n = a.shape[-1]
         b = np.zeros((1, n + 2, n + 2), dtype=complex)
         b[0, :n, :n] = a[0]
         b[0, n:, n:] = jordan_blocks([2], eigenvalue=0.7)
-        assert _pmf(weyr_oracle(b, policy, scale_at_zero(b))[0]) == want
+        assert _pmf(weyr_oracle(b, policy, 0.0)[0]) == want
 
     def test_pool_plants_at_cond_1e3(self, policy):
         # the benchmark's planted-envelope pool, cond 1e3 cells: every plant
@@ -132,12 +131,37 @@ class TestWeyrOracle:
                 sizes = random_partition(rng, int(rng.integers(1, n + 1)))
                 want = PartialMultiplicityFunction.from_partials(sizes)
                 a = planted_jordan(rng, n, sizes, 1e3)[None]
-                cases.append((a, scale_at_zero(a), want))
+                cases.append((a, want))
         start = time.perf_counter()
-        wrong = [want.partials for a, s, want in cases if _pmf(weyr_oracle(a, policy, s)[0]) != want]
+        wrong = [want.partials for a, want in cases if _pmf(weyr_oracle(a, policy, 0.0)[0]) != want]
         elapsed = time.perf_counter() - start
         assert not wrong
         assert elapsed < 1.0
+
+
+# sha256 over "n cond plant method outcome" lines, one per input of the
+# benchmark's planted-envelope pool (5 dims x 3 conds x 48 plants, each under
+# auto and weyr), with the outcome the partials or the class of the error
+# raised.  Recorded with NumPy's bundled OpenBLAS on x86_64, like the golden
+# pins below; a change to either route that moves the envelope moves it.
+POOL_DIGEST = "3884a9426c362663d56d615b6994ccd4a77e8e51fc6c6870b966911224c0f654"
+
+
+def test_pool_digest():
+    digest = hashlib.sha256()
+    for n in (8, 12, 16, 24, 36):
+        for c, cond in enumerate((1e1, 1e2, 1e3)):
+            for j in range(48):
+                rng = np.random.default_rng([2507, n, c, j])
+                sizes = random_partition(rng, int(rng.integers(1, n + 1)))
+                a = planted_jordan(rng, n, sizes, cond)
+                for method in ("auto", "weyr"):
+                    try:
+                        out = repr(classify_point(a, 0.0, method=method).partials)
+                    except (ValueError, RuntimeError) as exc:
+                        out = type(exc).__name__
+                    digest.update(f"{n} {cond:g} {j} {method} {out}\n".encode())
+    assert digest.hexdigest() == POOL_DIGEST
 
 
 @st.composite
@@ -298,41 +322,122 @@ class TestClassifyPoint:
 
 
 class TestWeyrScale:
-    def test_given_scale_takes_no_norm(self, policy, monkeypatch):
+    def test_classify_point_takes_no_norm(self, policy, monkeypatch):
+        """Each route reads ||A||_2 from the SVD of A it takes anyway."""
+
         def refuse(_):
-            raise AssertionError("spectral_norm called although a scale was given")
+            raise AssertionError("spectral_norm called by classify_point")
 
-        monkeypatch.setattr(fepkit.classify, "spectral_norm", refuse)
-        beta = weyr_oracle(jordan_blocks([3, 1])[None], policy, scale=2.0)
-        assert _pmf(beta[0]).beta == {3: 1, 1: 1}
+        monkeypatch.setattr(fepkit.matkit, "spectral_norm", refuse)
+        monkeypatch.setattr(fepkit.classify, "spectral_norm", refuse, raising=False)
+        h = jordan_blocks([3, 1])
+        for method in ("modes", "weyr"):
+            assert classify_point(h, 0.0, policy, method=method).partials == (3, 1)
+            assert len(classify_point(np.stack([h, h]), 0.0, policy, method=method)) == 2
+        with pytest.raises(NotAnEigenvalueError):
+            classify_point(h, 0.5, policy, method="weyr")
 
-    @pytest.mark.parametrize("sigma", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("energy", [1.0, 3.0, 10.0])
     @pytest.mark.parametrize("rank_rel", [1e-8, 1e-4])
     @pytest.mark.parametrize("s_max", [1.0, 1e-6])
-    def test_one_cutoff_serves_both_routes(self, sigma, rank_rel, s_max):
-        # singular values a relative 1e-6 either side of the one cutoff; at
-        # s_max = 1e-6 and rank_rel = 1e-8 the floor 1e-12 * sigma decides it
+    def test_one_cutoff_serves_both_routes(self, energy, rank_rel, s_max):
+        # singular values a relative 1e-6 either side of the one cutoff at the
+        # problem scale 1 + s_max + |E|; at s_max = 1e-6 and rank_rel = 1e-8 the
+        # floor 1e-12 * scale decides it
         policy = TolerancePolicy(rank_rel=rank_rel)
-        c = policy.rank_cutoff(s_max, sigma)
+        scale = problem_scale(s_max, energy)
+        c = policy.rank_cutoff(s_max, scale)
         a = np.diag([s_max, c * (1 + 1e-6), c * (1 - 1e-6), c * (1 + 1e-6), c * (1 - 1e-6), 0.0])
-        gamma = 6 - numerical_rank(a, policy, sigma)
+        gamma = 6 - numerical_rank(a, policy, scale)
         assert gamma == 3
-        assert _pmf(weyr_oracle(a[None], policy, sigma)[0]).gamma == gamma
+        assert _pmf(weyr_oracle(a[None].astype(complex), policy, energy)[0]).gamma == gamma
 
     @pytest.mark.parametrize("energy", [10.0, -10.0, 100.0])
     def test_classify_point_gives_both_routes_one_scale(self, energy):
-        # A = J_2(1e-3) + x: x sits above the floor at 1 + ||A||_2 + |E| and
-        # below it at 1 + ||H||_2 + |E|, the scale the Weyr route divides by
-        x = 1.5e-12 * (1 + abs(energy))
-        a = np.array([[0, 1e-3, 0], [0, 0, 0], [0, 0, x]])
-        h = energy * np.eye(3) + a
-        for method in ("modes", "weyr"):
-            assert classify_point(h, energy, method=method).partials == (2, 1)
+        """Both routes count the rank of A against the floor 1e-12 (1 + ||A||_2 + |E|).
+
+        A = J_2(1e-3) + x, with x a relative 1e-2 below and above that floor.
+        Below it both routes give (2, 1).  Above it the Weyr route gives (2,),
+        gamma = 1; the modal route's C_k chain (relative 1e-9) still counts x
+        as zero, alpha = 3, and its sum rule refuses the pair with the same
+        gamma = 1 for rank(A).
+        """
+        floor = 1e-12 * (1 + 1e-3 + abs(energy))
+        for factor, weyr in ((1 - 1e-2, (2, 1)), (1 + 1e-2, (2,))):
+            a = np.array([[0, 1e-3, 0], [0, 0, 0], [0, 0, factor * floor]])
+            h = energy * np.eye(3) + a
+            assert classify_point(h, energy, method="weyr").partials == weyr
+            if weyr == (2, 1):
+                assert classify_point(h, energy, method="modes").partials == weyr
+            else:
+                with pytest.raises(InconsistentRanksError, match=r"!= gamma = 1$"):
+                    classify_point(h, energy, method="modes")
+
+    NONFINITE_SCALE = "the problem scale 1 + ||H - E||_2 + |E| overflows; use smaller model parameters"
+
+    def test_overflowing_scale_is_refused(self, policy):
+        """An infinite scale, which would put every singular value under the cutoff, is refused.
+
+        1.7e308 is a simple nonzero eigenvalue, yet ||H||_2 = 1.97e308
+        overflows; an infinite cutoff would report the partials (1, 1, 1).
+        """
+        three = np.array([[1.7e308, 1e308, 0], [0, 0, 1], [0, 0, 0]])
+        big = np.zeros((17, 17), dtype=complex)
+        big[:3, :3] = three
+        big[3:, 3:] = jordan_blocks([14])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h, method in ((three, "weyr"), (big, "auto"), (np.stack([big, big]), "auto")):
+                with pytest.raises(ValueError) as info:
+                    classify_point(h, 0.0, policy, method=method)
+                assert type(info.value) is ValueError
+                assert str(info.value) == self.NONFINITE_SCALE
+            with pytest.raises(ValueError, match=re.escape(self.NONFINITE_SCALE)):
+                problem_scale(np.array([1.0, 1.7e308]), 1e308)
+        assert problem_scale(1.0, -2.0) == 4.0
+
+
+class TestValidation:
+    def test_classify_point_validates_once(self, policy, monkeypatch):
+        calls = []
+        validate = fepkit.matkit.as_square_matrix
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return validate(a)
+
+        for module in (fepkit.matkit, fepkit.classify, fepkit.adjugate):
+            monkeypatch.setattr(module, "as_square_matrix", counted, raising=False)
+        h = hodsm_bloch(HodsmSpec(2, epsilon=2**-0.5), (0, 0, PI / 2))
+        for stack in (h, np.stack([h] * 3)):
+            for method in ("auto", "modes", "weyr"):
+                calls.clear()
+                classify_point(stack, 0.0, policy, method=method)
+                assert calls == [stack.shape]
+
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            (np.full((3, 3), np.nan), "matrix contains NaN or Inf entries"),
+            (np.array([[1.0, 0.0], [0.0, np.inf]]), "matrix contains NaN or Inf entries"),
+            (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+            (np.zeros((4,)), "expected a square matrix, got shape (4,)"),
+            (np.zeros((0, 0)), "empty matrix"),
+            (np.zeros((2, 0, 0)), "empty matrix"),
+        ],
+        ids=["nan", "inf", "non-square", "vector", "empty", "empty-stack"],
+    )
+    @pytest.mark.parametrize("method", ["auto", "modes", "weyr"])
+    def test_invalid_input_raises_its_one_line(self, policy, h, message, method):
+        with pytest.raises(ValueError) as info:
+            classify_point(h, 0.0, policy, method=method)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
 
 class TestSingularValuePasses:
     def test_modal_route_takes_one_stacked_pass(self, policy, monkeypatch, rng):
-        """||H||_2, one pass for the mode ranks, gamma and xi, and one per Weyr level.
+        """One pass for the mode ranks, gamma, xi and ||A||_2, and one per Weyr level.
 
         Every call is stacked, and B copies of a matrix take exactly the calls
         of one copy.
@@ -351,15 +456,14 @@ class TestSingularValuePasses:
             n = sum(sizes) + 1
             cases.append((planted_jordan(rng, n, sizes, 10.0) + 0.5 * np.eye(n), 0.5))
         for h, energy in cases:
-            scale = 1.0 + spectral_norm(h) + abs(energy)
             calls.clear()
-            weyr_oracle(h - energy * np.eye(len(h)), policy, scale)
+            weyr_oracle((h - energy * np.eye(len(h)))[None], policy, energy)
             levels = len(calls)
             assert levels >= 1
             for stack in (h, np.stack([h] * 7)):
                 calls.clear()
                 classify_point(stack, energy, policy, method="modes")
-                assert calls == [3] * (2 + levels)
+                assert calls == [3] * (1 + levels)
 
     def test_weyr_route_takes_one_stacked_pass_per_level(self, policy, monkeypatch, rng):
         calls = []
@@ -495,7 +599,7 @@ class TestStacks:
             for j in range(52, 36, -1):
                 policy = TolerancePolicy(rank_rel=s[1] / s[0] * (1 - 2.0**-j))
                 try:
-                    weyr_oracle(a, policy, 1.0)
+                    weyr_oracle(a[None], policy, 0.0)
                 except InconsistentRanksError:
                     return a, policy
         raise AssertionError("no staircase widened")
@@ -507,10 +611,10 @@ class TestStacks:
 
         def run(m):
             if kernel == "weyr_oracle":
-                return weyr_oracle(m, policy, 1.0)
+                return weyr_oracle(m.reshape(-1, 3, 3), policy, 0.0)
             seqs = flv_modes(m, 0.0)
             if kernel == "partial_multiplicities":
-                return partial_multiplicities(seqs, policy, scale_at_zero(m))
+                return partial_multiplicities(seqs, policy)
             return seqs
 
         if kernel == "weyr_oracle":

@@ -903,6 +903,31 @@ def test_large_finite_parameters_still_run(capsys, argv):
     assert code == 0 and err == "" and out
 
 
+# open systems that are numerically singular at these parameters: ARPACK's
+# restarts draw fresh start vectors there
+REPEATING = (
+    *(argv for argv in WITHIN_RANGE if argv.startswith("hinge ")),
+    "probe --kind decay --model hodsm:nh1 --t 1e300 --nx 3 --ny 30",
+)
+
+
+@pytest.mark.parametrize("argv", REPEATING)
+def test_large_parameters_repeat_in_fresh_processes(argv):
+    """Two fresh processes print the same bytes and exit the same way."""
+    src = str(Path(fepkit.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    # the two runs side by side
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "fepkit.cli", *argv.split()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for _ in range(2)
+    ]
+    (out1, err1), (out2, err2) = (p.communicate() for p in procs)
+    assert (untimed(out1), err1, procs[0].returncode) == (untimed(out2), err2, procs[1].returncode)
+
+
 # the one-line contract at extreme parameters: each verb with a model that
 # takes --eps, --t and --s (ring's model takes none of them, and refuses each)
 CONTRACT_VERBS = {
