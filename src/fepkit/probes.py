@@ -19,6 +19,7 @@ decoupled-corner parameter point on the dense matrix.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -213,6 +214,14 @@ class HingeReport:
     intensity_maps: np.ndarray  # (4, nx, ny), each summing to one
 
 
+@functools.cache
+def _eigs_takes_rng() -> bool:
+    """Whether this SciPy's ``eigs`` takes an ``rng`` argument; fixed per process."""
+    import scipy.sparse.linalg as spla
+
+    return "rng" in inspect.signature(spla.eigs).parameters
+
+
 def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs of h nearest E = 0, by shift-invert Arnoldi.
 
@@ -230,7 +239,7 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    seeded = {"rng": rng} if "rng" in inspect.signature(spla.eigs).parameters else {}
+    seeded = {"rng": rng} if _eigs_takes_rng() else {}
     for sigma in (0.0, 1e-6 * 1j):
         try:
             return spla.eigs(h, k=k, sigma=sigma, v0=v0, **seeded)

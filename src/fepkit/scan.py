@@ -82,8 +82,14 @@ def _model_scale(model) -> float:
 
 def _pauli_det(qc, rc):
     """det Q * det R from the Pauli coefficients of the two blocks."""
-    det_q = qc[0] ** 2 - qc[1] ** 2 - qc[2] ** 2 - qc[3] ** 2
-    det_r = rc[0] ** 2 - rc[1] ** 2 - rc[2] ** 2 - rc[3] ** 2
+    # the first difference reads kx, ky and kz, so it spans the momenta and takes
+    # the other squares in place; an in-place complex multiply may round otherwise
+    det_q = qc[0] ** 2 - qc[1] ** 2
+    det_q -= qc[2] ** 2
+    det_q -= qc[3] ** 2
+    det_r = rc[0] ** 2 - rc[1] ** 2
+    det_r -= rc[2] ** 2
+    det_r -= rc[3] ** 2
     return det_q * det_r
 
 
@@ -144,6 +150,20 @@ def min_abs_energy(model, k) -> np.ndarray:
     return np.sqrt(square)
 
 
+def _min_norm_steps(jac, rhs) -> np.ndarray:
+    """The (S, n) minimum-norm least-squares solutions of ``jac[i] @ x = rhs[i]``.
+
+    One stacked SVD of the (S, m, n) matrices keeps the singular values above
+    ``eps * max(m, n) * sigma_1``, the rank rule of ``np.linalg.lstsq`` at
+    ``rcond=None``; each row is computed as it would be alone.
+    """
+    u, sigma, vh = np.linalg.svd(jac, full_matrices=False)
+    kept = sigma > np.finfo(float).eps * max(jac.shape[-2:]) * sigma[:, :1]
+    coef = np.einsum("sij,si->sj", u, rhs)
+    coef = np.divide(coef, sigma, out=np.zeros_like(coef), where=kept)
+    return np.einsum("sj,sjn->sn", coef, vh)
+
+
 def refine_degeneracy(model, k0, scale: float) -> list[tuple[float, ...] | None]:
     """Damped Gauss-Newton descent of the detector from the starting momenta.
 
@@ -161,9 +181,11 @@ def refine_degeneracy(model, k0, scale: float) -> list[tuple[float, ...] | None]
     arithmetic may round differently from a stack's.  The seeds refine in
     lockstep: each Gauss-Newton round takes one detector call on the
     stencils of every seed still iterating, and each halving of the line
-    search one call on the trials of every seed still searching.  The
-    least-squares step, the norm comparisons and the halvings stay per
-    seed, so each seed's trajectory is bitwise the one it has alone.
+    search one call on the trials of every seed still searching.  Each
+    round takes all the steps from one stacked SVD at ``np.linalg.lstsq``'s
+    rank rule, and the step, norm and line-search bookkeeping runs on index
+    arrays.  Every operation works row by row, so each seed's trajectory is
+    bitwise the one it has alone.
     """
     degree = _detector_degree(model)
     try:
@@ -186,41 +208,34 @@ def refine_degeneracy(model, k0, scale: float) -> list[tuple[float, ...] | None]
         return np.ascontiguousarray(np.array([g.real, g.imag]).T) / norm_pow
 
     r = residual(k)
-    r_norm = [np.linalg.norm(ri) for ri in r]
+    r_norm = np.sqrt(np.vecdot(r, r))  # per row, bitwise np.linalg.norm of the row
     step_h = 1e-6
     stencil = step_h * np.vstack([np.eye(dims), -np.eye(dims)])
-    active = [i for i in range(len(k)) if r_norm[i] > REFINE_TOL]
+    active = np.flatnonzero(r_norm > REFINE_TOL)
     for _ in range(REFINE_MAX_ITER):
-        if not active:
+        if not active.size:
             break
-        g = residual((k[active][:, None, :] + stencil).reshape(-1, dims))
+        g = residual((k[active][:, None, :] + stencil).reshape(-1, dims)).reshape(-1, 2 * dims, 2)
+        jac = (g[:, :dims] - g[:, dims:]).transpose(0, 2, 1) / (2 * step_h)
+        steps = _min_norm_steps(jac, -r[active])
         # a seed whose step is not finite stops
-        stepped, steps = [], []
-        for i, gi in zip(active, g.reshape(len(active), 2 * dims, 2)):
-            jac = (gi[:dims] - gi[dims:]).T / (2 * step_h)
-            step, *_ = np.linalg.lstsq(jac, -r[i], rcond=None)
-            if np.isfinite(step).all():
-                stepped.append(i)
-                steps.append(step)
-        searching, steps = stepped, np.array(steps).reshape(-1, dims)
+        finite = np.isfinite(steps).all(axis=1)
+        stepped, steps = active[finite], steps[finite]
+        searching = stepped
         damp = 1.0
         for _ in range(30):
-            if not searching:
+            if not searching.size:
                 break
             trials = k[searching] + damp * steps
-            keep = []
-            for j, (i, r_new) in enumerate(zip(searching, residual(trials))):
-                new_norm = np.linalg.norm(r_new)
-                if new_norm < r_norm[i]:
-                    k[i], r[i], r_norm[i] = trials[j], r_new, new_norm
-                else:
-                    keep.append(j)
-            searching = [searching[j] for j in keep]
-            steps = steps[keep]
+            r_new = residual(trials)
+            new_norm = np.sqrt(np.vecdot(r_new, r_new))
+            better = new_norm < r_norm[searching]
+            won = searching[better]
+            k[won], r[won], r_norm[won] = trials[better], r_new[better], new_norm[better]
+            searching, steps = searching[~better], steps[~better]
             damp /= 2
         # a seed whose line search fails stops too
-        failed = set(searching)
-        active = [i for i in stepped if i not in failed and r_norm[i] > REFINE_TOL]
+        active = stepped[~np.isin(stepped, searching) & (r_norm[stepped] > REFINE_TOL)]
 
     return [canonical_k(ki) if ni <= REFINE_TOL else None for ki, ni in zip(k, r_norm)]
 
@@ -238,8 +253,9 @@ def bz_scan(
 
     The grid has ``resolution`` points per axis of the model's zone, half-open
     on [-pi, pi) so that no point is sampled twice across the wrap.  Every
-    local minimum is refined, all of them in one lockstep
-    ``refine_degeneracy`` call; converged momenta are deduplicated within one
+    local minimum (at most each neighbour, the zone wrapping) is refined,
+    all of them in one lockstep ``refine_degeneracy`` call, which takes one
+    stacked SVD step per round; converged momenta are deduplicated within one
     grid-cell diagonal (periodic metric, first come kept).  One
     report per kept momentum is returned, sorted lexicographically by its
     ``k_point``.  The kept momenta are built and classified as one stack
@@ -262,10 +278,14 @@ def bz_scan(
             f"the detector overflows at model scale {scale:.3e}: a scan needs "
             "the detector on the grid to be finite"
         )
+    # each axis compares its interior slices, then its last and first planes
     is_min = np.ones(vals.shape, dtype=bool)
     for axis in range(dims):
-        for shift in (1, -1):
-            is_min &= vals <= np.roll(vals, shift, axis=axis)
+        lead = (slice(None),) * axis
+        for here, there in ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None))):
+            a, b = lead + (here,), lead + (there,)
+            is_min[a] &= vals[a] <= vals[b]
+            is_min[b] &= vals[b] <= vals[a]
     seeds = np.argwhere(is_min)
     if len(seeds) > 5000:
         order = np.argsort(vals[is_min])[:5000]

@@ -190,6 +190,22 @@ class TestHingeShiftInvert:
         )
         assert a.ratio == b.ratio
 
+    def test_eigs_signature_is_read_once(self, monkeypatch):
+        """Whether eigs takes rng is fixed per process, so solves do not inspect it again."""
+        calls = []
+        signature = probes.inspect.signature
+
+        def counting(fn):
+            calls.append(fn)
+            return signature(fn)
+
+        monkeypatch.setattr(probes.inspect, "signature", counting)
+        probes._eigs_takes_rng.cache_clear()
+        spec = HodsmSpec(2, epsilon=FIGURE_EPS[2])
+        for _ in range(3):
+            hinge_report(spec, HingeGeometry(6, 6, 0.0))
+        assert len(calls) == 1
+
 
 class TestHingeScaling:
     def test_low_set_energy_shrinks_with_system_size(self, policy):

@@ -102,6 +102,46 @@ class TestScanGrid:
         assert starts == [(-PI, -PI)]
         assert len(cands) == 1 and k_distance(cands[0].k_point, (PI, PI)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "model, grid, tied",
+        [
+            (LiebSpec("hermitian"), 8, False),
+            (LiebSpec("hermitian"), 64, False),
+            (LiebSpec("reciprocal", phi=PI / 6, psi=PI / 6), 32, False),
+            (LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4), 128, False),
+            # gapped semimetals, whose detector has plateaus of equal values
+            (HodsmSpec(0, t=-2.0, s=1.0), 9, True),
+            (HodsmSpec(0, t=-2.0, s=1.0), 13, True),
+            (HodsmSpec(0, t=-0.25, s=1.0), 24, True),
+        ],
+        ids=[
+            "hermitian-8",
+            "hermitian-64",
+            "ring-pi/6",
+            "ring-pi/4",
+            "gapped-9",
+            "gapped-13",
+            "gapped-t/4",
+        ],
+    )
+    def test_minima_keep_the_roll_rule(self, model, grid, tied, monkeypatch):
+        """The seeds are the grid points at most each periodic neighbour, ties included."""
+        axes = [np.linspace(-PI, PI, grid, endpoint=False)] * model.dims
+        vals = np.abs(_detector_complex(model, np.meshgrid(*axes, indexing="ij", sparse=True)))
+        is_min = np.ones(vals.shape, dtype=bool)
+        is_strict = np.ones(vals.shape, dtype=bool)
+        for axis in range(model.dims):
+            for shift in (1, -1):
+                is_min &= vals <= np.roll(vals, shift, axis=axis)
+                is_strict &= vals < np.roll(vals, shift, axis=axis)
+        # a tie between neighbours makes the two rules differ
+        assert tied == (not np.array_equal(is_min, is_strict))
+        seeds = np.argwhere(is_min)
+        assert 0 < len(seeds) <= 5000
+        want = np.stack([axes[d][seeds[:, d]] for d in range(model.dims)], axis=1)
+        starts, _ = scan_seeds(model, grid, monkeypatch)
+        assert np.array_equal(starts, want)
+
 
 class TestBzScan:
     def test_hermitian_single_candidate(self, policy):
@@ -469,6 +509,71 @@ class TestLockstepRefine:
         refine_degeneracy(model, starts, scale)
         assert len(starts) > 1 and max(map(len, rounds)) > 1
         assert widths == want
+
+
+def lstsq_bound(jac) -> float:
+    """A relative bound for two backward-stable least-squares solvers: 8 eps cond."""
+    sigma = np.linalg.svd(jac, compute_uv=False)
+    kept = sigma[sigma > np.finfo(float).eps * max(jac.shape) * sigma[0]]
+    return 8 * np.finfo(float).eps * kept[0] / kept[-1]
+
+
+def assert_matches_lstsq(jac, rhs):
+    steps = scan._min_norm_steps(jac, rhs)
+    for a, b, x in zip(jac, rhs, steps):
+        want, *_ = np.linalg.lstsq(a, b, rcond=None)
+        assert np.abs(x - want).max() <= lstsq_bound(a) * np.abs(want).max(), (a, x, want)
+    return steps
+
+
+class TestRankRule:
+    """The stacked SVD step keeps lstsq's rank rule, sigma > eps * max(m, n) * sigma_1."""
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_full_rank_matches_lstsq(self, dims, rng):
+        jac = rng.standard_normal((200, 2, dims))
+        rhs = rng.standard_normal((200, 2))
+        assert all(lstsq_bound(a) <= 1e-12 for a in jac[:20])
+        steps = assert_matches_lstsq(jac, rhs)
+        # each row is bitwise the step it gets alone
+        alone = [scan._min_norm_steps(a[None], b[None])[0] for a, b in zip(jac, rhs)]
+        assert np.array_equal(steps, alone)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_rank_one_at_the_cut(self, dims, side):
+        """sigma_2 / sigma_1 one ulp below, at and one ulp above eps * max(2, dims)."""
+        cut = np.finfo(float).eps * max(2, dims)
+        ratio = {-1: np.nextafter(cut, 0), 0: cut, 1: np.nextafter(cut, 1)}[side]
+        for sigma_1 in (1.0, 0.25, 3e5):
+            jac = np.zeros((2, 2, dims))
+            jac[0, 0, 0] = jac[1, 1, 0] = sigma_1
+            jac[0, 1, 1] = jac[1, 0, 1] = -ratio * sigma_1  # the second is the first, rows swapped
+            rhs = np.array([[0.3, -0.7], [-0.7, 0.3]])
+            steps = assert_matches_lstsq(jac, rhs)
+            # sigma_2 is kept only strictly above the cut
+            assert (steps[:, 1] != 0).all() == (side > 0)
+
+    def test_rank_one_ring_jacobian(self, monkeypatch):
+        """The equal-angle ring's Jacobian has sigma_2 / sigma_1 = 8.8e-12, which is kept."""
+        model = LiebSpec("reciprocal", phi=PI / 6, psi=PI / 6)
+        seen = []
+        steps = scan._min_norm_steps
+
+        def recording(jac, rhs):
+            seen.append((jac.copy(), rhs.copy()))
+            return steps(jac, rhs)
+
+        monkeypatch.setattr(scan, "_min_norm_steps", recording)
+        refine_degeneracy(model, [(-0.75, 0.0)], _model_scale(model))
+        jac, rhs = seen[0]
+        sigma = np.linalg.svd(jac[0], compute_uv=False)
+        assert 8e-12 < sigma[1] / sigma[0] < 1e-11
+        step = assert_matches_lstsq(jac, rhs)[0]
+        # dropping sigma_2 would move the step far beyond the solvers' agreement
+        u, _, vh = np.linalg.svd(jac[0])
+        dropped = vh[0] * (u[:, 0] @ rhs[0]) / sigma[0]
+        assert np.abs(step - dropped).max() > 1e3 * lstsq_bound(jac[0]) * np.abs(step).max()
 
 
 class TestAnalyticCatalog:
