@@ -51,9 +51,10 @@ class TolerancePolicy:
         decision, on both classification routes, counts the singular values
         above ``rank_cutoff``.
     cluster_tol
-        Eigenvalue clustering radius in units of ``1 + ||H||_2``.  It sets
-        the degenerate cluster of the exponent probes and the Kramers
-        check's pairs; ``classify_point`` and ``bz_scan`` do not use it.
+        Eigenvalue clustering radius, in units of ``1 + ||H||_2`` of the
+        Bloch matrix for the exponent probes' degenerate cluster and of
+        ``1 + ||H||_inf`` of the open system for the Kramers check's pairs;
+        ``classify_point`` and ``bz_scan`` do not use it.
 
     The vanishing tests use the fixed threshold ``CK_REL``.
     """

@@ -232,8 +232,9 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     A solve that fails at sigma = 0 (exactly singular) is retried once at
     1e-6 i; a second failure is refused with one line.
 
-    A restart near the float limit draws a fresh vector, from an OS-seeded
-    ``rng`` where ``eigs`` takes one (older SciPy: ARPACK's own fixed seed).
+    A restart near the float limit draws a fresh vector from this function's
+    own seeded generator, passed as ``rng`` where ``eigs`` takes one (older
+    SciPy: ARPACK's own fixed seed).
     """
     import scipy.sparse.linalg as spla
 

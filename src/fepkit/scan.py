@@ -246,6 +246,19 @@ def _periodic_distance(a, b) -> float:
     )
 
 
+def _first_come(points, radius: float) -> list[int]:
+    """Indices of the points kept by first-come dedup, in order.
+
+    A point is dropped when it lies within ``radius`` of a point kept before
+    it, in the periodic metric of the zone.
+    """
+    kept: list[int] = []
+    for i, k in enumerate(points):
+        if not any(_periodic_distance(k, points[j]) < radius for j in kept):
+            kept.append(i)
+    return kept
+
+
 def bz_scan(
     model, resolution: int = 128, policy: TolerancePolicy | None = None
 ) -> list[DegeneracyReport]:
@@ -256,11 +269,12 @@ def bz_scan(
     local minimum (at most each neighbour, the zone wrapping) is refined,
     all of them in one lockstep ``refine_degeneracy`` call, which takes one
     stacked SVD step per round; converged momenta are deduplicated within one
-    grid-cell diagonal (periodic metric, first come kept).  One
-    report per kept momentum is returned, sorted lexicographically by its
-    ``k_point``.  The kept momenta are built and classified as one stack
-    (``classify_point``), so a point that fails to classify raises the error
-    of the first such point.  A model whose scale overflows the detector
+    grid-cell diagonal by ``_first_come`` (periodic metric, first come kept),
+    the dedup that ``analytic_degeneracies`` also uses.  One report per kept
+    momentum is returned, sorted lexicographically by its ``k_point``.  The
+    kept momenta are built and classified as one stack (``classify_point``),
+    so a point that fails to classify raises the error of the first such
+    point.  A model whose scale overflows the detector
     (the detector on the grid, or the normalisation ``refine_degeneracy``
     divides it by, is not finite) is refused with a ValueError.
     """
@@ -291,15 +305,12 @@ def bz_scan(
         order = np.argsort(vals[is_min])[:5000]
         seeds = seeds[order]
 
-    kept: list[tuple[float, ...]] = []
     radius = math.sqrt(dims * (2 * math.pi / resolution) ** 2)
     starts = np.stack([axes[d][seeds[:, d]] for d in range(dims)], axis=1)
-    for k in refine_degeneracy(model, starts, scale):
-        if k is not None and not any(_periodic_distance(k, other) < radius for other in kept):
-            kept.append(k)
+    converged = [k for k in refine_degeneracy(model, starts, scale) if k is not None]
+    kept = sorted(converged[i] for i in _first_come(converged, radius))
     if not kept:
         return []
-    kept.sort()
     return classify_point(bloch_matrix(model, np.transpose(kept)), 0.0, policy, k_point=kept)
 
 
@@ -311,106 +322,79 @@ def _expected_from_case(model: LiebSpec, k) -> ExpectedDegeneracy:
     return ExpectedDegeneracy(k=canonical_k(k), partials=partials)
 
 
-def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
-    """The closed-form degeneracy catalog of the named model variants.
-
-    For the reciprocal Lieb model with equal angles only the two isolated
-    FEPs are listed; the rest of the exceptional ring/lines is a continuum
-    handled by ``trace_ring``.
-    """
-    if isinstance(model, LiebSpec):
-        if model.variant == "hermitian":
-            return [ExpectedDegeneracy(k=(math.pi, math.pi), partials=(1, 1, 1))]
-        if model.variant == "nh-symmetric":
-            eps = model.epsilon
-            if not 0 < abs(eps) < 2:
-                raise ValueError("nh-symmetric catalog needs 0 < |eps| < 2")
-            k0 = math.acos(eps**2 / 2 - 1)
-            return [
-                _expected_from_case(model, (mu * k0, nu * k0))
-                for mu in (1, -1)
-                for nu in (1, -1)
-            ]
-        if model.variant == "minimal-fep":
-            eps = model.epsilon
-            if eps == 0:
-                raise ValueError("minimal-fep catalog needs eps != 0")
-            kappa = 2 * arccot(eps / 2)
-            return [
-                _expected_from_case(model, (math.pi, math.pi)),
-                _expected_from_case(model, (kappa, -kappa)),
-            ]
-        phi, psi = model.phi, model.psi  # the reciprocal variant
+def _lieb_entries(model: LiebSpec) -> list[ExpectedDegeneracy]:
+    if model.variant == "hermitian":
+        ks = [(math.pi, math.pi)]
+    elif model.variant == "nh-symmetric":
+        eps = model.epsilon
+        if not 0 < abs(eps) < 2:
+            raise ValueError("nh-symmetric catalog needs 0 < |eps| < 2")
+        k0 = math.acos(eps**2 / 2 - 1)
+        ks = [(mu * k0, nu * k0) for mu in (1, -1) for nu in (1, -1)]
+    elif model.variant == "minimal-fep":
+        eps = model.epsilon
+        if eps == 0:
+            raise ValueError("minimal-fep catalog needs eps != 0")
+        kappa = 2 * arccot(eps / 2)
+        ks = [(math.pi, math.pi), (kappa, -kappa)]
+    else:  # the reciprocal variant
+        phi, psi = model.phi, model.psi
         if math.isclose(math.sin(phi), 0.0, abs_tol=1e-12) or math.isclose(
             math.sin(psi), 0.0, abs_tol=1e-12
         ):
             raise ValueError("reciprocal catalog needs phi, psi != 0 (mod pi)")
-        if math.isclose(
-            math.cos(phi - psi), 1.0, abs_tol=1e-12
-        ):  # phi == psi (mod 2 pi): ring or lines, isolated FEPs only
-            return [
-                _expected_from_case(model, (phi, phi)),
-                _expected_from_case(model, (-phi, -phi)),
-            ]
-        return [
-            _expected_from_case(model, (sx * psi, sy * phi))
-            for sx in (1, -1)
-            for sy in (1, -1)
-        ]
+        if math.isclose(math.cos(phi - psi), 1.0, abs_tol=1e-12):
+            # phi == psi (mod 2 pi): ring or lines, isolated FEPs only
+            ks = [(phi, phi), (-phi, -phi)]
+        else:
+            ks = [(sx * psi, sy * phi) for sx in (1, -1) for sy in (1, -1)]
+    return [_expected_from_case(model, k) for k in ks]
 
-    spec: HodsmSpec = model
-    eps = spec.epsilon
-    out: list[ExpectedDegeneracy] = []
 
-    def on_axis(kz: float, partials) -> ExpectedDegeneracy:
-        return ExpectedDegeneracy(k=canonical_k((0.0, 0.0, kz)), partials=partials)
+# per non-Hermitian semimetal variant: the partials at kz = +-pi/2, the
+# cos kz of the other pairs as a function of eps, and those pairs' partials
+_SEMIMETAL_PAIRS = {
+    1: ((1, 1), lambda eps: (abs(eps), -abs(eps)), (4,)),
+    2: ((3, 1), lambda eps: (-eps,), (3, 1)),
+    3: ((2, 2), lambda eps: (math.sqrt(2) * eps, -math.sqrt(2) * eps), (2,)),
+    4: ((2, 1, 1), lambda eps: (-2 * eps,), (2,)),
+}
 
+
+def _semimetal_entries(spec: HodsmSpec) -> list[ExpectedDegeneracy]:
     if spec.variant == 0:
-        for base, shift in ((-2 - 2 * spec.t / spec.s, 0.0), (2 - 2 * spec.t / spec.s, math.pi)):
-            if abs(base) <= 1:
-                kz = math.acos(base)
-                for sgn in (1, -1):
-                    out.append(
-                        ExpectedDegeneracy(
-                            k=canonical_k((shift, shift, sgn * kz)), partials=(1, 1, 1, 1)
-                        )
-                    )
-        return out
-
-    if not (spec.s == 1.0 and spec.t == -1.0):
-        raise ValueError("non-Hermitian catalog assumes the s = -t = 1 normalization")
-    if eps == 0:
-        raise ValueError("non-Hermitian catalog needs eps != 0")
-
-    if spec.variant == 1:
-        out += [on_axis(sgn * math.pi / 2, (1, 1)) for sgn in (1, -1)]
-        if abs(eps) < 1:
-            for c in (abs(eps), -abs(eps)):
-                kz = math.acos(c)
-                out += [on_axis(sgn * kz, (4,)) for sgn in (1, -1)]
-    elif spec.variant == 2:
-        out += [on_axis(sgn * math.pi / 2, (3, 1)) for sgn in (1, -1)]
-        if abs(eps) < 1:
-            kz = math.acos(-eps)
-            out += [on_axis(sgn * kz, (3, 1)) for sgn in (1, -1)]
-    elif spec.variant == 3:
-        out += [on_axis(sgn * math.pi / 2, (2, 2)) for sgn in (1, -1)]
-        if abs(eps) * math.sqrt(2) < 1:
-            for c in (math.sqrt(2) * eps, -math.sqrt(2) * eps):
-                kz = math.acos(c)
-                out += [on_axis(sgn * kz, (2,)) for sgn in (1, -1)]
+        # the Dirac pairs on the kx = ky = 0 and kx = ky = pi axes
+        axes = ((0.0, -2 - 2 * spec.t / spec.s), (math.pi, 2 - 2 * spec.t / spec.s))
+        pairs = [(shift, math.acos(c), (1, 1, 1, 1)) for shift, c in axes if abs(c) <= 1]
     else:
-        out += [on_axis(sgn * math.pi / 2, (2, 1, 1)) for sgn in (1, -1)]
-        if abs(2 * eps) < 1:
-            kz = math.acos(-2 * eps)
-            out += [on_axis(sgn * kz, (2,)) for sgn in (1, -1)]
+        if not (spec.s == 1.0 and spec.t == -1.0):
+            raise ValueError("non-Hermitian catalog assumes the s = -t = 1 normalization")
+        if spec.epsilon == 0:
+            raise ValueError("non-Hermitian catalog needs eps != 0")
+        at_half, cosines, partials = _SEMIMETAL_PAIRS[spec.variant]
+        pairs = [(0.0, math.pi / 2, at_half)]
+        pairs += [(0.0, math.acos(c), partials) for c in cosines(spec.epsilon) if abs(c) < 1]
+    return [
+        ExpectedDegeneracy(k=canonical_k((shift, shift, sgn * kz)), partials=p)
+        for shift, kz, p in pairs
+        for sgn in (1, -1)
+    ]
 
-    dedup: list[ExpectedDegeneracy] = []
-    for e in out:
-        if not any(_periodic_distance(e.k, d.k) < 1e-9 for d in dedup):
-            dedup.append(e)
-    dedup.sort(key=lambda e: e.k)
-    return dedup
+
+def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
+    """The closed-form degeneracy catalog of the named model variants.
+
+    Each family lists its entries, and every family's list then passes
+    through one dedup, ``_first_come`` at a periodic distance of 1e-9 (where
+    two closed-form points coincide, the first listed is kept), and one
+    sort by momentum.  For the reciprocal Lieb model with equal angles only
+    the two isolated FEPs are listed; the rest of the exceptional ring/lines
+    is a continuum handled by ``trace_ring``.
+    """
+    family = _lieb_entries if isinstance(model, LiebSpec) else _semimetal_entries
+    entries = family(model)
+    kept = [entries[i] for i in _first_come([e.k for e in entries], 1e-9)]
+    return sorted(kept, key=lambda e: e.k)
 
 
 def trace_ring(

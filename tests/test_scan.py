@@ -16,6 +16,7 @@ from fepkit.classify import (
 from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
 from fepkit.selftest import FIGURE_EPS
 from fepkit.scan import (
+    ExpectedDegeneracy,
     analytic_degeneracies,
     bz_scan,
     canonical_k,
@@ -602,6 +603,51 @@ class TestAnalyticCatalog:
         assert kz_fep == [round(-PI / 2, 9), round(PI / 2, 9)]
         kz_ep2 = sorted(round(abs(e.k[2]), 6) for e in ep2s)
         assert kz_ep2 == [round(PI / 4, 6)] * 2 + [round(3 * PI / 4, 6)] * 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # the Dirac pairs merge at kz = pi (t = -s/2, s/2) or kz = 0 (t = -3s/2, 3s/2)
+            pytest.param(HodsmSpec(0, t=-0.5, s=1.0), id="h-t=-0.5"),
+            pytest.param(HodsmSpec(0, t=-1.5, s=1.0), id="h-t=-1.5"),
+            pytest.param(HodsmSpec(0, t=0.5, s=1.0), id="h-t=0.5"),
+            pytest.param(HodsmSpec(0, t=1.5, s=1.0), id="h-t=1.5"),
+            pytest.param(HodsmSpec(0, t=-1.0, s=2.0), id="h-t=-1-s=2"),
+            # all four closed-form points round to (pi, pi)
+            pytest.param(LiebSpec("nh-symmetric", epsilon=1e-9), id="lieb-nh-symmetric-eps=1e-9"),
+        ],
+    )
+    def test_no_two_entries_coincide(self, spec):
+        ks = [e.k for e in analytic_degeneracies(spec)]
+        for a, b in itertools.combinations(ks, 2):
+            assert scan._periodic_distance(a, b) >= 1e-9, (a, b)
+
+    def test_merged_dirac_pair_is_listed_once(self):
+        assert analytic_degeneracies(HodsmSpec(0, t=-0.5)) == [
+            ExpectedDegeneracy(k=(0.0, 0.0, PI), partials=(1, 1, 1, 1))
+        ]
+
+    def test_sorted_by_momentum(self, catalog_model):
+        ks = [e.k for e in analytic_degeneracies(catalog_model)]
+        assert ks == sorted(ks)
+
+
+class TestFirstCome:
+    def test_points_across_the_wrap_keep_the_first(self):
+        d = 1e-4
+        # 2 d apart through the zone boundary, and a third point far from both
+        points = [(PI - d, 0.0), (-PI + d, 0.0), (0.5, 0.0)]
+        assert scan._first_come(points, 1e-3) == [0, 2]
+
+    def test_equal_points_keep_the_first(self):
+        points = [(0.3, -0.2, 1.0)] * 3 + [(0.3, -0.2, 1.5)]
+        assert scan._first_come(points, 1e-9) == [0, 3]
+
+    def test_compares_with_kept_points_only(self):
+        # the second point falls within the radius of the first and is dropped;
+        # the third is within the radius of the second only, so it is kept
+        points = [(0.0, 0.0), (0.6, 0.0), (1.2, 0.0)]
+        assert scan._first_come(points, 1.0) == [0, 2]
 
 
 class TestTraceRing:
