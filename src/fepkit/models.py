@@ -29,8 +29,8 @@ carry the broadcast shape as ``(..., n, n)`` stacks; each symbol keeps the
 shape of the momenta it reads.
 
 The open-boundary (hinge) Hamiltonian keeps x and y finite with kz a good
-momentum; unit cells are indexed row-major in (x, y) with site order
-(A, B, C, D).
+momentum and is real for every variant; unit cells are indexed row-major in
+(x, y) with site order (A, B, C, D).
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def cell_index(geom: HingeGeometry, x: int, y: int) -> int:
 
 # intracell coupling pattern multiplying (t + s/2 cos kz)
 _INTRACELL = np.array(
-    [[0, 0, 1, 1], [0, 0, -1, 1], [1, -1, 0, 0], [1, 1, 0, 0]], dtype=complex
+    [[0, 0, 1, 1], [0, 0, -1, 1], [1, -1, 0, 0], [1, 1, 0, 0]], dtype=float
 )
 
 
@@ -371,30 +371,34 @@ _NOT_FINITE = "the {what} is not finite: the model parameters overflow its entri
 
 def _intercell_blocks(s: float) -> tuple[np.ndarray, np.ndarray]:
     sx = s * np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
+        [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=float
     )
     sy = s * np.array(
-        [[0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]], dtype=complex
+        [[0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]], dtype=float
     )
     return sx, sy
 
 
 def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
-    """Open-boundary Hamiltonian of dimension 4 * nx * ny, as a sparse CSC matrix.
+    """Open-boundary Hamiltonian of dimension 4 * nx * ny, as a real sparse CSC matrix.
 
     Diagonal blocks are the reduced intracell Hamiltonian
     ``(t + s/2 cos kz) * M + h_eps``; neighboring cells couple through the
-    fixed blocks s_x, s_y and their adjoints.  Non-Hermiticity enters only
-    through the intracell addition, so variant 0 is exactly Hermitian.  The
-    nonzero entries of each 4x4 block are placed at the cell pairs it couples
-    on the ``geom.cells`` grid, so rows follow ``cell_index``.
+    fixed blocks s_x, s_y and their transposes.  Every block is real at
+    every variant and kz: M, s_x and s_y are real, and each variant's Pauli
+    increments combine into real site-basis entries of h_eps, so the matrix
+    stores float64 and drops only the exactly zero imaginary part of
+    ``hodsm_h_eps``.  Non-Hermiticity enters only through h_eps, so variant
+    0 is exactly symmetric.  The nonzero entries of each 4x4 block are
+    placed at the cell pairs it couples on the ``geom.cells`` grid, so rows
+    follow ``cell_index``.
     """
     # scipy.sparse adds about 0.25 s to an import; only open systems use it
     import scipy.sparse as sp
 
     tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
+        h0 = tz * _INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon).real
     if not np.isfinite(h0).all():
         raise ValueError(_NOT_FINITE.format(what="hinge Hamiltonian"))
     sx, sy = _intercell_blocks(spec.s)
@@ -404,17 +408,15 @@ def hinge_hamiltonian(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
         (cell, cell, h0),
         (cell[:-1], cell[1:], sx),
         (cell[:, :-1], cell[:, 1:], sy),
-        (cell[1:], cell[:-1], sx.conj().T),
-        (cell[:, 1:], cell[:, :-1], sy.conj().T),
+        (cell[1:], cell[:-1], sx.T),
+        (cell[:, 1:], cell[:, :-1], sy.T),
     ):
         i, j = np.nonzero(block)
         rows.append((row_cells.reshape(-1, 1) + i).ravel())
         cols.append((col_cells.reshape(-1, 1) + j).ravel())
         data.append(np.tile(block[i, j], row_cells.size))
-    # adding zero stores each signed zero part as +0.0, as sparse sums do
-    data = np.concatenate(data) + 0.0
     ij = (np.concatenate(rows), np.concatenate(cols))
-    return sp.csc_matrix((data, ij), shape=(geom.sites, geom.sites), dtype=complex)
+    return sp.csc_matrix((np.concatenate(data), ij), shape=(geom.sites, geom.sites))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ strength eps displaces the eigenvalues by ~ (eps xi)**(1/ell); both exponents
 are extracted here by log-log fits that stay independent of the modal
 machinery (direct inversion, direct diagonalization).
 
-Hinge-state probes solve only for the states of the sparse open-boundary
-Hamiltonian nearest E = 0, by shift-invert Arnoldi from a fixed start vector:
-the hinge report takes eight (it needs |E_5| for the gap ratio) and
-summarizes the four lowest by their Gram overlap rank and per-unit-cell
-intensity maps; a decay fit takes only the four hinge states and compares
-per-cell amplitude ratios against the double-semi-infinite values.  The
-Kramers check pairs the full dense spectrum, in real arithmetic when the
-matrix is real.  The atomistic probe classifies the exact zero modes of the
+Hinge-state probes solve only for the states of the real sparse
+open-boundary Hamiltonian nearest E = 0, by real shift-invert Arnoldi from a
+fixed start vector: the hinge report takes eight (it needs |E_5| for the gap
+ratio) and summarizes the four lowest by their Gram overlap rank and
+per-unit-cell intensity maps; a decay fit takes only the four hinge states
+and compares per-cell amplitude ratios against the double-semi-infinite
+values.  The Kramers check pairs the full dense spectrum, in real
+arithmetic.  The atomistic probe classifies the exact zero modes of the
 decoupled-corner parameter point on the dense matrix.
 """
 
@@ -223,14 +223,19 @@ def _eigs_takes_rng() -> bool:
 
 
 def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k eigenpairs of h nearest E = 0, by shift-invert Arnoldi.
+    """The k eigenpairs of the real matrix h nearest E = 0, by shift-invert Arnoldi.
 
-    Shift-invert mode as in Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*
-    (SIAM 1998).  ARPACK starts from a fixed-seed complex random vector, so
-    repeated calls give bitwise-identical results; unlike a constant vector,
-    a random one is not orthogonal to any symmetry sector of the hinge states.
-    A solve that fails at sigma = 0 (exactly singular) is retried once at
-    1e-6 i; a second failure is refused with one line.
+    Real nonsymmetric shift-invert mode (``dnaupd`` mode 3) as in Lehoucq,
+    Sorensen & Yang, *ARPACK Users' Guide* (SIAM 1998): the eigenvalues come
+    back as exact conjugate pairs, real ones with a zero imaginary part.
+    ARPACK starts from a fixed-seed random vector, so repeated calls give
+    bitwise-identical results; unlike a constant vector, a random one is not
+    orthogonal to any symmetry sector of the hinge states.  A solve that
+    fails at sigma = 0 (exactly singular) is retried once in complex
+    arithmetic at 1e-6 i from a complex vector of the same draw; a second
+    failure is refused with one line.  (A complex shift on the real matrix
+    would take the real part of the shifted inverse, which misses the states
+    nearest E = 0.)
 
     A restart near the float limit draws a fresh vector from this function's
     own seeded generator, passed as ``rng`` where ``eigs`` takes one (older
@@ -239,13 +244,16 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     import scipy.sparse.linalg as spla
 
     rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    re, im = rng.standard_normal((2, h.shape[0]))
     seeded = {"rng": rng} if _eigs_takes_rng() else {}
-    for sigma in (0.0, 1e-6 * 1j):
-        try:
-            return spla.eigs(h, k=k, sigma=sigma, v0=v0, **seeded)
-        except RuntimeError as exc:
-            failure = exc
+    try:
+        return spla.eigs(h, k=k, sigma=0.0, v0=re, **seeded)
+    except RuntimeError:
+        pass
+    try:
+        return spla.eigs(h.astype(complex), k=k, sigma=1e-6 * 1j, v0=re + 1j * im, **seeded)
+    except RuntimeError as exc:
+        failure = exc
     raise ValueError(
         f"the shift-invert eigensolve near E = 0 failed at sigma = 0 and 1e-6i ({failure}); "
         "use smaller model parameters"
@@ -373,11 +381,6 @@ def _largest_entry(m: sp.spmatrix) -> tuple[float, tuple[int, int] | None]:
     return float(size[i]), (row, int(m.indices[i]))
 
 
-def _hermitian_eigvals(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, in real arithmetic when it is real."""
-    return np.linalg.eigvalsh(h if h.imag.any() else h.real)
-
-
 def symmetry_check(
     spec,
     kind: str,
@@ -439,7 +442,7 @@ def symmetry_check(
 
     if kind == "kramers":
         hd = h.toarray()
-        w = _hermitian_eigvals(hd).astype(complex) if spec.variant == 0 else np.linalg.eigvals(hd)
+        w = np.linalg.eigvalsh(hd).astype(complex) if spec.variant == 0 else np.linalg.eigvals(hd)
         radius = policy.cluster_radius(scale - 1.0)
         # scipy.spatial adds about 7 MB and 0.1 s to an import; only this check uses it
         from scipy.spatial import cKDTree

@@ -326,7 +326,7 @@ class TestHingeHamiltonian:
 
 
 def kron_reference(spec: HodsmSpec, geom: HingeGeometry) -> sp.csc_matrix:
-    """The open-boundary Hamiltonian as sums of Kronecker products of open-chain shifts."""
+    """The open-boundary Hamiltonian as complex sums of Kronecker products of open-chain shifts."""
     tz = spec.t + 0.5 * spec.s * math.cos(geom.kz)
     h0 = tz * models._INTRACELL + hodsm_h_eps(spec.variant, spec.epsilon)
     sx, sy = models._intercell_blocks(spec.s)
@@ -350,8 +350,19 @@ def assert_same_csc(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def assert_real_reference(got, want):
+    """``want`` is complex with an all-zero imaginary part, and ``got`` stores its real part."""
+    assert want.dtype == complex and not want.data.imag.any()
+    assert_same_csc(got, want.real)
+
+
 class TestGridAssembly:
-    """The index-grid assembly stores exactly what the Kronecker sums store."""
+    """The index-grid assembly stores exactly what the complex Kronecker sums store.
+
+    The sums run in complex arithmetic on the complex ``hodsm_h_eps``, so a
+    zero imaginary part of theirs and bitwise equality with their real part
+    prove that the real assembly drops nothing.
+    """
 
     GEOMS = [(1, 1), (1, 4), (4, 1), (2, 3), (10, 34), (34, 10)]
 
@@ -361,7 +372,7 @@ class TestGridAssembly:
         for kz, t, s, eps in ((0.6, -1.0, 0.8, 0.35), (2.0, 0.3, -1.2, -0.5)):
             spec = HodsmSpec(variant, t=t, s=s, epsilon=eps)
             geom = HingeGeometry(nx, ny, kz=kz)
-            assert_same_csc(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
+            assert_real_reference(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
 
     @pytest.mark.parametrize("nx,ny", GEOMS)
     @pytest.mark.parametrize("variant", range(5))
@@ -370,7 +381,7 @@ class TestGridAssembly:
         spec = HodsmSpec(variant, t=-0.5, s=1.0, epsilon=FIGURE_EPS[variant])
         geom = HingeGeometry(nx, ny, kz=0.0)
         h = hinge_hamiltonian(spec, geom)
-        assert_same_csc(h, kron_reference(spec, geom))
+        assert_real_reference(h, kron_reference(spec, geom))
         assert np.all(h.data != 0)
 
     @settings(max_examples=60, deadline=None)
@@ -386,7 +397,7 @@ class TestGridAssembly:
     def test_matches_kronecker_sums_property(self, variant, nx, ny, kz, t, s, eps):
         spec = HodsmSpec(variant, t=t, s=s, epsilon=eps)
         geom = HingeGeometry(nx, ny, kz=kz)
-        assert_same_csc(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
+        assert_real_reference(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
 
     def test_cells_grid_follows_cell_index(self):
         geom = HingeGeometry(3, 5)

@@ -206,6 +206,47 @@ class TestHingeShiftInvert:
             hinge_report(spec, HingeGeometry(6, 6, 0.0))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kz", [0.0, 0.7])
+    @pytest.mark.parametrize("cells", [3, 6, 10, 12])
+    @pytest.mark.parametrize("variant", range(5))
+    def test_low_energies_are_closed_under_conjugation(self, variant, cells, kz):
+        """The real matrix's low energies: real ones have imag 0, the rest exact conjugate pairs."""
+        spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
+        geom = HingeGeometry(cells, cells, kz)
+        w, _ = probes._low_states(hinge_hamiltonian(spec, geom), 8)
+        for low in (w, hinge_report(spec, geom).low_energies):
+            assert np.array_equal(np.sort(low), np.sort(low.conj())), low
+
+    def test_singular_factor_retries_in_complex_arithmetic(self, monkeypatch):
+        """An exactly singular real factor at sigma = 0 falls back to the complex solve at 1e-6 i.
+
+        A complex shift on the real matrix would take the real part of the
+        shifted inverse and miss the near-zero pair; the complex retry finds
+        it, bitwise as a complex solve from the complex start vector does.
+        """
+        import scipy.sparse.linalg as spla
+
+        h = hinge_hamiltonian(HodsmSpec(4, epsilon=0.5), HingeGeometry(10, 32, 0.0))
+        eigs, calls = spla.eigs, []
+
+        def recording(a, **kw):
+            calls.append((a.dtype, kw["sigma"]))
+            return eigs(a, **kw)
+
+        monkeypatch.setattr(spla, "eigs", recording)
+        w, u = probes._low_states(h, 4)
+        monkeypatch.undo()
+        assert calls == [(np.float64, 0.0), (np.complex128, 1e-6j)]
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            eigs(h, k=4, sigma=0.0)
+        assert np.all(np.sort(np.abs(w))[:2] < 1e-13)
+
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+        seeded = {"rng": rng} if probes._eigs_takes_rng() else {}
+        want_w, want_u = eigs(h.astype(complex), k=4, sigma=1e-6j, v0=v0, **seeded)
+        assert w.tobytes() == want_w.tobytes() and u.tobytes() == want_u.tobytes()
+
 
 class TestHingeScaling:
     def test_low_set_energy_shrinks_with_system_size(self, policy):
@@ -285,26 +326,16 @@ class TestSymmetryTable:
     @pytest.mark.parametrize("cells", [10, 12])
     def test_kramers_real_path_matches_complex(self, cells, kz, policy, monkeypatch):
         geom = HingeGeometry(cells, cells, kz)
-        h = hinge_hamiltonian(HodsmSpec(0), geom).toarray()
-        assert np.iscomplexobj(h) and not h.imag.any()
+        h = hinge_hamiltonian(HodsmSpec(0), geom)
+        assert h.dtype == np.float64
         eigvalsh, solved = np.linalg.eigvalsh, []
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.dtype) or eigvalsh(a))
-            w = probes._hermitian_eigvals(h)
+            res = symmetry_check(HodsmSpec(0), "kramers", geom, policy)
         assert solved == [np.float64]  # the real path is taken
-        ref = np.linalg.eigvalsh(h)
-        assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(h, 2)
-        res = symmetry_check(HodsmSpec(0), "kramers", geom, policy)
-        monkeypatch.setattr(probes, "_hermitian_eigvals", np.linalg.eigvalsh)
+        monkeypatch.setattr(probes, "hinge_hamiltonian", lambda spec, geom: h.astype(complex))
         assert symmetry_check(HodsmSpec(0), "kramers", geom, policy) == res
         assert res.passed
-
-    def test_hermitian_eigvals_keeps_complex_path(self, rng):
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        h = g + g.conj().T
-        assert np.array_equal(probes._hermitian_eigvals(h), np.linalg.eigvalsh(h))
-        # dropping the imaginary part would give another spectrum
-        assert np.max(np.abs(np.linalg.eigvalsh(h.real) - np.linalg.eigvalsh(h))) > 1e-3
 
     def test_unknown_kind(self, policy):
         # the kind is checked before the geometry and the lattice family
