@@ -329,7 +329,8 @@ def _lieb_entries(model: LiebSpec) -> list[ExpectedDegeneracy]:
         eps = model.epsilon
         if not 0 < abs(eps) < 2:
             raise ValueError("nh-symmetric catalog needs 0 < |eps| < 2")
-        k0 = math.acos(eps**2 / 2 - 1)
+        # acos(eps**2 / 2 - 1) in a form that keeps its digits as eps -> 0
+        k0 = math.pi - 2 * math.asin(abs(eps) / 2)
         ks = [(mu * k0, nu * k0) for mu in (1, -1) for nu in (1, -1)]
     elif model.variant == "minimal-fep":
         eps = model.epsilon

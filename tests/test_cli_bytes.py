@@ -36,14 +36,14 @@ PINS = {
     'contour --model lieb:minimal-fep --eps 1 --grid 8': 'f52505376d49f3491794a0b89b60a7bf6df68b395345880a092882d9f9bd7556',  # exit 0
     'contour --model hodsm:nh2 --eps 0.5 --grid 4 --kz 0.3': '24b7d7d8e0e66fee95ab967aba6cb0dfd21ccf515feee69956b7e41b9338fbc9',  # exit 0
     'band --model hodsm:nh3 --eps 0.5 --path kz=-pi:pi:9': 'ea0d105d68e0bbe59eb7b27aee94be96e699f40912b4944de7288530b18c8d16',  # exit 0
-    'hinge --model hodsm:nh3 --eps 0.5 --nx 3 --ny 3 --out doc.json': '3f06cd481725c959f18a8820b6629ef4787bcc1489eb9ca61d7c3c357fc11748',  # exit 0
+    'hinge --model hodsm:nh3 --eps 0.5 --nx 3 --ny 3 --out doc.json': '854174633f7c09c67253eb808297d9626d507bc940aa804240f97b341a0da5ed',  # exit 0
     # many repeated values: each distinct float is formatted once
     'band --model hodsm:h --path kz=-pi:pi:9': '453ac6603d52f1c76011de3f2bb8d530e221aa3a75ca3347e99ed98d8c12bb65',  # exit 0
     'contour --model lieb:hermitian --grid 16': 'c80db26eb5680e6a694a8f65e53c5a1fd194f2fdffecd0a802a7bec746870f7e',  # exit 0
-    'hinge --model hodsm:h --nx 3 --ny 3 --out doc.json': 'b19720801fa0af4c18a01eda8ddb4638799e4e263ddb35ba23d1b78565346e90',  # exit 0
+    'hinge --model hodsm:h --nx 3 --ny 3 --out doc.json': '358119cc37cf0d7bc83090fd5d5b485e7e2f401805a1f1c6cfd9f5cbc223a7cf',  # exit 0
     'probe --kind lineshape --model hodsm:nh3 --eps 0.5 --kz pi/2': '26645b4cb463d052f57e123a11c0ab8b83481cb280237d3a9b91707619a81b84',  # exit 0
     'probe --kind splitting --model hodsm:nh3 --eps 0.5 --kz pi/2': '72085dd30c4c671a22bad00cb1def18ad185188721d0d4ec1620d318aef0cfbd',  # exit 0
-    'probe --kind decay --model hodsm:nh1 --eps 0.25 --nx 6 --ny 30': '8f272e3278f1f0b5b64e4dc2c0b789801e3d6e8e3b9ae870732b73b1c3087484',  # exit 0
+    'probe --kind decay --model hodsm:nh1 --eps 0.25 --nx 6 --ny 30': '928f3de98d1c37aa11867b7e6f77392a6c1d08f73a25a1484f49597a4779fb1e',  # exit 0
     'probe --kind atomistic --model hodsm:nh3 --eps 0.5 --t -0.5': 'c63d1678ef4e31fcbfdd89ee9a1d201f92ee318430944045d14807fa70301de7',  # exit 0
     'probe --kind chiral --model hodsm:nh4 --eps 0.35': '36eef036a3ba2ff9e9078766110030699d60c108131bbef34453d313c4325291',  # exit 0
     'probe --kind rotation-c4 --model hodsm:nh4 --eps 0.35': '3c0d8703aea2eb264f82582ccf58d057eeb5d109c917cbe255095b0258f13b5d',  # exit 0

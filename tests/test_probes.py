@@ -217,6 +217,28 @@ class TestHingeShiftInvert:
         for low in (w, hinge_report(spec, geom).low_energies):
             assert np.array_equal(np.sort(low), np.sort(low.conj())), low
 
+    @pytest.mark.parametrize("kz", [0.0, 0.7])
+    @pytest.mark.parametrize("variant", range(5))
+    def test_real_mode_energies_match_dense(self, variant, kz):
+        """The eight energies nearest E = 0 agree with the dense spectrum to 1e-10 relative.
+
+        Each energy above 1e-7 is compared as the mean of its cluster (radius
+        1e-4 |E|) on both sides: the members of a defective cluster (v2's
+        paired EP2s) are set only to about the square root of rounding, by
+        either solver, but their mean is well conditioned.
+        """
+        spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
+        h = hinge_hamiltonian(spec, HingeGeometry(6, 6, kz))
+        w, _ = probes._low_states(h, 8)
+        dense = np.linalg.eigvals(h.toarray())
+        # no dense energy nearer E = 0 is missed, up to ties at the outermost |E|
+        assert np.count_nonzero(np.abs(dense) < np.abs(w).max() * (1 - 1e-6)) < w.size
+        for e in w[np.abs(w) > 1e-7]:
+            radius = 1e-4 * abs(e)
+            mine, theirs = w[np.abs(w - e) <= radius], dense[np.abs(dense - e) <= radius]
+            assert mine.size <= theirs.size, (e, mine, theirs)
+            assert abs(mine.mean() - theirs.mean()) <= 1e-10 * abs(e), (e, mine, theirs)
+
     def test_singular_factor_retries_in_complex_arithmetic(self, monkeypatch):
         """An exactly singular real factor at sigma = 0 falls back to the complex solve at 1e-6 i.
 
@@ -227,18 +249,27 @@ class TestHingeShiftInvert:
         import scipy.sparse.linalg as spla
 
         h = hinge_hamiltonian(HodsmSpec(4, epsilon=0.5), HingeGeometry(10, 32, 0.0))
-        eigs, calls = spla.eigs, []
+        splu, eigs, calls = spla.splu, spla.eigs, []
+
+        def factoring(a, **kw):
+            calls.append(("splu", a.dtype))
+            try:
+                return splu(a, **kw)
+            except RuntimeError as exc:
+                calls.append(str(exc))
+                raise
 
         def recording(a, **kw):
-            calls.append((a.dtype, kw["sigma"]))
+            calls.append(("eigs", a.dtype, kw["sigma"]))
             return eigs(a, **kw)
 
+        monkeypatch.setattr(spla, "splu", factoring)
         monkeypatch.setattr(spla, "eigs", recording)
         w, u = probes._low_states(h, 4)
         monkeypatch.undo()
-        assert calls == [(np.float64, 0.0), (np.complex128, 1e-6j)]
-        with pytest.raises(RuntimeError, match="exactly singular"):
-            eigs(h, k=4, sigma=0.0)
+        assert len(calls) == 3, calls
+        assert calls[0] == ("splu", np.float64) and "exactly singular" in calls[1]
+        assert calls[2] == ("eigs", np.complex128, 1e-6j)
         assert np.all(np.sort(np.abs(w))[:2] < 1e-13)
 
         rng = np.random.default_rng(0)
@@ -328,14 +359,22 @@ class TestSymmetryTable:
         geom = HingeGeometry(cells, cells, kz)
         h = hinge_hamiltonian(HodsmSpec(0), geom)
         assert h.dtype == np.float64
-        eigvalsh, solved = np.linalg.eigvalsh, []
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.dtype) or eigvalsh(a))
-            res = symmetry_check(HodsmSpec(0), "kramers", geom, policy)
-        assert solved == [np.float64]  # the real path is taken
+        res = symmetry_check(HodsmSpec(0), "kramers", geom, policy)
         monkeypatch.setattr(probes, "hinge_hamiltonian", lambda spec, geom: h.astype(complex))
         assert symmetry_check(HodsmSpec(0), "kramers", geom, policy) == res
         assert res.passed
+
+    @pytest.mark.parametrize("ts", [(-1.0, 1.0), (-0.7, 1.3)])
+    @pytest.mark.parametrize("kz", [0.0, 0.9])
+    @pytest.mark.parametrize("cells", [(1, 1), (3, 7), (7, 3), (10, 10), (12, 12), (10, 34)])
+    def test_kramers_band_spectrum_matches_dense(self, cells, kz, ts):
+        """The Hermitian variant's spectrum from its band equals the dense one."""
+        t, s = ts
+        h = hinge_hamiltonian(HodsmSpec(0, t=t, s=s), HingeGeometry(*cells, kz))
+        band = probes._banded_spectrum(h)
+        dense = np.linalg.eigvalsh(h.toarray())
+        norm = float(np.abs(h).sum(axis=1).max())
+        assert np.max(np.abs(band - dense)) <= 1e-12 * (1 + norm)
 
     def test_unknown_kind(self, policy):
         # the kind is checked before the geometry and the lattice family

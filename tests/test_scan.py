@@ -13,7 +13,7 @@ from fepkit.classify import (
     OracleDisagreementError,
     classify_point,
 )
-from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix
+from fepkit.models import HodsmSpec, LiebSpec, arccot, bloch_matrix, lieb_bloch
 from fepkit.selftest import FIGURE_EPS
 from fepkit.scan import (
     ExpectedDegeneracy,
@@ -613,7 +613,7 @@ class TestAnalyticCatalog:
             pytest.param(HodsmSpec(0, t=0.5, s=1.0), id="h-t=0.5"),
             pytest.param(HodsmSpec(0, t=1.5, s=1.0), id="h-t=1.5"),
             pytest.param(HodsmSpec(0, t=-1.0, s=2.0), id="h-t=-1-s=2"),
-            # all four closed-form points round to (pi, pi)
+            # the four closed-form points lie 2e-9 apart across the zone boundary
             pytest.param(LiebSpec("nh-symmetric", epsilon=1e-9), id="lieb-nh-symmetric-eps=1e-9"),
         ],
     )
@@ -621,6 +621,48 @@ class TestAnalyticCatalog:
         ks = [e.k for e in analytic_degeneracies(spec)]
         for a, b in itertools.combinations(ks, 2):
             assert scan._periodic_distance(a, b) >= 1e-9, (a, b)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            1e-9,
+            1e-8,
+            1e-7,
+            1e-6,
+            pytest.param(
+                1e-5,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="lieb_case's CK_REL zero test lists (2, 1) at the mixed-sign "
+                    "momenta, where weyr gives (1,) and (3,)",
+                ),
+            ),
+            1e-4,
+            1e-3,
+            1e-2,
+            0.5,
+            1.0,
+            1.9,
+        ],
+    )
+    def test_nh_symmetric_entries_classify_as_listed(self, eps, policy):
+        """Each entry's Bloch matrix has the listed partials on the weyr route.
+
+        The auto route gives the listed partials or raises; it never gives
+        others.  k0 = pi - 2 asin(eps / 2) keeps its digits as eps -> 0, so
+        the four entries stay apart down to eps = 1e-9.
+        """
+        spec = LiebSpec("nh-symmetric", epsilon=eps)
+        entries = analytic_degeneracies(spec)
+        assert len(entries) == 4
+        for entry in entries:
+            h = lieb_bloch(spec, entry.k)
+            assert classify_point(h, 0.0, policy, method="weyr").partials == entry.partials, entry
+            try:
+                auto = classify_point(h, 0.0, policy, method="auto")
+            except (ValueError, OracleDisagreementError):
+                continue
+            assert auto.partials == entry.partials, entry
 
     def test_merged_dirac_pair_is_listed_once(self):
         assert analytic_degeneracies(HodsmSpec(0, t=-0.5)) == [
