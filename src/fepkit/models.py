@@ -41,8 +41,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matkit import CK_REL
-
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -54,7 +52,6 @@ __all__ = [
     "model_from_id",
     "lieb_pqrs",
     "lieb_bloch",
-    "lieb_case",
     "hodsm_pauli_coeffs",
     "hodsm_bloch",
     "hodsm_h_eps",
@@ -158,33 +155,6 @@ def lieb_bloch(spec: LiebSpec, k) -> np.ndarray:
     h = np.zeros(np.broadcast_shapes(*map(np.shape, (p, q, r, s))) + (3, 3), dtype=complex)
     h[..., 0, 1], h[..., 1, 0], h[..., 1, 2], h[..., 2, 1] = p, q, r, s
     return h
-
-
-def lieb_case(p: complex, q: complex, r: complex, s: complex) -> tuple[str, bool]:
-    """Case label of the symbol pattern plus the E = 0 degeneracy flag.
-
-    CASE1: neither (P, S) nor (Q, R) vanish simultaneously.
-    CASE2: one of those pairs vanishes but not all four symbols.
-    CASE3: all four symbols vanish (the Hermitian-style triple point).
-    The degeneracy flag marks PQ + RS = 0, i.e. algebraic multiplicity 3 of
-    the zero eigenvalue; in CASE2/CASE3 it holds automatically.  Vanishing is
-    decided at ``CK_REL`` of the symbol scale (its square for PQ + RS): the
-    classifier's vanishing threshold, whose catalog entries the cases predict.
-    """
-    scale = 1.0 + max(abs(p), abs(q), abs(r), abs(s))
-    tol = CK_REL * scale
-
-    def zero(z: complex) -> bool:
-        return abs(z) <= tol
-
-    degenerate = abs(p * q + r * s) <= CK_REL * scale**2
-    ps_gone = zero(p) and zero(s)
-    qr_gone = zero(q) and zero(r)
-    if not ps_gone and not qr_gone:
-        return "CASE1", degenerate
-    if ps_gone and qr_gone:
-        return "CASE3", True
-    return "CASE2", True
 
 
 # ---------------------------------------------------------------------------

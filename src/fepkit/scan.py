@@ -31,7 +31,6 @@ from .models import (
     arccot,
     bloch_matrix,
     hodsm_pauli_coeffs,
-    lieb_case,
     lieb_pqrs,
 )
 
@@ -314,30 +313,24 @@ def bz_scan(
     return classify_point(bloch_matrix(model, np.transpose(kept)), 0.0, policy, k_point=kept)
 
 
-def _expected_from_case(model: LiebSpec, k) -> ExpectedDegeneracy:
-    case, degen = lieb_case(*lieb_pqrs(model, k))
-    if not degen:
-        raise ValueError(f"momentum {k} is not on the degeneracy set")
-    partials = {"CASE1": (3,), "CASE2": (2, 1), "CASE3": (1, 1, 1)}[case]
-    return ExpectedDegeneracy(k=canonical_k(k), partials=partials)
-
-
-def _lieb_entries(model: LiebSpec) -> list[ExpectedDegeneracy]:
+def _lieb_entries(model: LiebSpec) -> list:
+    """(momentum, partials) pairs of the paper's CASE1/2/3 analysis of the chain."""
     if model.variant == "hermitian":
-        ks = [(math.pi, math.pi)]
+        # all four symbols vanish
+        pairs = [((math.pi, math.pi), (1, 1, 1))]
     elif model.variant == "nh-symmetric":
         eps = model.epsilon
         if not 0 < abs(eps) < 2:
             raise ValueError("nh-symmetric catalog needs 0 < |eps| < 2")
         # acos(eps**2 / 2 - 1) in a form that keeps its digits as eps -> 0
         k0 = math.pi - 2 * math.asin(abs(eps) / 2)
-        ks = [(mu * k0, nu * k0) for mu in (1, -1) for nu in (1, -1)]
+        pairs = [((mu * k0, nu * k0), (3,)) for mu in (1, -1) for nu in (1, -1)]
     elif model.variant == "minimal-fep":
         eps = model.epsilon
         if eps == 0:
             raise ValueError("minimal-fep catalog needs eps != 0")
         kappa = 2 * arccot(eps / 2)
-        ks = [(math.pi, math.pi), (kappa, -kappa)]
+        pairs = [((math.pi, math.pi), (2, 1)), ((kappa, -kappa), (3,))]
     else:  # the reciprocal variant
         phi, psi = model.phi, model.psi
         if math.isclose(math.sin(phi), 0.0, abs_tol=1e-12) or math.isclose(
@@ -346,10 +339,12 @@ def _lieb_entries(model: LiebSpec) -> list[ExpectedDegeneracy]:
             raise ValueError("reciprocal catalog needs phi, psi != 0 (mod pi)")
         if math.isclose(math.cos(phi - psi), 1.0, abs_tol=1e-12):
             # phi == psi (mod 2 pi): ring or lines, isolated FEPs only
-            ks = [(phi, phi), (-phi, -phi)]
+            pairs = [((phi, phi), (2, 1)), ((-phi, -phi), (2, 1))]
         else:
-            ks = [(sx * psi, sy * phi) for sx in (1, -1) for sy in (1, -1)]
-    return [_expected_from_case(model, k) for k in ks]
+            # P and S vanish at (psi, phi), Q and R at (-psi, -phi); at mixed signs one of each
+            signs = [(sx, sy) for sx in (1, -1) for sy in (1, -1)]
+            pairs = [((sx * psi, sy * phi), (2, 1) if sx == sy else (3,)) for sx, sy in signs]
+    return pairs
 
 
 # per non-Hermitian semimetal variant: the partials at kz = +-pi/2, the
@@ -362,7 +357,8 @@ _SEMIMETAL_PAIRS = {
 }
 
 
-def _semimetal_entries(spec: HodsmSpec) -> list[ExpectedDegeneracy]:
+def _semimetal_entries(spec: HodsmSpec) -> list:
+    """(momentum, partials) pairs of the Dirac pairs and their non-Hermitian splits."""
     if spec.variant == 0:
         # the Dirac pairs on the kx = ky = 0 and kx = ky = pi axes
         axes = ((0.0, -2 - 2 * spec.t / spec.s), (math.pi, 2 - 2 * spec.t / spec.s))
@@ -375,27 +371,53 @@ def _semimetal_entries(spec: HodsmSpec) -> list[ExpectedDegeneracy]:
         at_half, cosines, partials = _SEMIMETAL_PAIRS[spec.variant]
         pairs = [(0.0, math.pi / 2, at_half)]
         pairs += [(0.0, math.acos(c), partials) for c in cosines(spec.epsilon) if abs(c) < 1]
-    return [
-        ExpectedDegeneracy(k=canonical_k((shift, shift, sgn * kz)), partials=p)
-        for shift, kz, p in pairs
-        for sgn in (1, -1)
-    ]
+    return [((shift, shift, sgn * kz), p) for shift, kz, p in pairs for sgn in (1, -1)]
+
+
+def _weyr_partials(h):
+    """The Weyr route's partials at E = 0, or the error it raises, as text."""
+    try:
+        return classify_point(h, 0.0, method="weyr").partials
+    except ValueError as exc:
+        return f"{type(exc).__name__} ({exc})"
 
 
 def analytic_degeneracies(model) -> list[ExpectedDegeneracy]:
     """The closed-form degeneracy catalog of the named model variants.
 
-    Each family lists its entries, and every family's list then passes
-    through one dedup, ``_first_come`` at a periodic distance of 1e-9 (where
-    two closed-form points coincide, the first listed is kept), and one
-    sort by momentum.  For the reciprocal Lieb model with equal angles only
-    the two isolated FEPs are listed; the rest of the exceptional ring/lines
-    is a continuum handled by ``trace_ring``.
+    Each family lists its momenta with their partials in closed form, and
+    every family's list then passes through one dedup, ``_first_come`` at a
+    periodic distance of 1e-9 (where two closed-form points coincide, the
+    first listed is kept), and one sort by momentum.  For the reciprocal
+    Lieb model with equal angles only the two isolated FEPs are listed; the
+    rest of the exceptional ring/lines is a continuum handled by
+    ``trace_ring``.
+
+    The catalog makes no zero decision of its own: the Bloch matrices of its
+    entries are classified as one stack on the Weyr route at the default
+    ``TolerancePolicy``.  Where an entry's ranks give other partials, or
+    raise, double precision does not resolve the listed structure, and the
+    call is refused with a one-line ValueError naming the model, the
+    momentum, the listed partials and what the ranks gave; no entry is
+    relabelled.
     """
     family = _lieb_entries if isinstance(model, LiebSpec) else _semimetal_entries
-    entries = family(model)
-    kept = [entries[i] for i in _first_come([e.k for e in entries], 1e-9)]
-    return sorted(kept, key=lambda e: e.k)
+    listed = [ExpectedDegeneracy(k=canonical_k(k), partials=p) for k, p in family(model)]
+    kept = sorted((listed[i] for i in _first_come([e.k for e in listed], 1e-9)), key=lambda e: e.k)
+    if not kept:
+        return []
+    hs = bloch_matrix(model, np.transpose([e.k for e in kept]))
+    try:
+        found = [r.partials for r in classify_point(hs, 0.0, method="weyr")]
+    except ValueError:
+        found = [_weyr_partials(h) for h in hs]
+    for entry, got in zip(kept, found):
+        if got != entry.partials:
+            raise ValueError(
+                f"{model}: the closed forms list {entry.partials} at k = {entry.k}, "
+                f"but the Weyr ranks give {got}"
+            )
+    return kept
 
 
 def trace_ring(

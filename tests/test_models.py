@@ -22,7 +22,6 @@ from fepkit.models import (
     hodsm_h_eps,
     hodsm_pauli_coeffs,
     lieb_bloch,
-    lieb_case,
     lieb_pqrs,
     model_from_id,
 )
@@ -99,25 +98,6 @@ def test_bloch_stack_equals_pointwise_builds(catalog_model, rng):
     for idx in np.ndindex(4, 3):
         point = bloch_matrix(catalog_model, tuple(float(c) for c in k[(slice(None), *idx)]))
         assert stack[idx].tobytes() == point.tobytes()
-
-
-class TestLiebCase:
-    def test_all_zero_is_case3(self):
-        case, degenerate = lieb_case(0, 0, 0, 0)
-        assert case == "CASE3" and degenerate
-
-    def test_minimal_fep_corner_is_case2(self):
-        p, q, r, s = lieb_pqrs(LiebSpec("minimal-fep", epsilon=1.0), (PI, PI))
-        case, degenerate = lieb_case(p, q, r, s)
-        assert case == "CASE2" and degenerate
-
-    def test_generic_ep3_symbols_are_case1(self):
-        case, degenerate = lieb_case(1.0, 2.0, 3.0, -2.0 / 3.0)
-        assert case == "CASE1" and degenerate
-
-    def test_nondegenerate_case1(self):
-        case, degenerate = lieb_case(1.0, 1.0, 1.0, 1.0)
-        assert case == "CASE1" and not degenerate
 
 
 class TestChiralAndReciprocity:

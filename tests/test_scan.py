@@ -577,6 +577,14 @@ class TestRankRule:
         assert np.abs(step - dropped).max() > 1e3 * lstsq_bound(jac[0]) * np.abs(step).max()
 
 
+def assert_check_refusal(exc, spec, listed, found):
+    """The catalog's refusal: one line with the model, the listed partials and what the ranks gave."""
+    msg = str(exc)
+    assert "\n" not in msg, msg
+    assert msg.startswith(f"{spec!r}: the closed forms list {listed} at k = ("), msg
+    assert f"but the Weyr ranks give {found}" in msg, msg
+
+
 class TestAnalyticCatalog:
     def test_reciprocal_four_points(self):
         spec = LiebSpec("reciprocal", phi=PI / 2, psi=3 * PI / 4)
@@ -618,41 +626,35 @@ class TestAnalyticCatalog:
         ],
     )
     def test_no_two_entries_coincide(self, spec):
-        ks = [e.k for e in analytic_degeneracies(spec)]
+        if isinstance(spec, LiebSpec):
+            # the catalog refuses this set (its ranks do not resolve (3,)), so its
+            # closed-form momenta are checked as the dedup sees them
+            ks = [canonical_k(k) for k, _ in scan._lieb_entries(spec)]
+            assert scan._first_come(ks, 1e-9) == [0, 1, 2, 3]
+        else:
+            ks = [e.k for e in analytic_degeneracies(spec)]
         for a, b in itertools.combinations(ks, 2):
             assert scan._periodic_distance(a, b) >= 1e-9, (a, b)
 
     @pytest.mark.parametrize(
-        "eps",
-        [
-            1e-9,
-            1e-8,
-            1e-7,
-            1e-6,
-            pytest.param(
-                1e-5,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="lieb_case's CK_REL zero test lists (2, 1) at the mixed-sign "
-                    "momenta, where weyr gives (1,) and (3,)",
-                ),
-            ),
-            1e-4,
-            1e-3,
-            1e-2,
-            0.5,
-            1.0,
-            1.9,
-        ],
+        "eps", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.5, 1.0, 1.9]
     )
     def test_nh_symmetric_entries_classify_as_listed(self, eps, policy):
         """Each entry's Bloch matrix has the listed partials on the weyr route.
 
         The auto route gives the listed partials or raises; it never gives
         others.  k0 = pi - 2 asin(eps / 2) keeps its digits as eps -> 0, so
-        the four entries stay apart down to eps = 1e-9.
+        the four entries stay apart down to eps = 1e-9.  At eps = 1e-9 ...
+        1e-5 the mixed-sign entries' P and S, about eps**2 / 2, are not
+        resolved at the rank cutoff: the ranks give (2, 1), and (1,) at 1e-5,
+        where the closed forms list (3,), and the catalog refuses with one line.
         """
         spec = LiebSpec("nh-symmetric", epsilon=eps)
+        if eps <= 1e-5:
+            with pytest.raises(ValueError) as info:
+                analytic_degeneracies(spec)
+            assert_check_refusal(info.value, spec, "(3,)", "(1,)" if eps == 1e-5 else "(2, 1)")
+            return
         entries = analytic_degeneracies(spec)
         assert len(entries) == 4
         for entry in entries:
@@ -664,6 +666,52 @@ class TestAnalyticCatalog:
                 continue
             assert auto.partials == entry.partials, entry
 
+    def test_minimal_fep_ep3_keeps_its_closed_form(self, policy):
+        """At eps = 1e-5 P and S at (kappa, -kappa) are about 5e-11: an EP3 (3,), as Weyr finds."""
+        spec = LiebSpec("minimal-fep", epsilon=1e-5)
+        kappa = 2 * arccot(spec.epsilon / 2)
+        entries = {e.k: e.partials for e in analytic_degeneracies(spec)}
+        assert entries == {canonical_k((kappa, -kappa)): (3,), (PI, PI): (2, 1)}
+        h = lieb_bloch(spec, canonical_k((kappa, -kappa)))
+        assert classify_point(h, 0.0, policy, method="weyr").partials == (3,)
+
+    def test_semimetal_split_below_every_cutoff_is_refused(self):
+        """At eps = 1e-17 the ranks see eps = 0: (1, 1, 1, 1) where (1, 1) is listed."""
+        spec = HodsmSpec(1, epsilon=1e-17)
+        with pytest.raises(ValueError) as info:
+            analytic_degeneracies(spec)
+        assert_check_refusal(info.value, spec, "(1, 1)", "(1, 1, 1, 1)")
+
+    def test_off_set_momentum_is_refused(self, monkeypatch):
+        """A listed momentum off the degeneracy set is refused by the ranks, never relabelled.
+
+        Off the set the Lieb flat band leaves a simple zero, and the semimetal none.
+        """
+        lieb = LiebSpec("reciprocal", phi=PI / 2, psi=3 * PI / 4)
+        monkeypatch.setattr(scan, "_lieb_entries", lambda model: [((0.3, -0.2), (3,))])
+        with pytest.raises(ValueError) as info:
+            analytic_degeneracies(lieb)
+        assert_check_refusal(info.value, lieb, "(3,)", "(1,)")
+        semimetal = HodsmSpec(0)
+        monkeypatch.setattr(
+            scan, "_semimetal_entries", lambda model: [((0.3, -0.2, 0.1), (1, 1, 1, 1))]
+        )
+        with pytest.raises(ValueError) as info:
+            analytic_degeneracies(semimetal)
+        assert_check_refusal(info.value, semimetal, "(1, 1, 1, 1)", "NotAnEigenvalueError (")
+
+    def test_entries_are_checked_as_one_stack(self, catalog_model, monkeypatch):
+        calls = []
+
+        def recording(h, energy, policy=None, **kwargs):
+            calls.append((np.shape(h), energy, policy, kwargs))
+            return classify_point(h, energy, policy, **kwargs)
+
+        monkeypatch.setattr(scan, "classify_point", recording)
+        entries = analytic_degeneracies(catalog_model)
+        n = 3 if isinstance(catalog_model, LiebSpec) else 4
+        assert calls == [((len(entries), n, n), 0.0, None, {"method": "weyr"})]
+
     def test_merged_dirac_pair_is_listed_once(self):
         assert analytic_degeneracies(HodsmSpec(0, t=-0.5)) == [
             ExpectedDegeneracy(k=(0.0, 0.0, PI), partials=(1, 1, 1, 1))
@@ -672,6 +720,110 @@ class TestAnalyticCatalog:
     def test_sorted_by_momentum(self, catalog_model):
         ks = [e.k for e in analytic_degeneracies(catalog_model)]
         assert ks == sorted(ks)
+
+
+ANGLES = {
+    "pi/4": PI / 4,
+    "pi/3": PI / 3,
+    "pi/2": PI / 2,
+    "2pi/3": 2 * PI / 3,
+    "3pi/4": 3 * PI / 4,
+    "-pi/4": -PI / 4,
+    "0.3": 0.3,
+    "0": 0.0,
+}
+DECADES = [float(f"1e{p}") for p in range(-16, 0)]
+
+
+def catalog_sweep() -> dict:
+    """Named parameter sets over every catalog family.
+
+    183 sets: every Lieb variant, hodsm:h over (t, s) and nh1-nh4 over eps,
+    the Dirac merges, the exceptional limits and out-of-domain parameters
+    included.  Then eps = 1e-16 ... 1e-1 by decades on the non-Hermitian
+    families, where the rank cutoff stops resolving the listed structures.
+    """
+    sets = {"lieb:hermitian": LiebSpec("hermitian")}
+    for e in (1e-9, 1e-6, 0.1, 0.5, 1.0, 1.5, 1.9, 1.999999, -0.3, -1.2, 2.0, 0.0, *DECADES):
+        sets[f"lieb:nh-symmetric eps={e!r}"] = LiebSpec("nh-symmetric", epsilon=e)
+    for e in (1e-9, 0.1, 0.5, 1.0, 2.0, 4.0, -0.7, -3.0, 0.0, *DECADES):
+        sets[f"lieb:minimal-fep eps={e!r}"] = LiebSpec("minimal-fep", epsilon=e)
+    for a, phi in ANGLES.items():
+        for b, psi in ANGLES.items():
+            sets[f"lieb:reciprocal phi={a} psi={b}"] = LiebSpec("reciprocal", phi=phi, psi=psi)
+    for s in (1.0, 0.5, 2.0):
+        for t in (-2.5, -2.0, -1.5, -1.0, -0.8, -0.5, -0.2, 0.0, 0.5, 1.0, 1.5, 2.0):
+            sets[f"hodsm:h t={t * s!r} s={s!r}"] = HodsmSpec(0, t=t * s, s=s)
+    nh_eps = (1e-17, 1e-9, 0.1, 0.2, 0.25, 0.5, 2**-0.5, 0.70710678, 0.9, 1.0, 1.5, -0.2, -0.5)
+    for v in (1, 2, 3, 4):
+        for e in (*nh_eps, -0.9, 0.0, *DECADES):
+            sets[f"hodsm:nh{v} eps={e!r}"] = HodsmSpec(v, epsilon=e)
+    sets["hodsm:nh1 t=-0.5"] = HodsmSpec(1, t=-0.5, epsilon=0.5)
+    return sets
+
+
+# the sets whose listed structure the ranks do not resolve at the default policy
+UNRESOLVED = {
+    *(f"lieb:nh-symmetric eps={e!r}" for e in (1e-16, 1e-15, 1e-14, 1e-13)),
+    *(f"lieb:nh-symmetric eps={e!r}" for e in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)),
+    *(f"lieb:minimal-fep eps={e!r}" for e in (1e-16, 1e-15, 1e-14, 1e-13)),
+    *(f"lieb:minimal-fep eps={e!r}" for e in (1e-9, 1e-8, 1e-7, 1e-6)),
+    *(f"hodsm:nh{v} eps={e!r}" for v in (1, 2, 3) for e in (1e-17, *DECADES[:5])),
+    *(f"hodsm:nh4 eps={e!r}" for e in (1e-17, *DECADES[:4])),
+}
+# the sets outside the closed forms' domain
+OUT_OF_DOMAIN = {
+    "lieb:nh-symmetric eps=2.0",
+    "lieb:nh-symmetric eps=0.0",
+    "lieb:minimal-fep eps=0.0",
+    *(f"lieb:reciprocal phi={a} psi=0" for a in ANGLES),
+    *(f"lieb:reciprocal phi=0 psi={b}" for b in ANGLES),
+    *(f"hodsm:nh{v} eps=0.0" for v in (1, 2, 3, 4)),
+    "hodsm:nh1 t=-0.5",
+}
+
+
+@pytest.fixture(scope="module")
+def swept():
+    """Each sweep set's catalog, or the ValueError that refuses it."""
+    out = {}
+    for name, spec in catalog_sweep().items():
+        try:
+            out[name] = (spec, analytic_degeneracies(spec))
+        except ValueError as exc:
+            out[name] = (spec, exc)
+    return out
+
+
+class TestCatalogSweep:
+    def test_refuses_exactly_the_recorded_sets(self, swept):
+        assert len(swept) == 266
+        refused = {name: exc for name, (_, exc) in swept.items() if isinstance(exc, ValueError)}
+        unresolved = {name for name, exc in refused.items() if "the Weyr ranks give" in str(exc)}
+        assert unresolved == UNRESOLVED
+        assert set(refused) - unresolved == OUT_OF_DOMAIN
+        for name, exc in refused.items():
+            assert "\n" not in str(exc), name
+        for name in unresolved:
+            assert str(refused[name]).startswith(f"{swept[name][0]!r}: the closed forms list ")
+
+    def test_listed_entries_classify_as_listed(self, swept, policy):
+        """Every listed entry has its partials on the weyr route; auto agrees or raises."""
+        entries = 0
+        for name, (spec, listed) in swept.items():
+            if isinstance(listed, ValueError):
+                continue
+            entries += len(listed)
+            for entry in listed:
+                h = bloch_matrix(spec, entry.k)
+                weyr = classify_point(h, 0.0, policy, method="weyr")
+                assert weyr.partials == entry.partials, (name, entry)
+                try:
+                    auto = classify_point(h, 0.0, policy, method="auto")
+                except (ValueError, OracleDisagreementError):
+                    continue
+                assert auto.partials == entry.partials, (name, entry)
+        assert entries == 655
 
 
 class TestFirstCome:
