@@ -409,6 +409,30 @@ def _banded_spectrum(h: sp.csc_matrix) -> np.ndarray:
     return sla.eigvals_banded(band, lower=True)
 
 
+def _close_pairs(w: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` of the points ``w`` with ``|w_i - w_j| <= radius``.
+
+    A sweep over the points sorted by real part: offset d pairs each point
+    with the d-th after it, and the sweep stops at the first offset with no
+    real-part gap within the radius, since the gaps only grow with d.  The
+    distance is ``np.hypot``, which squares nothing, so finite points cannot
+    overflow the test; a gap past the float range is inf and never close.
+    """
+    order = np.argsort(w.real, kind="stable")
+    x, y = w.real[order], w.imag[order]
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    with np.errstate(over="ignore"):
+        for d in range(1, w.size):
+            dx = x[d:] - x[:-d]
+            i = np.flatnonzero(dx <= radius)
+            if not i.size:
+                break
+            i = i[np.hypot(dx[i], y[i + d] - y[i]) <= radius]
+            rows.append(order[i])
+            cols.append(order[i + d])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def symmetry_check(
     spec,
     kind: str,
@@ -424,12 +448,14 @@ def symmetry_check(
     open system must appear with even multiplicity within the cluster
     radius.  The Hermitian variant's spectrum comes from its band
     (``_banded_spectrum``), the non-Hermitian variants' from the dense
-    matrix.  Those spectra can be defective, and a cluster then groups
-    eigenvalues that rounding has split: only the verdict is determined
-    there, not ``max_violation`` (the odd-cluster count).  Identities pass at
-    ``1e-10`` of the natural scale of the compared quantity.  The witness
-    locates the worst violation (first in row-major or sampling order) and is
-    empty when there is none.
+    matrix.  Its clusters are single-linkage: the connected components of
+    the eigenvalue pairs at most the radius apart, which ``_close_pairs``
+    finds by a sweep over the spectrum sorted by real part.  Those spectra
+    can be defective, and a cluster then groups eigenvalues that rounding
+    has split: only the verdict is determined there, not ``max_violation``
+    (the odd-cluster count).  Identities pass at ``1e-10`` of the natural
+    scale of the compared quantity.  The witness locates the worst violation
+    (first in row-major or sampling order) and is empty when there is none.
     """
     if kind not in SYMMETRY_KINDS:
         raise ValueError(f"unknown symmetry kind {kind!r}")
@@ -479,23 +505,9 @@ def symmetry_check(
         else:
             w = np.linalg.eigvals(h.toarray())
         radius = policy.cluster_radius(scale - 1.0)
-        # scipy.spatial adds about 7 MB and 0.1 s to an import; only this check uses it
-        from scipy.spatial import cKDTree
-
-        points = np.c_[w.real, w.imag]
-        # cKDTree compares squared distances, up to the squared diameter of
-        # the points' bounding box, which can overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            reach = np.sum(np.square(np.ptp(points, axis=0)))
-        if not np.isfinite(reach):
-            raise ValueError(
-                "the Kramers check's squared eigenvalue distances overflow at these model parameters"
-            )
         # single-linkage clusters of the spectrum at the cluster radius
-        pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-        links = sp.coo_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(w.size, w.size)
-        )
+        i, j = _close_pairs(w, radius)
+        links = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(w.size, w.size))
         n_comp, labels = sparse_connected_components(links, directed=False)
         sizes = np.bincount(labels, minlength=n_comp)
         odd = [int(s) for s in sizes if s % 2]

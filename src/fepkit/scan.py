@@ -433,12 +433,16 @@ def trace_ring(
     them exactly, so those special points are always among the samples.
     Each report carries its sample momentum as ``k_point``.  The samples are
     built and classified as one stack (``classify_point``), so a sample that
-    fails to classify raises the error of the first such sample.
+    fails to classify raises the error of the first such sample.  At
+    phi = 0 (mod pi) the manifold is the single momentum (0, 0) or (pi, pi),
+    and the call is refused.
     """
     if model.variant != "reciprocal":
         raise ValueError("trace_ring needs the reciprocal variant")
     if not math.isclose(math.cos(model.phi - model.psi), 1.0, abs_tol=1e-12):
         raise ValueError("trace_ring needs the phi == psi configuration")
+    if math.isclose(math.sin(model.phi), 0.0, abs_tol=1e-12):
+        raise ValueError("trace_ring needs phi != 0 (mod pi)")
     if samples < 8:
         raise ValueError("need at least 8 samples")
     c = math.cos(model.phi)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,83 @@ class TestSymmetryReference:
         geom = HingeGeometry(30, 30, 0.3)
         for kind in ("reflection", "transposition", "sum-rule-ba", "sum-rule-cd"):
             symmetry_check(spec, kind, geom, policy)
+
+
+def clusters(w, pairs):
+    """The single-linkage clusters of the points w under the index pairs, as sorted index lists."""
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = pairs
+    links = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(w.size, w.size))
+    n_comp, labels = connected_components(links, directed=False)
+    return sorted(sorted(np.flatnonzero(labels == c).tolist()) for c in range(n_comp))
+
+
+def kdtree_clusters(w, radius):
+    """Reference clusters from cKDTree's pairs; fepkit itself does not load scipy.spatial."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(np.c_[w.real, w.imag]).query_pairs(radius, output_type="ndarray")
+    return clusters(w, (pairs[:, 0], pairs[:, 1]))
+
+
+def kramers_spectrum(spec, geom, policy):
+    """The open-system spectrum and cluster radius that the Kramers check pairs."""
+    h = hinge_hamiltonian(spec, geom)
+    w = probes._banded_spectrum(h) if spec.variant == 0 else np.linalg.eigvals(h.toarray())
+    norm = float(np.abs(h).sum(axis=1).max())
+    return w.astype(complex), policy.cluster_radius(norm)
+
+
+def _cluster_point_sets():
+    rng = np.random.default_rng(35)
+    base = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return {
+        # equal real parts: the sweep visits every offset
+        "purely imaginary": 1j * rng.uniform(-20, 20, size=300),
+        "imaginary with duplicates": 1j * np.repeat(rng.uniform(-5, 5, size=30), 3),
+        "duplicates and conjugates": np.concatenate([base, base, base.conj(), base.real]),
+        # lattice steps and a 3-4-5 triangle scaled by 1/8: exactly 0.625 apart in binary
+        "exactly radius apart": np.array([0, 0.375 + 0.5j, 0.625, 1.25, 1.25 + 0.625j, 3, 3 + 1.25j]),
+        "one point": np.array([0.3 + 0.1j]),
+        "no point": np.empty(0, complex),
+        "scattered": rng.uniform(-4, 4, size=200) + 1j * rng.uniform(-4, 4, size=200),
+    }
+
+
+CLUSTER_POINT_SETS = _cluster_point_sets()
+
+
+class TestKramersClusters:
+    """The real-part sweep's clusters against cKDTree single linkage."""
+
+    RADIUS = 0.625
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_POINT_SETS))
+    def test_point_sets_match_kdtree(self, name):
+        w = CLUSTER_POINT_SETS[name]
+        assert clusters(w, probes._close_pairs(w, self.RADIUS)) == kdtree_clusters(w, self.RADIUS)
+
+    def test_exact_radius_is_close(self):
+        w = np.array([0.0, 0.375 + 0.5j])
+        i, j = probes._close_pairs(w, self.RADIUS)
+        assert (i.tolist(), j.tolist()) == ([0], [1])
+        assert probes._close_pairs(w, np.nextafter(self.RADIUS, 0))[0].size == 0
+
+    def test_gaps_past_the_float_range_are_far(self):
+        w = np.array([-1.5e308, 1.5e308, 1.5e308 + 1e292j, 1e308j, -1e308j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i, j = probes._close_pairs(w, 1e300)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(1, 2)]
+
+    @pytest.mark.parametrize("kz", [0.0, 0.5])
+    @pytest.mark.parametrize("cells", [3, 6])
+    def test_kramers_spectra_match_kdtree(self, cells, kz, policy):
+        for spec in REFERENCE_SPECS:
+            w, radius = kramers_spectrum(spec, HingeGeometry(cells, cells, kz), policy)
+            got = clusters(w, probes._close_pairs(w, radius))
+            assert got == kdtree_clusters(w, radius), spec
 
 
 class TestDecayFits:

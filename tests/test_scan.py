@@ -881,6 +881,12 @@ class TestTraceRing:
         with pytest.raises(ValueError):
             trace_ring(LiebSpec("hermitian"), 16, policy)
 
+    @pytest.mark.parametrize("phi", [0.0, PI, -PI, 2 * PI], ids=["0", "pi", "-pi", "2pi"])
+    def test_refuses_the_single_momentum(self, phi, policy):
+        # at phi = 0 (mod pi) cos kx + cos ky = +-2 holds at one momentum only
+        with pytest.raises(ValueError, match=r"^trace_ring needs phi != 0 \(mod pi\)$"):
+            trace_ring(LiebSpec("reciprocal", phi=phi, psi=phi), 8, policy)
+
     def test_odd_sample_count(self, policy):
         spec = LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4)
         samples = trace_ring(spec, 33, policy)
