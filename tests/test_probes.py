@@ -513,14 +513,6 @@ def kdtree_clusters(w, radius):
     return clusters(w, (pairs[:, 0], pairs[:, 1]))
 
 
-def kramers_spectrum(spec, geom, policy):
-    """The open-system spectrum and cluster radius that the Kramers check pairs."""
-    h = hinge_hamiltonian(spec, geom)
-    w = probes._banded_spectrum(h) if spec.variant == 0 else np.linalg.eigvals(h.toarray())
-    norm = float(np.abs(h).sum(axis=1).max())
-    return w.astype(complex), policy.cluster_radius(norm)
-
-
 def _cluster_point_sets():
     rng = np.random.default_rng(35)
     base = rng.normal(size=40) + 1j * rng.normal(size=40)
@@ -565,11 +557,20 @@ class TestKramersClusters:
 
     @pytest.mark.parametrize("kz", [0.0, 0.5])
     @pytest.mark.parametrize("cells", [3, 6])
-    def test_kramers_spectra_match_kdtree(self, cells, kz, policy):
+    def test_kramers_spectra_match_kdtree(self, cells, kz, policy, monkeypatch):
+        # compare on the spectrum and radius the check itself pairs
+        close_pairs, seen = probes._close_pairs, []
+
+        def recording(w, radius):
+            seen.append((w, radius))
+            return close_pairs(w, radius)
+
+        monkeypatch.setattr(probes, "_close_pairs", recording)
         for spec in REFERENCE_SPECS:
-            w, radius = kramers_spectrum(spec, HingeGeometry(cells, cells, kz), policy)
-            got = clusters(w, probes._close_pairs(w, radius))
-            assert got == kdtree_clusters(w, radius), spec
+            symmetry_check(spec, "kramers", HingeGeometry(cells, cells, kz), policy)
+            [(w, radius)] = seen
+            seen.clear()
+            assert clusters(w, close_pairs(w, radius)) == kdtree_clusters(w, radius), spec
 
 
 class TestDecayFits:
