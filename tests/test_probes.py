@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -207,6 +208,8 @@ class TestHingeShiftInvert:
             hinge_report(spec, HingeGeometry(6, 6, 0.0))
         assert len(calls) == 1
 
+    # ARPACK's real nonsymmetric mode on a SuperLU factor, and its restart rng, can differ by version
+    @pytest.mark.version_sensitive
     @pytest.mark.parametrize("kz", [0.0, 0.7])
     @pytest.mark.parametrize("cells", [3, 6, 10, 12])
     @pytest.mark.parametrize("variant", range(5))
@@ -240,6 +243,8 @@ class TestHingeShiftInvert:
             assert mine.size <= theirs.size, (e, mine, theirs)
             assert abs(mine.mean() - theirs.mean()) <= 1e-10 * abs(e), (e, mine, theirs)
 
+    # SuperLU's singular-factor error and ARPACK's complex retry can differ by version
+    @pytest.mark.version_sensitive
     def test_singular_factor_retries_in_complex_arithmetic(self, monkeypatch):
         """An exactly singular real factor at sigma = 0 falls back to the complex solve at 1e-6 i.
 
@@ -278,6 +283,58 @@ class TestHingeShiftInvert:
         seeded = {"rng": rng} if probes._eigs_takes_rng() else {}
         want_w, want_u = eigs(h.astype(complex), k=4, sigma=1e-6j, v0=v0, **seeded)
         assert w.tobytes() == want_w.tobytes() and u.tobytes() == want_u.tobytes()
+
+
+# the hinge sweep: v0-v4 x eps x kz x (t, s), v0 once since it takes no eps
+HINGE_SWEEP_EPS = (0.1, 0.25, 0.5, 2**-0.5, 0.9, 0.35355339)
+
+
+def hinge_sweep(cells):
+    """(spec, geometry) for each input of the hinge sweep at n x n cells, n in ``cells``."""
+    for v in range(5):
+        for eps in HINGE_SWEEP_EPS if v else (0.0,):
+            for kz, (t, s), n in itertools.product((0.0, 0.5, 1.3), ((-1.0, 1.0), (-0.7, 1.0)), cells):
+                yield HodsmSpec(v, t=t, s=s, epsilon=eps), HingeGeometry(n, n, kz)
+
+
+def dense_disagreement(spec, geom):
+    """How far the report's four low |E| and its |E_5| (gap ratio times |E_4|) lie
+    from the five lowest |E| of the dense spectrum, relative, with each
+    denominator floored at 1e-8 ||H||_inf."""
+    rep = hinge_report(spec, geom)
+    h = hinge_hamiltonian(spec, geom)
+    dense = np.sort(np.abs(np.linalg.eigvals(h.toarray())))[:5]
+    low = np.abs(rep.low_energies)
+    floor = 1e-8 * float(np.abs(h).sum(axis=1).max())
+    return np.abs(np.append(low, rep.gap_ratio * low[3]) - dense) / np.maximum(dense, floor)
+
+
+# at 3 and 6 cells the worst disagreement of the four low |E| is 5.3e-6 (in
+# near-defective clusters, set to about the root of rounding), of |E_5| 1.8e-8
+LOW_BOUND, E5_BOUND = 1e-4, 1e-6
+
+
+class TestHingeRecord:
+    """The report's low energies against dense eigvals; a record, since its digits rest on the BLAS."""
+
+    def test_sweep_at_three_and_six_cells(self):
+        inputs = list(hinge_sweep((3, 6)))
+        assert len(inputs) == 300
+        far = [
+            (spec, geom, d)
+            for spec, geom in inputs
+            if (d := dense_disagreement(spec, geom))[:4].max() > LOW_BOUND or d[4] > E5_BOUND
+        ]
+        assert far == []
+
+    # two eigenvalues lie within 4e-12 of the shift E = 0 and two more within 2e-6;
+    # the report's |E_5| is off by 0.95 and 1.0, its gap ratio 1.76e4 and 21.5
+    # where the dense one is 3.9e5 and 5.7e6
+    @pytest.mark.xfail(strict=True, reason="the shift-invert solve returns energies that are not eigenvalues")
+    @pytest.mark.parametrize("cells", [10, 12])
+    def test_near_singular_shift(self, cells):
+        d = dense_disagreement(HodsmSpec(4, t=-0.7, epsilon=0.25), HingeGeometry(cells, cells, 0.5))
+        assert d[:4].max() <= LOW_BOUND and d[4] <= E5_BOUND
 
 
 class TestHingeScaling:
@@ -365,6 +422,8 @@ class TestSymmetryTable:
         assert symmetry_check(HodsmSpec(0), "kramers", geom, policy) == res
         assert res.passed
 
+    # the Hermitian spectrum comes from LAPACK's band solver (sbevd), which can differ by version
+    @pytest.mark.version_sensitive
     @pytest.mark.parametrize("ts", [(-1.0, 1.0), (-0.7, 1.3)])
     @pytest.mark.parametrize("kz", [0.0, 0.9])
     @pytest.mark.parametrize("cells", [(1, 1), (3, 7), (7, 3), (10, 10), (12, 12), (10, 34)])
