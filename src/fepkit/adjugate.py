@@ -108,7 +108,7 @@ def _degrees(n: int) -> tuple[np.ndarray, np.ndarray]:
     return degree, root
 
 
-def flv_modes(h, shift: complex = 0.0):
+def flv_modes(h, shift: complex):
     """Run the division-free recursion for all modes and coefficients.
 
     Modes are always computed for the full index range: the recursion costs

@@ -38,7 +38,9 @@ from .models import (
     model_from_id,
 )
 from .probes import (
+    CLUSTER_TOL,
     atomistic_classify,
+    cluster_radius,
     decay_rate_fit,
     hinge_report,
     lineshape_exponent,
@@ -211,10 +213,8 @@ def report_json(report: DegeneracyReport, model: dict) -> dict:
 
 
 def _policy_from_args(args) -> TolerancePolicy:
-    """The tolerance flags given, the defaults for the rest."""
-    rank, cluster = getattr(args, "rank_tol", None), getattr(args, "cluster_tol", None)
-    given = {"rank_rel": rank, "cluster_tol": cluster}
-    return TolerancePolicy(**{k: v for k, v in given.items() if v is not None})
+    """The policy of ``--rank-tol`` if given, else the default."""
+    return TolerancePolicy() if args.rank_tol is None else TolerancePolicy(args.rank_tol)
 
 
 # the model parameter flags every model verb takes, with their types
@@ -417,16 +417,18 @@ def _refuse_unread_probe_flags(args) -> None:
 def _cmd_probe(args, model, echo) -> dict:
     kind = args.kind
     policy = _policy_from_args(args)
+    cluster_tol = CLUSTER_TOL if args.cluster_tol is None else args.cluster_tol
+    cluster_radius(0.0, cluster_tol)  # a bad --cluster-tol is refused, as --rank-tol, first
     doc: dict = {"kind": kind, "model": echo}
     if kind in ("decay", "atomistic") and not isinstance(model, HodsmSpec):
         raise ValueError(f"the {kind} probe needs a hodsm model")
     if kind in ("lineshape", "splitting"):
         h, report = _point_report(args, model, policy)
         if kind == "lineshape":
-            fit = lineshape_exponent(h, report.energy, policy)
+            fit = lineshape_exponent(h, report.energy, cluster_tol)
             expected = -2.0 * report.ell
         else:
-            fit = splitting_exponent(h, report.energy, policy)
+            fit = splitting_exponent(h, report.energy, cluster_tol)
             expected = 1.0 / report.ell
         doc.update(
             {
@@ -460,7 +462,7 @@ def _cmd_probe(args, model, echo) -> dict:
         if (args.nx is None) != (args.ny is None):
             raise ValueError(f"the {kind} probe needs both --nx and --ny, or neither")
         geom = None if args.nx is None else _geometry(args)
-        res = symmetry_check(model, kind, geom, policy)
+        res = symmetry_check(model, kind, geom, cluster_tol)
         doc.update(
             {
                 "passed": res.passed,

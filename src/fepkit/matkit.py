@@ -44,29 +44,18 @@ CK_REL = 1e-9
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Floating-point realization of conditions that are exact in theory.
+    """Floating-point realization of the rank decisions that are exact in theory.
 
-    rank_rel
-        Relative singular-value cutoff for rank decisions.  Every rank
-        decision, on both classification routes, counts the singular values
-        above ``rank_cutoff``.
-    cluster_tol
-        Eigenvalue clustering radius, in units of ``1 + ||H||_2`` of the
-        Bloch matrix for the exponent probes' degenerate cluster and of
-        ``1 + ||H||_inf`` of the open system for the Kramers check's pairs;
-        ``classify_point`` and ``bz_scan`` do not use it.
-
-    The vanishing tests use the fixed threshold ``CK_REL``.
+    ``rank_rel`` is the relative singular-value cutoff: every rank decision,
+    on both classification routes, counts the singular values above
+    ``rank_cutoff``.  The vanishing tests use the fixed threshold ``CK_REL``.
     """
 
     rank_rel: float = 1e-8
-    cluster_tol: float = 1e-3
 
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
-            raise ValueError("rank_rel must lie in (0, 1)")
-        if not (0.0 < self.cluster_tol < np.inf):
-            raise ValueError(f"cluster_tol must be positive and finite, got {self.cluster_tol}")
+            raise ValueError(f"rank_rel must lie in (0, 1), got {self.rank_rel}")
 
     def rank_cutoff(self, s_max, scale):
         """Singular values at or below ``max(rank_rel * s_max, 1e-12 * scale)`` are zero.
@@ -83,9 +72,6 @@ class TolerancePolicy:
         the shape of the leading axes.
         """
         return np.add.reduce(s > self.rank_cutoff(s[..., 0], scale)[..., None], axis=-1)
-
-    def cluster_radius(self, norm: float) -> float:
-        return self.cluster_tol * (1.0 + norm)
 
 
 def problem_scale(norm, energy: complex):

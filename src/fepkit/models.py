@@ -167,8 +167,8 @@ class HodsmSpec:
 
     ``t`` and ``s`` are the intracell and intercell couplings of the parent
     quadrupole planes; the interplane criss-cross coupling is fixed at s/4.
-    ``epsilon`` is the strength of the added non-Hermitian couplings and is
-    ignored for variant 0.
+    ``epsilon`` is the strength of the added non-Hermitian couplings, which
+    variant 0 does not take.
     """
 
     variant: int
@@ -184,6 +184,8 @@ class HodsmSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s == 0:
             raise ValueError("intercell coupling s must be nonzero")
+        if self.variant == 0 and self.epsilon != 0:
+            raise ValueError("hodsm variant 0 does not take epsilon")
 
     @property
     def dims(self) -> int:

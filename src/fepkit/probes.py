@@ -47,6 +47,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
+    "CLUSTER_TOL",
+    "cluster_radius",
     "ExponentFit",
     "HingeReport",
     "DecayFit",
@@ -83,16 +85,24 @@ def _log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+# eigenvalue clustering radius, in units of 1 + ||H||_2 of the Bloch matrix for
+# the exponent probes and of 1 + ||H||_inf of the open system for the Kramers check
+CLUSTER_TOL = 1e-3
+
+
+def cluster_radius(norm: float, cluster_tol: float = CLUSTER_TOL) -> float:
+    """``cluster_tol * (1 + norm)``; a tolerance that is not positive and finite is refused."""
+    if not (0.0 < cluster_tol < math.inf):
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol}")
+    return cluster_tol * (1.0 + norm)
+
+
 # the log-log fit window in |E - E_i|, and its number of sample radii
 LINESHAPE_WINDOW = (1e-3, 1e-2)
 LINESHAPE_POINTS = 20
 
 
-def lineshape_exponent(
-    h,
-    energy: complex,
-    policy: TolerancePolicy | None = None,
-) -> ExponentFit:
+def lineshape_exponent(h, energy: complex, cluster_tol: float = CLUSTER_TOL) -> ExponentFit:
     """Fit log tr(G^dag G) against log |E - E_i| on a ray near the degeneracy.
 
     The ray leaves the degeneracy at 45 degrees to the direction of the
@@ -100,13 +110,12 @@ def lineshape_exponent(
     window ``LINESHAPE_WINDOW`` must stay an order of magnitude inside the
     distance to that pole.  The expected slope is -2 ell.
     """
-    policy = policy or TolerancePolicy()
     m = np.asarray(h, dtype=complex)
     energy = complex(energy)
     lo, hi = LINESHAPE_WINDOW
 
+    radius = cluster_radius(float(np.linalg.norm(m, 2)), cluster_tol)  # refused before eigvals
     w = np.linalg.eigvals(m)
-    radius = policy.cluster_radius(float(np.linalg.norm(m, 2)))
     others = w[np.abs(w - energy) > radius]
     if others.size:
         nearest = others[np.argmin(np.abs(others - energy))]
@@ -136,11 +145,7 @@ SPLITTING_LADDER = np.geomspace(1e-8, 1e-4, 9)
 SPLITTING_SEED = 7
 
 
-def splitting_exponent(
-    h,
-    energy: complex,
-    policy: TolerancePolicy | None = None,
-) -> ExponentFit:
+def splitting_exponent(h, energy: complex, cluster_tol: float = CLUSTER_TOL) -> ExponentFit:
     """Fit the maximal eigenvalue displacement against perturbation strength.
 
     For each strength of ``SPLITTING_LADDER`` the degenerate multiplet of the
@@ -149,14 +154,13 @@ def splitting_exponent(
     unit-Frobenius perturbation directions with independent complex-normal
     entries.  The expected slope is 1 / ell.
     """
-    policy = policy or TolerancePolicy()
     m = np.asarray(h, dtype=complex)
     energy = complex(energy)
     ladder = SPLITTING_LADDER
     rng = np.random.default_rng(SPLITTING_SEED)
 
+    radius = cluster_radius(float(np.linalg.norm(m, 2)), cluster_tol)  # refused before eigvals
     w = np.linalg.eigvals(m)
-    radius = policy.cluster_radius(float(np.linalg.norm(m, 2)))
     close = np.abs(w - energy) <= radius
     alpha = int(np.count_nonzero(close))
     if alpha == 0:
@@ -326,10 +330,7 @@ def hinge_report(spec: HodsmSpec, geom: HingeGeometry) -> HingeReport:
 ATOMISTIC_CELLS = 3
 
 
-def atomistic_classify(
-    spec: HodsmSpec,
-    policy: TolerancePolicy | None = None,
-) -> DegeneracyReport:
+def atomistic_classify(spec: HodsmSpec, policy: TolerancePolicy | None = None) -> DegeneracyReport:
     """Classify the exact zero modes of the decoupled-corner parameter point.
 
     Requires ``s cos kz = -2 t`` so the reduced intracell Hamiltonian loses
@@ -338,7 +339,6 @@ def atomistic_classify(
     classified at E = 0 through the staircase Weyr oracle (integer-exact
     partial multiplicities).
     """
-    policy = policy or TolerancePolicy()
     ratio = -2.0 * spec.t / spec.s
     if abs(ratio) > 1.0:
         raise ValueError(
@@ -437,7 +437,7 @@ def symmetry_check(
     spec,
     kind: str,
     geom: HingeGeometry | None = None,
-    policy: TolerancePolicy | None = None,
+    cluster_tol: float = CLUSTER_TOL,
 ) -> SymmetryCheckResult:
     """Test one defining symmetry identity and report the worst violation.
 
@@ -445,8 +445,9 @@ def symmetry_check(
     from a fixed seed and compare one stack of Bloch matrices; the
     open-system kinds need a geometry and compare entries of the sparse
     Hamiltonian.  ``kramers`` is a spectral check: every eigenvalue of the
-    open system must appear with even multiplicity within the cluster
-    radius.  The Hermitian variant's spectrum comes from its band
+    open system must appear with even multiplicity within
+    ``cluster_radius(||H||_inf, cluster_tol)``, the only kind that reads
+    ``cluster_tol``.  The Hermitian variant's spectrum comes from its band
     (``_banded_spectrum``), the non-Hermitian variants' from the dense
     matrix.  Its clusters are single-linkage: the connected components of
     the eigenvalue pairs at most the radius apart, which ``_close_pairs``
@@ -459,7 +460,7 @@ def symmetry_check(
     """
     if kind not in SYMMETRY_KINDS:
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    policy = policy or TolerancePolicy()
+    cluster_radius(0.0, cluster_tol)  # a bad tolerance is refused before any work
 
     if kind in ("chiral", "rotation-c4"):
         if kind == "rotation-c4" and isinstance(spec, LiebSpec):
@@ -504,7 +505,7 @@ def symmetry_check(
             w = _banded_spectrum(h).astype(complex)
         else:
             w = np.linalg.eigvals(h.toarray())
-        radius = policy.cluster_radius(scale - 1.0)
+        radius = cluster_radius(float(norm), cluster_tol)
         # single-linkage clusters of the spectrum at the cluster radius
         i, j = _close_pairs(w, radius)
         links = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(w.size, w.size))

@@ -259,7 +259,7 @@ def _first_come(points, radius: float) -> list[int]:
 
 
 def bz_scan(
-    model, resolution: int = 128, policy: TolerancePolicy | None = None
+    model, resolution: int, policy: TolerancePolicy | None = None
 ) -> list[DegeneracyReport]:
     """Grid-scan the zone for E = 0 degeneracies, refine and classify them.
 

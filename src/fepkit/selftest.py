@@ -30,6 +30,7 @@ from .models import (
 )
 from .probes import (
     atomistic_classify,
+    cluster_radius,
     decay_rate_fit,
     hinge_report,
     lineshape_exponent,
@@ -254,7 +255,7 @@ def criterion_6_resolvent_identity() -> str:
         shift = complex(rng.normal(), rng.normal())
         energy = complex(rng.normal(), rng.normal())
         ev = np.linalg.eigvals(h)
-        radius = POLICY.cluster_radius(float(np.linalg.norm(h, 2)))
+        radius = cluster_radius(float(np.linalg.norm(h, 2)))
         if np.min(np.abs(ev - energy)) < radius:
             continue
         modal = greens_modal(flv_modes(h, shift), energy)[0]
@@ -276,7 +277,7 @@ def criterion_7_exponent_laws() -> str:
     ]
     details = []
     for h, energy, ell in lineshape_cases:
-        fit = lineshape_exponent(h, energy, POLICY)
+        fit = lineshape_exponent(h, energy)
         want = -2.0 * ell
         assert abs(fit.slope - want) <= 0.02 * abs(want), (
             f"lineshape ell={ell}: slope {fit.slope:.4f}, want {want}"
@@ -290,7 +291,7 @@ def criterion_7_exponent_laws() -> str:
         (hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 2)), 0.0, 1),
     ]
     for h, energy, ell in splitting_cases:
-        fit = splitting_exponent(h, energy, POLICY)
+        fit = splitting_exponent(h, energy)
         want = 1.0 / ell
         assert abs(fit.slope - want) <= 0.05 * want, (
             f"splitting ell={ell}: slope {fit.slope:.4f}, want {want}"
@@ -335,7 +336,7 @@ def criterion_9_hinge_vicinity() -> str:
             total = float(rep.intensity_maps[i].sum())
             assert abs(total - 1.0) <= 1e-9, f"intensity map {i} sums to {total}"
         ranks[variant] = rep.gram_rank
-    res = symmetry_check(HodsmSpec(0), "kramers", geom, POLICY)
+    res = symmetry_check(HodsmSpec(0), "kramers", geom)
     assert res.passed, f"Kramers pairing failed: {res.witness}"
     return f"gram ranks {ranks}, gaps >= 5, Kramers pairing holds"
 

@@ -1,3 +1,8 @@
+import os
+
+# BLAS on one thread, as the CI jobs run it: the suite's small dense solves only pay for more
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

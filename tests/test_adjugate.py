@@ -13,8 +13,9 @@ from fepkit.adjugate import (
     response_strengths,
 )
 from fepkit.classify import classify_point
-from fepkit.matkit import TolerancePolicy, numerical_rank, spectral_norm
+from fepkit.matkit import numerical_rank, spectral_norm
 from fepkit.models import HodsmSpec, LiebSpec, bloch_matrix, hodsm_bloch, lieb_bloch
+from fepkit.probes import cluster_radius
 from fepkit.scan import analytic_degeneracies
 from fepkit.selftest import planted_jordan, random_partition
 
@@ -130,14 +131,14 @@ class TestGreensModal:
         g = greens_modal(seq, 3.0)[0]
         assert np.allclose(g, np.diag([0.5, 1.0]))
 
-    def test_matches_direct_inverse(self, policy):
+    def test_matches_direct_inverse(self):
         h = lieb_bloch(LiebSpec("hermitian"), (0.0, 0.0))
         seq = flv_modes(h[None], 0.0)
         direct = np.linalg.inv(np.eye(3) - h)
         modal = greens_modal(seq, 1.0)[0]
         assert np.linalg.norm(modal - direct) <= 1e-10 * np.linalg.norm(direct)
 
-    def test_resolvent_identity_random(self, rng, policy):
+    def test_resolvent_identity_random(self, rng):
         done = 0
         while done < 100:
             n = int(rng.integers(2, 8))
@@ -145,7 +146,7 @@ class TestGreensModal:
             shift = complex(rng.normal(), rng.normal())
             energy = complex(rng.normal(scale=2), rng.normal(scale=2))
             ev = np.linalg.eigvals(h)
-            if np.min(np.abs(ev - energy)) < policy.cluster_radius(spectral_norm(h[None])[0]):
+            if np.min(np.abs(ev - energy)) < cluster_radius(spectral_norm(h[None])[0]):
                 continue
             modal = greens_modal(flv_modes(h[None], shift), energy)[0]
             direct = np.linalg.inv(energy * np.eye(n) - h)

@@ -845,12 +845,25 @@ def test_nonfinite_parameter_exits_2(capsys, argv, value, shown):
     assert err.splitlines() == [f"fepkit: epsilon must be finite, got {shown}"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.1"])
 @pytest.mark.parametrize("kind", ["kramers", "lineshape", "splitting"])
 def test_nonfinite_cluster_tol_exits_2(capsys, kind, value):
+    """A cluster tolerance that is not finite, or not positive, is refused with one line."""
     code, out, err = run(capsys, *EMITTING[kind], "--cluster-tol", value)
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"fepkit: cluster_tol must be positive and finite, got {value}"]
+    assert err.splitlines() == [f"fepkit: cluster_tol must be positive and finite, got {float(value)}"]
+
+
+RANK_TOL_READERS = {name: EMITTING[name] for name in ("classify", "scan", "ring", "atomistic")}
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-1e-3", "nan", "inf"])
+@pytest.mark.parametrize("argv", RANK_TOL_READERS.values(), ids=RANK_TOL_READERS.keys())
+def test_bad_rank_tol_exits_2(capsys, argv, value):
+    """A rank tolerance outside (0, 1) is refused with one line that names it."""
+    code, out, err = run(capsys, *argv, "--rank-tol", value)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"fepkit: rank_rel must lie in (0, 1), got {float(value)}"]
 
 
 # inputs whose arithmetic overflows in float; each exits 2 with this one line

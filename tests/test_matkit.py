@@ -126,8 +126,7 @@ class TestSpectralNorm:
 
 class TestTolerancePolicy:
     def test_defaults_valid(self):
-        p = TolerancePolicy()
-        assert p.rank_rel == 1e-8 and p.cluster_tol == 1e-3
+        assert TolerancePolicy().rank_rel == 1e-8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -135,17 +134,19 @@ class TestTolerancePolicy:
             {"rank_rel": 0.0},
             {"rank_rel": 1.5},
             {"rank_rel": 1.0},
-            {"cluster_tol": 0.0},
-            {"cluster_tol": -0.1},
-            {"cluster_tol": np.nan},
-            {"cluster_tol": np.inf},
+            {"rank_rel": -1e-3},
+            {"rank_rel": np.nan},
+            {"rank_rel": np.inf},
+            {"rank_rel": -np.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             TolerancePolicy(**kwargs)
+        assert str(exc.value) == f"rank_rel must lie in (0, 1), got {kwargs['rank_rel']}"
 
-    def test_only_rank_rel_and_cluster_tol_are_settable(self):
-        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["rank_rel", "cluster_tol"]
-        with pytest.raises(TypeError):
-            TolerancePolicy(rank_abs=1e-6)
+    def test_only_rank_rel_is_settable(self):
+        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["rank_rel"]
+        for extra in ("rank_abs", "cluster_tol"):
+            with pytest.raises(TypeError):
+                TolerancePolicy(**{extra: 1e-6})

@@ -209,6 +209,7 @@ class TestHodsmBloch:
         for variant in range(5):
             for _ in range(80):
                 t, eps = rng.uniform(-2, 2, 2)
+                eps = eps if variant else 0.0  # variant 0 takes no epsilon
                 s = rng.choice((-1, 1)) * rng.uniform(0.5, 2)
                 k = rng.uniform(-PI, PI, 3)
                 h0 = (t + 0.5 * s * math.cos(k[2])) * models._INTRACELL + hodsm_h_eps(variant, eps)
@@ -231,6 +232,13 @@ class TestHodsmBloch:
             HodsmSpec(5)
         with pytest.raises(ValueError):
             HodsmSpec(1, s=0.0)
+
+    @pytest.mark.parametrize("eps", [0.5, -1e-300, 2**-0.5])
+    def test_variant_0_refuses_epsilon(self, eps):
+        # variant 0 has no non-Hermitian couplings, so an epsilon would be dropped unread
+        with pytest.raises(ValueError, match=r"^hodsm variant 0 does not take epsilon$"):
+            HodsmSpec(0, epsilon=eps)
+        assert HodsmSpec(0, epsilon=0.0) == HodsmSpec(0)
 
 
 class TestHingeHamiltonian:
@@ -350,7 +358,7 @@ class TestGridAssembly:
     @pytest.mark.parametrize("variant", range(5))
     def test_matches_kronecker_sums(self, variant, nx, ny):
         for kz, t, s, eps in ((0.6, -1.0, 0.8, 0.35), (2.0, 0.3, -1.2, -0.5)):
-            spec = HodsmSpec(variant, t=t, s=s, epsilon=eps)
+            spec = HodsmSpec(variant, t=t, s=s, epsilon=eps if variant else 0.0)
             geom = HingeGeometry(nx, ny, kz=kz)
             assert_real_reference(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
 
@@ -375,7 +383,7 @@ class TestGridAssembly:
         st.floats(-1.0, 1.0),
     )
     def test_matches_kronecker_sums_property(self, variant, nx, ny, kz, t, s, eps):
-        spec = HodsmSpec(variant, t=t, s=s, epsilon=eps)
+        spec = HodsmSpec(variant, t=t, s=s, epsilon=eps if variant else 0.0)
         geom = HingeGeometry(nx, ny, kz=kz)
         assert_real_reference(hinge_hamiltonian(spec, geom), kron_reference(spec, geom))
 

@@ -37,46 +37,46 @@ PI = math.pi
 
 
 class TestLineshape:
-    def test_simple_pole_is_lorentzian(self, policy):
-        fit = lineshape_exponent(np.diag([1.0, 2.0]), 1.0, policy)
+    def test_simple_pole_is_lorentzian(self):
+        fit = lineshape_exponent(np.diag([1.0, 2.0]), 1.0)
         assert fit.slope == pytest.approx(-2.0, rel=0.02)
         assert fit.r_squared >= 0.99
 
-    def test_window_collision_raises(self, policy):
+    def test_window_collision_raises(self):
         with pytest.raises(ValueError, match="collides"):
-            lineshape_exponent(np.diag([1.0, 1.05]), 1.0, policy)
+            lineshape_exponent(np.diag([1.0, 1.05]), 1.0)
 
-    def test_fep22_super_lorentzian(self, policy):
+    def test_fep22_super_lorentzian(self):
         h = hodsm_bloch(HodsmSpec(3, epsilon=0.5), (0, 0, PI / 2))
-        fit = lineshape_exponent(h, 0.0, policy)
+        fit = lineshape_exponent(h, 0.0)
         assert fit.slope == pytest.approx(-4.0, rel=0.02)
 
 
 class TestSplitting:
-    def test_diabolic_point_linear(self, policy):
+    def test_diabolic_point_linear(self):
         h = hodsm_bloch(HodsmSpec(1, epsilon=2**-0.5), (0, 0, PI / 2))
-        fit = splitting_exponent(h, 0.0, policy)
+        fit = splitting_exponent(h, 0.0)
         assert fit.slope == pytest.approx(1.0, rel=0.05)
         assert fit.mean_slope is not None
 
-    def test_not_an_eigenvalue_rejected(self, policy):
+    def test_not_an_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
-            splitting_exponent(np.diag([1.0, 2.0]), 0.0, policy)
+            splitting_exponent(np.diag([1.0, 2.0]), 0.0)
 
-    def test_collision_guard(self, policy):
+    def test_collision_guard(self):
         # an EP2 splits as sqrt(strength): the top of the ladder, 1e-4, pushes
         # the multiplet out to about 1e-2, into the eigenvalue at 0.01
         h = np.diag([0.0, 0.0, 0.01]).astype(complex)
         h[0, 1] = 1.0
         with pytest.raises(ValueError, match="collision"):
-            splitting_exponent(h, 0.0, policy)
+            splitting_exponent(h, 0.0)
 
 
-def loop_lineshape(h, energy, policy):
+def loop_lineshape(h, energy):
     """(slope, intercept, R^2) of lineshape_exponent with one inversion per radius."""
     m = np.asarray(h, dtype=complex)
     w = np.linalg.eigvals(m)
-    others = w[np.abs(w - energy) > policy.cluster_radius(float(np.linalg.norm(m, 2)))]
+    others = w[np.abs(w - energy) > probes.cluster_radius(float(np.linalg.norm(m, 2)))]
     direction = np.exp(1j * PI / 4)
     if others.size:
         nearest = others[np.argmin(np.abs(others - energy))]
@@ -87,12 +87,12 @@ def loop_lineshape(h, energy, policy):
     return probes._log_fit(np.log(radii), np.array(p))
 
 
-def loop_splitting(h, energy, policy):
+def loop_splitting(h, energy):
     """(slope, intercept, R^2, mean slope) of splitting_exponent with one eigensolve per matrix."""
     m = np.asarray(h, dtype=complex)
     rng = np.random.default_rng(probes.SPLITTING_SEED)
     w = np.linalg.eigvals(m)
-    alpha = int(np.count_nonzero(np.abs(w - energy) <= policy.cluster_radius(float(np.linalg.norm(m, 2)))))
+    alpha = int(np.count_nonzero(np.abs(w - energy) <= probes.cluster_radius(float(np.linalg.norm(m, 2)))))
     n = m.shape[0]
     directions = []
     for _ in range(probes.SPLITTING_DIRECTIONS):
@@ -120,12 +120,38 @@ EXPONENT_POINTS = [
 
 
 @pytest.mark.parametrize("h,energy", EXPONENT_POINTS)
-def test_stacked_exponent_fits_repeat_the_loops(h, energy, policy):
+def test_stacked_exponent_fits_repeat_the_loops(h, energy):
     """One stacked inversion or eigensolve gives bitwise the fits of one LAPACK call per matrix."""
-    fit = lineshape_exponent(h, energy, policy)
-    assert (fit.slope, fit.intercept, fit.r_squared) == loop_lineshape(h, energy, policy)
-    fit = splitting_exponent(h, energy, policy)
-    assert (fit.slope, fit.intercept, fit.r_squared, fit.mean_slope) == loop_splitting(h, energy, policy)
+    fit = lineshape_exponent(h, energy)
+    assert (fit.slope, fit.intercept, fit.r_squared) == loop_lineshape(h, energy)
+    fit = splitting_exponent(h, energy)
+    assert (fit.slope, fit.intercept, fit.r_squared, fit.mean_slope) == loop_splitting(h, energy)
+
+
+def test_cluster_radius_is_the_tolerance_times_one_plus_the_norm():
+    assert probes.cluster_radius(3.0) == probes.CLUSTER_TOL * 4.0
+    assert probes.cluster_radius(3.0, 0.5) == 2.0
+
+
+# the three probes that cluster eigenvalues, each at a tolerance of its own
+CLUSTERING_PROBES = {
+    "lineshape": lambda tol: lineshape_exponent(np.diag([1.0, 2.0]), 1.0, tol),
+    "splitting": lambda tol: splitting_exponent(np.diag([1.0, 2.0]), 1.0, tol),
+    "kramers": lambda tol: symmetry_check(HodsmSpec(0), "kramers", HingeGeometry(4, 4), tol),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("probe", CLUSTERING_PROBES.values(), ids=CLUSTERING_PROBES.keys())
+def test_bad_cluster_tol_is_refused_before_any_solve(monkeypatch, probe, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the tolerance was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    monkeypatch.setattr(probes, "hinge_hamiltonian", no_solve)
+    with pytest.raises(ValueError) as exc:
+        probe(value)
+    assert str(exc.value) == f"cluster_tol must be positive and finite, got {value}"
 
 
 class TestHingeReport:
@@ -338,7 +364,7 @@ class TestHingeRecord:
 
 
 class TestHingeScaling:
-    def test_low_set_energy_shrinks_with_system_size(self, policy):
+    def test_low_set_energy_shrinks_with_system_size(self):
         # |E_4| of the hermitian corner quadruplet decreases from 16 to 24 cells
         from fepkit.models import hinge_hamiltonian
 
@@ -385,41 +411,41 @@ class TestSymmetryTable:
     EPS = {0: 0.0, 1: 2**-0.5, 2: 2**-0.5, 3: 0.5, 4: 8**-0.5}
 
     @pytest.mark.parametrize("kind", sorted(TABLE))
-    def test_applicability_pattern(self, kind, policy):
+    def test_applicability_pattern(self, kind):
         geom = HingeGeometry(6, 6, 0.3)
         for variant in range(5):
             spec = HodsmSpec(variant, epsilon=self.EPS[variant])
-            res = symmetry_check(spec, kind, geom, policy)
+            res = symmetry_check(spec, kind, geom)
             want = variant in self.TABLE[kind]
             assert res.passed == want, (
                 f"{kind} on variant {variant}: passed={res.passed}, want {want} "
                 f"(violation {res.max_violation:.2e} at {res.witness})"
             )
 
-    def test_failure_carries_witness(self, policy):
+    def test_failure_carries_witness(self):
         geom = HingeGeometry(6, 6, 0.0)
-        res = symmetry_check(HodsmSpec(1, epsilon=0.5), "sum-rule-ba", geom, policy)
+        res = symmetry_check(HodsmSpec(1, epsilon=0.5), "sum-rule-ba", geom)
         assert not res.passed
         assert res.max_violation > 1e-6
         assert "entry" in res.witness
 
-    def test_lieb_chiral(self, policy):
+    def test_lieb_chiral(self):
         res = symmetry_check(LiebSpec("minimal-fep", epsilon=1.0), "chiral")
         assert res.passed
 
-    def test_kramers_on_hermitian_open_system(self, policy):
-        res = symmetry_check(HodsmSpec(0), "kramers", HingeGeometry(10, 10, 0.0), policy)
+    def test_kramers_on_hermitian_open_system(self):
+        res = symmetry_check(HodsmSpec(0), "kramers", HingeGeometry(10, 10, 0.0))
         assert res.passed
 
     @pytest.mark.parametrize("kz", [0.0, 0.9])
     @pytest.mark.parametrize("cells", [10, 12])
-    def test_kramers_real_path_matches_complex(self, cells, kz, policy, monkeypatch):
+    def test_kramers_real_path_matches_complex(self, cells, kz, monkeypatch):
         geom = HingeGeometry(cells, cells, kz)
         h = hinge_hamiltonian(HodsmSpec(0), geom)
         assert h.dtype == np.float64
-        res = symmetry_check(HodsmSpec(0), "kramers", geom, policy)
+        res = symmetry_check(HodsmSpec(0), "kramers", geom)
         monkeypatch.setattr(probes, "hinge_hamiltonian", lambda spec, geom: h.astype(complex))
-        assert symmetry_check(HodsmSpec(0), "kramers", geom, policy) == res
+        assert symmetry_check(HodsmSpec(0), "kramers", geom) == res
         assert res.passed
 
     # the Hermitian spectrum comes from LAPACK's band solver (sbevd), which can differ by version
@@ -436,7 +462,7 @@ class TestSymmetryTable:
         norm = float(np.abs(h).sum(axis=1).max())
         assert np.max(np.abs(band - dense)) <= 1e-12 * (1 + norm)
 
-    def test_unknown_kind(self, policy):
+    def test_unknown_kind(self):
         # the kind is checked before the geometry and the lattice family
         for spec, geom in [
             (HodsmSpec(0), HingeGeometry(4, 4)),
@@ -445,11 +471,11 @@ class TestSymmetryTable:
             (LiebSpec("hermitian"), HingeGeometry(4, 4)),
         ]:
             with pytest.raises(ValueError, match="unknown symmetry kind"):
-                symmetry_check(spec, "mirror", geom, policy)
+                symmetry_check(spec, "mirror", geom)
 
-    def test_open_kind_requires_geometry(self, policy):
+    def test_open_kind_requires_geometry(self):
         with pytest.raises(ValueError):
-            symmetry_check(HodsmSpec(0), "reflection", None, policy)
+            symmetry_check(HodsmSpec(0), "reflection", None)
 
 
 def dense_open_check(spec, kind, geom):
@@ -500,7 +526,7 @@ def loop_bloch_check(spec, kind):
 
 # the figure parameters of TestSymmetryTable and one off-default point per variant
 REFERENCE_SPECS = [HodsmSpec(v, epsilon=TestSymmetryTable.EPS[v]) for v in range(5)] + [
-    HodsmSpec(v, t=-0.5, s=1.3, epsilon=0.37) for v in range(5)
+    HodsmSpec(v, t=-0.5, s=1.3, epsilon=0.37 if v else 0.0) for v in range(5)
 ]
 
 
@@ -508,12 +534,12 @@ class TestSymmetryReference:
     """The sparse and stacked checks against dense operators and per-momentum loops."""
 
     @pytest.mark.parametrize("kind", ["reflection", "transposition", "sum-rule-ba", "sum-rule-cd"])
-    def test_open_kinds_match_dense_reference(self, kind, policy):
+    def test_open_kinds_match_dense_reference(self, kind):
         for cells in (1, 2, 5, 6):
             for kz in (0.0, 0.3):
                 geom = HingeGeometry(cells, cells, kz)
                 for spec in REFERENCE_SPECS:
-                    res = symmetry_check(spec, kind, geom, policy)
+                    res = symmetry_check(spec, kind, geom)
                     passed, worst, at, scale = dense_open_check(spec, kind, geom)
                     case = f"{kind} {spec} {geom}: {res} vs {worst!r} at {at}"
                     assert res.passed == passed, case
@@ -525,7 +551,7 @@ class TestSymmetryReference:
                         assert res.witness == (f"entry {at}" if worst else ""), case
 
     @pytest.mark.parametrize("kind", ["chiral", "rotation-c4"])
-    def test_bloch_kinds_match_loop_reference(self, kind, policy):
+    def test_bloch_kinds_match_loop_reference(self, kind):
         specs = REFERENCE_SPECS
         if kind == "chiral":
             specs = specs + [
@@ -535,9 +561,9 @@ class TestSymmetryReference:
                 LiebSpec("reciprocal", phi=0.4, psi=1.9),
             ]
         for spec in specs:
-            assert symmetry_check(spec, kind, None, policy) == loop_bloch_check(spec, kind)
+            assert symmetry_check(spec, kind, None) == loop_bloch_check(spec, kind)
 
-    def test_open_identities_never_densify(self, monkeypatch, policy):
+    def test_open_identities_never_densify(self, monkeypatch):
         def refuse(self, *args, **kwargs):
             raise AssertionError("sparse matrix made dense")
 
@@ -548,10 +574,10 @@ class TestSymmetryReference:
                 monkeypatch.setattr(cls, "todense", refuse)
         spec = HodsmSpec(4, epsilon=TestSymmetryTable.EPS[4])
         with pytest.raises(AssertionError, match="made dense"):  # the guard bites
-            symmetry_check(spec, "kramers", HingeGeometry(2, 2), policy)
+            symmetry_check(spec, "kramers", HingeGeometry(2, 2))
         geom = HingeGeometry(30, 30, 0.3)
         for kind in ("reflection", "transposition", "sum-rule-ba", "sum-rule-cd"):
-            symmetry_check(spec, kind, geom, policy)
+            symmetry_check(spec, kind, geom)
 
 
 def clusters(w, pairs):
@@ -616,7 +642,7 @@ class TestKramersClusters:
 
     @pytest.mark.parametrize("kz", [0.0, 0.5])
     @pytest.mark.parametrize("cells", [3, 6])
-    def test_kramers_spectra_match_kdtree(self, cells, kz, policy, monkeypatch):
+    def test_kramers_spectra_match_kdtree(self, cells, kz, monkeypatch):
         # compare on the spectrum and radius the check itself pairs
         close_pairs, seen = probes._close_pairs, []
 
@@ -626,7 +652,7 @@ class TestKramersClusters:
 
         monkeypatch.setattr(probes, "_close_pairs", recording)
         for spec in REFERENCE_SPECS:
-            symmetry_check(spec, "kramers", HingeGeometry(cells, cells, kz), policy)
+            symmetry_check(spec, "kramers", HingeGeometry(cells, cells, kz))
             [(w, radius)] = seen
             seen.clear()
             assert clusters(w, close_pairs(w, radius)) == kdtree_clusters(w, radius), spec
