@@ -8,15 +8,15 @@ machinery (direct inversion, direct diagonalization).
 
 Hinge-state probes solve only for the states of the real sparse
 open-boundary Hamiltonian nearest E = 0, by real shift-invert Arnoldi on one
-sparse LU factor, from a fixed start vector: the hinge report takes eight
-(it needs |E_5| for the gap ratio) and summarizes the four lowest by their
-Gram overlap rank and per-unit-cell intensity maps; a decay fit takes only
-the four hinge states and compares per-cell amplitude ratios against the
-double-semi-infinite values.  The Kramers check pairs the full spectrum:
-that of the band left by reverse Cuthill-McKee ordering on the Hermitian
-variant, the dense one on the non-Hermitian variants.  The atomistic probe
-classifies the exact zero modes of the decoupled-corner parameter point on
-the dense matrix.
+sparse LU factor, from a fixed start vector: the hinge report takes six (the
+quadruplet and a chiral pair +-E_5 for the gap ratio) and summarizes the
+four lowest by their Gram overlap rank and per-unit-cell intensity maps; a
+decay fit takes only the four hinge states and compares per-cell amplitude
+ratios against the double-semi-infinite values.  The Kramers check pairs the
+full spectrum: that of the band left by reverse Cuthill-McKee ordering on
+the Hermitian variant, the dense one on the non-Hermitian variants.  The
+atomistic probe classifies the exact zero modes of the decoupled-corner
+parameter point on the dense matrix.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ HINGE_STATES = 4
 class HingeReport:
     """Low-energy structure of one open-boundary system.
 
-    Only the eight states nearest E = 0 are computed (shift-invert Arnoldi);
+    Only the six states nearest E = 0 are computed (shift-invert Arnoldi);
     the full spectrum is not part of the report.
     """
 
@@ -234,6 +234,9 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     Real nonsymmetric shift-invert mode (``dnaupd`` mode 3) as in Lehoucq,
     Sorensen & Yang, *ARPACK Users' Guide* (SIAM 1998): the eigenvalues come
     back as exact conjugate pairs, real ones with a zero imaginary part.
+    ``eigs`` keeps k of the k or k + 1 values ARPACK returns, which can cut a
+    pair (k = 6 on variant 2); the cut pair's missing member is appended as
+    the conjugate eigenpair, so k + 1 pairs may come back.
     The real matrix is factored once by SuperLU in symmetric mode (COLAMD
     column order, SciPy's default pivot threshold: partial pivoting), and
     each Arnoldi step calls that factor's ``solve`` directly.
@@ -260,9 +263,12 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         lu = spla.splu(h, options={"SymmetricMode": True})
         solve = spla.LinearOperator(h.shape, lu.solve, dtype=h.dtype)
         solve.matvec = lu.solve  # ARPACK calls the solve itself, past matvec's checks and copies
-        return spla.eigs(h, k=k, sigma=0.0, v0=re, OPinv=solve, **seeded)
+        w, u = spla.eigs(h, k=k, sigma=0.0, v0=re, OPinv=solve, **seeded)
     except RuntimeError:
         pass
+    else:
+        lone = (w.imag != 0) & ~np.isin(w, w.conj())
+        return np.append(w, w[lone].conj()), np.hstack((u, u[:, lone].conj()))
     try:
         return spla.eigs(h.astype(complex), k=k, sigma=1e-6 * 1j, v0=re + 1j * im, **seeded)
     except RuntimeError as exc:
@@ -285,19 +291,20 @@ EIGENSOLVER_CAP = 4096
 def hinge_report(spec: HodsmSpec, geom: HingeGeometry) -> HingeReport:
     """Summarize the four lowest states of the open system.
 
-    The eight eigenpairs nearest E = 0 come from shift-invert Arnoldi on the
-    sparse Hamiltonian; the full spectrum is never formed.  For the Hermitian
-    variant one Rayleigh-Ritz step on the Arnoldi vectors makes degenerate
-    (Kramers) states orthonormal.  The Gram rank counts singular values of
-    the overlap matrix above ``GRAM_THRESHOLD``.
+    The six eigenpairs nearest E = 0 come from shift-invert Arnoldi on the
+    sparse Hamiltonian: the four hinge states and a chiral pair +-E_5 beyond
+    them (|E_5| = |E_6| on every variant); the full spectrum is never
+    formed.  For the Hermitian variant one Rayleigh-Ritz step on the Arnoldi
+    vectors makes degenerate (Kramers) states orthonormal.  The Gram rank
+    counts singular values of the overlap matrix above ``GRAM_THRESHOLD``.
     """
     n = geom.sites
     if n > EIGENSOLVER_CAP:
         raise ValueError(f"{n} sites exceed the eigensolver cap {EIGENSOLVER_CAP}")
-    if n < 10:  # Arnoldi for 8 states needs a dimension above 9
-        raise ValueError(f"{n} sites are too few for the eight lowest states; need 3 cells")
+    if n < 10:  # Arnoldi for 6 states needs a dimension above 7; fewer than 3 cells are refused
+        raise ValueError(f"{n} sites are too few for the six lowest states; need 3 cells")
     h = hinge_hamiltonian(spec, geom)
-    w, u = _low_states(h, 8)
+    w, u = _low_states(h, HINGE_STATES + 2)
     if spec.variant == 0:
         q, _ = np.linalg.qr(u)
         w, y = np.linalg.eigh(q.conj().T @ (h @ q))

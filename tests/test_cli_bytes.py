@@ -36,11 +36,11 @@ PINS = {
     'contour --model lieb:minimal-fep --eps 1 --grid 8': 'f52505376d49f3491794a0b89b60a7bf6df68b395345880a092882d9f9bd7556',  # exit 0
     'contour --model hodsm:nh2 --eps 0.5 --grid 4 --kz 0.3': '24b7d7d8e0e66fee95ab967aba6cb0dfd21ccf515feee69956b7e41b9338fbc9',  # exit 0
     'band --model hodsm:nh3 --eps 0.5 --path kz=-pi:pi:9': 'ea0d105d68e0bbe59eb7b27aee94be96e699f40912b4944de7288530b18c8d16',  # exit 0
-    'hinge --model hodsm:nh3 --eps 0.5 --nx 3 --ny 3 --out doc.json': '854174633f7c09c67253eb808297d9626d507bc940aa804240f97b341a0da5ed',  # exit 0
+    'hinge --model hodsm:nh3 --eps 0.5 --nx 3 --ny 3 --out doc.json': 'de05d1c4324560d61c6ae26972c03ff2223339725609a692262c89ffa34a84db',  # exit 0
     # many repeated values: each distinct float is formatted once
     'band --model hodsm:h --path kz=-pi:pi:9': '453ac6603d52f1c76011de3f2bb8d530e221aa3a75ca3347e99ed98d8c12bb65',  # exit 0
     'contour --model lieb:hermitian --grid 16': 'c80db26eb5680e6a694a8f65e53c5a1fd194f2fdffecd0a802a7bec746870f7e',  # exit 0
-    'hinge --model hodsm:h --nx 3 --ny 3 --out doc.json': '358119cc37cf0d7bc83090fd5d5b485e7e2f401805a1f1c6cfd9f5cbc223a7cf',  # exit 0
+    'hinge --model hodsm:h --nx 3 --ny 3 --out doc.json': '41ae670014355e71416042a873635037c4b902080c0ad64031249dad3d15a085',  # exit 0
     'probe --kind lineshape --model hodsm:nh3 --eps 0.5 --kz pi/2': '26645b4cb463d052f57e123a11c0ab8b83481cb280237d3a9b91707619a81b84',  # exit 0
     'probe --kind splitting --model hodsm:nh3 --eps 0.5 --kz pi/2': '72085dd30c4c671a22bad00cb1def18ad185188721d0d4ec1620d318aef0cfbd',  # exit 0
     'probe --kind decay --model hodsm:nh1 --eps 0.25 --nx 6 --ny 30': '928f3de98d1c37aa11867b7e6f77392a6c1d08f73a25a1484f49597a4779fb1e',  # exit 0

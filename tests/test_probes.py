@@ -187,6 +187,26 @@ class TestHingeReport:
             hinge_report(HodsmSpec(0), HingeGeometry(1, 2, 0.0))
 
 
+# the k that the probes ask of _low_states: the decay fit's four hinge states,
+# and the report's four plus the chiral pair that sets |E_5|
+PROBE_KS = (probes.HINGE_STATES, probes.HINGE_STATES + 2)
+
+
+def eight_state_report(spec, geom):
+    """The report's Gram rank, gap ratio and four low |E|, by its steps on the eight lowest states."""
+    h = hinge_hamiltonian(spec, geom)
+    w, u = probes._low_states(h, 8)
+    if spec.variant == 0:  # Rayleigh-Ritz on the Arnoldi vectors
+        q, _ = np.linalg.qr(u)
+        w, y = np.linalg.eigh(q.conj().T @ (h @ q))
+        u = q @ y
+    order = np.lexsort((w.imag, w.real, np.abs(w)))
+    w, u = w[order], u[:, order]
+    states = u[:, :4] / np.linalg.norm(u[:, :4], axis=0)
+    s = np.linalg.svd(np.abs(states.conj().T @ states), compute_uv=False)
+    return int(np.count_nonzero(s > probes.GRAM_THRESHOLD)), abs(w[4]) / abs(w[3]), np.abs(w[:4])
+
+
 class TestHingeShiftInvert:
     @pytest.mark.parametrize("cells", [6, 10])
     @pytest.mark.parametrize("variant", range(5))
@@ -243,31 +263,65 @@ class TestHingeShiftInvert:
         """The real matrix's low energies: real ones have imag 0, the rest exact conjugate pairs."""
         spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
         geom = HingeGeometry(cells, cells, kz)
-        w, _ = probes._low_states(hinge_hamiltonian(spec, geom), 8)
-        for low in (w, hinge_report(spec, geom).low_energies):
+        h = hinge_hamiltonian(spec, geom)
+        solved = [probes._low_states(h, k)[0] for k in PROBE_KS]
+        for low in (*solved, hinge_report(spec, geom).low_energies):
             assert np.array_equal(np.sort(low), np.sort(low.conj())), low
 
     @pytest.mark.parametrize("kz", [0.0, 0.7])
     @pytest.mark.parametrize("variant", range(5))
     def test_real_mode_energies_match_dense(self, variant, kz):
-        """The eight energies nearest E = 0 agree with the dense spectrum to 1e-10 relative.
+        """The k energies nearest E = 0, at each k a probe asks for, agree with the dense spectrum.
 
         Each energy above 1e-7 is compared as the mean of its cluster (radius
-        1e-4 |E|) on both sides: the members of a defective cluster (v2's
-        paired EP2s) are set only to about the square root of rounding, by
-        either solver, but their mean is well conditioned.
+        1e-4 |E|) on both sides, to 1e-10 relative: the members of a defective
+        cluster (v2's paired EP2s) are set only to about the square root of
+        rounding, by either solver, but their mean is well conditioned.  Where
+        the cut at k splits a cluster (at k = 6, v2's paired EP2s at +-E_5,
+        and the degenerate clusters of v0 and v4), the members returned are
+        held to the root of rounding, 1e-7 relative; the worst is 5.3e-9.
         """
         spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
         h = hinge_hamiltonian(spec, HingeGeometry(6, 6, kz))
-        w, _ = probes._low_states(h, 8)
         dense = np.linalg.eigvals(h.toarray())
-        # no dense energy nearer E = 0 is missed, up to ties at the outermost |E|
-        assert np.count_nonzero(np.abs(dense) < np.abs(w).max() * (1 - 1e-6)) < w.size
-        for e in w[np.abs(w) > 1e-7]:
-            radius = 1e-4 * abs(e)
-            mine, theirs = w[np.abs(w - e) <= radius], dense[np.abs(dense - e) <= radius]
-            assert mine.size <= theirs.size, (e, mine, theirs)
-            assert abs(mine.mean() - theirs.mean()) <= 1e-10 * abs(e), (e, mine, theirs)
+        for k in PROBE_KS:
+            w, _ = probes._low_states(h, k)
+            # no dense energy nearer E = 0 is missed, up to ties at the outermost |E|
+            assert np.count_nonzero(np.abs(dense) < np.abs(w).max() * (1 - 1e-6)) < w.size
+            for e in w[np.abs(w) > 1e-7]:
+                radius = 1e-4 * abs(e)
+                mine, theirs = w[np.abs(w - e) <= radius], dense[np.abs(dense - e) <= radius]
+                assert mine.size <= theirs.size, (k, e, mine, theirs)
+                bound = 1e-10 if mine.size == theirs.size else 1e-7
+                assert abs(mine.mean() - theirs.mean()) <= bound * abs(e), (k, e, mine, theirs)
+
+    def test_report_asks_for_the_quadruplet_and_the_pair_beyond(self, monkeypatch):
+        low_states, asked = probes._low_states, []
+
+        def recording(h, k):
+            asked.append(k)
+            return low_states(h, k)
+
+        monkeypatch.setattr(probes, "_low_states", recording)
+        hinge_report(HodsmSpec(1, epsilon=FIGURE_EPS[1]), HingeGeometry(10, 10, 0.0))
+        assert asked == [probes.HINGE_STATES + 2]
+
+    # ARPACK's convergence of the six and the eight lowest states can differ by version
+    @pytest.mark.version_sensitive
+    @pytest.mark.parametrize("cells", [10, 12])
+    @pytest.mark.parametrize("variant", range(5))
+    def test_matches_eight_state_reference(self, variant, cells):
+        """The report equals its own steps run on the eight lowest states, up to rounding.
+
+        The worst relative difference is 7.7e-9, on v2's near-defective pair at 12x12.
+        """
+        spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
+        geom = HingeGeometry(cells, cells, 0.0)
+        rep = hinge_report(spec, geom)
+        gram_rank, gap_ratio, low = eight_state_report(spec, geom)
+        assert rep.gram_rank == gram_rank
+        assert rep.gap_ratio == pytest.approx(gap_ratio, rel=1e-6, abs=0)
+        np.testing.assert_allclose(np.abs(rep.low_energies), low, rtol=1e-6, atol=0)
 
     # SuperLU's singular-factor error and ARPACK's complex retry can differ by version
     @pytest.mark.version_sensitive
@@ -711,6 +765,28 @@ class TestDecayFits:
             decay_rate_fit(HodsmSpec(0), HingeGeometry(10, 32, 0.0), "E", "y")
         with pytest.raises(ValueError):
             decay_rate_fit(HodsmSpec(0), HingeGeometry(10, 32, 0.0), "B", "z")
+
+
+class TestDecayRecord:
+    """Fits reported for profiles that are not exponential; a record, since no refusal covers them."""
+
+    # the fitted ratio and r^2 are 0.988 and 0.0042, 0.859 and 0.63, 0.483 and 0.63
+    @pytest.mark.xfail(strict=True, reason="decay_rate_fit reports a fit whose r^2 is far below one")
+    @pytest.mark.parametrize(
+        "spec,geom,corner",
+        [
+            (HodsmSpec(4, epsilon=0.5), HingeGeometry(6, 30, 0.0), "C"),
+            (HodsmSpec(1, epsilon=0.5), HingeGeometry(10, 32, 0.0), "B"),
+            (HodsmSpec(1, epsilon=0.5), HingeGeometry(10, 32, 0.5), "B"),
+        ],
+        ids=["nh4-6x30-C", "nh1-10x32-B", "nh1-10x32-kz0.5-B"],
+    )
+    def test_low_r_squared(self, spec, geom, corner):
+        try:
+            fit = decay_rate_fit(spec, geom, corner, "y")
+        except ValueError:
+            return
+        assert fit.r_squared >= 0.9
 
 
 class TestDecayFourStates:
