@@ -404,8 +404,11 @@ ROTATION_C4[:2, 2:] = np.eye(2)
 ROTATION_C4[2:, :2] = -1j * SIGMA[2]
 
 
-def _corner_permutation(geom: HingeGeometry) -> sp.csr_matrix:
-    """Antidiagonal lattice reflection combined with the A <-> B site swap."""
+def generalized_reflection(geom: HingeGeometry) -> sp.csr_matrix:
+    """The antidiagonal reflection with the A <-> B site swap and a sign flip on the C sublattice.
+
+    It acts on the full open system, as a sparse real CSR signed permutation.
+    """
     import scipy.sparse as sp
 
     if geom.nx != geom.ny:
@@ -415,18 +418,8 @@ def _corner_permutation(geom: HingeGeometry) -> sp.csr_matrix:
     site, site2 = np.arange(4), np.array([1, 0, 2, 3])  # A <-> B, C and D fixed
     rows = (4 * partner.reshape(-1, 1) + site2).ravel()
     cols = (4 * cell.reshape(-1, 1) + site).ravel()
-    ones = np.ones(geom.sites, dtype=complex)
-    return sp.csr_matrix((ones, (rows, cols)), shape=(geom.sites, geom.sites))
-
-
-def generalized_reflection(geom: HingeGeometry) -> sp.csr_matrix:
-    """The antidiagonal reflection combined with a sign flip on the C sublattice.
-
-    It acts on the full open system, as a sparse complex CSR signed permutation.
-    """
-    r_op = _corner_permutation(geom)
-    r_op.data[r_op.indices % 4 == 2] = -1.0  # the C sublattice, which maps to itself
-    return r_op
+    signs = np.tile([1.0, 1.0, -1.0, 1.0], cell.size)  # A, B, C, D by source site: the flip is on C
+    return sp.csr_matrix((signs, (rows, cols)), shape=(geom.sites, geom.sites))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ machinery (direct inversion, direct diagonalization).
 
 Hinge-state probes solve only for the states of the real sparse
 open-boundary Hamiltonian nearest E = 0, by real shift-invert Arnoldi on one
-sparse LU factor, from a fixed start vector: the hinge report takes six (the
+sparse LU factor, from a fixed start vector (the factor of H, or of H - 1e-6 I
+where that one is exactly singular): the hinge report takes six (the
 quadruplet and a chiral pair +-E_5 for the gap ratio) and summarizes the
 four lowest by their Gram overlap rank and per-unit-cell intensity maps; a
 decay fit takes only the four hinge states and compares per-cell amplitude
@@ -237,44 +238,41 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``eigs`` keeps k of the k or k + 1 values ARPACK returns, which can cut a
     pair (k = 6 on variant 2); the cut pair's missing member is appended as
     the conjugate eigenpair, so k + 1 pairs may come back.
-    The real matrix is factored once by SuperLU in symmetric mode (COLAMD
-    column order, SciPy's default pivot threshold: partial pivoting), and
-    each Arnoldi step calls that factor's ``solve`` directly.
+    The real matrix h - sigma I is factored once by SuperLU in symmetric mode
+    (COLAMD column order, SciPy's default pivot threshold: partial pivoting),
+    and each Arnoldi step calls that factor's ``solve`` directly.
     ARPACK starts from a fixed-seed random vector, so repeated calls give
     bitwise-identical results; unlike a constant vector, a random one is not
     orthogonal to any symmetry sector of the hinge states.  A solve that
-    fails at sigma = 0 (an exactly singular factor) is retried once in
-    complex arithmetic at 1e-6 i from a complex vector of the same draw, by
-    ``eigs``'s own factor, untouched by the real solve; a second failure is
-    refused with one line.  (A complex shift on the real matrix
-    would take the real part of the shifted inverse, which misses the states
-    nearest E = 0.)
+    fails at sigma = 0 (an exactly singular factor) is retried once, the same
+    way, at the real shift sigma = 1e-6; a second failure is refused with one
+    line.
 
     A restart near the float limit draws a fresh vector from this function's
     own seeded generator, passed as ``rng`` where ``eigs`` takes one (older
     SciPy: ARPACK's own fixed seed).
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     rng = np.random.default_rng(0)
-    re, im = rng.standard_normal((2, h.shape[0]))
+    # the second row is not read; drawing it fixes the generator state that restarts continue from
+    v0 = rng.standard_normal((2, h.shape[0]))[0]
     seeded = {"rng": rng} if _eigs_takes_rng() else {}
-    try:
-        lu = spla.splu(h, options={"SymmetricMode": True})
-        solve = spla.LinearOperator(h.shape, lu.solve, dtype=h.dtype)
-        solve.matvec = lu.solve  # ARPACK calls the solve itself, past matvec's checks and copies
-        w, u = spla.eigs(h, k=k, sigma=0.0, v0=re, OPinv=solve, **seeded)
-    except RuntimeError:
-        pass
-    else:
+    for sigma in (0.0, 1e-6):
+        try:
+            shifted = h - sigma * sp.identity(h.shape[0], format="csc") if sigma else h
+            lu = spla.splu(shifted, options={"SymmetricMode": True})
+            solve = spla.LinearOperator(h.shape, lu.solve, dtype=h.dtype)
+            solve.matvec = lu.solve  # ARPACK calls the solve itself, past matvec's checks and copies
+            w, u = spla.eigs(h, k=k, sigma=sigma, v0=v0, OPinv=solve, **seeded)
+        except RuntimeError as exc:
+            failure = exc
+            continue
         lone = (w.imag != 0) & ~np.isin(w, w.conj())
         return np.append(w, w[lone].conj()), np.hstack((u, u[:, lone].conj()))
-    try:
-        return spla.eigs(h.astype(complex), k=k, sigma=1e-6 * 1j, v0=re + 1j * im, **seeded)
-    except RuntimeError as exc:
-        failure = exc
     raise ValueError(
-        f"the shift-invert eigensolve near E = 0 failed at sigma = 0 and 1e-6i ({failure}); "
+        f"the shift-invert eigensolve near E = 0 failed at sigma = 0 and 1e-6 ({failure}); "
         "use smaller model parameters"
     )
 
@@ -284,7 +282,8 @@ def _low_states(h: sp.csc_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 # near-parallel from near-orthogonal pairs by an order of magnitude at the
 # sizes used here
 GRAM_THRESHOLD = 0.1
-# largest open system (sites) the hinge report accepts
+# largest open system (sites) the hinge report and the dense Kramers check
+# (non-Hermitian variants) accept; the dense spectrum's cost is cubic in it
 EIGENSOLVER_CAP = 4096
 
 
@@ -456,9 +455,10 @@ def symmetry_check(
     ``cluster_radius(||H||_inf, cluster_tol)``, the only kind that reads
     ``cluster_tol``.  The Hermitian variant's spectrum comes from its band
     (``_banded_spectrum``), the non-Hermitian variants' from the dense
-    matrix.  Its clusters are single-linkage: the connected components of
-    the eigenvalue pairs at most the radius apart, which ``_close_pairs``
-    finds by a sweep over the spectrum sorted by real part.  Those spectra
+    matrix, refused above ``EIGENSOLVER_CAP`` sites.  Its clusters are
+    single-linkage: the connected components of the eigenvalue pairs at most
+    the radius apart, which ``_close_pairs`` finds by a sweep over the
+    spectrum sorted by real part.  Those spectra
     can be defective, and a cluster then groups eigenvalues that rounding
     has split: only the verdict is determined there, not ``max_violation``
     (the odd-cluster count).  Identities pass at ``1e-10`` of the natural
@@ -510,6 +510,8 @@ def symmetry_check(
     if kind == "kramers":
         if spec.variant == 0:
             w = _banded_spectrum(h).astype(complex)
+        elif geom.sites > EIGENSOLVER_CAP:
+            raise ValueError(f"{geom.sites} sites exceed the eigensolver cap {EIGENSOLVER_CAP}")
         else:
             w = np.linalg.eigvals(h.toarray())
         radius = cluster_radius(float(norm), cluster_tol)

@@ -59,14 +59,13 @@ def _expect(report, want, where: str) -> None:
 # generators shared with the property tests
 
 
-def jordan_blocks(sizes, eigenvalue: complex = 0.0) -> np.ndarray:
+def jordan_blocks(sizes) -> np.ndarray:
     n = sum(sizes)
     j = np.zeros((n, n), dtype=complex)
     pos = 0
     for s in sizes:
         for i in range(s - 1):
             j[pos + i, pos + i + 1] = 1.0
-        j[pos : pos + s, pos : pos + s] += eigenvalue * np.eye(s)
         pos += s
     return j
 

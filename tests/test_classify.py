@@ -118,7 +118,7 @@ class TestWeyrOracle:
         n = a.shape[-1]
         b = np.zeros((1, n + 2, n + 2), dtype=complex)
         b[0, :n, :n] = a[0]
-        b[0, n:, n:] = jordan_blocks([2], eigenvalue=0.7)
+        b[0, n:, n:] = jordan_blocks([2]) + 0.7 * np.eye(2)
         assert _pmf(weyr_oracle(b, policy, 0.0)[0]) == want
 
     def test_pool_plants_at_cond_1e3(self, policy):

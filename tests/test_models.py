@@ -414,26 +414,27 @@ class TestGridAssembly:
         assert hinge_hamiltonian(HodsmSpec(0), geom).shape == (24, 24)
 
 
-def loop_corner_permutation(geom: HingeGeometry) -> np.ndarray:
-    """The reflection permutation filled site by site through ``cell_index``."""
+def loop_reflection(geom: HingeGeometry) -> np.ndarray:
+    """The generalized reflection filled site by site through ``cell_index``."""
     n = geom.sites
-    perm = np.zeros((n, n), dtype=complex)
+    perm = np.zeros((n, n))
     site_map = {0: 1, 1: 0, 2: 2, 3: 3}
     for x in range(1, geom.nx + 1):
         for y in range(1, geom.ny + 1):
             c = cell_index(geom, x, y)
             c2 = cell_index(geom, geom.nx + 1 - y, geom.ny + 1 - x)
             for site, site2 in site_map.items():
-                perm[4 * c2 + site2, 4 * c + site] = 1.0
+                perm[4 * c2 + site2, 4 * c + site] = -1.0 if site == 2 else 1.0
     return perm
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
 def test_corner_permutation_matches_loop_form(size):
     geom = HingeGeometry(size, size, kz=0.3)
-    got = models._corner_permutation(geom).toarray()
-    want = loop_corner_permutation(geom)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = models.generalized_reflection(geom)
+    want = loop_reflection(geom)
+    assert got.format == "csr" and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.toarray(), want)
 
 
 class TestSymmetryOperators:

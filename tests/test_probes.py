@@ -31,7 +31,7 @@ from fepkit.probes import (
     symmetry_check,
 )
 from fepkit.selftest import FIGURE_EPS
-from test_models import loop_corner_permutation
+from test_models import loop_reflection
 
 PI = math.pi
 
@@ -256,12 +256,19 @@ class TestHingeShiftInvert:
 
     # ARPACK's real nonsymmetric mode on a SuperLU factor, and its restart rng, can differ by version
     @pytest.mark.version_sensitive
-    @pytest.mark.parametrize("kz", [0.0, 0.7])
-    @pytest.mark.parametrize("cells", [3, 6, 10, 12])
-    @pytest.mark.parametrize("variant", range(5))
-    def test_low_energies_are_closed_under_conjugation(self, variant, cells, kz):
+    @pytest.mark.parametrize(
+        "spec,cells,kz",
+        [
+            *(
+                pytest.param(HodsmSpec(v, epsilon=FIGURE_EPS[v]), n, kz, id=f"{v}-{n}-{kz}")
+                for v, n, kz in itertools.product(range(5), (3, 6, 10, 12), (0.0, 0.7))
+            ),
+            # the factor at E = 0 is exactly singular: solved at the real shift 1e-6
+            *(pytest.param(HodsmSpec(4, epsilon=0.5), n, 0.0, id=f"4-eps0.5-{n}-0.0") for n in (3, 6)),
+        ],
+    )
+    def test_low_energies_are_closed_under_conjugation(self, spec, cells, kz):
         """The real matrix's low energies: real ones have imag 0, the rest exact conjugate pairs."""
-        spec = HodsmSpec(variant, epsilon=FIGURE_EPS[variant])
         geom = HingeGeometry(cells, cells, kz)
         h = hinge_hamiltonian(spec, geom)
         solved = [probes._low_states(h, k)[0] for k in PROBE_KS]
@@ -323,22 +330,17 @@ class TestHingeShiftInvert:
         assert rep.gap_ratio == pytest.approx(gap_ratio, rel=1e-6, abs=0)
         np.testing.assert_allclose(np.abs(rep.low_energies), low, rtol=1e-6, atol=0)
 
-    # SuperLU's singular-factor error and ARPACK's complex retry can differ by version
+    # SuperLU's singular-factor error and ARPACK's real shift-invert mode can differ by version
     @pytest.mark.version_sensitive
-    def test_singular_factor_retries_in_complex_arithmetic(self, monkeypatch):
-        """An exactly singular real factor at sigma = 0 falls back to the complex solve at 1e-6 i.
-
-        A complex shift on the real matrix would take the real part of the
-        shifted inverse and miss the near-zero pair; the complex retry finds
-        it, bitwise as a complex solve from the complex start vector does.
-        """
+    def test_singular_factor_retries_at_a_real_shift(self, monkeypatch):
+        """An exactly singular real factor at sigma = 0 is retried by the same real solve at 1e-6."""
         import scipy.sparse.linalg as spla
 
         h = hinge_hamiltonian(HodsmSpec(4, epsilon=0.5), HingeGeometry(10, 32, 0.0))
         splu, eigs, calls = spla.splu, spla.eigs, []
 
         def factoring(a, **kw):
-            calls.append(("splu", a.dtype))
+            calls.append(a)
             try:
                 return splu(a, **kw)
             except RuntimeError as exc:
@@ -346,23 +348,40 @@ class TestHingeShiftInvert:
                 raise
 
         def recording(a, **kw):
-            calls.append(("eigs", a.dtype, kw["sigma"]))
+            calls.append(("eigs", a.dtype, kw["sigma"], kw["OPinv"] is not None))
             return eigs(a, **kw)
 
         monkeypatch.setattr(spla, "splu", factoring)
         monkeypatch.setattr(spla, "eigs", recording)
-        w, u = probes._low_states(h, 4)
+        w, _ = probes._low_states(h, 4)
         monkeypatch.undo()
-        assert len(calls) == 3, calls
-        assert calls[0] == ("splu", np.float64) and "exactly singular" in calls[1]
-        assert calls[2] == ("eigs", np.complex128, 1e-6j)
-        assert np.all(np.sort(np.abs(w))[:2] < 1e-13)
+        assert len(calls) == 4, calls
+        at_zero, failure, shifted, solve = calls
+        assert at_zero.dtype == np.float64 and (at_zero != h).nnz == 0
+        assert "exactly singular" in failure
+        assert shifted.dtype == np.float64
+        assert (shifted != h - 1e-6 * sp.identity(h.shape[0])).nnz == 0
+        assert solve == ("eigs", np.float64, 1e-6, True)
 
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-        seeded = {"rng": rng} if probes._eigs_takes_rng() else {}
-        want_w, want_u = eigs(h.astype(complex), k=4, sigma=1e-6j, v0=v0, **seeded)
-        assert w.tobytes() == want_w.tobytes() and u.tobytes() == want_u.tobytes()
+        low = np.sort(np.abs(w))
+        assert np.all(low[:2] < 1e-13)
+        assert np.array_equal(np.sort(w), np.sort(w.conj()))
+        dense = np.sort(np.abs(np.linalg.eigvals(h.toarray())))[: w.size]
+        floor = 1e-8 * float(np.abs(h).sum(axis=1).max())
+        assert np.all(np.abs(low - dense) / np.maximum(dense, floor) <= LOW_BOUND), (low, dense)
+
+    def test_second_failure_is_refused_with_one_line(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def singular(a, **kw):
+            raise RuntimeError("Factor is exactly singular")
+
+        h = hinge_hamiltonian(HodsmSpec(2, epsilon=FIGURE_EPS[2]), HingeGeometry(3, 3, 0.0))
+        monkeypatch.setattr(spla, "splu", singular)
+        want = r"^the shift-invert eigensolve near E = 0 failed at sigma = 0 and 1e-6 \(Factor is exactly singular\); "
+        with pytest.raises(ValueError, match=want) as info:
+            probes._low_states(h, 4)
+        assert len(str(info.value).splitlines()) == 1
 
 
 # the hinge sweep: v0-v4 x eps x kz x (t, s), v0 once since it takes no eps
@@ -487,6 +506,21 @@ class TestSymmetryTable:
         res = symmetry_check(LiebSpec("minimal-fep", epsilon=1.0), "chiral")
         assert res.passed
 
+    def test_dense_kramers_refuses_above_the_cap(self, monkeypatch):
+        """Past the cap the non-Hermitian check refuses before the dense spectrum; v0's band is not capped."""
+        spec = HodsmSpec(2, epsilon=self.EPS[2])
+        monkeypatch.setattr(probes, "EIGENSOLVER_CAP", 36)
+        assert symmetry_check(spec, "kramers", HingeGeometry(3, 3)).passed
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense spectrum formed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        with pytest.raises(ValueError, match="^64 sites exceed the eigensolver cap 36$") as info:
+            symmetry_check(spec, "kramers", HingeGeometry(4, 4))
+        assert len(str(info.value).splitlines()) == 1
+        assert symmetry_check(HodsmSpec(0), "kramers", HingeGeometry(4, 4)).passed
+
     def test_kramers_on_hermitian_open_system(self):
         res = symmetry_check(HodsmSpec(0), "kramers", HingeGeometry(10, 10, 0.0))
         assert res.passed
@@ -543,9 +577,7 @@ def dense_open_check(spec, kind, geom):
         row, col = (1, 0) if kind == "sum-rule-ba" else (2, 3)
         delta, bound = (h @ h)[row::4, col::4], 1e-10 * scale**2
     else:
-        gauge = np.ones(geom.sites)
-        gauge[2::4] = -1.0  # the C sublattice
-        r_op = np.diag(gauge).astype(complex) @ loop_corner_permutation(geom)
+        r_op = loop_reflection(geom)
         moved = h if kind == "reflection" else h.T
         delta, bound = r_op @ moved @ r_op.T - h, 1e-10 * scale
     size = np.abs(delta)
@@ -770,23 +802,20 @@ class TestDecayFits:
 class TestDecayRecord:
     """Fits reported for profiles that are not exponential; a record, since no refusal covers them."""
 
-    # the fitted ratio and r^2 are 0.988 and 0.0042, 0.859 and 0.63, 0.483 and 0.63
+    # the fitted ratio and r^2 are 0.859 and 0.63, 0.483 and 0.63
     @pytest.mark.xfail(strict=True, reason="decay_rate_fit reports a fit whose r^2 is far below one")
-    @pytest.mark.parametrize(
-        "spec,geom,corner",
-        [
-            (HodsmSpec(4, epsilon=0.5), HingeGeometry(6, 30, 0.0), "C"),
-            (HodsmSpec(1, epsilon=0.5), HingeGeometry(10, 32, 0.0), "B"),
-            (HodsmSpec(1, epsilon=0.5), HingeGeometry(10, 32, 0.5), "B"),
-        ],
-        ids=["nh4-6x30-C", "nh1-10x32-B", "nh1-10x32-kz0.5-B"],
-    )
-    def test_low_r_squared(self, spec, geom, corner):
+    @pytest.mark.parametrize("kz", [0.0, 0.5], ids=["nh1-10x32-B", "nh1-10x32-kz0.5-B"])
+    def test_low_r_squared(self, kz):
         try:
-            fit = decay_rate_fit(spec, geom, corner, "y")
+            fit = decay_rate_fit(HodsmSpec(1, epsilon=0.5), HingeGeometry(10, 32, kz), "B", "y")
         except ValueError:
             return
         assert fit.r_squared >= 0.9
+
+    def test_singular_factor_corner_is_refused(self):
+        """Solved at the real shift 1e-6, corner C's profile grows inward and is refused."""
+        with pytest.raises(ValueError, match="^amplitude does not decay .* per-cell ratio 1.075$"):
+            decay_rate_fit(HodsmSpec(4, epsilon=0.5), HingeGeometry(6, 30, 0.0), "C", "y")
 
 
 class TestDecayFourStates:
