@@ -16,6 +16,7 @@ when they disagree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,22 +77,24 @@ class PartialMultiplicityFunction:
             beta[int(l)] = beta.get(int(l), 0) + 1
         return cls(beta)
 
-    @property
+    # the derived values are computed once, on first read; a cached_property
+    # writes the instance dict, so the record stays frozen to assignment
+    @functools.cached_property
     def gamma(self) -> int:
         """Geometric multiplicity: total number of blocks."""
         return sum(self.beta.values())
 
-    @property
+    @functools.cached_property
     def alpha(self) -> int:
         """Algebraic multiplicity: total size of all blocks."""
         return sum(l * c for l, c in self.beta.items())
 
-    @property
+    @functools.cached_property
     def ell(self) -> int:
         """Maximal partial multiplicity (largest block size)."""
         return max(self.beta) if self.beta else 0
 
-    @property
+    @functools.cached_property
     def partials(self) -> tuple[int, ...]:
         """Block sizes as a nonincreasing sequence."""
         out: list[int] = []
@@ -378,10 +381,12 @@ def classify_point(
         raise
 
     k_points = (k_point if k_point is not None else [None] * len(m)) if stacked else [k_point]
+    # reports with equal counts share one record
+    record = functools.cache(_pmf)
     reports = [
         DegeneracyReport(
-            energy=energy, beta=_pmf(row), eta=eta, xi=xi, policy=policy, k_point=k, method=method
+            energy=energy, beta=record(row), eta=eta, xi=xi, policy=policy, k_point=k, method=method
         )
-        for row, (eta, xi), k in zip(beta.tolist(), eta_xi, k_points)
+        for row, (eta, xi), k in zip(map(tuple, beta.tolist()), eta_xi, k_points)
     ]
     return reports if stacked else reports[0]

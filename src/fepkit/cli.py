@@ -20,7 +20,6 @@ import itertools
 import math
 import os
 import re
-import secrets
 import stat
 import sys
 from datetime import datetime, timezone
@@ -160,7 +159,7 @@ def _write_atomic(path: str, text: str) -> None:
     except FileNotFoundError:
         mode = None
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".fepkit-{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".fepkit-{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
     try:
         with os.fdopen(fd, "w") as fh:
@@ -316,9 +315,12 @@ def _cmd_contour(args, model, echo) -> str:
     if args.grid < 1:
         raise ValueError(f"grid must be at least 1, got {args.grid}")
     ks = np.linspace(-math.pi, math.pi, args.grid, endpoint=False)
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    k = (kx, ky) if model.dims == 2 else (kx, ky, np.full_like(kx, args.kz or 0.0))
-    return _csv("kx,ky,min_abs_E", kx.ravel(), ky.ravel(), min_abs_energy(model, k).ravel())
+    # each symbol is evaluated on the axes it reads; min |E| spans the grid
+    kx, ky = np.meshgrid(ks, ks, indexing="ij", sparse=True)
+    k = (kx, ky) if model.dims == 2 else (kx, ky, np.full((1, 1), args.kz or 0.0))
+    energy = min_abs_energy(model, k)
+    kx, ky = np.broadcast_arrays(kx, ky)
+    return _csv("kx,ky,min_abs_E", kx.ravel(), ky.ravel(), energy.ravel())
 
 
 def _cmd_scan(args, model, echo) -> dict:

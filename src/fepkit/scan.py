@@ -113,18 +113,22 @@ def min_abs_energy(model, k) -> np.ndarray:
     is summed from b itself: as a**2 - det(QR) it would cancel wherever the
     two values of E**2 nearly coincide.
 
-    ``k`` holds momenta of shape (dims, ...), and the energies come back in
-    the trailing shape.  A bare point, shape (dims,), is refused: its scalar
-    arithmetic may round differently from a stack's, so one momentum is
-    passed as a stack of one, shape (dims, 1).
+    ``k`` holds the dims momentum components, which broadcast against each
+    other: an array of shape (dims, ...), or sparse axes such as those of
+    ``np.meshgrid(..., indexing="ij", sparse=True)``, on which each symbol
+    is evaluated on the axes it reads, as ``bz_scan`` does.  The energies
+    come back in the broadcast shape, bitwise those of the dense mesh.  A
+    bare point, shape (dims,), is refused: its scalar arithmetic may round
+    differently from a stack's, so one momentum is passed as a stack of
+    one, shape (dims, 1).
 
     Parameters whose symbols overflow make |PQ + RS|, or lambda_big and
     |det(QR)|, not finite; that is refused with a ValueError, never
     returned as an energy of 0 or infinity.
     """
-    k = np.asarray(k, dtype=float)
-    if k.ndim < 2:
-        raise ValueError(f"min_abs_energy takes momenta of shape (dims, ...), got shape {k.shape}")
+    k = [np.asarray(c, dtype=float) for c in k]
+    if not np.broadcast_shapes(*(c.shape for c in k)):
+        raise ValueError(f"min_abs_energy takes momenta of shape (dims, ...), got shape {(len(k),)}")
     # an overflow is refused below, once, rather than warned about here
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, LiebSpec):
@@ -430,9 +434,10 @@ def trace_ring(
     The manifold cos kx + cos ky = 2 cos(phi) of the equal-angle reciprocal
     model is parameterized by a uniform kx ladder with both ky branches; the
     ladder points nearest to the two analytic FEP momenta are snapped onto
-    them exactly, so those special points are always among the samples.
-    Each report carries its sample momentum as ``k_point``.  The samples are
-    built and classified as one stack (``classify_point``), so a sample that
+    them exactly, so those special points are always among the samples (an
+    odd count drops one branch sample that is not special).  Each report
+    carries its sample momentum as ``k_point``.  The samples are built and
+    classified as one stack (``classify_point``), so a sample that
     fails to classify raises the error of the first such sample.  At
     phi = 0 (mod pi) the manifold is the single momentum (0, 0) or (pi, pi),
     and the call is refused.
@@ -477,5 +482,8 @@ def trace_ring(
     for kx in ladder:
         ky = math.acos(min(1.0, max(-1.0, 2 * c - math.cos(kx))))
         ks += [(float(kx), float(ky)), (float(kx), float(-ky))]
-    ks = ks[:samples]
+    # an odd count drops the last sample, unless the last ladder point was snapped onto
+    # -|phi|: its -ky branch is then the FEP (-|phi|, -|phi|), and its +ky branch goes
+    if len(ks) > samples:
+        del ks[-2 if m - 1 in snapped and ladder[-1] < 0 else -1]
     return classify_point(bloch_matrix(model, np.transpose(ks)), 0.0, policy, k_point=ks)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -548,6 +549,25 @@ class TestStacks:
                 assert stacked == pointwise[fails[0]]
             else:
                 assert stacked == [o[0] for o in ok]
+
+    def test_equal_rows_share_one_record(self):
+        model = LiebSpec("reciprocal", phi=PI / 4, psi=PI / 4)
+        reports = trace_ring(model, 64)
+        # the ring's EP3s share one record and its two FEPs another
+        records = {id(r.beta): r.beta for r in reports}
+        assert len(records) == len(set(records.values())) == 2
+        for r in reports:
+            alone = classify_point(bloch_matrix(model, r.k_point), 0.0)
+            derived = ("alpha", "gamma", "ell", "partials", "label")
+            assert [getattr(r, a) for a in derived] == [getattr(alone, a) for a in derived]
+        # a derived value read once is still refused on assignment, and leaves
+        # equality and the hash as they were
+        for record in records.values():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.alpha = 0
+            fresh = PartialMultiplicityFunction(dict(record.beta))
+            assert record == fresh and hash(record) == hash(fresh)
+            assert hash(record) == hash(tuple(sorted(record.beta.items())))
 
     def test_catalog_stack_equals_pointwise(self, catalog_model):
         rng = np.random.default_rng(7)

@@ -1058,6 +1058,10 @@ def test_readme_cli_examples_run(capsys, tmp_path):
 BULK_ONLY_IMPORTS = """
 import sys
 
+import numpy
+
+numpy_loaded = set(sys.modules)
+
 import fepkit
 import fepkit.cli
 
@@ -1069,9 +1073,13 @@ for argv in (
     "band --model hodsm:nh2 --eps 0.7 --path kz=-pi:pi:5",
     "contour --model lieb:reciprocal --phi pi/4 --psi pi/4 --grid 8",
     "probe --kind lineshape --model hodsm:nh2 --eps 0.7071067811865476 --kz pi/2",
-    "probe --kind chiral --model hodsm:nh4 --eps 0.35",
 ):
     assert fepkit.cli.main([*argv.split(), "--out", out]) == 0, argv
+# an --out temp file is named from os.urandom, so only numpy.random, which
+# NumPy may load on import and the sampling probes use, loads secrets
+loaded = sorted(m for m in ("secrets", "hmac") if m in set(sys.modules) - numpy_loaded)
+assert not loaded, loaded
+assert fepkit.cli.main([*"probe --kind chiral --model hodsm:nh4 --eps 0.35".split(), "--out", out]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.spatial")))
 assert not loaded, loaded
 for argv in (
@@ -1090,8 +1098,9 @@ assert not loaded, loaded
 # which SciPy submodules an import pulls in can differ by version
 @pytest.mark.version_sensitive
 def test_bulk_verbs_load_no_sparse_stack(tmp_path):
-    """fepkit and the bulk verbs load NumPy only; an open system loads SciPy's
-    sparse stack, and no verb loads scipy.spatial."""
+    """fepkit and the bulk verbs load NumPy only, not SciPy's sparse stack or the
+    secrets module; an open system loads the sparse stack, and no verb loads
+    scipy.spatial."""
     src = str(Path(fepkit.cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", BULK_ONLY_IMPORTS, str(tmp_path)],

@@ -74,6 +74,24 @@ class TestBroadcast:
         ]
         assert _model_scale(catalog_model) == 1.0 + max(norms)
 
+    # the equality rests on NumPy's elementwise loops giving an axis and a mesh the same bits
+    @pytest.mark.version_sensitive
+    def test_min_abs_energy_on_sparse_axes_is_bitwise_dense(self, catalog_model):
+        # contour's evaluation: a semimetal takes the plane kz = 0.3, and a
+        # non-square grid catches swapped axes
+        axes = np.meshgrid(
+            np.linspace(-PI, PI, 17, endpoint=False),
+            np.linspace(-PI, PI, 12, endpoint=False),
+            indexing="ij",
+            sparse=True,
+        )
+        sparse = [*axes, *[np.full((1, 1), 0.3)] * (catalog_model.dims - 2)]
+        dense = np.stack(np.broadcast_arrays(*sparse))
+        got = min_abs_energy(catalog_model, sparse)
+        want = min_abs_energy(catalog_model, dense)
+        assert got.shape == want.shape == (17, 12)
+        assert got.tobytes() == want.tobytes()
+
     def test_min_abs_energy_stack_equals_pointwise(self, catalog_model, rng):
         k = rng.uniform(-PI, PI, size=(catalog_model.dims, 5))
         stack = min_abs_energy(catalog_model, k)
@@ -1041,6 +1059,22 @@ class TestTraceRing:
         samples = trace_ring(spec, 33, policy)
         assert len(samples) == 33
 
+    @pytest.mark.parametrize(
+        "phi",
+        [PI / 6, PI / 4, -PI / 4, PI / 3, PI / 2, 2 * PI / 3, 3 * PI / 4],
+        ids=["pi/6", "pi/4", "-pi/4", "pi/3", "pi/2", "2pi/3", "3pi/4"],
+    )
+    def test_every_sample_count_keeps_both_feps(self, phi, policy):
+        # an odd count drops one sample, never a snapped FEP
+        spec = LiebSpec("reciprocal", phi=phi, psi=phi)
+        a = abs(phi)
+        for count in range(8, 80):
+            samples = trace_ring(spec, count, policy)
+            feps = sorted(s.k_point for s in samples if s.label == "FEP")
+            assert len(samples) == count and len(feps) == 2, (count, feps)
+            for got, want in zip(feps, [(-a, -a), (a, a)]):
+                assert k_distance(got, want) <= 1e-8, (count, feps)
+
     def test_ring_wrapping_through_zone_corner(self, policy):
         # cos phi < 0 rings the zone corner; the kx domain wraps through pi
         spec = LiebSpec("reciprocal", phi=3 * PI / 4, psi=3 * PI / 4)
@@ -1093,6 +1127,16 @@ class TestClosedFormEnergy:
         k[-1, -1] = PI  # t + s/2 cos(kz) + s cos(kx) overflows there
         with pytest.raises(ValueError, match=r"^min \|E\| overflows at these model parameters"):
             min_abs_energy(model, k)
+
+    def test_overflow_is_refused_on_sparse_axes_too(self):
+        axes = np.meshgrid(*[np.linspace(-PI, PI, 8, endpoint=False)] * 2, indexing="ij", sparse=True)
+        sparse = [*axes, np.full((1, 1), 0.3)]
+        messages = []
+        for k in (sparse, np.stack(np.broadcast_arrays(*sparse))):
+            with pytest.raises(ValueError) as refused:
+                min_abs_energy(HodsmSpec(2, epsilon=1e150), k)
+            messages.append(str(refused.value))
+        assert messages == ["min |E| overflows at these model parameters: its closed form is not finite"] * 2
 
     def test_vanishes_at_catalog_points(self, catalog_model):
         for entry in analytic_degeneracies(catalog_model):
